@@ -39,10 +39,10 @@ constexpr double seedBaselineSeconds = 3.5;
 
 /**
  * One-thread wall time of the fig_multicontext matrix on the
- * reference container. Scenario cells run the record-at-a-time
- * engine with per-branch attribution attached (the dense-profile
- * SIMD kernel bypasses the tag path the attribution reads), so this
- * baseline is measured on that path, not the batch kernels.
+ * reference container. Scenario cells run the record kernels with
+ * per-branch attribution attached (the batch kernels bypass the tag
+ * path the attribution reads), so this baseline is measured on that
+ * path, not the batch kernels.
  */
 constexpr double multicontextBaselineSeconds = 13.5;
 
@@ -97,18 +97,6 @@ struct BenchOptions
 
     /** Abort the sweep at the first failed cell (--fail-fast). */
     bool failFast = false;
-
-    /** Fused sweep execution (--fused / --no-fused; on by default).
-     * Cells sharing a replay buffer are stepped in one pass; results
-     * are bit-identical either way. */
-    bool fused = true;
-
-    /** Batched SIMD-dispatch kernels (--simd / --no-simd; on by
-     * default). Results are bit-identical either way; --no-simd runs
-     * the record-at-a-time reference kernels for differential
-     * comparison. BPSIM_SIMD=off|scalar|avx2|neon further overrides
-     * the resolved level at engine dispatch time. */
-    bool simd = true;
 
     /** Content-addressed artifact cache directory (--cache-dir;
      * empty = off). Shared safely by concurrent shard processes. */
@@ -165,18 +153,6 @@ parseBenchOptions(int argc, char **argv, const char *tool,
                    "(resource_exhausted) cell failures");
     args.addFlag("fail-fast",
                  "abort the sweep at the first failed cell");
-    args.addFlag("fused",
-                 "fuse cells sharing a replay buffer into one pass "
-                 "(default; results are bit-identical either way)");
-    args.addFlag("no-fused",
-                 "run every cell's evaluation as its own pass "
-                 "(overrides --fused)");
-    args.addFlag("simd",
-                 "run the batched SIMD-dispatch kernels (default; "
-                 "results are bit-identical either way)");
-    args.addFlag("no-simd",
-                 "run the record-at-a-time reference kernels "
-                 "(overrides --simd)");
     args.addOption("shard", "",
                    "execute only shard i of N (1-based \"i/N\"); "
                    "cells are partitioned by fingerprint hash");
@@ -195,8 +171,6 @@ parseBenchOptions(int argc, char **argv, const char *tool,
     options.resume = args.getFlag("resume");
     options.retries = static_cast<unsigned>(args.getUint("retries"));
     options.failFast = args.getFlag("fail-fast");
-    options.fused = !args.getFlag("no-fused");
-    options.simd = !args.getFlag("no-simd");
     options.cacheDir = args.get("cache-dir");
     if (!args.get("shard").empty()) {
         const Result<std::pair<unsigned, unsigned>> shard =
@@ -246,8 +220,6 @@ runnerOptions(const BenchOptions &options,
     runner.failFast = options.failFast;
     runner.checkpointPath = options.checkpointPath;
     runner.resume = options.resume;
-    runner.fused = options.fused;
-    runner.simd = options.simd;
     runner.cacheDir = options.cacheDir;
     runner.shardIndex = options.shardIndex;
     runner.shardCount = options.shardCount;
@@ -285,7 +257,7 @@ class BenchJournal
             return;
         journal =
             std::make_unique<obs::RunJournal>(std::move(label));
-        const SimdLevel level = resolveSimdLevel(options.simd);
+        const SimdLevel level = resolveSimdLevel();
         journal->record(
             obs::EventKind::RunBegin, 0, journal->runLabel(),
             {obs::Field::u64("threads", options.threads),

@@ -1,31 +1,25 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the simulation engine itself:
- * virtual-dispatch replay vs the devirtualized block kernels vs the
- * batched SIMD-dispatch kernels, per predictor kind, over one
- * materialized trace. Items processed are simulated branches, so the
- * reported rate is branches/second.
+ * the virtual-dispatch loop (the oracle) vs the batch kernels, per
+ * predictor kind, over one materialized trace. Items processed are
+ * simulated branches, so the reported rate is branches/second.
  *
- * Plain-shape variants per kind (simulateReplay, no hints/profile):
- *  - virtual:       simulate() over a replay cursor (fastPath off)
- *  - kernel:        record-at-a-time kernels (options.simd off)
- *  - kernel_simd:   batched SIMD-dispatch kernels (options.simd on)
- *  - kernel_nt:     record-at-a-time, trackCollisions off
- *  - kernel_nt_simd batched, trackCollisions off
+ * Plain-shape variants per kind (no hints/profile):
+ *  - virtual: simulate() over a replay cursor
+ *  - batch:   simulateReplay(), the batch kernels
  *
  * Fused-shape variants per kind (simulateReplayFused over a site
  * index, the experiment runner's hot path):
- *  - gang:      1 unhinted + 3 Static_95 members, record-at-a-time
- *  - gang_simd: the same gang through the batched kernels
- *  - dense:     profile collection onto dense site arrays
- *  - dense_simd the same through the batched kernels
+ *  - gang:  1 unhinted + 3 Static_95 members
+ *  - dense: profile collection onto dense site arrays
  *
  * Invoked as `microbench_engine --batch-gate` the binary instead runs
- * the CI throughput gate: it times the record-at-a-time and batched
+ * the CI throughput gate: it times the virtual loop and the batch
  * kernels side by side over every kind for the plain and gang shapes
- * and exits nonzero when the batched path regresses below the
- * record-at-a-time one (per-shape aggregate over the five kinds, 5%
- * noise tolerance, best of three runs).
+ * and exits nonzero when the batch kernels regress below the virtual
+ * loop (per-shape aggregate over the five kinds, 5% noise tolerance,
+ * best of three runs).
  */
 
 #include <benchmark/benchmark.h>
@@ -91,33 +85,30 @@ static95Hints()
     return hints;
 }
 
-enum class Mode
-{
-    Virtual,
-    Kernel,
-    KernelSimd,
-    KernelNoTrack,
-    KernelNoTrackSimd,
-};
-
 void
-engineThroughput(benchmark::State &state, PredictorKind kind, Mode mode)
+virtualThroughput(benchmark::State &state, PredictorKind kind)
 {
     auto predictor = makePredictor(kind, sizeBytes);
     const ReplayBuffer &buffer = trace();
-
-    SimOptions options;
-    options.fastPath = mode != Mode::Virtual;
-    options.trackCollisions = mode != Mode::KernelNoTrack &&
-                              mode != Mode::KernelNoTrackSimd;
-    options.simd =
-        mode == Mode::KernelSimd || mode == Mode::KernelNoTrackSimd;
-
     for (auto _ : state) {
-        bool used_fast = false;
-        const SimStats stats =
-            simulateReplay(*predictor, buffer, options, &used_fast);
-        if (used_fast != (mode != Mode::Virtual))
+        auto cursor = buffer.cursor();
+        benchmark::DoNotOptimize(
+            simulate(*predictor, cursor).mispredictions);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * buffer.size()));
+}
+
+void
+batchThroughput(benchmark::State &state, PredictorKind kind)
+{
+    auto predictor = makePredictor(kind, sizeBytes);
+    const ReplayBuffer &buffer = trace();
+    for (auto _ : state) {
+        bool used_simd = false;
+        const SimStats stats = simulateReplay(*predictor, buffer, {},
+                                              nullptr, &used_simd);
+        if (!used_simd)
             state.SkipWithError("unexpected dispatch path");
         benchmark::DoNotOptimize(stats.mispredictions);
     }
@@ -128,12 +119,12 @@ engineThroughput(benchmark::State &state, PredictorKind kind, Mode mode)
 /**
  * The experiment runner's evaluation shape: one unhinted member and
  * three Static_95 members of the same kind, fused over one trace
- * walk. The hinted members share a gang; the unhinted one runs the
- * gang-of-one (or record-at-a-time) kernel.
+ * walk. All four share one gang; the unhinted member's hint codes
+ * are all zero.
  */
 struct GangFixture
 {
-    GangFixture(PredictorKind kind, bool simd)
+    explicit GangFixture(PredictorKind kind)
     {
         for (int member = 0; member < 4; ++member) {
             const bool hinted = member != 0;
@@ -143,8 +134,18 @@ struct GangFixture
                 ShiftPolicy::NoShift));
             FusedSim sim;
             sim.predictor = predictors.back().get();
-            sim.options.simd = simd;
             sims.push_back(sim);
+        }
+    }
+
+    /** The same members, each simulated alone by the virtual loop. */
+    void
+    runVirtual()
+    {
+        for (FusedSim &sim : sims) {
+            auto cursor = trace().cursor();
+            benchmark::DoNotOptimize(
+                simulate(*sim.predictor, cursor).mispredictions);
         }
     }
 
@@ -153,17 +154,14 @@ struct GangFixture
 };
 
 void
-fusedGangThroughput(benchmark::State &state, PredictorKind kind,
-                    bool simd)
+fusedGangThroughput(benchmark::State &state, PredictorKind kind)
 {
-    GangFixture fixture(kind, simd);
+    GangFixture fixture(kind);
     for (auto _ : state) {
         simulateReplayFused(fixture.sims, trace(), &sites());
         for (const FusedSim &sim : fixture.sims) {
-            if (!sim.usedFastPath)
+            if (!sim.usedSimd)
                 state.SkipWithError("unexpected dispatch path");
-            if (sim.usedSimd != simd)
-                state.SkipWithError("unexpected simd path");
         }
         benchmark::DoNotOptimize(
             fixture.sims.front().stats.mispredictions);
@@ -175,22 +173,18 @@ fusedGangThroughput(benchmark::State &state, PredictorKind kind,
 /** The profile phase's dense shape: outcome and prediction counts
  * accumulated onto site-indexed arrays during the replay. */
 void
-fusedDenseThroughput(benchmark::State &state, PredictorKind kind,
-                     bool simd)
+fusedDenseThroughput(benchmark::State &state, PredictorKind kind)
 {
     auto predictor = makePredictor(kind, sizeBytes);
     ProfileDb profile;
     std::vector<FusedSim> sims(1);
     sims[0].predictor = predictor.get();
     sims[0].options.profile = &profile;
-    sims[0].options.simd = simd;
 
     for (auto _ : state) {
         simulateReplayFused(sims, trace(), &sites());
-        if (!sims[0].usedFastPath)
+        if (!sims[0].usedSimd)
             state.SkipWithError("unexpected dispatch path");
-        if (sims[0].usedSimd != simd)
-            state.SkipWithError("unexpected simd path");
         benchmark::DoNotOptimize(sims[0].stats.mispredictions);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -227,9 +221,9 @@ bestOfThree(const Body &body)
 }
 
 /**
- * The CI throughput gate: batched kernels must not regress below the
- * record-at-a-time kernels on either engine shape (aggregate over the
- * five kinds; 5% tolerance absorbs machine noise).
+ * The CI throughput gate: the batch kernels must not regress below
+ * the virtual loop on either engine shape (aggregate over the five
+ * kinds; 5% tolerance absorbs machine noise).
  *
  * @return the process exit code
  */
@@ -240,15 +234,16 @@ runBatchGate()
     const Count records = trace().size();
     bool pass = true;
 
-    const auto report = [&](const char *shape, double scalar_seconds,
-                            double simd_seconds, Count branches) {
-        const double scalar_rate = branches / scalar_seconds;
-        const double simd_rate = branches / simd_seconds;
-        const bool ok = simd_rate >= scalar_rate * tolerance;
-        std::printf("%-6s scalar %8.1fM/s   simd %8.1fM/s   "
+    const auto report = [&](const char *shape, double virtual_seconds,
+                            double batch_seconds, Count branches) {
+        const double virtual_rate = branches / virtual_seconds;
+        const double batch_rate = branches / batch_seconds;
+        const bool ok = batch_rate >= virtual_rate * tolerance;
+        std::printf("%-6s virtual %8.1fM/s   batch %8.1fM/s   "
                     "%5.2fx  %s\n",
-                    shape, scalar_rate / 1e6, simd_rate / 1e6,
-                    simd_rate / scalar_rate, ok ? "ok" : "REGRESSED");
+                    shape, virtual_rate / 1e6, batch_rate / 1e6,
+                    batch_rate / virtual_rate,
+                    ok ? "ok" : "REGRESSED");
         pass = pass && ok;
     };
 
@@ -256,39 +251,40 @@ runBatchGate()
                 "(aggregate over %zu kinds, best of 3)\n",
                 std::size(gateKinds));
 
-    // Plain shape: simulateReplay, no hints or profile. The scalar
-    // and batched timings of each kind run back to back so slow
-    // frequency drift on the host biases both sides equally.
-    double plain_seconds[2] = {};
+    // Plain shape: no hints or profile. The virtual and batch timings
+    // of each kind run back to back so slow frequency drift on the
+    // host biases both sides equally.
+    double plain_virtual = 0.0;
+    double plain_batch = 0.0;
     for (const PredictorKind kind : gateKinds) {
-        for (const bool simd : {false, true}) {
-            auto predictor = makePredictor(kind, sizeBytes);
-            SimOptions options;
-            options.simd = simd;
-            plain_seconds[simd] += bestOfThree([&] {
-                benchmark::DoNotOptimize(
-                    simulateReplay(*predictor, trace(), options)
-                        .mispredictions);
-            });
-        }
+        auto predictor = makePredictor(kind, sizeBytes);
+        plain_virtual += bestOfThree([&] {
+            auto cursor = trace().cursor();
+            benchmark::DoNotOptimize(
+                simulate(*predictor, cursor).mispredictions);
+        });
+        plain_batch += bestOfThree([&] {
+            benchmark::DoNotOptimize(
+                simulateReplay(*predictor, trace()).mispredictions);
+        });
     }
-    report("plain", plain_seconds[0], plain_seconds[1],
+    report("plain", plain_virtual, plain_batch,
            records * std::size(gateKinds));
 
-    // Gang shape: the fused evaluation pass.
-    double gang_seconds[2] = {};
+    // Gang shape: the fused evaluation pass against its members
+    // simulated one by one.
+    double gang_virtual = 0.0;
+    double gang_batch = 0.0;
     Count gang_branches = 0;
     for (const PredictorKind kind : gateKinds) {
-        for (const bool simd : {false, true}) {
-            GangFixture fixture(kind, simd);
-            gang_seconds[simd] += bestOfThree([&] {
-                simulateReplayFused(fixture.sims, trace(), &sites());
-            });
-            if (!simd)
-                gang_branches += records * fixture.sims.size();
-        }
+        GangFixture fixture(kind);
+        gang_virtual += bestOfThree([&] { fixture.runVirtual(); });
+        gang_batch += bestOfThree([&] {
+            simulateReplayFused(fixture.sims, trace(), &sites());
+        });
+        gang_branches += records * fixture.sims.size();
     }
-    report("gang", gang_seconds[0], gang_seconds[1], gang_branches);
+    report("gang", gang_virtual, gang_batch, gang_branches);
 
     std::printf("gate: %s\n", pass ? "pass" : "FAIL");
     return pass ? 0 : 1;
@@ -297,32 +293,17 @@ runBatchGate()
 } // namespace
 
 #define BPSIM_ENGINE_BENCH(name, kind)                                 \
-    BENCHMARK_CAPTURE(engineThroughput, name##_virtual,                \
-                      PredictorKind::kind, Mode::Virtual)              \
+    BENCHMARK_CAPTURE(virtualThroughput, name##_virtual,               \
+                      PredictorKind::kind)                             \
         ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(engineThroughput, name##_kernel,                 \
-                      PredictorKind::kind, Mode::Kernel)               \
-        ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(engineThroughput, name##_kernel_simd,            \
-                      PredictorKind::kind, Mode::KernelSimd)           \
-        ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(engineThroughput, name##_kernel_nt,              \
-                      PredictorKind::kind, Mode::KernelNoTrack)        \
-        ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(engineThroughput, name##_kernel_nt_simd,         \
-                      PredictorKind::kind, Mode::KernelNoTrackSimd)    \
+    BENCHMARK_CAPTURE(batchThroughput, name##_batch,                   \
+                      PredictorKind::kind)                             \
         ->Unit(benchmark::kMillisecond);                               \
     BENCHMARK_CAPTURE(fusedGangThroughput, name##_gang,                \
-                      PredictorKind::kind, false)                      \
-        ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(fusedGangThroughput, name##_gang_simd,           \
-                      PredictorKind::kind, true)                       \
+                      PredictorKind::kind)                             \
         ->Unit(benchmark::kMillisecond);                               \
     BENCHMARK_CAPTURE(fusedDenseThroughput, name##_dense,              \
-                      PredictorKind::kind, false)                      \
-        ->Unit(benchmark::kMillisecond);                               \
-    BENCHMARK_CAPTURE(fusedDenseThroughput, name##_dense_simd,         \
-                      PredictorKind::kind, true)                       \
+                      PredictorKind::kind)                             \
         ->Unit(benchmark::kMillisecond)
 
 BPSIM_ENGINE_BENCH(bimodal, Bimodal);

@@ -24,7 +24,7 @@
  * sharing one stream.
  *
  * Every kernel is integer-exact and bit-identical across translation
- * units and to the record-at-a-time PR-5 kernels (SimdLevel::Off);
+ * units and to the virtual simulate() loop, the engine's oracle;
  * tests/test_simd.cc pins that differentially.
  */
 
@@ -213,7 +213,6 @@ struct GangArgs
     Count from = 0;
     Count to = 0;
     ShiftPolicy policy = ShiftPolicy::NoShift;
-    bool track = true;
 };
 
 /**
@@ -232,7 +231,6 @@ struct DenseArgs
     const std::uint32_t *siteOf = nullptr;
     Count from = 0;
     Count to = 0;
-    bool track = true;
 };
 
 /**
@@ -247,7 +245,6 @@ struct PlainArgs
     const ReplayBuffer *buffer = nullptr;
     Count from = 0;
     Count to = 0;
-    bool track = true;
 };
 
 } // namespace batch
@@ -285,7 +282,7 @@ void runPlainBatch(const batch::PlainArgs<P> &args);
  * without this trait (e.g. Tage, HashedPerceptron — multi-bank
  * allocation and weight sums don't fit the prepare/apply batch split)
  * gets an empty BatchKernelSet from batchKernelsFor and the engine
- * falls back to the record-at-a-time reference kernels.
+ * runs its record kernels instead.
  */
 template <typename P> inline constexpr bool hasBatchKernels = false;
 template <> inline constexpr bool hasBatchKernels<Bimodal> = true;
@@ -302,15 +299,14 @@ struct BatchKernelSet
     void (*dense)(const batch::DenseArgs<P> &) = nullptr;
     void (*plain)(const batch::PlainArgs<P> &) = nullptr;
 
-    /** True when a batched level (not Off) is selected. */
+    /** True when the set holds kernels (hasBatchKernels<P>). */
     explicit operator bool() const { return gang != nullptr; }
 };
 
 /**
- * Resolve @p level to its kernel set. Off yields an empty set (the
- * caller falls back to the record-at-a-time kernels); Neon resolves
- * to the baseline translation unit, which on aarch64 the compiler
- * vectorizes with baseline NEON.
+ * Resolve @p level to its kernel set; empty for a type without batch
+ * kernels. Neon resolves to the baseline translation unit, which on
+ * aarch64 the compiler vectorizes with baseline NEON.
  */
 template <typename P>
 BatchKernelSet<P>
@@ -319,8 +315,6 @@ batchKernelsFor(SimdLevel level)
     BatchKernelSet<P> set;
     if constexpr (hasBatchKernels<P>) {
         switch (level) {
-          case SimdLevel::Off:
-            break;
 #if defined(BPSIM_HAVE_AVX2_KERNELS)
           case SimdLevel::Avx2:
             set.gang = &kernels_avx2::runGangBatch<P>;

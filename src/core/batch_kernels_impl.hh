@@ -23,9 +23,10 @@
  * vectorize across records. The apply pass walks the records in
  * order, performing the branchless counter load / predict / train /
  * tag update with the carried indices; its per-record operation
- * sequence is exactly the one the record-at-a-time kernels in
- * core/engine.cc perform, so every SimStats field, collision
- * statistic, profile count and table byte is bit-identical to theirs.
+ * sequence is exactly the one the record kernel in core/engine.cc and
+ * the virtual simulate() loop perform, so every SimStats field,
+ * collision statistic, profile count and table byte is bit-identical
+ * to theirs.
  */
 
 #include "core/batch_kernels.hh"
@@ -66,8 +67,8 @@ constexpr unsigned pipelineSlots = 2;
  * fixed-size chunks. A compile-time member count lets the apply
  * pass's member loop fully unroll with its accumulators in
  * registers, and four independent predictor chains already saturate
- * the out-of-order window (same bound as the record-at-a-time gang
- * kernels).
+ * the out-of-order window (same bound as the record kernel's
+ * sub-gangs).
  */
 constexpr std::size_t gangChunk = 4;
 
@@ -118,7 +119,7 @@ struct LaneTable
 /**
  * Register-resident collision accumulators for one table, flushed
  * into the table's CollisionStats once per segment. The per-record
- * tag protocol matches CounterTable::lookup<true> exactly; the
+ * tag protocol matches CounterTable::lookup exactly; the
  * classification happens inline (the overall correctness is already
  * known at apply time), so the table's pending counter stays zero —
  * the same state updateStep() leaves behind.
@@ -144,36 +145,24 @@ struct LaneStats
 
 /**
  * One instrumented table access: tag check, tag write and classified
- * collision accounting, compiled out entirely when @p Track is off.
+ * collision accounting.
  *
  * @return 1 when the access collided, else 0
  */
-template <bool Track>
 inline std::uint32_t
 touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
           Addr pc, bool correct)
 {
-    if constexpr (!Track) {
-        (void)table;
-        (void)stats;
-        (void)index;
-        (void)pc;
-        (void)correct;
-        return 0;
-    } else {
-        ++stats.lookups;
-        const Addr tag = table.tags[index];
-        const std::uint32_t collided =
-            static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
-            static_cast<std::uint32_t>(tag != pc);
-        table.tags[index] = pc;
-        stats.collisions += collided;
-        stats.constructive +=
-            collided & static_cast<std::uint32_t>(correct);
-        stats.destructive +=
-            collided & static_cast<std::uint32_t>(!correct);
-        return collided;
-    }
+    ++stats.lookups;
+    const Addr tag = table.tags[index];
+    const std::uint32_t collided =
+        static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
+        static_cast<std::uint32_t>(tag != pc);
+    table.tags[index] = pc;
+    stats.collisions += collided;
+    stats.constructive += collided & static_cast<std::uint32_t>(correct);
+    stats.destructive += collided & static_cast<std::uint32_t>(!correct);
+    return collided;
 }
 
 /** What one applied record reports back to the driver. */
@@ -243,7 +232,7 @@ struct HistoryShadow
  * Batch state for the single-table predictors (bimodal, ghist,
  * gshare), differing only in how the index is derived.
  */
-template <typename P, IndexKind Kind, bool Track>
+template <typename P, IndexKind Kind>
 class TableState
 {
   public:
@@ -313,8 +302,7 @@ class TableState
         if (table.prefetch) {
             for (std::size_t i = 0; i < count; ++i) {
                 BPSIM_BATCH_PREFETCH(&table.cnt[out[i]]);
-                if constexpr (Track)
-                    BPSIM_BATCH_PREFETCH(&table.tags[out[i]]);
+                BPSIM_BATCH_PREFETCH(&table.tags[out[i]]);
             }
         }
     }
@@ -330,7 +318,7 @@ class TableState
         const bool prediction = satCounterTaken(counter, table.msb);
         const bool correct = prediction == taken;
         const std::uint32_t collided =
-            touchLane<Track>(table, stats, k, pc, correct);
+            touchLane(table, stats, k, pc, correct);
         table.cnt[k] = satCounterTrain(counter, taken, table.maxv);
         return {correct, collided};
     }
@@ -356,7 +344,6 @@ class TableState
 };
 
 /** Batch state for the bi-mode predictor. */
-template <bool Track>
 class BiModeState
 {
   public:
@@ -427,8 +414,8 @@ class BiModeState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane<Track>(choice, choiceStats, kc, pc, correct) +
-            touchLane<Track>(selected, selectedStats, kd, pc, correct);
+            touchLane(choice, choiceStats, kc, pc, correct) +
+            touchLane(selected, selectedStats, kd, pc, correct);
 
         // Partial update: only the selected direction table trains.
         selected.cnt[kd] = satCounterTrain(dirCounter, taken,
@@ -468,7 +455,6 @@ class BiModeState
 };
 
 /** Batch state for the 2bcgskew predictor. */
-template <bool Track>
 class GskewState
 {
   public:
@@ -563,13 +549,11 @@ class GskewState
                 BPSIM_BATCH_PREFETCH(&g1.cnt[g1Idx[slot][i]]);
                 BPSIM_BATCH_PREFETCH(&meta.cnt[metaIdx[slot][i]]);
             }
-            if constexpr (Track) {
-                for (std::size_t i = 0; i < count; ++i) {
-                    BPSIM_BATCH_PREFETCH(&bim.tags[bimIdx[slot][i]]);
-                    BPSIM_BATCH_PREFETCH(&g0.tags[g0Idx[slot][i]]);
-                    BPSIM_BATCH_PREFETCH(&g1.tags[g1Idx[slot][i]]);
-                    BPSIM_BATCH_PREFETCH(&meta.tags[metaIdx[slot][i]]);
-                }
+            for (std::size_t i = 0; i < count; ++i) {
+                BPSIM_BATCH_PREFETCH(&bim.tags[bimIdx[slot][i]]);
+                BPSIM_BATCH_PREFETCH(&g0.tags[g0Idx[slot][i]]);
+                BPSIM_BATCH_PREFETCH(&g1.tags[g1Idx[slot][i]]);
+                BPSIM_BATCH_PREFETCH(&meta.tags[metaIdx[slot][i]]);
             }
         }
     }
@@ -598,10 +582,10 @@ class GskewState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane<Track>(bim, bimStats, kb, pc, correct) +
-            touchLane<Track>(g0, g0Stats, k0, pc, correct) +
-            touchLane<Track>(g1, g1Stats, k1, pc, correct) +
-            touchLane<Track>(meta, metaStats, km, pc, correct);
+            touchLane(bim, bimStats, kb, pc, correct) +
+            touchLane(g0, g0Stats, k0, pc, correct) +
+            touchLane(g1, g1Stats, k1, pc, correct) +
+            touchLane(meta, metaStats, km, pc, correct);
 
         // Partial update as branchless masks: on a wrong overall
         // prediction all voting banks train; on a correct one only
@@ -659,32 +643,32 @@ class GskewState
 };
 
 /** The batch state class handling predictor type @p P. */
-template <typename P, bool Track>
+template <typename P>
 struct StateFor;
 
-template <bool Track> struct StateFor<Bimodal, Track>
+template <> struct StateFor<Bimodal>
 {
-    using type = TableState<Bimodal, IndexKind::Pc, Track>;
+    using type = TableState<Bimodal, IndexKind::Pc>;
 };
 
-template <bool Track> struct StateFor<Ghist, Track>
+template <> struct StateFor<Ghist>
 {
-    using type = TableState<Ghist, IndexKind::HistOnly, Track>;
+    using type = TableState<Ghist, IndexKind::HistOnly>;
 };
 
-template <bool Track> struct StateFor<Gshare, Track>
+template <> struct StateFor<Gshare>
 {
-    using type = TableState<Gshare, IndexKind::PcXorHist, Track>;
+    using type = TableState<Gshare, IndexKind::PcXorHist>;
 };
 
-template <bool Track> struct StateFor<BiMode, Track>
+template <> struct StateFor<BiMode>
 {
-    using type = BiModeState<Track>;
+    using type = BiModeState;
 };
 
-template <bool Track> struct StateFor<TwoBcGskew, Track>
+template <> struct StateFor<TwoBcGskew>
 {
-    using type = GskewState<Track>;
+    using type = GskewState;
 };
 
 /**
@@ -696,15 +680,15 @@ template <bool Track> struct StateFor<TwoBcGskew, Track>
  * steps through a record before the pass moves to the next one, so
  * the members' mutually independent dependent chains (counter load ->
  * predict -> train -> store) overlap in the out-of-order window —
- * the same interleaving the record-at-a-time gang kernels use. @p N
+ * the same interleaving the record kernel uses. @p N
  * is the compile-time member count (callers chunk larger gangs), so
  * the member loops fully unroll and the per-member accumulators are
  * register-resident fixed arrays. Stat totals equal the per-record
- * increments of the record-at-a-time kernels exactly (integer sums
+ * increments of the record kernel exactly (integer sums
  * in a different grouping); per member the record order is the
  * buffer order, so the table and history evolution is identical.
  */
-template <typename P, ShiftPolicy Policy, bool Track, bool WithHints,
+template <typename P, ShiftPolicy Policy, bool WithHints,
           bool WithSites, bool WithDense, std::size_t N>
 void
 runBatchLoop(P *const *predictors,
@@ -714,7 +698,7 @@ runBatchLoop(P *const *predictors,
              const std::uint32_t *site_of, BranchProfile *profiles,
              Count start, Count end)
 {
-    using State = typename StateFor<P, Track>::type;
+    using State = typename StateFor<P>::type;
     constexpr std::size_t B = batchRecords;
 
     const Addr *pcs = buffer.pcData();
@@ -823,38 +807,31 @@ runBatchLoop(P *const *predictors,
 
 /**
  * Run one gang chunk of compile-time size through the batch loop,
- * dispatching the runtime (policy, track) pair.
+ * dispatching the runtime shift policy.
  */
 template <typename P, std::size_t N>
 void
 dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
 {
-    const auto run = [&](auto policy_tag, auto track_tag) {
+    const auto run = [&](auto policy_tag) {
         constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
-        constexpr bool kTrack = decltype(track_tag)::value;
-        runBatchLoop<P, kPolicy, kTrack, true, true, false, N>(
+        runBatchLoop<P, kPolicy, true, true, false, N>(
             args.predictors + offset, args.siteTables + offset,
             args.hintCodes + offset, args.stats + offset,
             *args.buffer, args.siteOf, nullptr, args.from, args.to);
     };
-    const auto dispatch = [&](auto policy_tag) {
-        if (args.track)
-            run(policy_tag, std::true_type{});
-        else
-            run(policy_tag, std::false_type{});
-    };
     switch (args.policy) {
       case ShiftPolicy::NoShift:
-        dispatch(std::integral_constant<ShiftPolicy,
-                                        ShiftPolicy::NoShift>{});
+        run(std::integral_constant<ShiftPolicy,
+                                   ShiftPolicy::NoShift>{});
         break;
       case ShiftPolicy::ShiftOutcome:
-        dispatch(std::integral_constant<ShiftPolicy,
-                                        ShiftPolicy::ShiftOutcome>{});
+        run(std::integral_constant<ShiftPolicy,
+                                   ShiftPolicy::ShiftOutcome>{});
         break;
       case ShiftPolicy::ShiftPrediction:
-        dispatch(std::integral_constant<
-                 ShiftPolicy, ShiftPolicy::ShiftPrediction>{});
+        run(std::integral_constant<ShiftPolicy,
+                                   ShiftPolicy::ShiftPrediction>{});
         break;
     }
 }
@@ -900,17 +877,9 @@ runDenseBatch(const batch::DenseArgs<P> &args)
     P *predictor = args.predictor;
     const batch::SiteTables *tables = args.siteTables;
     SimStats *stats = args.stats;
-    if (args.track) {
-        runBatchLoop<P, ShiftPolicy::NoShift, true, false, true, true,
-                     1>(&predictor, &tables, nullptr, &stats,
-                        *args.buffer, args.siteOf, args.profiles,
-                        args.from, args.to);
-    } else {
-        runBatchLoop<P, ShiftPolicy::NoShift, false, false, true,
-                     true, 1>(&predictor, &tables, nullptr, &stats,
-                              *args.buffer, args.siteOf, args.profiles,
-                              args.from, args.to);
-    }
+    runBatchLoop<P, ShiftPolicy::NoShift, false, true, true, 1>(
+        &predictor, &tables, nullptr, &stats, *args.buffer, args.siteOf,
+        args.profiles, args.from, args.to);
 }
 
 template <typename P>
@@ -919,17 +888,9 @@ runPlainBatch(const batch::PlainArgs<P> &args)
 {
     P *predictor = args.predictor;
     SimStats *stats = args.stats;
-    if (args.track) {
-        runBatchLoop<P, ShiftPolicy::NoShift, true, false, false,
-                     false, 1>(&predictor, nullptr, nullptr, &stats,
-                               *args.buffer, nullptr, nullptr,
-                               args.from, args.to);
-    } else {
-        runBatchLoop<P, ShiftPolicy::NoShift, false, false, false,
-                     false, 1>(&predictor, nullptr, nullptr, &stats,
-                               *args.buffer, nullptr, nullptr,
-                               args.from, args.to);
-    }
+    runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, 1>(
+        &predictor, nullptr, nullptr, &stats, *args.buffer, nullptr,
+        nullptr, args.from, args.to);
 }
 
 template void runGangBatch<Bimodal>(const batch::GangArgs<Bimodal> &);

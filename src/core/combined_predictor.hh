@@ -71,7 +71,7 @@ class CombinedPredictor : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         dynamic->attachAliasSink(sink);
     }

@@ -79,507 +79,341 @@ runMeasured(BranchPredictor &predictor, CombinedPredictor *combined,
 }
 
 /**
- * Branches per inner kernel loop. The bounded trip count lets the
- * compiler keep the loop body register-resident; the value itself is
- * not semantically significant.
- */
-constexpr Count kernelBlock = 4096;
-
-/**
- * Records per fused-walk block. Larger than kernelBlock: with every
- * sim of a fused pass stepping through the block before the walk
- * advances, the per-block fixed costs (virtual dispatch into each
- * exec, loop setup, stats spills) amortize over more records, and the
- * shared trace columns still stream through L2. 64Ki records ≈ 768KB
- * of trace columns; measured best on the reference container across a
- * 512..4Mi sweep.
+ * Records per fused-walk block. With every sim of a fused pass
+ * stepping through the block before the walk advances, the per-block
+ * fixed costs (virtual dispatch into each exec, loop setup, stats
+ * spills) amortize over many records, and the shared trace columns
+ * still stream through L2. 64Ki records ≈ 768KB of trace columns;
+ * measured best on the reference container across a 512..4Mi sweep.
  */
 constexpr Count fusedBlock = 65536;
-
-/**
- * Devirtualized replay kernel for a bare dynamic predictor of
- * concrete type @p P. Replays records [start, end) of the buffer's
- * raw columns through the predictor's inline *Step protocol —
- * the loop body contains no indirect calls.
- */
-template <bool WithProfile, bool Track, typename P>
-void
-runReplayDynamic(P &predictor, const ReplayBuffer &buffer, Count start,
-                 Count end, SimStats &stats, ProfileDb *profile)
-{
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    for (Count base = start; base < end; base += kernelBlock) {
-        const Count stop = std::min(base + kernelBlock, end);
-        for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
-            const std::uint32_t word = packed[i];
-            const bool taken =
-                (word & ReplayBuffer::packedTakenBit) != 0;
-
-            const bool prediction =
-                predictor.template predictStep<Track>(pc);
-            const bool correct = prediction == taken;
-            // Must be sampled between the predict and update steps:
-            // updateStep() classifies and clears the pending state.
-            Count lookup_collisions = 0;
-            if constexpr (WithProfile)
-                lookup_collisions = predictor.pendingStep();
-
-            predictor.template updateStep<Track>(pc, taken);
-            predictor.historyStep(taken);
-
-            ++stats.branches;
-            stats.instructions += word & ~ReplayBuffer::packedTakenBit;
-            if (!correct)
-                ++stats.mispredictions;
-
-            if constexpr (WithProfile) {
-                profile->recordOutcome(pc, taken);
-                profile->recordPrediction(pc, correct);
-                if (lookup_collisions > 0)
-                    profile->recordCollisions(pc, lookup_collisions);
-            }
-        }
-    }
-}
-
-/**
- * Devirtualized replay kernel for a CombinedPredictor whose dynamic
- * component has concrete type @p P. Replicates the combined
- * predict/update/updateHistory semantics inline: hinted branches are
- * resolved statically, never touch the dynamic tables, and feed the
- * history register per the shift policy.
- */
-template <bool WithProfile, bool Track, typename P>
-void
-runReplayCombined(P &predictor, const HintDb &hints,
-                  ShiftPolicy policy, const ReplayBuffer &buffer,
-                  Count start, Count end, SimStats &stats,
-                  ProfileDb *profile)
-{
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    for (Count base = start; base < end; base += kernelBlock) {
-        const Count stop = std::min(base + kernelBlock, end);
-        for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
-            const std::uint32_t word = packed[i];
-            const bool taken =
-                (word & ReplayBuffer::packedTakenBit) != 0;
-
-            bool hint_direction = false;
-            const bool was_static = hints.lookup(pc, hint_direction);
-            bool correct;
-            Count lookup_collisions = 0;
-            if (was_static) {
-                correct = hint_direction == taken;
-                switch (policy) {
-                  case ShiftPolicy::NoShift:
-                    break;
-                  case ShiftPolicy::ShiftOutcome:
-                    predictor.historyStep(taken);
-                    break;
-                  case ShiftPolicy::ShiftPrediction:
-                    predictor.historyStep(hint_direction);
-                    break;
-                }
-                ++stats.staticPredicted;
-                if (!correct)
-                    ++stats.staticMispredictions;
-            } else {
-                const bool prediction =
-                    predictor.template predictStep<Track>(pc);
-                correct = prediction == taken;
-                if constexpr (WithProfile)
-                    lookup_collisions = predictor.pendingStep();
-                predictor.template updateStep<Track>(pc, taken);
-                predictor.historyStep(taken);
-            }
-
-            ++stats.branches;
-            stats.instructions += word & ~ReplayBuffer::packedTakenBit;
-            if (!correct)
-                ++stats.mispredictions;
-
-            if constexpr (WithProfile) {
-                profile->recordOutcome(pc, taken);
-                // Accuracy counts describe the *dynamic* predictor,
-                // so statically resolved branches do not contribute.
-                if (!was_static) {
-                    profile->recordPrediction(pc, correct);
-                    if (lookup_collisions > 0)
-                        profile->recordCollisions(pc,
-                                                  lookup_collisions);
-                }
-            }
-        }
-    }
-}
-
-/**
- * Run the full warmup + measurement schedule over the buffer through
- * the devirtualized kernels, mirroring simulate()'s structure.
- */
-template <typename P>
-SimStats
-runReplay(P &concrete, BranchPredictor &outer, const HintDb *hints,
-          ShiftPolicy policy, const ReplayBuffer &buffer,
-          const SimOptions &options, bool *used_simd = nullptr)
-{
-    const Count total = buffer.size();
-    const Count warmup_end = std::min(options.warmupBranches, total);
-    const Count limit = options.maxBranches == 0 ? ~Count{0}
-                                                 : options.maxBranches;
-    const Count end =
-        warmup_end + std::min(limit, total - warmup_end);
-
-    const bool with_profile = options.profile != nullptr;
-    const bool track = options.trackCollisions;
-
-    // The batched kernels cover the plain dynamic shape here; hinted
-    // (hash-lookup) and profiling runs keep the record-at-a-time
-    // kernels. Bit-identical either way.
-    const BatchKernelSet<P> kernels =
-        batchKernelsFor<P>(resolveSimdLevel(options.simd));
-    if (used_simd != nullptr) {
-        *used_simd =
-            kernels.plain != nullptr && hints == nullptr &&
-            !with_profile;
-    }
-
-    const auto run = [&](auto with_profile_tag, auto track_tag,
-                         Count from, Count to, SimStats &stats,
-                         ProfileDb *profile) {
-        constexpr bool kWithProfile = decltype(with_profile_tag)::value;
-        constexpr bool kTrack = decltype(track_tag)::value;
-        if (hints != nullptr) {
-            runReplayCombined<kWithProfile, kTrack>(
-                concrete, *hints, policy, buffer, from, to, stats,
-                profile);
-        } else if (!kWithProfile && kernels.plain != nullptr) {
-            batch::PlainArgs<P> args;
-            args.predictor = &concrete;
-            args.stats = &stats;
-            args.buffer = &buffer;
-            args.from = from;
-            args.to = to;
-            args.track = kTrack;
-            kernels.plain(args);
-        } else {
-            runReplayDynamic<kWithProfile, kTrack>(
-                concrete, buffer, from, to, stats, profile);
-        }
-    };
-
-    // Warmup: train the predictor without recording anything.
-    if (warmup_end > 0) {
-        SimStats discarded;
-        if (track) {
-            run(std::false_type{}, std::true_type{}, 0, warmup_end,
-                discarded, nullptr);
-        } else {
-            run(std::false_type{}, std::false_type{}, 0, warmup_end,
-                discarded, nullptr);
-        }
-        outer.clearCollisionStats();
-    }
-
-    SimStats stats;
-    if (with_profile && track) {
-        run(std::true_type{}, std::true_type{}, warmup_end, end, stats,
-            options.profile);
-    } else if (with_profile) {
-        run(std::true_type{}, std::false_type{}, warmup_end, end,
-            stats, options.profile);
-    } else if (track) {
-        run(std::false_type{}, std::true_type{}, warmup_end, end,
-            stats, nullptr);
-    } else {
-        run(std::false_type{}, std::false_type{}, warmup_end, end,
-            stats, nullptr);
-    }
-
-    stats.collisions = outer.collisionStats();
-    return stats;
-}
 
 // Dense hint-code bits (0 = no hint for the site); shared with the
 // batch kernels, which consume the same per-site code arrays.
 using batch::hintPresentBit;
 using batch::hintTakenBit;
 
-/**
- * Dense-hint variant of runReplayCombined for the fused executor: the
- * per-record HintDb hash lookup becomes a site-indexed byte load and
- * the shift policy is a compile-time constant. Semantically identical
- * to runReplayCombined over the same records.
- */
-template <bool WithProfile, bool Track, ShiftPolicy Policy, typename P>
+/** Invoke @p fn with @p policy as a compile-time constant. */
+template <typename Fn>
 void
-runReplayCombinedSites(P &predictor, const std::uint8_t *hint_code,
-                       const std::uint32_t *site_of,
-                       const ReplayBuffer &buffer, Count start,
-                       Count end, SimStats &stats, ProfileDb *profile)
+withPolicy(ShiftPolicy policy, Fn &&fn)
 {
+    switch (policy) {
+      case ShiftPolicy::NoShift:
+        fn(std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>{});
+        break;
+      case ShiftPolicy::ShiftOutcome:
+        fn(std::integral_constant<ShiftPolicy,
+                                  ShiftPolicy::ShiftOutcome>{});
+        break;
+      case ShiftPolicy::ShiftPrediction:
+        fn(std::integral_constant<ShiftPolicy,
+                                  ShiftPolicy::ShiftPrediction>{});
+        break;
+    }
+}
+
+/** Dense per-site hint codes of @p hints (all zero when null). */
+std::vector<std::uint8_t>
+hintCodesFor(const HintDb *hints, const SiteIndex &sites)
+{
+    std::vector<std::uint8_t> codes(sites.siteCount(), 0);
+    if (hints == nullptr)
+        return codes;
+    for (std::uint32_t s = 0; s < sites.siteCount(); ++s) {
+        bool taken = false;
+        if (hints->lookup(sites.sitePc(s), taken))
+            codes[s] = hintPresentBit | (taken ? hintTakenBit : 0);
+    }
+    return codes;
+}
+
+/**
+ * History treatment of a statically predicted record, mirroring
+ * CombinedPredictor::updateHistory: statically resolved branches never
+ * touch the dynamic tables.
+ */
+template <ShiftPolicy Policy, typename P>
+inline void
+shiftStatic(P &predictor, bool taken, bool hint_direction)
+{
+    if constexpr (Policy == ShiftPolicy::ShiftOutcome)
+        predictor.historyStep(taken);
+    else if constexpr (Policy == ShiftPolicy::ShiftPrediction)
+        predictor.historyStep(hint_direction);
+    else {
+        (void)predictor;
+        (void)taken;
+        (void)hint_direction;
+    }
+}
+
+/**
+ * The record kernel: replay records [start, end) through the inline
+ * *Step protocol of @p N same-type predictors, one record at a time
+ * with no indirect calls, advancing every member through a record
+ * before moving to the next. The members' dependent chains (history
+ * -> index -> table load -> update) are mutually independent, so the
+ * out-of-order window overlaps them. Static hints (dense per-site
+ * codes, per member) and profiling (dense per-site counts of a lone
+ * member, flushed into its ProfileDb after the pass) are compile-time
+ * shapes, as in the batch loop. Every table lookup goes through
+ * CounterTable, so an attached ContextAliasSink sees it.
+ */
+template <bool WithHints, bool WithProfile, ShiftPolicy Policy,
+          std::size_t N, typename P>
+void
+runRecordLoop(P *const *predictors, const std::uint8_t *const *hint_codes,
+              SimStats *const *stats, const std::uint32_t *site_of,
+              BranchProfile *profiles, const ReplayBuffer &buffer,
+              Count start, Count end)
+{
+    static_assert(!WithProfile || N == 1, "a profiling sim runs alone");
     const Addr *pcs = buffer.pcData();
     const std::uint32_t *packed = buffer.packedData();
 
-    for (Count base = start; base < end; base += kernelBlock) {
-        const Count stop = std::min(base + kernelBlock, end);
-        for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
-            const std::uint32_t word = packed[i];
-            const bool taken =
-                (word & ReplayBuffer::packedTakenBit) != 0;
+    // Hoist the member state and keep the counters in locals: with N
+    // a compile-time constant the member loop fully unrolls and the
+    // accumulators stay register-resident instead of round-tripping
+    // through SimStats memory on every record.
+    P *preds[N];
+    const std::uint8_t *codes[N];
+    for (std::size_t k = 0; k < N; ++k) {
+        preds[k] = predictors[k];
+        codes[k] = WithHints ? hint_codes[k] : nullptr;
+    }
+    Count instructions = 0;
+    Count mispredictions[N]{};
+    Count static_predicted[N]{};
+    Count static_mispredicted[N]{};
 
-            const std::uint8_t code = hint_code[site_of[i]];
-            const bool was_static = (code & hintPresentBit) != 0;
-            bool correct;
-            Count lookup_collisions = 0;
-            if (was_static) {
-                const bool hint_direction =
-                    (code & hintTakenBit) != 0;
-                correct = hint_direction == taken;
-                if constexpr (Policy == ShiftPolicy::ShiftOutcome)
-                    predictor.historyStep(taken);
-                else if constexpr (Policy ==
-                                   ShiftPolicy::ShiftPrediction)
-                    predictor.historyStep(hint_direction);
-                ++stats.staticPredicted;
-                if (!correct)
-                    ++stats.staticMispredictions;
-            } else {
-                const bool prediction =
-                    predictor.template predictStep<Track>(pc);
-                correct = prediction == taken;
-                if constexpr (WithProfile)
-                    lookup_collisions = predictor.pendingStep();
-                predictor.template updateStep<Track>(pc, taken);
-                predictor.historyStep(taken);
-            }
+    for (Count i = start; i < end; ++i) {
+        const Addr pc = pcs[i];
+        const std::uint32_t word = packed[i];
+        const bool taken = (word & ReplayBuffer::packedTakenBit) != 0;
+        instructions += word & ~ReplayBuffer::packedTakenBit;
+        // Loaded once per record: the members' table stores are byte
+        // stores, which the compiler must assume alias site_of.
+        std::uint32_t site = 0;
+        if constexpr (WithHints || WithProfile)
+            site = site_of[i];
 
-            ++stats.branches;
-            stats.instructions += word & ~ReplayBuffer::packedTakenBit;
-            if (!correct)
-                ++stats.mispredictions;
-
-            if constexpr (WithProfile) {
-                profile->recordOutcome(pc, taken);
-                // Accuracy counts describe the *dynamic* predictor,
-                // so statically resolved branches do not contribute.
-                if (!was_static) {
-                    profile->recordPrediction(pc, correct);
-                    if (lookup_collisions > 0)
-                        profile->recordCollisions(pc,
-                                                  lookup_collisions);
+        for (std::size_t k = 0; k < N; ++k) {
+            P &predictor = *preds[k];
+            if constexpr (WithHints) {
+                const std::uint8_t code = codes[k][site];
+                if ((code & hintPresentBit) != 0) {
+                    const bool direction = (code & hintTakenBit) != 0;
+                    const bool miss = direction != taken;
+                    shiftStatic<Policy>(predictor, taken, direction);
+                    ++static_predicted[k];
+                    static_mispredicted[k] += miss;
+                    mispredictions[k] += miss;
+                    // Accuracy counts describe the *dynamic*
+                    // predictor, so statically resolved branches
+                    // record outcomes only.
+                    if constexpr (WithProfile) {
+                        BranchProfile &counts = profiles[site];
+                        ++counts.executed;
+                        counts.taken += taken ? 1 : 0;
+                    }
+                    continue;
                 }
             }
-        }
-    }
-}
 
-/** Per-site profile accumulator standing in for a ProfileDb. */
-struct DenseProfile
-{
-    std::vector<BranchProfile> counts;
-};
-
-/**
- * Dense-profile variant of runReplayDynamic<true, Track> for the
- * fused executor: per-branch profile updates hit a site-indexed
- * array instead of the ProfileDb hash map; the counts are flushed
- * into the real database when the pass finishes. Every record of the
- * dynamic path is predicted, so predicted mirrors executed, and
- * adding a zero collision count matches skipping the call.
- */
-template <bool Track, typename P>
-void
-runReplayDynamicDense(P &predictor, const std::uint32_t *site_of,
-                      const ReplayBuffer &buffer, Count start,
-                      Count end, SimStats &stats, DenseProfile &dense)
-{
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    for (Count base = start; base < end; base += kernelBlock) {
-        const Count stop = std::min(base + kernelBlock, end);
-        for (Count i = base; i < stop; ++i) {
-            const Addr pc = pcs[i];
-            const std::uint32_t word = packed[i];
-            const bool taken =
-                (word & ReplayBuffer::packedTakenBit) != 0;
-
-            const bool prediction =
-                predictor.template predictStep<Track>(pc);
-            const bool correct = prediction == taken;
-            const Count lookup_collisions = predictor.pendingStep();
-
-            predictor.template updateStep<Track>(pc, taken);
+            const bool correct = predictor.predictStep(pc) == taken;
+            // Sampled between the predict and update steps:
+            // updateStep() classifies and clears the pending state.
+            Count lookup_collisions = 0;
+            if constexpr (WithProfile)
+                lookup_collisions = predictor.pendingStep();
+            predictor.updateStep(pc, taken);
             predictor.historyStep(taken);
+            mispredictions[k] += !correct;
 
-            ++stats.branches;
-            stats.instructions += word & ~ReplayBuffer::packedTakenBit;
-            if (!correct)
-                ++stats.mispredictions;
-
-            BranchProfile &site = dense.counts[site_of[i]];
-            ++site.executed;
-            site.taken += taken ? 1 : 0;
-            ++site.predicted;
-            site.correct += correct ? 1 : 0;
-            site.collisions += lookup_collisions;
+            if constexpr (WithProfile) {
+                BranchProfile &counts = profiles[site];
+                ++counts.executed;
+                counts.taken += taken ? 1 : 0;
+                ++counts.predicted;
+                counts.correct += correct ? 1 : 0;
+                counts.collisions += lookup_collisions;
+            }
         }
+    }
+
+    // Pure integer sums flushed once per segment: the totals equal
+    // the per-record increments of simulate() exactly.
+    for (std::size_t k = 0; k < N; ++k) {
+        SimStats &st = *stats[k];
+        st.branches += end - start;
+        st.instructions += instructions;
+        st.mispredictions += mispredictions[k];
+        st.staticPredicted += static_predicted[k];
+        st.staticMispredictions += static_mispredicted[k];
     }
 }
 
 /**
- * One participant of a fused pass's shared block walk: a single sim
- * (FusedStepper) or a gang of same-type sims (GangStepper).
+ * One participant of a fused pass's shared block walk: one sim, or a
+ * gang of sims sharing one replay window. Owns the window and
+ * forwards each visited span, split at the warmup boundary, to the
+ * subclass's loop.
  */
 class FusedExec
 {
   public:
+    FusedExec(std::vector<FusedSim *> window_sims,
+              const ReplayBuffer &buffer)
+        : sims(std::move(window_sims)), buffer(buffer),
+          warmupStats(sims.size())
+    {
+        const SimOptions &first = sims.front()->options;
+        const Count total = buffer.size();
+        warmupEnd = std::min(first.warmupBranches, total);
+        const Count limit =
+            first.maxBranches == 0 ? ~Count{0} : first.maxBranches;
+        lastRecord = warmupEnd + std::min(limit, total - warmupEnd);
+        for (FusedSim *sim : sims) {
+            bpsim_assert(sim->options.warmupBranches ==
+                                 first.warmupBranches &&
+                             sim->options.maxBranches ==
+                                 first.maxBranches,
+                         "gang members must share one replay window");
+            measuredPtrs.push_back(&sim->stats);
+        }
+        for (SimStats &stats : warmupStats)
+            warmupPtrs.push_back(&stats);
+    }
+
     virtual ~FusedExec() = default;
 
     /** One past the last record this exec consumes. */
-    virtual Count end() const = 0;
+    Count end() const { return lastRecord; }
 
     /** Step through records [from, to) of the shared walk. */
-    virtual void step(Count from, Count to) = 0;
-
-    /** Finalize stats and run-level counters after the pass. */
-    virtual void finish() = 0;
-};
-
-/**
- * Per-sim driver of a fused pass: owns this sim's warmup/measurement
- * window over the shared block walk and forwards each visited span to
- * the right replay loop. One subclass per dispatch outcome (kernel vs
- * virtual), mirroring simulateReplay()'s per-cell dispatch.
- */
-class FusedStepper : public FusedExec
-{
-  public:
-    FusedStepper(FusedSim &sim, const ReplayBuffer &buffer)
-        : sim(sim), buffer(buffer)
-    {
-        const Count total = buffer.size();
-        warmupEnd = std::min(sim.options.warmupBranches, total);
-        const Count limit = sim.options.maxBranches == 0
-                                ? ~Count{0}
-                                : sim.options.maxBranches;
-        lastRecord = warmupEnd + std::min(limit, total - warmupEnd);
-    }
-
-    /** One past the last record this sim consumes. */
-    Count end() const override { return lastRecord; }
-
-    /** Step the sim through records [from, to). */
     void
-    step(Count from, Count to) override
+    step(Count from, Count to)
     {
         if (from < warmupEnd) {
             const Count warm_to = std::min(to, warmupEnd);
             runSegment(from, warm_to, false);
             // Collision state accumulated during warmup is discarded
             // exactly once, at the warmup/measurement boundary — the
-            // same schedule the per-cell paths follow.
-            if (warm_to == warmupEnd)
-                sim.predictor->clearCollisionStats();
+            // same schedule simulate() follows.
+            if (warm_to == warmupEnd) {
+                for (FusedSim *sim : sims)
+                    sim->predictor->clearCollisionStats();
+            }
             from = warm_to;
         }
         if (from < to)
             runSegment(from, to, true);
     }
 
+    /** Finalize stats and run-level counters after the pass. */
+    virtual void finish() = 0;
+
   protected:
     /** Replay [from, to); @p measured picks warmup vs measurement. */
     virtual void runSegment(Count from, Count to, bool measured) = 0;
 
-    FusedSim &sim;
+    /** Per-member stats slots of a measured or warmup segment. */
+    SimStats *const *
+    statsFor(bool measured) const
+    {
+        return measured ? measuredPtrs.data() : warmupPtrs.data();
+    }
+
+    std::vector<FusedSim *> sims;
     const ReplayBuffer &buffer;
     Count warmupEnd = 0;
     Count lastRecord = 0;
-    SimStats warmupStats; // discarded, as per-cell warmup stats are
+
+  private:
+    std::vector<SimStats> warmupStats; // discarded, like simulate()'s
+    std::vector<SimStats *> measuredPtrs;
+    std::vector<SimStats *> warmupPtrs;
 };
 
 /**
- * Fused stepper running the devirtualized kernels for concrete
- * predictor type @p P. With a SiteIndex available it additionally
- * flattens hint lookups (combined sims) or profile accumulation
- * (profiling sims) onto dense site arrays; both are pure
- * accelerations with bit-identical results.
+ * Fused exec running the devirtualized kernels for sims whose dynamic
+ * components share the concrete type @p P and one effective shift
+ * policy: the batch kernels when @p kernels holds them and the shape
+ * fits, the record kernel otherwise. A sim with a profile runs alone.
+ * Hints and profile counts live on the pass's dense site arrays.
  */
 template <typename P>
-class KernelStepper final : public FusedStepper
+class KernelExec final : public FusedExec
 {
   public:
-    KernelStepper(FusedSim &sim, const ReplayBuffer &buffer,
-                  P &concrete, const HintDb *hints, ShiftPolicy policy,
-                  const SiteIndex *sites)
-        : FusedStepper(sim, buffer), concrete(concrete), hints(hints),
-          policy(policy), sites(sites),
-          kernels(batchKernelsFor<P>(
-              resolveSimdLevel(sim.options.simd)))
+    struct Member
     {
-        if (sites != nullptr && hints != nullptr) {
-            siteOf = sites->siteData();
-            hintCode.assign(sites->siteCount(), 0);
-            for (std::uint32_t s = 0; s < sites->siteCount(); ++s) {
-                bool taken = false;
-                if (hints->lookup(sites->sitePc(s), taken))
-                    hintCode[s] = hintPresentBit |
-                                  (taken ? hintTakenBit : 0);
-            }
-        } else if (sites != nullptr && hints == nullptr &&
-                   sim.options.profile != nullptr) {
-            siteOf = sites->siteData();
-            dense.counts.assign(sites->siteCount(), BranchProfile{});
-            useDense = true;
+        FusedSim *sim = nullptr;
+        P *concrete = nullptr;
+        const HintDb *hints = nullptr;
+    };
+
+    KernelExec(const std::vector<Member> &members,
+               const ReplayBuffer &buffer, const SiteIndex *sites,
+               ShiftPolicy policy, BatchKernelSet<P> kernels)
+        : FusedExec(simsOf(members), buffer), sites(sites),
+          policy(policy), kernels(kernels)
+    {
+        bool hinted = false;
+        for (const Member &member : members) {
+            predictors.push_back(member.concrete);
+            hinted = hinted || member.hints != nullptr;
         }
-        // Which batched kernel covers the *measured* segments of this
-        // sim, if any. Hinted sims batch through the gang kernel
-        // (gang of one) when the dense hint codes exist and no
-        // profile is attached; profiling sims batch only in dense
-        // (site-indexed) form; plain dynamic sims always batch.
-        if (kernels.gang != nullptr) {
-            if (hints != nullptr) {
-                usedSimdFlag = !hintCode.empty() &&
-                               sim.options.profile == nullptr;
-            } else {
-                usedSimdFlag =
-                    sim.options.profile == nullptr || useDense;
-            }
+        // Gangs and hinted sims read per-member hint codes (all zero
+        // for unhinted members); the pass has a site index whenever a
+        // sim has hints or a profile, or sims are ganged.
+        if (hinted || members.size() > 1) {
+            for (const Member &member : members)
+                hintCodes.push_back(hintCodesFor(member.hints, *sites));
+            for (const std::vector<std::uint8_t> &codes : hintCodes)
+                codePtrs.push_back(codes.data());
         }
-        if (usedSimdFlag && sites != nullptr &&
-            (useDense || !hintCode.empty()))
-            siteTables = batch::buildSiteTables(concrete, *sites);
+        if (sims.front()->options.profile != nullptr) {
+            bpsim_assert(members.size() == 1,
+                         "a profiling sim runs alone");
+            profileCounts.assign(sites->siteCount(), BranchProfile{});
+        }
+        // The batch kernels cover every shape but hints and a
+        // profile together.
+        if (!codePtrs.empty() && !profileCounts.empty())
+            this->kernels = {};
+        if (this->kernels &&
+            (!codePtrs.empty() || !profileCounts.empty())) {
+            for (const Member &member : members) {
+                siteTables.push_back(
+                    batch::buildSiteTables(*member.concrete, *sites));
+            }
+            for (const batch::SiteTables &tables : siteTables)
+                tablePtrs.push_back(&tables);
+        }
     }
 
     void
     finish() override
     {
-        if (useDense) {
-            for (std::uint32_t s = 0; s < sites->siteCount(); ++s)
-                if (dense.counts[s].executed > 0)
-                    sim.options.profile->addCounts(sites->sitePc(s),
-                                                   dense.counts[s]);
+        for (std::uint32_t s = 0; s < profileCounts.size(); ++s) {
+            if (profileCounts[s].executed > 0)
+                sims.front()->options.profile->addCounts(
+                    sites->sitePc(s), profileCounts[s]);
         }
-        sim.stats.collisions = sim.predictor->collisionStats();
-        sim.usedFastPath = true;
-        sim.usedSimd = usedSimdFlag;
-        if (sim.options.counters != nullptr) {
-            sim.options.counters->add("engine.kernel_runs");
-            sim.options.counters->add("engine.branches",
-                                      sim.stats.branches);
-            const Count warmup_run =
-                std::min(sim.options.warmupBranches, buffer.size());
-            if (warmup_run > 0)
-                sim.options.counters->add("engine.warmup_branches",
-                                          warmup_run);
+        for (FusedSim *sim : sims) {
+            sim->stats.collisions = sim->predictor->collisionStats();
+            sim->usedFastPath = true;
+            sim->usedSimd = static_cast<bool>(kernels);
+            if (sim->options.counters == nullptr)
+                continue;
+            sim->options.counters->add("engine.kernel_runs");
+            sim->options.counters->add("engine.branches",
+                                       sim->stats.branches);
+            if (warmupEnd > 0)
+                sim->options.counters->add("engine.warmup_branches",
+                                           warmupEnd);
         }
     }
 
@@ -587,150 +421,139 @@ class KernelStepper final : public FusedStepper
     void
     runSegment(Count from, Count to, bool measured) override
     {
-        SimStats &stats = measured ? sim.stats : warmupStats;
-        ProfileDb *profile =
-            measured ? sim.options.profile : nullptr;
-        const bool with_profile = profile != nullptr;
-        const bool track = sim.options.trackCollisions;
-
-        const auto run = [&](auto profile_tag, auto track_tag) {
-            constexpr bool kWithProfile =
-                decltype(profile_tag)::value;
-            constexpr bool kTrack = decltype(track_tag)::value;
-            if (hints != nullptr) {
-                if (!hintCode.empty()) {
-                    if (!kWithProfile && usedSimdFlag) {
-                        runGangOfOne<kTrack>(from, to, stats);
-                    } else {
-                        runSites<kWithProfile, kTrack>(from, to,
-                                                       stats, profile);
-                    }
-                } else {
-                    runReplayCombined<kWithProfile, kTrack>(
-                        concrete, *hints, policy, buffer, from, to,
-                        stats, profile);
-                }
-            } else if constexpr (kWithProfile) {
-                if (useDense && usedSimdFlag) {
-                    batch::DenseArgs<P> args;
-                    args.predictor = &concrete;
-                    args.siteTables = &siteTables;
-                    args.profiles = dense.counts.data();
-                    args.stats = &stats;
-                    args.buffer = &buffer;
-                    args.siteOf = siteOf;
-                    args.from = from;
-                    args.to = to;
-                    args.track = kTrack;
-                    kernels.dense(args);
-                } else if (useDense) {
-                    runReplayDynamicDense<kTrack>(
-                        concrete, siteOf, buffer, from, to, stats,
-                        dense);
-                } else {
-                    runReplayDynamic<true, kTrack>(
-                        concrete, buffer, from, to, stats, profile);
-                }
-            } else if (kernels.plain != nullptr) {
-                batch::PlainArgs<P> args;
-                args.predictor = &concrete;
-                args.stats = &stats;
-                args.buffer = &buffer;
-                args.from = from;
-                args.to = to;
-                args.track = kTrack;
-                kernels.plain(args);
-            } else {
-                runReplayDynamic<false, kTrack>(
-                    concrete, buffer, from, to, stats, profile);
-            }
-        };
-
-        if (with_profile && track)
-            run(std::true_type{}, std::true_type{});
-        else if (with_profile)
-            run(std::true_type{}, std::false_type{});
-        else if (track)
-            run(std::false_type{}, std::true_type{});
-        else
-            run(std::false_type{}, std::false_type{});
-    }
-
-  private:
-    /** Batched hinted evaluation: the gang kernel with one member. */
-    template <bool Track>
-    void
-    runGangOfOne(Count from, Count to, SimStats &stats)
-    {
-        P *predictor = &concrete;
-        const batch::SiteTables *tables = &siteTables;
-        const std::uint8_t *codes = hintCode.data();
-        SimStats *stats_ptr = &stats;
-        batch::GangArgs<P> args;
-        args.predictors = &predictor;
-        args.siteTables = &tables;
-        args.hintCodes = &codes;
-        args.stats = &stats_ptr;
-        args.n = 1;
-        args.buffer = &buffer;
-        args.siteOf = siteOf;
-        args.from = from;
-        args.to = to;
-        args.policy = policy;
-        args.track = Track;
-        kernels.gang(args);
-    }
-
-    template <bool WithProfile, bool Track>
-    void
-    runSites(Count from, Count to, SimStats &stats,
-             ProfileDb *profile)
-    {
-        switch (policy) {
-          case ShiftPolicy::NoShift:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::NoShift>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
-          case ShiftPolicy::ShiftOutcome:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::ShiftOutcome>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
-          case ShiftPolicy::ShiftPrediction:
-            runReplayCombinedSites<WithProfile, Track,
-                                   ShiftPolicy::ShiftPrediction>(
-                concrete, hintCode.data(), siteOf, buffer, from, to,
-                stats, profile);
-            break;
+        SimStats *const *stats = statsFor(measured);
+        const bool profiling = measured && !profileCounts.empty();
+        if (!kernels) {
+            runRecord(from, to, stats, profiling);
+        } else if (!codePtrs.empty()) {
+            // One kernel call advances every member through the
+            // segment (the batch driver walks members per batch, so
+            // the trace columns decode once regardless of gang size).
+            batch::GangArgs<P> args;
+            args.predictors = predictors.data();
+            args.siteTables = tablePtrs.data();
+            args.hintCodes = codePtrs.data();
+            args.stats = stats;
+            args.n = predictors.size();
+            args.buffer = &buffer;
+            args.siteOf = sites->siteData();
+            args.from = from;
+            args.to = to;
+            args.policy = policy;
+            kernels.gang(args);
+        } else if (profiling) {
+            batch::DenseArgs<P> args;
+            args.predictor = predictors.front();
+            args.siteTables = tablePtrs.front();
+            args.profiles = profileCounts.data();
+            args.stats = stats[0];
+            args.buffer = &buffer;
+            args.siteOf = sites->siteData();
+            args.from = from;
+            args.to = to;
+            kernels.dense(args);
+        } else {
+            batch::PlainArgs<P> args;
+            args.predictor = predictors.front();
+            args.stats = stats[0];
+            args.buffer = &buffer;
+            args.from = from;
+            args.to = to;
+            kernels.plain(args);
         }
     }
 
-    P &concrete;
-    const HintDb *hints;
-    ShiftPolicy policy;
+  private:
+    static std::vector<FusedSim *>
+    simsOf(const std::vector<Member> &members)
+    {
+        std::vector<FusedSim *> out;
+        for (const Member &member : members)
+            out.push_back(member.sim);
+        return out;
+    }
+
+    void
+    runRecord(Count from, Count to, SimStats *const *stats,
+              bool profiling)
+    {
+        const std::uint32_t *site_of =
+            sites != nullptr ? sites->siteData() : nullptr;
+        BranchProfile *profiles = profileCounts.data();
+        if (codePtrs.empty()) {
+            // A lone unhinted sim.
+            constexpr ShiftPolicy kNoShift = ShiftPolicy::NoShift;
+            if (profiling) {
+                runRecordLoop<false, true, kNoShift, 1>(
+                    predictors.data(), nullptr, stats, site_of,
+                    profiles, buffer, from, to);
+            } else {
+                runRecordLoop<false, false, kNoShift, 1>(
+                    predictors.data(), nullptr, stats, site_of,
+                    profiles, buffer, from, to);
+            }
+            return;
+        }
+        withPolicy(policy, [&](auto policy_tag) {
+            constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
+            if (profiling) {
+                runRecordLoop<true, true, kPolicy, 1>(
+                    predictors.data(), codePtrs.data(), stats, site_of,
+                    profiles, buffer, from, to);
+                return;
+            }
+            // Larger gangs run as sub-gangs of at most four members:
+            // the fixed-N loops keep their accumulators in registers,
+            // and four independent predictor chains already saturate
+            // the out-of-order window. Each member still sees every
+            // record of [from, to) exactly once, in order.
+            for (std::size_t at = 0; at < predictors.size(); at += 4) {
+                const auto run = [&](auto n_tag) {
+                    runRecordLoop<true, false, kPolicy,
+                                  decltype(n_tag)::value>(
+                        predictors.data() + at, codePtrs.data() + at,
+                        stats + at, site_of, nullptr, buffer, from, to);
+                };
+                switch (std::min<std::size_t>(predictors.size() - at,
+                                              4)) {
+                  case 1:
+                    run(std::integral_constant<std::size_t, 1>{});
+                    break;
+                  case 2:
+                    run(std::integral_constant<std::size_t, 2>{});
+                    break;
+                  case 3:
+                    run(std::integral_constant<std::size_t, 3>{});
+                    break;
+                  default:
+                    run(std::integral_constant<std::size_t, 4>{});
+                    break;
+                }
+            }
+        });
+    }
+
     const SiteIndex *sites;
-    const std::uint32_t *siteOf = nullptr;
-    std::vector<std::uint8_t> hintCode;
-    DenseProfile dense;
-    bool useDense = false;
+    ShiftPolicy policy;
     BatchKernelSet<P> kernels;
-    batch::SiteTables siteTables;
-    bool usedSimdFlag = false;
+    std::vector<P *> predictors;
+    std::vector<std::vector<std::uint8_t>> hintCodes;
+    std::vector<const std::uint8_t *> codePtrs;
+    std::vector<BranchProfile> profileCounts;
+    std::vector<batch::SiteTables> siteTables;
+    std::vector<const batch::SiteTables *> tablePtrs;
 };
 
 /**
- * Fused stepper for predictors outside the devirtualized set: the
+ * Fused exec for predictors outside the devirtualized set: the
  * virtual-dispatch loop of simulate()/runMeasured(), segmented over
- * the shared block walk. Bit-identical to the per-cell fallback.
+ * the shared block walk.
  */
-class VirtualStepper final : public FusedStepper
+class VirtualStepper final : public FusedExec
 {
   public:
     VirtualStepper(FusedSim &sim, const ReplayBuffer &buffer)
-        : FusedStepper(sim, buffer),
+        : FusedExec({&sim}, buffer), sim(sim),
           combined(dynamic_cast<CombinedPredictor *>(sim.predictor))
     {
     }
@@ -744,9 +567,9 @@ class VirtualStepper final : public FusedStepper
             sim.options.counters->add("engine.virtual_runs");
             sim.options.counters->add("engine.branches",
                                       sim.stats.branches);
-            if (warmupRun > 0)
+            if (warmupEnd > 0)
                 sim.options.counters->add("engine.warmup_branches",
-                                          warmupRun);
+                                          warmupEnd);
         }
     }
 
@@ -763,7 +586,6 @@ class VirtualStepper final : public FusedStepper
                 predictor.update(record.pc, record.taken);
                 predictor.updateHistory(record.taken);
             }
-            warmupRun += to - from;
             return;
         }
 
@@ -813,303 +635,8 @@ class VirtualStepper final : public FusedStepper
     }
 
   private:
+    FusedSim &sim;
     CombinedPredictor *combined;
-    Count warmupRun = 0;
-};
-
-/**
- * Record-major gang kernel: advance @p n same-type predictors through
- * each record before moving to the next one. The members' dependent
- * chains (history -> index -> table load -> update) are mutually
- * independent, so the out-of-order window overlaps them — the main
- * single-core speedup of fusing. Per member the record-level operation
- * sequence is exactly runReplayCombinedSites', so results are
- * bit-identical to a private pass (an all-zero hint-code array makes
- * that sequence identical to runReplayDynamic's).
- */
-template <bool Track, ShiftPolicy Policy, std::size_t N, typename P>
-void
-runReplayGang(P *const *predictors,
-              const std::uint8_t *const *hint_codes,
-              SimStats *const *stats, const std::uint32_t *site_of,
-              const ReplayBuffer &buffer, Count start, Count end)
-{
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    // Hoist the member state and keep the counters in locals: with N
-    // a compile-time constant the member loop fully unrolls and the
-    // accumulators stay register-resident instead of round-tripping
-    // through SimStats memory on every record.
-    P *preds[N];
-    const std::uint8_t *codes[N];
-    for (std::size_t k = 0; k < N; ++k) {
-        preds[k] = predictors[k];
-        codes[k] = hint_codes[k];
-    }
-    Count branches = 0;
-    Count instructions = 0;
-    Count mispredictions[N]{};
-    Count static_predicted[N]{};
-    Count static_mispredicted[N]{};
-
-    for (Count i = start; i < end; ++i) {
-        const Addr pc = pcs[i];
-        const std::uint32_t word = packed[i];
-        const bool taken = (word & ReplayBuffer::packedTakenBit) != 0;
-        const std::uint32_t gap = word & ~ReplayBuffer::packedTakenBit;
-        const std::uint32_t site = site_of[i];
-        ++branches;
-        instructions += gap;
-
-        for (std::size_t k = 0; k < N; ++k) {
-            P &predictor = *preds[k];
-
-            const std::uint8_t code = codes[k][site];
-            bool correct;
-            if ((code & hintPresentBit) != 0) {
-                const bool hint_direction =
-                    (code & hintTakenBit) != 0;
-                correct = hint_direction == taken;
-                if constexpr (Policy == ShiftPolicy::ShiftOutcome)
-                    predictor.historyStep(taken);
-                else if constexpr (Policy ==
-                                   ShiftPolicy::ShiftPrediction)
-                    predictor.historyStep(hint_direction);
-                ++static_predicted[k];
-                if (!correct)
-                    ++static_mispredicted[k];
-            } else {
-                const bool prediction =
-                    predictor.template predictStep<Track>(pc);
-                correct = prediction == taken;
-                predictor.template updateStep<Track>(pc, taken);
-                predictor.historyStep(taken);
-            }
-
-            if (!correct)
-                ++mispredictions[k];
-        }
-    }
-
-    // Pure integer sums flushed once per segment: the totals equal
-    // the per-record increments of a private pass exactly.
-    for (std::size_t k = 0; k < N; ++k) {
-        SimStats &st = *stats[k];
-        st.branches += branches;
-        st.instructions += instructions;
-        st.mispredictions += mispredictions[k];
-        st.staticPredicted += static_predicted[k];
-        st.staticMispredictions += static_mispredicted[k];
-    }
-}
-
-/**
- * Fused driver for a gang of evaluation sims (no profiling) whose
- * dynamic components share one concrete type, one warmup/measurement
- * window, one collision-tracking setting and one effective shift
- * policy. Hint sets stay per-member (dense per-site code arrays;
- * all-zero for members without hints).
- */
-template <typename P>
-class GangStepper final : public FusedExec
-{
-  public:
-    struct Member
-    {
-        FusedSim *sim = nullptr;
-        P *concrete = nullptr;
-        std::vector<std::uint8_t> hintCode;
-    };
-
-    GangStepper(std::vector<Member> gang_members,
-                const ReplayBuffer &buffer, const SiteIndex *sites,
-                ShiftPolicy policy, bool track)
-        : members(std::move(gang_members)), buffer(buffer),
-          siteOf(sites->siteData()), policy(policy), track(track),
-          warmupStats(members.size())
-    {
-        const Count total = buffer.size();
-        const FusedSim &first = *members.front().sim;
-        warmupEnd = std::min(first.options.warmupBranches, total);
-        const Count limit = first.options.maxBranches == 0
-                                ? ~Count{0}
-                                : first.options.maxBranches;
-        lastRecord = warmupEnd + std::min(limit, total - warmupEnd);
-        for (const Member &member : members) {
-            bpsim_assert(
-                member.sim->options.warmupBranches ==
-                        first.options.warmupBranches &&
-                    member.sim->options.maxBranches ==
-                        first.options.maxBranches,
-                "gang members must share one replay window");
-            predictors.push_back(member.concrete);
-            codes.push_back(member.hintCode.data());
-        }
-        // All members share one simd setting (part of the gang key).
-        kernels =
-            batchKernelsFor<P>(resolveSimdLevel(first.options.simd));
-        if (kernels.gang != nullptr) {
-            memberTables.reserve(members.size());
-            for (const Member &member : members) {
-                memberTables.push_back(batch::buildSiteTables(
-                    *member.concrete, *sites));
-            }
-            for (const batch::SiteTables &tables : memberTables)
-                tablePtrs.push_back(&tables);
-        }
-    }
-
-    Count end() const override { return lastRecord; }
-
-    void
-    step(Count from, Count to) override
-    {
-        if (from < warmupEnd) {
-            const Count warm_to = std::min(to, warmupEnd);
-            runSegment(from, warm_to, false);
-            // Same discard schedule as the per-cell paths: collision
-            // state accumulated during warmup dies at the boundary.
-            if (warm_to == warmupEnd) {
-                for (Member &member : members)
-                    member.sim->predictor->clearCollisionStats();
-            }
-            from = warm_to;
-        }
-        if (from < to)
-            runSegment(from, to, true);
-    }
-
-    void
-    finish() override
-    {
-        for (Member &member : members) {
-            FusedSim &sim = *member.sim;
-            sim.stats.collisions = sim.predictor->collisionStats();
-            sim.usedFastPath = true;
-            sim.usedSimd = kernels.gang != nullptr;
-            if (sim.options.counters != nullptr) {
-                sim.options.counters->add("engine.kernel_runs");
-                sim.options.counters->add("engine.branches",
-                                          sim.stats.branches);
-                const Count warmup_run = std::min(
-                    sim.options.warmupBranches, buffer.size());
-                if (warmup_run > 0)
-                    sim.options.counters->add(
-                        "engine.warmup_branches", warmup_run);
-            }
-        }
-    }
-
-  private:
-    void
-    runSegment(Count from, Count to, bool measured)
-    {
-        std::vector<SimStats *> stats(members.size());
-        for (std::size_t k = 0; k < members.size(); ++k) {
-            stats[k] =
-                measured ? &members[k].sim->stats : &warmupStats[k];
-        }
-        // Batched path: one kernel call advances every member through
-        // the segment (the batch driver walks members per batch, so
-        // the trace columns decode once regardless of gang size).
-        if (kernels.gang != nullptr) {
-            batch::GangArgs<P> args;
-            args.predictors = predictors.data();
-            args.siteTables = tablePtrs.data();
-            args.hintCodes = codes.data();
-            args.stats = stats.data();
-            args.n = members.size();
-            args.buffer = &buffer;
-            args.siteOf = siteOf;
-            args.from = from;
-            args.to = to;
-            args.policy = policy;
-            args.track = track;
-            kernels.gang(args);
-            return;
-        }
-        // Record-at-a-time path: larger gangs run as sub-gangs of at
-        // most four members; the fixed-N kernels keep their
-        // accumulators in registers, and four independent predictor
-        // chains already saturate the out-of-order window. Each
-        // member still sees every record of [from, to) exactly once,
-        // in order.
-        std::size_t offset = 0;
-        while (offset < members.size()) {
-            const std::size_t rest = members.size() - offset;
-            const std::size_t chunk = std::min<std::size_t>(rest, 4);
-            runChunk(offset, chunk, stats.data(), from, to);
-            offset += chunk;
-        }
-    }
-
-    void
-    runChunk(std::size_t offset, std::size_t chunk, SimStats **stats,
-             Count from, Count to)
-    {
-        const auto run = [&](auto track_tag, auto n_tag) {
-            constexpr bool kTrack = decltype(track_tag)::value;
-            constexpr std::size_t kN = decltype(n_tag)::value;
-            switch (policy) {
-              case ShiftPolicy::NoShift:
-                runReplayGang<kTrack, ShiftPolicy::NoShift, kN>(
-                    predictors.data() + offset, codes.data() + offset,
-                    stats + offset, siteOf, buffer, from, to);
-                break;
-              case ShiftPolicy::ShiftOutcome:
-                runReplayGang<kTrack, ShiftPolicy::ShiftOutcome, kN>(
-                    predictors.data() + offset, codes.data() + offset,
-                    stats + offset, siteOf, buffer, from, to);
-                break;
-              case ShiftPolicy::ShiftPrediction:
-                runReplayGang<kTrack, ShiftPolicy::ShiftPrediction,
-                              kN>(predictors.data() + offset,
-                                  codes.data() + offset,
-                                  stats + offset, siteOf, buffer, from,
-                                  to);
-                break;
-            }
-        };
-        const auto dispatch = [&](auto track_tag) {
-            switch (chunk) {
-              case 1:
-                run(track_tag,
-                    std::integral_constant<std::size_t, 1>{});
-                break;
-              case 2:
-                run(track_tag,
-                    std::integral_constant<std::size_t, 2>{});
-                break;
-              case 3:
-                run(track_tag,
-                    std::integral_constant<std::size_t, 3>{});
-                break;
-              default:
-                run(track_tag,
-                    std::integral_constant<std::size_t, 4>{});
-                break;
-            }
-        };
-        if (track)
-            dispatch(std::true_type{});
-        else
-            dispatch(std::false_type{});
-    }
-
-    std::vector<Member> members;
-    const ReplayBuffer &buffer;
-    const std::uint32_t *siteOf;
-    ShiftPolicy policy;
-    bool track;
-    Count warmupEnd = 0;
-    Count lastRecord = 0;
-    std::vector<SimStats> warmupStats; // discarded, like all warmup
-    std::vector<P *> predictors;
-    std::vector<const std::uint8_t *> codes;
-    BatchKernelSet<P> kernels;
-    std::vector<batch::SiteTables> memberTables;
-    std::vector<const batch::SiteTables *> tablePtrs;
 };
 
 } // namespace
@@ -1169,50 +696,15 @@ simulateReplay(BranchPredictor &predictor, const ReplayBuffer &buffer,
                const SimOptions &options, bool *used_fast_path,
                bool *used_simd)
 {
-    SimStats stats;
-    bool used = false;
-
-    if (options.fastPath) {
-        auto *combined = dynamic_cast<CombinedPredictor *>(&predictor);
-        // An empty hint database makes the combined wrapper a pure
-        // pass-through, so such cells run the cheaper dynamic kernel;
-        // the results are identical.
-        const bool hinted =
-            combined != nullptr && combined->hintDb().size() > 0;
-        const HintDb *hints = hinted ? &combined->hintDb() : nullptr;
-        const ShiftPolicy policy =
-            hinted ? combined->policy() : ShiftPolicy::NoShift;
-        BranchPredictor &dyn = combined != nullptr
-                                   ? combined->dynamicComponent()
-                                   : predictor;
-
-        used = visitPredictor(dyn, [&](auto &concrete) {
-            if (options.resetPredictor)
-                predictor.reset();
-            predictor.clearCollisionStats();
-            stats = runReplay(concrete, predictor, hints, policy,
-                              buffer, options, used_simd);
-        });
-        if (used && options.counters != nullptr) {
-            options.counters->add("engine.kernel_runs");
-            options.counters->add("engine.branches", stats.branches);
-            const Count warmup_run =
-                std::min(options.warmupBranches, buffer.size());
-            if (warmup_run > 0)
-                options.counters->add("engine.warmup_branches",
-                                      warmup_run);
-        }
-    }
-
-    if (!used) {
-        auto cursor = buffer.cursor();
-        stats = simulate(predictor, cursor, options);
-        if (used_simd != nullptr)
-            *used_simd = false;
-    }
+    std::vector<FusedSim> sims(1);
+    sims[0].predictor = &predictor;
+    sims[0].options = options;
+    simulateReplayFused(sims, buffer);
     if (used_fast_path != nullptr)
-        *used_fast_path = used;
-    return stats;
+        *used_fast_path = sims[0].usedFastPath;
+    if (used_simd != nullptr)
+        *used_simd = sims[0].usedSimd;
+    return sims[0].stats;
 }
 
 void
@@ -1223,12 +715,10 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         bpsim_assert(sites->size() == buffer.size(),
                      "site index does not match the replay buffer");
 
-    // Dispatch each sim once (kernel vs virtual, hinted vs dynamic),
-    // exactly as simulateReplay() would, and reset its predictor.
-    // Evaluation sims (no profile) whose dynamic components share a
-    // concrete type, replay window, tracking setting and effective
-    // shift policy are ganged into one record-major exec; everything
-    // else gets its own stepper.
+    // Resolve each sim once and reset its predictor. An empty hint
+    // database makes the combined wrapper a pure pass-through, so such
+    // sims run as their bare dynamic component; the results are
+    // identical.
     struct Resolved
     {
         const HintDb *hints = nullptr;
@@ -1236,38 +726,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         BranchPredictor *dyn = nullptr;
     };
     std::vector<Resolved> resolved(sims.size());
-
-    struct GangPlan
-    {
-        std::type_index type;
-        ShiftPolicy policy;
-        Count warmup = 0;
-        Count max = 0;
-        bool track = false;
-        bool simd = false;
-        std::vector<std::size_t> members;
-    };
-    std::vector<GangPlan> plans;
-
-    std::vector<std::unique_ptr<FusedExec>> execs;
-    execs.reserve(sims.size());
-
-    const auto makeStepper = [&](std::size_t s) {
-        FusedSim &sim = sims[s];
-        std::unique_ptr<FusedExec> stepper;
-        if (sim.options.fastPath && resolved[s].dyn != nullptr) {
-            visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
-                using Concrete = std::decay_t<decltype(concrete)>;
-                stepper = std::make_unique<KernelStepper<Concrete>>(
-                    sim, buffer, concrete, resolved[s].hints,
-                    resolved[s].policy, sites);
-            });
-        }
-        if (stepper == nullptr)
-            stepper = std::make_unique<VirtualStepper>(sim, buffer);
-        execs.push_back(std::move(stepper));
-    };
-
+    bool needs_sites = false;
     for (std::size_t s = 0; s < sims.size(); ++s) {
         FusedSim &sim = sims[s];
         bpsim_assert(sim.predictor != nullptr,
@@ -1278,9 +737,6 @@ simulateReplayFused(std::vector<FusedSim> &sims,
 
         auto *combined =
             dynamic_cast<CombinedPredictor *>(sim.predictor);
-        // An empty hint database makes the combined wrapper a pure
-        // pass-through, so such sims run the cheaper dynamic kernel;
-        // the results are identical.
         const bool hinted =
             combined != nullptr && combined->hintDb().size() > 0;
         resolved[s].hints = hinted ? &combined->hintDb() : nullptr;
@@ -1289,84 +745,104 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         resolved[s].dyn = combined != nullptr
                               ? &combined->dynamicComponent()
                               : sim.predictor;
-
-        bool planned = false;
-        if (sim.options.fastPath && sites != nullptr &&
-            sim.options.profile == nullptr) {
-            visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
-                const std::type_index type(typeid(concrete));
-                GangPlan *plan = nullptr;
-                for (GangPlan &candidate : plans) {
-                    if (candidate.type == type &&
-                        candidate.policy == resolved[s].policy &&
-                        candidate.warmup ==
-                            sim.options.warmupBranches &&
-                        candidate.max == sim.options.maxBranches &&
-                        candidate.track ==
-                            sim.options.trackCollisions &&
-                        candidate.simd == sim.options.simd) {
-                        plan = &candidate;
-                        break;
-                    }
-                }
-                if (plan == nullptr) {
-                    plans.push_back({type, resolved[s].policy,
-                                     sim.options.warmupBranches,
-                                     sim.options.maxBranches,
-                                     sim.options.trackCollisions,
-                                     sim.options.simd,
-                                     {}});
-                    plan = &plans.back();
-                }
-                plan->members.push_back(s);
-                planned = true;
-            });
-        }
-        if (!planned)
-            makeStepper(s);
+        const bool kernel =
+            visitPredictor(*resolved[s].dyn, [](auto &) {});
+        needs_sites = needs_sites ||
+                      (kernel && (hinted || sim.options.profile != nullptr));
 
         if (sim.options.resetPredictor)
             sim.predictor->reset();
         sim.predictor->clearCollisionStats();
     }
 
-    for (const GangPlan &plan : plans) {
-        // A singleton gang gains nothing; run the plain kernel
-        // stepper (identical results either way).
-        if (plan.members.size() == 1) {
-            makeStepper(plan.members.front());
-            continue;
-        }
-        visitPredictor(
-            *resolved[plan.members.front()].dyn, [&](auto &first) {
-                using Concrete = std::decay_t<decltype(first)>;
-                using Gang = GangStepper<Concrete>;
-                std::vector<typename Gang::Member> members;
-                members.reserve(plan.members.size());
-                for (const std::size_t s : plan.members) {
-                    typename Gang::Member member;
-                    member.sim = &sims[s];
-                    member.concrete =
-                        &dynamic_cast<Concrete &>(*resolved[s].dyn);
-                    member.hintCode.assign(sites->siteCount(), 0);
-                    if (resolved[s].hints != nullptr) {
-                        for (std::uint32_t site = 0;
-                             site < sites->siteCount(); ++site) {
-                            bool taken = false;
-                            if (resolved[s].hints->lookup(
-                                    sites->sitePc(site), taken)) {
-                                member.hintCode[site] =
-                                    hintPresentBit |
-                                    (taken ? hintTakenBit : 0);
-                            }
-                        }
+    // Hints and profile counts always live on dense site arrays.
+    SiteIndex built;
+    if (sites == nullptr && needs_sites) {
+        built = SiteIndex::build(buffer);
+        sites = &built;
+    }
+
+    // A sim's batch kernels: its concrete type's, unless an alias sink
+    // is attached — the batch kernels do not report to it.
+    const SimdLevel level = resolveSimdLevel();
+    const auto kernelsFor = [&](std::size_t s, auto &concrete) {
+        using Concrete = std::decay_t<decltype(concrete)>;
+        return resolved[s].dyn->aliasSink() == nullptr
+                   ? batchKernelsFor<Concrete>(level)
+                   : BatchKernelSet<Concrete>{};
+    };
+
+    // Devirtualized sims are grouped into kernel execs: evaluation
+    // sims (no profile) sharing a concrete type, replay window,
+    // effective shift policy and kernel family form one gang; a
+    // profiling sim, or any sim of a pass without a site index, runs
+    // alone. Everything else runs the virtual loop.
+    struct Group
+    {
+        std::type_index type;
+        ShiftPolicy policy;
+        Count warmup = 0;
+        Count max = 0;
+        bool batched = false;
+        bool open = false;
+        std::vector<std::size_t> members;
+    };
+    std::vector<Group> groups;
+
+    std::vector<std::unique_ptr<FusedExec>> execs;
+    execs.reserve(sims.size());
+
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        const SimOptions &options = sims[s].options;
+        const bool kernel =
+            visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
+                const Group key{typeid(concrete),
+                                resolved[s].policy,
+                                options.warmupBranches,
+                                options.maxBranches,
+                                static_cast<bool>(
+                                    kernelsFor(s, concrete)),
+                                sites != nullptr &&
+                                    options.profile == nullptr,
+                                {}};
+                Group *group = nullptr;
+                for (Group &candidate : groups) {
+                    if (key.open && candidate.open &&
+                        candidate.type == key.type &&
+                        candidate.policy == key.policy &&
+                        candidate.warmup == key.warmup &&
+                        candidate.max == key.max &&
+                        candidate.batched == key.batched) {
+                        group = &candidate;
+                        break;
                     }
-                    members.push_back(std::move(member));
                 }
-                execs.push_back(std::make_unique<Gang>(
-                    std::move(members), buffer, sites, plan.policy,
-                    plan.track));
+                if (group == nullptr) {
+                    groups.push_back(key);
+                    group = &groups.back();
+                }
+                group->members.push_back(s);
             });
+        if (!kernel)
+            execs.push_back(
+                std::make_unique<VirtualStepper>(sims[s], buffer));
+    }
+
+    for (const Group &group : groups) {
+        const std::size_t first_sim = group.members.front();
+        visitPredictor(*resolved[first_sim].dyn, [&](auto &first) {
+            using Concrete = std::decay_t<decltype(first)>;
+            using Exec = KernelExec<Concrete>;
+            std::vector<typename Exec::Member> members;
+            for (const std::size_t s : group.members) {
+                members.push_back(
+                    {&sims[s], &dynamic_cast<Concrete &>(*resolved[s].dyn),
+                     resolved[s].hints});
+            }
+            execs.push_back(std::make_unique<Exec>(
+                members, buffer, sites, group.policy,
+                kernelsFor(first_sim, first)));
+        });
     }
 
     // The fused walk: every sim steps through each block before the

@@ -54,34 +54,6 @@ struct SimOptions
     bool resetStream = true;
 
     /**
-     * Let simulateReplay() use the devirtualized block kernels when
-     * the predictor's concrete type supports them. When clear (or
-     * when the type is not one of the five paper schemes) the run
-     * falls back to the virtual-dispatch loop; results are
-     * bit-identical either way.
-     */
-    bool fastPath = true;
-
-    /**
-     * Collect collision statistics. Honoured by the fast path only:
-     * with it clear the kernels compile the tag bookkeeping out, so
-     * SimStats::collisions and per-branch profile collision counts
-     * read zero. The virtual path always tracks. Leave set whenever
-     * collision numbers are part of the result.
-     */
-    bool trackCollisions = true;
-
-    /**
-     * Let the fast path run the batched SIMD-dispatch kernels
-     * (core/batch_kernels.hh). When clear — or when BPSIM_SIMD=off
-     * overrides — the record-at-a-time kernels run instead; results
-     * are bit-identical either way. Honoured only where a batched
-     * path exists (plain dynamic, gang, and dense-profile shapes);
-     * other shapes silently use the record-at-a-time kernels.
-     */
-    bool simd = true;
-
-    /**
      * Optional run-level counter registry (observability). The
      * engine bumps engine.kernel_runs / engine.virtual_runs,
      * engine.branches and engine.warmup_branches once per simulation
@@ -102,22 +74,19 @@ SimStats simulate(BranchPredictor &predictor, BranchStream &stream,
                   const SimOptions &options = {});
 
 /**
- * Run @p predictor over a materialized trace.
+ * Run @p predictor over a materialized trace: simulateReplayFused()
+ * over a pass of one sim.
  *
  * Semantically identical to simulate() over @p buffer.cursor() —
- * same stats, same profile contents, same final predictor state —
- * but when @p predictor (or, for a CombinedPredictor, its dynamic
- * component) is one of the five paper schemes, the run dispatches
- * once on the concrete type and executes a templated block kernel
- * over the buffer's raw columns: no virtual calls in the per-branch
- * loop. options.resetStream is meaningless here (the buffer is
- * immutable) and ignored.
+ * same stats, same profile contents, same final predictor state.
+ * options.resetStream is meaningless here (the buffer is immutable)
+ * and ignored.
  *
  * @param used_fast_path optionally receives whether a devirtualized
- *                       kernel ran (false = virtual fallback)
- * @param used_simd      optionally receives whether the batched
- *                       SIMD-dispatch kernels ran (false = the
- *                       record-at-a-time kernels or virtual loop)
+ *                       kernel ran (false = the virtual loop)
+ * @param used_simd      optionally receives whether the batch
+ *                       kernels ran (false = the record kernels or
+ *                       the virtual loop)
  */
 SimStats simulateReplay(BranchPredictor &predictor,
                         const ReplayBuffer &buffer,
@@ -138,7 +107,8 @@ struct FusedSim
     /** The predictor to drive (not owned). */
     BranchPredictor *predictor = nullptr;
 
-    /** Per-sim options; resetStream is ignored as in simulateReplay. */
+    /** Per-sim options; resetStream is ignored (the buffer is
+     * immutable). */
     SimOptions options;
 
     /** Output: the run's statistics. */
@@ -147,8 +117,8 @@ struct FusedSim
     /** Output: whether this sim ran a devirtualized kernel. */
     bool usedFastPath = false;
 
-    /** Output: whether this sim ran the batched SIMD-dispatch
-     * kernels (always false when usedFastPath is false). */
+    /** Output: whether this sim ran the batch kernels (always false
+     * when usedFastPath is false). */
     bool usedSimd = false;
 };
 
@@ -156,19 +126,28 @@ struct FusedSim
  * Run every sim of @p sims over @p buffer in one fused pass: the
  * buffer's records are visited block by block, and every sim steps
  * through each block before the pass moves on, so N predictor
- * configurations share one trace walk instead of N.
+ * configurations share one trace walk instead of N. This is the
+ * engine's only replay entry; simulate() is its oracle.
  *
- * Results are bit-identical to calling simulateReplay() once per sim:
- * each sim advances its own predictor, history and statistics through
- * the same record sequence, warmup and maxBranches windows are
- * honoured per sim, and the same kernel-vs-virtual dispatch applies
- * (per sim, reported in FusedSim::usedFastPath).
+ * Each sim's results are bit-identical to simulate() over
+ * @p buffer.cursor(): each sim advances its own predictor, history
+ * and statistics through the same record sequence, and warmup and
+ * maxBranches windows are honoured per sim. Which loop steps a sim
+ * follows from two facts the engine observes, never from an option:
  *
- * @p sites optionally carries the buffer's site enumeration, letting
- * the pass flatten per-record static-hint hash lookups and per-branch
- * profile accumulation onto dense site-indexed arrays. Pure
- * acceleration: results are identical with or without it. When given
- * it must have been built from @p buffer.
+ *  - a predictor (or a CombinedPredictor's dynamic component) whose
+ *    concrete type the kernels visit (visitPredictor) runs
+ *    devirtualized; anything else runs the virtual loop;
+ *  - a visited type with batch kernels (hasBatchKernels) runs them,
+ *    unless a ContextAliasSink is attached: the batch kernels do not
+ *    report lookups to the sink, so such sims — and the types
+ *    without batch kernels — run the record kernels.
+ *
+ * @p sites optionally carries the buffer's site enumeration, onto
+ * whose dense site-indexed arrays the pass flattens static hints and
+ * per-branch profile counts. When it is null and a sim has hints or
+ * a profile, the pass builds one. When given it must have been built
+ * from @p buffer.
  */
 void simulateReplayFused(std::vector<FusedSim> &sims,
                          const ReplayBuffer &buffer,

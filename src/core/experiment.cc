@@ -38,7 +38,6 @@ profileOptions(const ExperimentConfig &config, ProfileDb &profile)
     options.maxBranches = config.profileBranches;
     options.profile = &profile;
     options.counters = config.counters;
-    options.simd = config.simd;
     return options;
 }
 
@@ -69,59 +68,37 @@ class InputBoundStream : public BranchStream
 };
 
 /**
- * Selection + evaluation downstream of the profiling phase, shared
- * by the stream and replay paths. @p collect_eval_profile gathers
- * the merge filter's bias-only profile of the evaluation input;
- * @p evaluate runs the combined predictor over it.
+ * The selection phase downstream of profiling: the §5.1 merge filter,
+ * when configured, and the static scheme. @p collect_eval_profile
+ * gathers the filter's bias-only profile of the evaluation input. Adds
+ * the branches consumed to @p simulated.
  */
-template <typename CollectEvalProfile, typename Evaluate>
-ExperimentResult
-finishExperiment(const ExperimentConfig &config,
-                 const ProfilePhase *profile_phase,
-                 CollectEvalProfile &&collect_eval_profile,
-                 Evaluate &&evaluate)
+template <typename CollectEvalProfile>
+HintDb
+selectHints(const ExperimentConfig &config,
+            const ProfilePhase *profile_phase,
+            CollectEvalProfile &&collect_eval_profile, Count &simulated)
 {
-    HintDb hints;
-    Count simulated = 0;
+    if (config.scheme == StaticScheme::None)
+        return {};
+    bpsim_assert(profile_phase != nullptr,
+                 "selection scheme needs a profiling phase");
+    simulated += profile_phase->simulatedBranches;
 
-    if (config.scheme != StaticScheme::None) {
-        bpsim_assert(profile_phase != nullptr,
-                     "selection scheme needs a profiling phase");
-        simulated += profile_phase->simulatedBranches;
-
-        const ProfileDb *selection_profile = &profile_phase->profile;
-        ProfileDb filtered;
-        if (config.filterUnstable &&
-            config.profileInput != config.evalInput) {
-            // The Spike-style merge filter: gather a bias-only
-            // profile under the evaluation input and drop branches
-            // whose behaviour is input-dependent.
-            ProfileDb eval_profile = collect_eval_profile();
-            simulated += eval_profile.totalExecuted();
-            filtered = stableSubset(*selection_profile, eval_profile,
-                                    config.stabilityThreshold);
-            selection_profile = &filtered;
-        }
-
-        hints = selectStatic(config.scheme, *selection_profile,
-                             config.selection);
+    const ProfileDb *selection_profile = &profile_phase->profile;
+    ProfileDb filtered;
+    if (config.filterUnstable && config.profileInput != config.evalInput) {
+        // The Spike-style merge filter: gather a bias-only profile
+        // under the evaluation input and drop branches whose
+        // behaviour is input-dependent.
+        const ProfileDb eval_profile = collect_eval_profile();
+        simulated += eval_profile.totalExecuted();
+        filtered = stableSubset(*selection_profile, eval_profile,
+                                config.stabilityThreshold);
+        selection_profile = &filtered;
     }
-
-    // Phase 2: evaluate the combined predictor from a cold start.
-    const std::size_t hint_count = hints.size();
-    CombinedPredictor combined(makeDynamicComponent(config),
-                               std::move(hints), config.shift);
-
-    ExperimentResult result;
-    result.stats = evaluate(combined);
-    result.hintCount = hint_count;
-    // Warmup branches are simulated work even though they are outside
-    // the measured window; count them exactly once (streams shorter
-    // than the warmup are the caller's misconfiguration — the matrix
-    // runner sizes its buffers to cover warmup + eval).
-    result.simulatedBranches =
-        simulated + config.evalWarmupBranches + result.stats.branches;
-    return result;
+    return selectStatic(config.scheme, *selection_profile,
+                        config.selection);
 }
 
 } // namespace
@@ -133,9 +110,6 @@ evalSimOptions(const ExperimentConfig &config)
     options.maxBranches = config.evalBranches;
     options.warmupBranches = config.evalWarmupBranches;
     options.counters = config.counters;
-    // Scenario cells must run record-at-a-time: the SIMD dense-profile
-    // kernels bypass the per-lookup tag path the alias sink observes.
-    options.simd = config.simd && config.scenarioContexts == 0;
     return options;
 }
 
@@ -245,37 +219,34 @@ runProfilePhase(BranchStream &profile_stream,
     return phase;
 }
 
-ProfilePhase
-runProfilePhaseReplay(const ReplayBuffer &profile_buffer,
-                      const ExperimentConfig &config,
-                      bool *used_fast_path, bool *used_simd)
-{
-    auto profiling_predictor = makeDynamicComponent(config);
-    ProfilePhase phase;
-    const SimStats stats =
-        simulateReplay(*profiling_predictor, profile_buffer,
-                       profileOptions(config, phase.profile),
-                       used_fast_path, used_simd);
-    phase.simulatedBranches = stats.branches;
-    return phase;
-}
-
 ExperimentResult
 runEvaluationStreams(BranchStream &eval_stream,
                      const ExperimentConfig &config,
                      const ProfilePhase *profile_phase)
 {
-    return finishExperiment(
+    Count simulated = 0;
+    HintDb hints = selectHints(
         config, profile_phase,
         [&] {
             eval_stream.reset();
             BoundedStream bounded(eval_stream, config.profileBranches);
             return ProfileDb::collect(bounded, config.profileBranches);
         },
-        [&](CombinedPredictor &combined) {
-            return simulate(combined, eval_stream,
-                            evalSimOptions(config));
-        });
+        simulated);
+
+    // Phase 2: evaluate the combined predictor from a cold start.
+    ExperimentResult result;
+    result.hintCount = hints.size();
+    CombinedPredictor combined(makeDynamicComponent(config),
+                               std::move(hints), config.shift);
+    result.stats = simulate(combined, eval_stream, evalSimOptions(config));
+    // Warmup branches are simulated work even though they are outside
+    // the measured window; count them exactly once (streams shorter
+    // than the warmup are the caller's misconfiguration — the matrix
+    // runner sizes its buffers to cover warmup + eval).
+    result.simulatedBranches =
+        simulated + config.evalWarmupBranches + result.stats.branches;
+    return result;
 }
 
 PreparedEvaluation
@@ -285,41 +256,27 @@ prepareEvaluationReplay(const ReplayBuffer *profile_buffer,
                         const ProfilePhase *cached_profile)
 {
     PreparedEvaluation prepared;
-    HintDb hints;
-
-    if (config.scheme != StaticScheme::None) {
-        ProfilePhase local;
-        const ProfilePhase *phase = cached_profile;
-        if (phase == nullptr) {
-            bpsim_assert(profile_buffer != nullptr,
-                         "selection scheme needs a profile trace");
-            local = runProfilePhaseReplay(*profile_buffer, config,
-                                          &prepared.preEvalFastPath,
-                                          &prepared.preEvalSimd);
-            phase = &local;
-        }
-        prepared.preEvalBranches += phase->simulatedBranches;
-
-        const ProfileDb *selection_profile = &phase->profile;
-        ProfileDb filtered;
-        if (config.filterUnstable &&
-            config.profileInput != config.evalInput) {
-            // The Spike-style merge filter: gather a bias-only
-            // profile under the evaluation input and drop branches
-            // whose behaviour is input-dependent.
+    ProfilePhase local;
+    const ProfilePhase *phase = cached_profile;
+    if (config.scheme != StaticScheme::None && phase == nullptr) {
+        bpsim_assert(profile_buffer != nullptr,
+                     "selection scheme needs a profile trace");
+        FusedProfileOutcome outcome = std::move(
+            runProfilePhasesFusedReplay(*profile_buffer, {&config})
+                .front());
+        prepared.preEvalFastPath = outcome.usedFastPath;
+        prepared.preEvalSimd = outcome.usedSimd;
+        local = std::move(outcome.phase);
+        phase = &local;
+    }
+    HintDb hints = selectHints(
+        config, phase,
+        [&] {
             auto cursor = eval_buffer.cursor();
             BoundedStream bounded(cursor, config.profileBranches);
-            ProfileDb eval_profile =
-                ProfileDb::collect(bounded, config.profileBranches);
-            prepared.preEvalBranches += eval_profile.totalExecuted();
-            filtered = stableSubset(*selection_profile, eval_profile,
-                                    config.stabilityThreshold);
-            selection_profile = &filtered;
-        }
-
-        hints = selectStatic(config.scheme, *selection_profile,
-                             config.selection);
-    }
+            return ProfileDb::collect(bounded, config.profileBranches);
+        },
+        prepared.preEvalBranches);
 
     prepared.hintCount = hints.size();
     prepared.combined = std::make_unique<CombinedPredictor>(
@@ -403,22 +360,6 @@ finishPreparedEvaluation(const PreparedEvaluation &prepared,
 }
 
 ExperimentResult
-runEvaluationReplay(const ReplayBuffer &eval_buffer,
-                    const ExperimentConfig &config,
-                    const ProfilePhase *profile_phase,
-                    bool *used_fast_path, bool *used_simd)
-{
-    PreparedEvaluation prepared = prepareEvaluationReplay(
-        nullptr, eval_buffer, config, profile_phase);
-    const SimStats stats =
-        simulateReplay(*prepared.combined, eval_buffer,
-                       evalSimOptions(config, prepared), used_fast_path,
-                       used_simd);
-    return finishPreparedEvaluation(prepared, config, stats,
-                                    &eval_buffer);
-}
-
-ExperimentResult
 runExperimentStreams(BranchStream &profile_stream,
                      BranchStream &eval_stream,
                      const ExperimentConfig &config)
@@ -432,31 +373,6 @@ runExperimentStreams(BranchStream &profile_stream,
         phase_ptr = &phase;
     }
     return runEvaluationStreams(eval_stream, config, phase_ptr);
-}
-
-ExperimentResult
-runExperimentReplay(const ReplayBuffer *profile_buffer,
-                    const ReplayBuffer &eval_buffer,
-                    const ExperimentConfig &config,
-                    const ProfilePhase *cached_profile,
-                    bool *used_fast_path, bool *used_simd)
-{
-    if (Result<void> valid = config.validate(); !valid.ok())
-        raise(std::move(valid.error()));
-    PreparedEvaluation prepared = prepareEvaluationReplay(
-        profile_buffer, eval_buffer, config, cached_profile);
-    bool eval_fast = false;
-    bool eval_simd = false;
-    const SimStats stats =
-        simulateReplay(*prepared.combined, eval_buffer,
-                       evalSimOptions(config, prepared), &eval_fast,
-                       &eval_simd);
-    if (used_fast_path != nullptr)
-        *used_fast_path = prepared.preEvalFastPath && eval_fast;
-    if (used_simd != nullptr)
-        *used_simd = prepared.preEvalSimd && eval_simd;
-    return finishPreparedEvaluation(prepared, config, stats,
-                                    &eval_buffer);
 }
 
 std::vector<FusedProfileOutcome>

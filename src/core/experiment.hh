@@ -123,23 +123,14 @@ struct ExperimentConfig
     CounterRegistry *counters = nullptr;
 
     /**
-     * Let the devirtualized kernels run their batched SIMD-dispatch
-     * variants (see SimOptions::simd). Results are bit-identical
-     * either way, so — like counters — this is not part of the
-     * experiment's identity and is ignored by the runner's
-     * profile-cache key and the checkpoint fingerprint.
-     */
-    bool simd = true;
-
-    /**
      * Number of contexts in the cell's workload when it is a
      * multi-context scenario (scenario/scenario.hh), 0 for ordinary
      * single-program cells. When positive, the evaluation attaches a
      * per-branch profile and a ContextAliasSink so the result carries
-     * per-context statistics and the NxN interference matrix; the
-     * evaluation also runs record-at-a-time (SIMD batch variants
-     * off), since the dense-profile kernels bypass the tag path the
-     * sink observes. Aggregate stats stay bit-identical.
+     * per-context statistics and the NxN interference matrix. With
+     * the sink attached the engine runs the record kernels (the
+     * batch kernels bypass the tag path the sink observes); aggregate
+     * stats stay bit-identical.
      */
     std::size_t scenarioContexts = 0;
 
@@ -188,12 +179,6 @@ struct ProfilePhase
 ProfilePhase runProfilePhase(BranchStream &profile_stream,
                              const ExperimentConfig &config);
 
-/** Profiling phase over a materialized trace (devirtualized path). */
-ProfilePhase runProfilePhaseReplay(const ReplayBuffer &profile_buffer,
-                                   const ExperimentConfig &config,
-                                   bool *used_fast_path = nullptr,
-                                   bool *used_simd = nullptr);
-
 /** One profiling phase of a fused pass (runProfilePhasesFusedReplay). */
 struct FusedProfileOutcome
 {
@@ -202,16 +187,17 @@ struct FusedProfileOutcome
     /** Whether this phase's sim ran a devirtualized kernel. */
     bool usedFastPath = false;
 
-    /** Whether this phase's sim ran the batched SIMD-dispatch
-     * kernels (always false when usedFastPath is false). */
+    /** Whether this phase's sim ran the batch kernels (always false
+     * when usedFastPath is false). */
     bool usedSimd = false;
 };
 
 /**
  * Run the profiling phases of several configs over one shared buffer
  * in a single fused pass (simulateReplayFused). Each outcome is
- * bit-identical to runProfilePhaseReplay() of the matching config;
- * @p sites optionally accelerates the pass (see SiteIndex).
+ * bit-identical to runProfilePhase() of the matching config over a
+ * cursor of @p profile_buffer; @p sites is the buffer's site index
+ * (built by the pass when null).
  */
 std::vector<FusedProfileOutcome> runProfilePhasesFusedReplay(
     const ReplayBuffer &profile_buffer,
@@ -304,13 +290,6 @@ ExperimentResult runEvaluationStreams(BranchStream &eval_stream,
                                       const ExperimentConfig &config,
                                       const ProfilePhase *profile_phase);
 
-/** Evaluation over a materialized trace (devirtualized path). */
-ExperimentResult runEvaluationReplay(const ReplayBuffer &eval_buffer,
-                                     const ExperimentConfig &config,
-                                     const ProfilePhase *profile_phase,
-                                     bool *used_fast_path = nullptr,
-                                     bool *used_simd = nullptr);
-
 /**
  * An experiment's evaluation, ready to run: everything up to (but not
  * including) the evaluation simulation — profiling, the §5.1 merge
@@ -333,9 +312,8 @@ struct PreparedEvaluation
      * here, if any) took the devirtualized path. */
     bool preEvalFastPath = true;
 
-    /** Whether pre-evaluation simulation work ran the batched
-     * SIMD-dispatch kernels (vacuously true when no profiling
-     * simulation ran here). */
+    /** Whether pre-evaluation simulation work ran the batch kernels
+     * (vacuously true when no profiling simulation ran here). */
     bool preEvalSimd = true;
 
     /**
@@ -350,10 +328,11 @@ struct PreparedEvaluation
 };
 
 /**
- * Run everything of runExperimentReplay() up to the evaluation
- * simulation. Uses @p cached_profile when given; otherwise runs the
- * profiling phase from @p profile_buffer (which may be null only when
- * the config needs no profile). Does not validate the config — the
+ * Run everything of an experiment over materialized traces up to the
+ * evaluation simulation. Uses @p cached_profile when given; otherwise
+ * runs the profiling phase from @p profile_buffer (a one-config
+ * runProfilePhasesFusedReplay; the buffer may be null only when the
+ * config needs no profile). Does not validate the config — the
  * experiment entry points and the matrix runner validate upstream.
  */
 PreparedEvaluation prepareEvaluationReplay(
@@ -367,9 +346,9 @@ SimOptions evalSimOptions(const ExperimentConfig &config);
 /**
  * Evaluation-phase SimOptions of a specific PreparedEvaluation:
  * evalSimOptions(config) plus the scenario instrumentation —
- * attaches @p prepared's eval profile and disables the SIMD batch
- * variants for scenario cells. Use this form whenever the prepared
- * evaluation is at hand (the fused executor does).
+ * attaches @p prepared's eval profile for scenario cells. Use this
+ * form whenever the prepared evaluation is at hand (the fused
+ * executor does).
  */
 SimOptions evalSimOptions(const ExperimentConfig &config,
                           const PreparedEvaluation &prepared);
@@ -385,23 +364,6 @@ SimOptions evalSimOptions(const ExperimentConfig &config,
 ExperimentResult finishPreparedEvaluation(
     const PreparedEvaluation &prepared, const ExperimentConfig &config,
     const SimStats &eval_stats, const ReplayBuffer *eval_buffer = nullptr);
-
-/**
- * Full experiment over materialized traces. Uses @p cached_profile
- * when given; otherwise runs the profiling phase from
- * @p profile_buffer (which may be null only when the config needs no
- * profile). @p used_fast_path reports whether every simulation of
- * the experiment ran through the devirtualized kernels;
- * @p used_simd whether every simulation ran their batched
- * SIMD-dispatch variants.
- */
-ExperimentResult runExperimentReplay(const ReplayBuffer *profile_buffer,
-                                     const ReplayBuffer &eval_buffer,
-                                     const ExperimentConfig &config,
-                                     const ProfilePhase *cached_profile
-                                         = nullptr,
-                                     bool *used_fast_path = nullptr,
-                                     bool *used_simd = nullptr);
 
 /**
  * Convenience: pure dynamic baseline of @p kind / @p size_bytes over

@@ -506,11 +506,6 @@ ExperimentRunner::addCell(std::size_t program_index,
     // cache key ignores it and results are unaffected.
     if (options.journal != nullptr)
         cell.config.counters = &options.journal->counters();
-    // The runner-wide --no-simd switch can only narrow a cell's
-    // config, never widen it: results are bit-identical either way,
-    // so — like counters — this is invisible to the profile-cache
-    // key and the checkpoint fingerprint.
-    cell.config.simd = cell.config.simd && options.simd;
     if (label.empty()) {
         const std::string identity = predictorIdentityOf(config);
         label = programs[program_index]->name() + "/" +
@@ -782,9 +777,9 @@ ExperimentRunner::run()
 
     // Resolve the dispatch level once up front so the journal and the
     // runner JSON agree on what the engine will pick (the engine
-    // re-resolves per simulation, but the inputs — CPU, options,
-    // BPSIM_SIMD — are identical).
-    const SimdLevel dispatch_level = resolveSimdLevel(options.simd);
+    // re-resolves per pass, but the inputs — CPU and BPSIM_SIMD — are
+    // identical).
+    const SimdLevel dispatch_level = resolveSimdLevel();
 
     if (journal != nullptr) {
         journal->record(
@@ -854,7 +849,6 @@ ExperimentRunner::run()
     MatrixResult result;
     result.cells.resize(cells.size());
     result.threads = taskPool.threadCount();
-    result.fused = options.fused;
     result.dispatch = simdLevelName(dispatch_level);
     result.simdLanes = simdWidth(dispatch_level);
     result.shardIndex = options.shardIndex;
@@ -907,30 +901,27 @@ ExperimentRunner::run()
     };
     std::vector<ProfileTask> profile_tasks;
     std::vector<std::size_t> cell_phase(cells.size(), noPhase);
-    if (options.profileCache) {
-        std::unordered_map<std::string, std::size_t> phase_of_key;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const ExperimentConfig &config = cells[i].config;
-            if (!in_shard[i] || invalid[i].has_value())
-                continue;
-            if (config.scheme == StaticScheme::None)
-                continue;
-            const std::string key = profileCacheKey(cells[i]);
-            if (key.empty())
-                continue;
-            const auto [it, inserted] =
-                phase_of_key.try_emplace(key, profile_tasks.size());
-            if (inserted) {
-                profile_tasks.push_back({cells[i].programIndex,
-                                         config.profileInput,
-                                         &config});
-            } else {
-                ++result.profileCacheHits;
-            }
-            cell_phase[i] = it->second;
+    std::unordered_map<std::string, std::size_t> phase_of_key;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const ExperimentConfig &config = cells[i].config;
+        if (!in_shard[i] || invalid[i].has_value())
+            continue;
+        if (config.scheme == StaticScheme::None)
+            continue;
+        const std::string key = profileCacheKey(cells[i]);
+        if (key.empty())
+            continue;
+        const auto [it, inserted] =
+            phase_of_key.try_emplace(key, profile_tasks.size());
+        if (inserted) {
+            profile_tasks.push_back(
+                {cells[i].programIndex, config.profileInput, &config});
+        } else {
+            ++result.profileCacheHits;
         }
-        result.profileCacheMisses = profile_tasks.size();
+        cell_phase[i] = it->second;
     }
+    result.profileCacheMisses = profile_tasks.size();
 
     // Only phases with at least one pending consumer execute; a
     // phase whose every consumer was restored is skipped (its branch
@@ -1144,8 +1135,7 @@ ExperimentRunner::run()
             phase_branches[j] = phases[j].simulatedBranches;
             phase_kernel[j] = outcomes[k].usedFastPath ? 1 : 0;
             phase_simd[j] = outcomes[k].usedSimd ? 1 : 0;
-            // Prorate the pass wall over members by branch share so
-            // the serial estimate stays comparable to per-cell runs.
+            // Prorate the pass wall over members by branch share.
             phase_walls[j] =
                 total_branches > 0
                     ? wall * static_cast<double>(phase_branches[j]) /
@@ -1183,82 +1173,20 @@ ExperimentRunner::run()
     if (journal != nullptr && !phase_exec.empty())
         journal->record(obs::EventKind::PhaseBegin,
                         TaskPool::currentWorkerIndex(), "profile");
-    // One standalone profiling phase (the non-fused path).
-    const auto runProfilePhaseSolo = [&](std::size_t j) {
-        const ProfileTask &task = profile_tasks[j];
-        const std::string &program_name =
-            programs[task.programIndex]->name();
-        if (cancelled()) {
-            phase_errors[j] =
-                Error(ErrorCode::Cancelled,
-                      "skipped: run cancelled before the profiling "
-                      "phase started");
-            return;
-        }
-        if (abortRun.load(std::memory_order_relaxed)) {
-            phase_errors[j] =
-                Error(ErrorCode::CellFailed,
-                      "skipped: fail-fast after an earlier failure");
-            return;
-        }
-        ScopedTimer timer(timers, "runner.profile_phase");
-        bool fast = false;
-        bool simd = false;
-        unsigned attempts = 0;
-        std::optional<Error> failure = attemptWithRetries(
-            options.retries, attempts, [&] {
-                faultPoint(fault_points::profilePhase, program_name);
-                phases[j] = runProfilePhaseReplay(
-                    buffer(task.programIndex, task.input),
-                    *task.config, &fast, &simd);
-            });
-        phase_walls[j] = timer.stop();
-        if (failure.has_value()) {
-            phase_errors[j] = std::move(*failure).withContext(
-                "in shared profiling phase (" + program_name + ")");
-            if (options.failFast)
-                abortRun.store(true, std::memory_order_relaxed);
-            return;
-        }
-        phase_branches[j] = phases[j].simulatedBranches;
-        phase_kernel[j] = fast ? 1 : 0;
-        phase_simd[j] = simd ? 1 : 0;
-        if (journal != nullptr) {
-            journal->record(
-                obs::EventKind::ProfilePhase,
-                TaskPool::currentWorkerIndex(), program_name,
-                {obs::Field::u64("phase", j),
-                 obs::Field::f64("seconds", phase_walls[j]),
-                 obs::Field::boolean("kernel", fast),
-                 obs::Field::boolean("simd", simd),
-                 obs::Field::u64("branches",
-                                 phases[j].simulatedBranches)});
-        }
-    };
-
-    if (options.fused) {
-        // Fused profiling: group the executable phases by their
-        // shared profile buffer and run each chunk's predictors in
-        // one pass over it.
-        const std::vector<FusedGroupPlan> profile_chunks =
-            chunkGroups(groupForFusion(
-                            phase_exec,
-                            [&](std::size_t j) {
-                                return std::pair(
-                                    profile_tasks[j].programIndex,
-                                    profile_tasks[j].input);
-                            }),
-                        taskPool.threadCount());
-        taskPool.parallelFor(profile_chunks.size(),
-                             [&](std::size_t c) {
-                                 runFusedProfileChunk(
-                                     profile_chunks[c]);
-                             });
-    } else {
-        taskPool.parallelFor(phase_exec.size(), [&](std::size_t k) {
-            runProfilePhaseSolo(phase_exec[k]);
-        });
-    }
+    // Fused profiling: group the executable phases by their shared
+    // profile buffer and run each chunk's predictors in one pass over
+    // it.
+    const std::vector<FusedGroupPlan> profile_chunks = chunkGroups(
+        groupForFusion(phase_exec,
+                       [&](std::size_t j) {
+                           return std::pair(
+                               profile_tasks[j].programIndex,
+                               profile_tasks[j].input);
+                       }),
+        taskPool.threadCount());
+    taskPool.parallelFor(profile_chunks.size(), [&](std::size_t c) {
+        runFusedProfileChunk(profile_chunks[c]);
+    });
     // Persist freshly executed phases so the next process (or the
     // next shard) loads them instead of re-simulating. Store failures
     // only cost a future regeneration.
@@ -1295,8 +1223,7 @@ ExperimentRunner::run()
                         {obs::Field::f64("seconds",
                                          result.profileSeconds)});
 
-    // Phase B plumbing, shared by the per-cell and fused paths so
-    // both emit byte-identical journal events and checkpoint records.
+    // Phase B plumbing.
 
     // Progress hook: one call per in-shard cell once its outcome is
     // final (executed, restored or failed). Runs on worker threads.
@@ -1447,11 +1374,11 @@ ExperimentRunner::run()
         }
     };
 
-    // One complete cell (the non-fused path; the fused path reuses
-    // it for the no-simulation invalid/restored cases).
-    const auto runCell = [&](std::size_t i) {
+    // A cell that needs no simulation: another shard's, invalid, or
+    // restored from the checkpoint. Settled on the coordinator so
+    // fused chunks hold only real work.
+    const auto settleCell = [&](std::size_t i) {
         const MatrixCell &cell = cells[i];
-        const ExperimentConfig &config = cell.config;
         CellResult &out = result.cells[i];
         // Another shard's cell: keep the empty result slot, emit no
         // events — from this process's perspective it does not run.
@@ -1473,91 +1400,11 @@ ExperimentRunner::run()
         // without executing. profileCached comes from the matrix's
         // phase plan so cache accounting matches an uninterrupted
         // run; wallSeconds stays 0 (no work was done).
-        if (restored[i].has_value()) {
-            out.result = restored[i]->result;
-            out.usedKernel = restored[i]->usedKernel;
-            out.usedSimd = restored[i]->usedSimd;
-            out.profileCached = cell_phase[i] != noPhase;
-            out.restored = true;
-            emitCellEnd(i);
-            notifyCell(i);
-            return;
-        }
-
-        if (cancelled()) {
-            failCell(i,
-                     Error(ErrorCode::Cancelled,
-                           "skipped: run cancelled before the cell "
-                           "started"),
-                     0);
-            return;
-        }
-
-        if (abortRun.load(std::memory_order_relaxed)) {
-            failCell(
-                i,
-                Error(ErrorCode::CellFailed,
-                      "skipped: fail-fast after an earlier failure"),
-                0);
-            return;
-        }
-
-        const ProfilePhase *cached = nullptr;
-        if (cell_phase[i] != noPhase) {
-            if (phase_errors[cell_phase[i]].has_value()) {
-                // A cancelled phase means the cell never had a
-                // chance to run; keep the Cancelled code so callers
-                // can tell "not started" from "broken".
-                const ErrorCode phase_code =
-                    phase_errors[cell_phase[i]]->code();
-                failCell(i,
-                         Error(phase_code == ErrorCode::Cancelled
-                                   ? ErrorCode::Cancelled
-                                   : ErrorCode::CellFailed,
-                               "shared profiling phase failed")
-                             .withContext(
-                                 phase_errors[cell_phase[i]]
-                                     ->describe()),
-                         0);
-                return;
-            }
-            cached = &phases[cell_phase[i]];
-        }
-        const ReplayBuffer *profile_buffer =
-            config.scheme != StaticScheme::None && cached == nullptr
-                ? &buffer(cell.programIndex, config.profileInput)
-                : nullptr;
-
-        ScopedTimer timer(timers, "runner.cell");
-        bool fast = false;
-        bool simd = false;
-        unsigned attempts = 0;
-        ExperimentResult cell_result;
-        std::optional<Error> failure = attemptWithRetries(
-            options.retries, attempts, [&] {
-                faultPoint(fault_points::cell, cell.label);
-                cell_result = runExperimentReplay(
-                    profile_buffer,
-                    buffer(cell.programIndex, config.evalInput),
-                    config, cached, &fast, &simd);
-            });
-        out.wallSeconds = timer.stop();
-        if (failure.has_value()) {
-            failCell(i,
-                     std::move(*failure).withContext(
-                         "while running cell " + cell.label),
-                     attempts);
-            return;
-        }
-        out.result = cell_result;
-        out.attempts = attempts;
-        out.profileCached = cached != nullptr;
-        out.usedKernel =
-            fast && (cached == nullptr || phase_kernel[cell_phase[i]]);
-        out.usedSimd =
-            simd && (cached == nullptr || phase_simd[cell_phase[i]]);
-
-        writeCheckpoint(i);
+        out.result = restored[i]->result;
+        out.usedKernel = restored[i]->usedKernel;
+        out.usedSimd = restored[i]->usedSimd;
+        out.profileCached = cell_phase[i] != noPhase;
+        out.restored = true;
         emitCellEnd(i);
         notifyCell(i);
     };
@@ -1566,9 +1413,9 @@ ExperimentRunner::run()
     // profiling, merge filter, selection and predictor construction),
     // then step every prepared predictor through the shared eval
     // buffer in one pass and assemble per-cell results. Per-member
-    // gates keep failure semantics identical to the per-cell path: an
-    // injected fault or failed shared phase takes down exactly that
-    // member, and the survivors' results are unaffected.
+    // gates isolate failures: an injected fault or failed shared phase
+    // takes down exactly that member, and the survivors' results are
+    // unaffected.
     const auto runFusedCellChunk = [&](const FusedGroupPlan &chunk) {
         struct LiveCell
         {
@@ -1687,8 +1534,7 @@ ExperimentRunner::run()
 
         // Per-record work of each member: measured branches plus its
         // warmup slice of the shared buffer. Used to prorate the
-        // pass wall so per-cell timings and the serial estimate stay
-        // comparable to per-cell runs.
+        // pass wall over the members.
         double total_records = 0.0;
         std::vector<double> member_records(live.size(), 0.0);
         for (std::size_t k = 0; k < live.size(); ++k) {
@@ -1759,32 +1605,24 @@ ExperimentRunner::run()
     if (journal != nullptr)
         journal->record(obs::EventKind::PhaseBegin,
                         TaskPool::currentWorkerIndex(), "cells");
-    if (options.fused) {
-        // Invalid and restored cells need no simulation; handle them
-        // on the coordinator (via runCell's early paths) so fused
-        // chunks hold only real work.
-        std::vector<std::size_t> pending;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!in_shard[i] || invalid[i].has_value() ||
-                restored[i].has_value())
-                runCell(i);
-            else
-                pending.push_back(i);
-        }
-        const std::vector<FusedGroupPlan> cell_chunks = chunkGroups(
-            groupForFusion(pending,
-                           [&](std::size_t i) {
-                               return std::pair(
-                                   cells[i].programIndex,
-                                   cells[i].config.evalInput);
-                           }),
-            taskPool.threadCount());
-        taskPool.parallelFor(cell_chunks.size(), [&](std::size_t c) {
-            runFusedCellChunk(cell_chunks[c]);
-        });
-    } else {
-        taskPool.parallelFor(cells.size(), runCell);
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (!in_shard[i] || invalid[i].has_value() ||
+            restored[i].has_value())
+            settleCell(i);
+        else
+            pending.push_back(i);
     }
+    const std::vector<FusedGroupPlan> cell_chunks = chunkGroups(
+        groupForFusion(pending,
+                       [&](std::size_t i) {
+                           return std::pair(cells[i].programIndex,
+                                            cells[i].config.evalInput);
+                       }),
+        taskPool.threadCount());
+    taskPool.parallelFor(cell_chunks.size(), [&](std::size_t c) {
+        runFusedCellChunk(cell_chunks[c]);
+    });
     result.fusedGroups =
         fused_group_count.load(std::memory_order_relaxed);
     if (journal != nullptr)
@@ -1869,7 +1707,6 @@ ExperimentRunner::run()
              obs::Field::u64("failed_cells", result.failedCells),
              obs::Field::u64("restored_cells",
                              result.restoredCells),
-             obs::Field::boolean("fused", result.fused),
              obs::Field::u64("fused_groups", result.fusedGroups),
              obs::Field::u64("shard_index", result.shardIndex),
              obs::Field::u64("shard_count", result.shardCount),
@@ -2017,8 +1854,6 @@ writeRunnerJson(const std::string &path, const std::string &bench,
     std::fprintf(file, "  \"dispatch\": \"%s\",\n",
                  result.dispatch.c_str());
     std::fprintf(file, "  \"simd_width\": %u,\n", result.simdLanes);
-    std::fprintf(file, "  \"fused\": %s,\n",
-                 result.fused ? "true" : "false");
     std::fprintf(file, "  \"fused_groups\": %llu,\n",
                  static_cast<unsigned long long>(result.fusedGroups));
     std::fprintf(file, "  \"failed_cells\": %llu,\n",

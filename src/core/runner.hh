@@ -9,9 +9,17 @@
  *  1. materializes each program's branch stream once per input set
  *     into a ReplayBuffer (instead of re-running CFG/behaviour
  *     generation for every cell),
- *  2. shards the cells across a work-stealing thread pool, and
- *  3. records per-cell wall time and branches/sec, emitted as JSON so
- *     the perf trajectory is tracked across PRs.
+ *  2. runs each unique profiling phase once and shares it read-only
+ *     with every cell that needs it (cells whose makeDynamic factory
+ *     has no dynamicKey profile privately),
+ *  3. steps the cells sharing an evaluation buffer — and the
+ *     profiling phases sharing a profile buffer — through one fused
+ *     pass per group (simulateReplayFused); a lone cell is a
+ *     one-member group, and groups are chunked across a work-stealing
+ *     thread pool, and
+ *  4. records per-cell wall time and branches/sec, emitted as JSON so
+ *     the perf trajectory is tracked across PRs. A cell's share of its
+ *     group's pass is prorated by the records it stepped.
  *
  * Determinism contract: a cell's result is a pure function of its
  * replay buffers and its config — workers share only immutable
@@ -149,44 +157,6 @@ struct RunnerOptions
     unsigned threads = 0;
 
     /**
-     * Share profiling phases across cells. The selection phase's
-     * profiling run depends only on (program, profile input,
-     * predictor construction, profile length) — not on the selection
-     * scheme or its tunables — so a matrix sweeping schemes over one
-     * predictor re-runs identical simulations once per scheme. With
-     * the cache on, each unique profiling run executes once (phase A)
-     * and its immutable ProfilePhase is shared read-only by every
-     * cell that needs it. Results are bit-identical either way; cells
-     * whose makeDynamic factory has no dynamicKey stay uncached.
-     */
-    bool profileCache = true;
-
-    /**
-     * Fused sweep execution. Cells sharing an evaluation buffer
-     * (program × eval input) — and profiling phases sharing a profile
-     * buffer — are grouped and stepped through the trace in a single
-     * pass per group (simulateReplayFused), so one trace walk serves
-     * N predictor configurations. Results are bit-identical to the
-     * per-cell path in every deterministic field, including under
-     * checkpoint/resume, retries and fault injection; only wall-time
-     * attribution differs (a cell's share of its group's fused pass
-     * is prorated by branches stepped). Groups are chunked across
-     * worker threads, so fused mode still scales with threads.
-     */
-    bool fused = true;
-
-    /**
-     * Let the devirtualized kernels run their batched SIMD-dispatch
-     * variants (ExperimentConfig::simd). Results are bit-identical
-     * either way; the flag exists so benches and the CLI can expose
-     * --no-simd for differential runs, and so the resolved dispatch
-     * path lands in the journal and runner JSON. The BPSIM_SIMD
-     * environment variable further narrows the resolved level at
-     * engine dispatch time (off/scalar/avx2/neon).
-     */
-    bool simd = true;
-
-    /**
      * Optional run journal. When set, run() records the structured
      * event stream (run/phase boundaries, per-profile-phase and
      * per-cell events with timing, path-taken flags and stat
@@ -310,8 +280,8 @@ struct CellResult
     /** Every simulation of the cell ran the devirtualized kernels. */
     bool usedKernel = false;
 
-    /** Every simulation of the cell ran the batched SIMD-dispatch
-     * kernels (always false when usedKernel is false). */
+    /** Every simulation of the cell ran the batch kernels (always
+     * false when usedKernel is false). */
     bool usedSimd = false;
 
     /** The cell consumed a shared profiling phase instead of running
@@ -371,7 +341,7 @@ struct MatrixResult
     /** Cells whose simulations all ran the devirtualized kernels. */
     Count kernelCells = 0;
 
-    /** Cells whose simulations all ran the batched SIMD kernels. */
+    /** Cells whose simulations all ran the batch kernels. */
     Count simdCells = 0;
 
     /** Cells that ended in an Error (including fail-fast skips). */
@@ -380,16 +350,13 @@ struct MatrixResult
     /** Cells restored from the checkpoint instead of executed. */
     Count restoredCells = 0;
 
-    /** The run used the fused sweep executor. */
-    bool fused = false;
-
-    /** Resolved kernel dispatch level of the run — simdLevelName()
-     * of resolveSimdLevel(RunnerOptions::simd) at run() time: "off",
-     * "scalar", "avx2" or "neon". */
-    std::string dispatch = "off";
+    /** Resolved batch-kernel dispatch level of the run —
+     * simdLevelName(resolveSimdLevel()) at run() time: "scalar",
+     * "avx2" or "neon". */
+    std::string dispatch = "scalar";
 
     /** Nominal vector width of the dispatch level in 32-bit lanes
-     * (1 for off/scalar). */
+     * (1 for scalar). */
     unsigned simdLanes = 1;
 
     /** Fused passes executed (profiling-phase and cell groups). */
@@ -500,6 +467,8 @@ class ExperimentRunner
                         std::string label = {});
 
     const MatrixCell &cell(std::size_t index) const;
+
+    std::size_t cellCount() const { return cells.size(); }
 
     /**
      * Demand a replay buffer of at least @p branches records of

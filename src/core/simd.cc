@@ -23,14 +23,12 @@ detectSimdLevel()
 }
 
 SimdLevel
-resolveSimdLevel(bool enabled)
+resolveSimdLevel()
 {
     // Consulted on every call (no caching): tests set BPSIM_SIMD
     // mid-process to pin the override and fallback behaviour.
     const char *env = std::getenv("BPSIM_SIMD");
     if (env != nullptr) {
-        if (std::strcmp(env, "off") == 0)
-            return SimdLevel::Off;
         if (std::strcmp(env, "scalar") == 0)
             return SimdLevel::Scalar;
         if (std::strcmp(env, "avx2") == 0) {
@@ -47,15 +45,13 @@ resolveSimdLevel(bool enabled)
         }
         // Unknown value: ignore the override.
     }
-    return enabled ? detectSimdLevel() : SimdLevel::Off;
+    return detectSimdLevel();
 }
 
 const char *
 simdLevelName(SimdLevel level)
 {
     switch (level) {
-      case SimdLevel::Off:
-        return "off";
       case SimdLevel::Scalar:
         return "scalar";
       case SimdLevel::Avx2:
@@ -63,7 +59,7 @@ simdLevelName(SimdLevel level)
       case SimdLevel::Neon:
         return "neon";
     }
-    return "off";
+    return "scalar";
 }
 
 unsigned
@@ -74,7 +70,6 @@ simdWidth(SimdLevel level)
         return 8;
       case SimdLevel::Neon:
         return 4;
-      case SimdLevel::Off:
       case SimdLevel::Scalar:
         break;
     }

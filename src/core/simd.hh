@@ -6,9 +6,9 @@
  * baseline translation unit (scalar; auto-vectorized with NEON on
  * aarch64, where NEON is part of the baseline ISA) and, on x86-64, an
  * AVX2 translation unit. Which set runs is decided once per
- * simulation from the CPU's capabilities, the run options and the
- * BPSIM_SIMD environment override; results are bit-identical across
- * every level by construction (the kernels are integer-exact), which
+ * simulation from the CPU's capabilities and the BPSIM_SIMD
+ * environment override; results are bit-identical across every level
+ * by construction (the kernels are integer-exact), which
  * tests/test_simd.cc pins differentially.
  */
 
@@ -23,13 +23,9 @@ namespace bpsim
 #define BPSIM_HAVE_AVX2_KERNELS 1
 #endif
 
-/** Which replay kernel family a simulation runs. */
+/** Which compiled batch-kernel unit a simulation runs. */
 enum class SimdLevel
 {
-    /** Batch kernels disabled: the record-at-a-time PR-5 kernels run.
-     * This is the differential reference path (--no-simd). */
-    Off,
-
     /** Portable batch kernels from the baseline translation unit. */
     Scalar,
 
@@ -45,22 +41,19 @@ enum class SimdLevel
 SimdLevel detectSimdLevel();
 
 /**
- * Level for a run with --simd/--no-simd resolved to @p enabled.
- *
- * The BPSIM_SIMD environment variable (off|scalar|avx2|neon)
- * overrides the flag when set to a known value: a supported level is
- * forced, an unsupported one (avx2 without CPU support, neon on
- * x86-64) falls back to Scalar, and unknown values are ignored. With
- * no override the result is detectSimdLevel() when @p enabled, Off
- * otherwise. The environment is consulted on every call so tests can
- * flip it mid-process.
+ * Level a simulation runs at: detectSimdLevel(), unless the BPSIM_SIMD
+ * environment variable (scalar|avx2|neon) forces one. A forced level
+ * the hardware or build cannot run (avx2 without CPU support, neon on
+ * x86-64) falls back to Scalar; unknown values are ignored. The
+ * environment is consulted on every call so tests can flip it
+ * mid-process, pinning the compiled units against each other.
  */
-SimdLevel resolveSimdLevel(bool enabled);
+SimdLevel resolveSimdLevel();
 
-/** Lower-case level name: "off", "scalar", "avx2" or "neon". */
+/** Lower-case level name: "scalar", "avx2" or "neon". */
 const char *simdLevelName(SimdLevel level);
 
-/** Nominal vector width in 32-bit lanes (1 for Off/Scalar). */
+/** Nominal vector width in 32-bit lanes (1 for Scalar). */
 unsigned simdWidth(SimdLevel level);
 
 } // namespace bpsim

@@ -56,7 +56,7 @@ class Agree : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         table.setAliasSink(sink);
     }

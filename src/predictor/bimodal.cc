@@ -16,13 +16,13 @@ Bimodal::Bimodal(std::size_t size_bytes, BitCount counter_bits)
 bool
 Bimodal::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 Bimodal::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -45,29 +45,26 @@ class Bimodal : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         table.setAliasSink(sink);
     }
 
     /** Non-virtual predict(). */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
         lastIndex = table.indexFor(pc / instructionBytes);
-        return table.lookup<Track>(lastIndex, pc).taken();
+        return table.lookup(lastIndex, pc).taken();
     }
 
     /** Non-virtual update(). */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         auto counter = table.entry(lastIndex);
-        if constexpr (Track)
-            table.classify(counter.taken() == taken);
+        table.classify(counter.taken() == taken);
         counter.train(taken);
     }
 

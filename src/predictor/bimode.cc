@@ -24,13 +24,13 @@ BiMode::BiMode(std::size_t size_bytes, BitCount counter_bits)
 bool
 BiMode::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 BiMode::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

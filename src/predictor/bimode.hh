@@ -52,7 +52,7 @@ class BiMode : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         choice.setAliasSink(sink);
         takenTable.setAliasSink(sink);
@@ -60,7 +60,6 @@ class BiMode : public BranchPredictor
     }
 
     /** Non-virtual predict(). */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
@@ -68,16 +67,15 @@ class BiMode : public BranchPredictor
         lastDirectionIndex = directionIndex(pc);
 
         lastChoseTaken =
-            choice.lookup<Track>(lastChoiceIndex, pc).taken();
+            choice.lookup(lastChoiceIndex, pc).taken();
         CounterTable &direction =
             lastChoseTaken ? takenTable : notTakenTable;
         lastPrediction =
-            direction.lookup<Track>(lastDirectionIndex, pc).taken();
+            direction.lookup(lastDirectionIndex, pc).taken();
         return lastPrediction;
     }
 
     /** Non-virtual update(): the paper's partial-update policy. */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
@@ -87,13 +85,11 @@ class BiMode : public BranchPredictor
         CounterTable &selected =
             lastChoseTaken ? takenTable : notTakenTable;
 
-        if constexpr (Track) {
-            CounterTable &unselected =
-                lastChoseTaken ? notTakenTable : takenTable;
-            selected.classify(correct);
-            unselected.classify(correct);
-            choice.classify(correct);
-        }
+        CounterTable &unselected =
+            lastChoseTaken ? notTakenTable : takenTable;
+        selected.classify(correct);
+        unselected.classify(correct);
+        choice.classify(correct);
 
         // Partial update: only the selected direction table trains.
         selected.entry(lastDirectionIndex).train(taken);

@@ -39,7 +39,7 @@ namespace bpsim
  * program PCs start near 2^32 and advance a few bytes per site, so
  * bits [40, 64) are always zero for a plain program — context 0 keeps
  * its member's PCs byte-identical, which is what makes a one-context
- * scenario bit-identical to the per-cell path.
+ * scenario bit-identical to its member's plain cell.
  */
 inline constexpr unsigned contextPcShift = 40;
 

@@ -38,11 +38,7 @@ namespace bpsim
  *
  * Indexing is by power-of-two mask: accessors take an arbitrary hash
  * and reduce it with `hash & (entries - 1)`, so the per-branch path
- * carries neither a modulo nor a bounds assertion. The collision
- * bookkeeping is a template parameter of the accessors: the
- * devirtualized simulation kernels instantiate `Track = false`
- * variants that compile the tag reads/writes out entirely when a
- * caller opts out of collision measurement.
+ * carries neither a modulo nor a bounds assertion.
  */
 class CounterTable
 {
@@ -138,27 +134,21 @@ class CounterTable
 
     /**
      * Access the counter at @p index (reduced by the index mask) for
-     * branch @p pc. With @p Track set, records collision statistics
-     * and updates the tag; with it clear, the tag bookkeeping is
-     * compiled out and the access is a bare masked load.
+     * branch @p pc, recording collision statistics and updating the
+     * tag.
      */
-    template <bool Track = true>
     Ref
     lookup(std::size_t index, Addr pc)
     {
         index &= idxMask;
-        if constexpr (Track) {
-            ++collisionStats.lookups;
-            const Addr tag = tags[index];
-            const bool collided = tag != invalidTag && tag != pc;
-            collisionStats.collisions += collided;
-            pendingCollisions += collided;
-            if (collided && aliasSink != nullptr)
-                aliasSink->note(pc, tag);
-            tags[index] = pc;
-        } else {
-            (void)pc;
-        }
+        ++collisionStats.lookups;
+        const Addr tag = tags[index];
+        const bool collided = tag != invalidTag && tag != pc;
+        collisionStats.collisions += collided;
+        pendingCollisions += collided;
+        if (collided && aliasSink != nullptr)
+            aliasSink->note(pc, tag);
+        tags[index] = pc;
         return Ref(counters[index], msbThreshold, maxVal);
     }
 

@@ -69,10 +69,10 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
 /**
  * The concrete predictor types the devirtualized replay kernels
  * dispatch to. A type listed here flows through visitPredictor into
- * the per-cell replay kernels and the fused gang kernels with zero
- * further edits; the batched SIMD kernels additionally require a
+ * the engine's record kernels and record-major gangs with zero
+ * further edits; the batch kernels additionally require a
  * BatchTraits/hasBatchKernels specialization (core/batch_kernels.hh)
- * and otherwise fall back to the record-at-a-time reference kernels.
+ * and otherwise the record kernels run.
  */
 #define BPSIM_KERNEL_PREDICTORS(X)                                     \
     X(Bimodal)                                                         \

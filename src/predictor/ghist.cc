@@ -17,13 +17,13 @@ Ghist::Ghist(std::size_t size_bytes, BitCount counter_bits)
 bool
 Ghist::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 Ghist::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -46,7 +46,7 @@ class Ghist : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         table.setAliasSink(sink);
     }
@@ -55,23 +55,20 @@ class Ghist : public BranchPredictor
     BitCount historyBits() const { return table.indexBits(); }
 
     /** Non-virtual predict(). */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
         lastIndex = table.indexFor(history.value());
-        return table.lookup<Track>(lastIndex, pc).taken();
+        return table.lookup(lastIndex, pc).taken();
     }
 
     /** Non-virtual update(). */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         auto counter = table.entry(lastIndex);
-        if constexpr (Track)
-            table.classify(counter.taken() == taken);
+        table.classify(counter.taken() == taken);
         counter.train(taken);
     }
 

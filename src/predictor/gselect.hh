@@ -44,7 +44,7 @@ class Gselect : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         table.setAliasSink(sink);
     }

@@ -20,13 +20,13 @@ Gshare::Gshare(std::size_t size_bytes, BitCount history_bits,
 bool
 Gshare::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 Gshare::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -49,7 +49,7 @@ class Gshare : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         table.setAliasSink(sink);
     }
@@ -58,23 +58,20 @@ class Gshare : public BranchPredictor
     BitCount historyBits() const { return history.width(); }
 
     /** Non-virtual predict(); see class comment. */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
         lastIndex = index(pc);
-        return table.lookup<Track>(lastIndex, pc).taken();
+        return table.lookup(lastIndex, pc).taken();
     }
 
     /** Non-virtual update(); see class comment. */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         auto counter = table.entry(lastIndex);
-        if constexpr (Track)
-            table.classify(counter.taken() == taken);
+        table.classify(counter.taken() == taken);
         counter.train(taken);
     }
 

@@ -37,13 +37,13 @@ HashedPerceptron::HashedPerceptron(std::size_t size_bytes)
 bool
 HashedPerceptron::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 HashedPerceptron::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -66,14 +66,13 @@ class HashedPerceptron : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         for (CounterTable &table : tables)
             table.setAliasSink(sink);
     }
 
     /** Non-virtual predict(): sign of the selected-weight sum. */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
@@ -82,7 +81,7 @@ class HashedPerceptron : public BranchPredictor
         for (unsigned t = 0; t < numTables; ++t) {
             last.idx[t] = tableIndex(t, pc_index);
             sum += static_cast<int>(
-                       tables[t].lookup<Track>(last.idx[t], pc).value()) -
+                       tables[t].lookup(last.idx[t], pc).value()) -
                    weightBias;
         }
         last.sum = sum;
@@ -91,17 +90,14 @@ class HashedPerceptron : public BranchPredictor
     }
 
     /** Non-virtual update(): perceptron training rule. */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         const bool correct = last.finalPred == taken;
 
-        if constexpr (Track) {
-            for (CounterTable &table : tables)
-                table.classify(correct);
-        }
+        for (CounterTable &table : tables)
+            table.classify(correct);
 
         const int magnitude = last.sum < 0 ? -last.sum : last.sum;
         if (!correct || magnitude <= trainingThreshold) {

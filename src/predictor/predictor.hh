@@ -120,16 +120,28 @@ class BranchPredictor
 
     /**
      * Route per-context-pair collision attribution into @p sink
-     * (null detaches). Implementations forward the sink to every
-     * component CounterTable; predictors without tagged counter
-     * tables ignore it, reporting no attribution. Only meaningful
-     * under tracked (record-at-a-time) simulation — the runner
-     * disables batch kernels for scenario cells.
+     * (null detaches) and remember it. Predictors without tagged
+     * counter tables report no attribution. The replay engine runs a
+     * predictor with a sink attached on the record kernels, whose
+     * lookups all go through CounterTable; the batch kernels bypass
+     * the tag path the sink observes.
      */
-    virtual void attachAliasSink(ContextAliasSink *sink)
+    void
+    attachAliasSink(ContextAliasSink *sink)
     {
-        (void)sink;
+        attachedSink = sink;
+        routeAliasSink(sink);
     }
+
+    /** The sink attachAliasSink() installed, or null. */
+    ContextAliasSink *aliasSink() const { return attachedSink; }
+
+  protected:
+    /** Forward @p sink to every component CounterTable. */
+    virtual void routeAliasSink(ContextAliasSink *sink) { (void)sink; }
+
+  private:
+    ContextAliasSink *attachedSink = nullptr;
 };
 
 } // namespace bpsim

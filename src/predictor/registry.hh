@@ -51,9 +51,9 @@ struct PredictorInfo
     bool kernelCapable = false;
 
     /**
-     * The SIMD batch-replay kernels cover this concrete type (it is
-     * listed in BPSIM_BATCH_PREDICTORS); false means batched
-     * evaluation falls back to the record-at-a-time kernel.
+     * The batch kernels cover this concrete type (hasBatchKernels in
+     * core/batch_kernels.hh); false means the engine runs its record
+     * kernels instead.
      */
     bool batchCapable = false;
 

@@ -54,13 +54,13 @@ Tage::Tage(std::size_t size_bytes, Count age_period)
 bool
 Tage::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 Tage::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -78,7 +78,7 @@ class Tage : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         base.setAliasSink(sink);
         for (Bank &bank : banks)
@@ -86,13 +86,12 @@ class Tage : public BranchPredictor
     }
 
     /** Non-virtual predict(); see class comment. */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
         const std::uint64_t pc_index = pc / instructionBytes;
         last.baseIdx = base.indexFor(pc_index);
-        last.basePred = base.lookup<Track>(last.baseIdx, pc).taken();
+        last.basePred = base.lookup(last.baseIdx, pc).taken();
 
         last.provider = -1;
         last.altPred = last.basePred;
@@ -102,7 +101,7 @@ class Tage : public BranchPredictor
             last.tag[b] = bankTag(b, pc_index);
             last.hit[b] = bank.tags[last.idx[b]] == last.tag[b];
             last.pred[b] =
-                bank.pred.lookup<Track>(last.idx[b], pc).taken();
+                bank.pred.lookup(last.idx[b], pc).taken();
         }
         for (int b = numBanks - 1; b >= 0; --b) {
             if (last.hit[b]) {
@@ -126,18 +125,15 @@ class Tage : public BranchPredictor
 
     /** Non-virtual update(): provider training, useful-bit update,
      * allocation-on-misprediction, periodic aging. */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         const bool correct = last.finalPred == taken;
 
-        if constexpr (Track) {
-            base.classify(correct);
-            for (Bank &bank : banks)
-                bank.pred.classify(correct);
-        }
+        base.classify(correct);
+        for (Bank &bank : banks)
+            bank.pred.classify(correct);
 
         if (last.provider >= 0) {
             Bank &provider = banks[last.provider];

@@ -46,7 +46,7 @@ class Tournament : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         localCounters.setAliasSink(sink);
         global.setAliasSink(sink);

@@ -45,13 +45,13 @@ TwoBcGskew::TwoBcGskew(std::size_t size_bytes, BitCount hist_g0,
 bool
 TwoBcGskew::predict(Addr pc)
 {
-    return predictStep<true>(pc);
+    return predictStep(pc);
 }
 
 void
 TwoBcGskew::update(Addr pc, bool taken)
 {
-    updateStep<true>(pc, taken);
+    updateStep(pc, taken);
 }
 
 void

@@ -67,7 +67,7 @@ class TwoBcGskew : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         bim.setAliasSink(sink);
         g0.setAliasSink(sink);
@@ -81,7 +81,6 @@ class TwoBcGskew : public BranchPredictor
     BitCount histMetaBits() const { return histMeta; }
 
     /** Non-virtual predict(). */
-    template <bool Track>
     bool
     predictStep(Addr pc)
     {
@@ -90,34 +89,31 @@ class TwoBcGskew : public BranchPredictor
         last.g1Idx = skewedIndex(1, pc, histG1);
         last.metaIdx = metaIndex(pc);
 
-        last.bimPred = bim.lookup<Track>(last.bimIdx, pc).taken();
-        last.g0Pred = g0.lookup<Track>(last.g0Idx, pc).taken();
-        last.g1Pred = g1.lookup<Track>(last.g1Idx, pc).taken();
+        last.bimPred = bim.lookup(last.bimIdx, pc).taken();
+        last.g0Pred = g0.lookup(last.g0Idx, pc).taken();
+        last.g1Pred = g1.lookup(last.g1Idx, pc).taken();
 
         const int votes = (last.bimPred ? 1 : 0) +
                           (last.g0Pred ? 1 : 0) +
                           (last.g1Pred ? 1 : 0);
         last.majority = votes >= 2;
 
-        last.useMajority = meta.lookup<Track>(last.metaIdx, pc).taken();
+        last.useMajority = meta.lookup(last.metaIdx, pc).taken();
         last.finalPred = last.useMajority ? last.majority : last.bimPred;
         return last.finalPred;
     }
 
     /** Non-virtual update(): the paper's partial-update policy. */
-    template <bool Track>
     void
     updateStep(Addr pc, bool taken)
     {
         (void)pc;
         const bool correct = last.finalPred == taken;
 
-        if constexpr (Track) {
-            bim.classify(correct);
-            g0.classify(correct);
-            g1.classify(correct);
-            meta.classify(correct);
-        }
+        bim.classify(correct);
+        g0.classify(correct);
+        g1.classify(correct);
+        meta.classify(correct);
 
         if (!correct) {
             // Bad overall prediction: retrain all three voting banks.

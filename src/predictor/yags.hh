@@ -54,7 +54,7 @@ class Yags : public BranchPredictor
     Count lastPredictCollisions() const override;
 
     void
-    attachAliasSink(ContextAliasSink *sink) override
+    routeAliasSink(ContextAliasSink *sink) override
     {
         choice.setAliasSink(sink);
     }

@@ -12,7 +12,7 @@
  * be attributed back to its context by inspecting the PC. A
  * scenario with one member emits the member's records byte-for-byte
  * unchanged (context 0 has offset 0), which pins the degenerate
- * case to the per-cell path bit-for-bit.
+ * case to the member's plain cell bit-for-bit.
  */
 
 #ifndef BPSIM_SCENARIO_SCENARIO_HH

@@ -1,10 +1,11 @@
 /**
  * @file
  * Bit-identity contract of the devirtualized replay kernels
- * (core/engine simulateReplay): for every predictor kind, scheme and
- * shift policy the kernels must produce exactly the SimStats, profile
- * contents and hint counts of the virtual-dispatch path, and
- * predictors outside the visitor must fall back to it transparently.
+ * (core/engine simulateReplayFused, the engine's only replay path):
+ * for every predictor kind, scheme and shift policy the kernels must
+ * produce exactly the SimStats, profile contents and hint counts of
+ * the virtual simulate() loop, the oracle; predictors outside the
+ * visitor must run the virtual loop transparently.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,9 @@
 
 #include "core/engine.hh"
 #include "core/experiment.hh"
+#include "oracle.hh"
 #include "predictor/factory.hh"
+#include "staticsel/selection.hh"
 #include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
 
@@ -38,19 +41,7 @@ fastConfig(PredictorKind kind, StaticScheme scheme)
     return config;
 }
 
-void
-expectSameStats(const SimStats &a, const SimStats &b)
-{
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.staticPredicted, b.staticPredicted);
-    EXPECT_EQ(a.staticMispredictions, b.staticMispredictions);
-    EXPECT_EQ(a.collisions.lookups, b.collisions.lookups);
-    EXPECT_EQ(a.collisions.collisions, b.collisions.collisions);
-    EXPECT_EQ(a.collisions.constructive, b.collisions.constructive);
-    EXPECT_EQ(a.collisions.destructive, b.collisions.destructive);
-}
+using oracle::expectSameStats;
 
 void
 expectSameProfile(const ProfileDb &a, const ProfileDb &b)
@@ -65,6 +56,25 @@ expectSameProfile(const ProfileDb &a, const ProfileDb &b)
         EXPECT_EQ(profile.correct, other->correct);
         EXPECT_EQ(profile.collisions, other->collisions);
     }
+}
+
+/**
+ * One experiment over the replay path: prepareEvaluationReplay (with
+ * its own profiling pass), simulateReplay and finishPreparedEvaluation.
+ * @p used_kernel reports whether every simulation ran devirtualized.
+ */
+ExperimentResult
+replayExperiment(const ReplayBuffer &buffer,
+                 const ExperimentConfig &config, bool *used_kernel)
+{
+    PreparedEvaluation prepared =
+        prepareEvaluationReplay(&buffer, buffer, config, nullptr);
+    bool eval_kernel = false;
+    const SimStats stats =
+        simulateReplay(*prepared.combined, buffer,
+                       evalSimOptions(config, prepared), &eval_kernel);
+    *used_kernel = prepared.preEvalFastPath && eval_kernel;
+    return finishPreparedEvaluation(prepared, config, stats, &buffer);
 }
 
 const ReplayBuffer &
@@ -99,8 +109,8 @@ TEST_P(FastPathExperiment, KernelIdenticalToVirtualPath)
         runExperimentStreams(profile_stream, eval_stream, config);
 
     bool used_fast = false;
-    const ExperimentResult kernel_result = runExperimentReplay(
-        &buffer, buffer, config, nullptr, &used_fast);
+    const ExperimentResult kernel_result =
+        replayExperiment(buffer, config, &used_fast);
 
     EXPECT_TRUE(used_fast);
     expectSameStats(virtual_result.stats, kernel_result.stats);
@@ -134,14 +144,14 @@ TEST_P(FastPathProfile, ProfilePhaseIdenticalToVirtualPath)
     const ProfilePhase virtual_phase =
         runProfilePhase(stream, config);
 
-    bool used_fast = false;
-    const ProfilePhase kernel_phase =
-        runProfilePhaseReplay(buffer, config, &used_fast);
+    const FusedProfileOutcome kernel =
+        runProfilePhasesFusedReplay(buffer, {&config}).front();
 
-    EXPECT_TRUE(used_fast);
+    EXPECT_TRUE(kernel.usedFastPath);
+    EXPECT_TRUE(kernel.usedSimd);
     EXPECT_EQ(virtual_phase.simulatedBranches,
-              kernel_phase.simulatedBranches);
-    expectSameProfile(virtual_phase.profile, kernel_phase.profile);
+              kernel.phase.simulatedBranches);
+    expectSameProfile(virtual_phase.profile, kernel.phase.profile);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathProfile,
@@ -168,8 +178,8 @@ TEST(FastPathTest, ShiftPoliciesIdenticalToVirtualPath)
             runExperimentStreams(profile_stream, eval_stream, config);
 
         bool used_fast = false;
-        const ExperimentResult kernel_result = runExperimentReplay(
-            &buffer, buffer, config, nullptr, &used_fast);
+        const ExperimentResult kernel_result =
+            replayExperiment(buffer, config, &used_fast);
 
         EXPECT_TRUE(used_fast)
             << shiftPolicyName(shift);
@@ -265,69 +275,98 @@ TEST(FastPathTest, CustomFactoryExperimentFallsBack)
         runExperimentStreams(profile_stream, eval_stream, config);
 
     bool used_fast = true;
-    const ExperimentResult replay_result = runExperimentReplay(
-        &buffer, buffer, config, nullptr, &used_fast);
+    const ExperimentResult replay_result =
+        replayExperiment(buffer, config, &used_fast);
 
     EXPECT_FALSE(used_fast);
     expectSameStats(virtual_result.stats, replay_result.stats);
     EXPECT_EQ(virtual_result.hintCount, replay_result.hintCount);
 }
 
-TEST(FastPathTest, FastPathOffMatchesKernelResults)
+TEST(FastPathTest, HintsWithProfileRunTheRecordKernel)
 {
+    // The batch kernels cover every shape but hints and a profile
+    // together; that shape takes the record kernel and must still
+    // match the virtual loop in stats and profile contents.
     const ReplayBuffer &buffer = testBuffer();
-    SimOptions kernel_options;
-    kernel_options.maxBranches = testEvalBranches;
-    SimOptions virtual_options = kernel_options;
-    virtual_options.fastPath = false;
-
-    auto kernel_predictor = makePredictor(PredictorKind::BiMode, 2048);
-    bool kernel_fast = false;
-    const SimStats kernel_stats = simulateReplay(
-        *kernel_predictor, buffer, kernel_options, &kernel_fast);
-    EXPECT_TRUE(kernel_fast);
-
-    auto virtual_predictor = makePredictor(PredictorKind::BiMode, 2048);
-    bool virtual_fast = true;
-    const SimStats virtual_stats = simulateReplay(
-        *virtual_predictor, buffer, virtual_options, &virtual_fast);
-    EXPECT_FALSE(virtual_fast);
-
-    expectSameStats(kernel_stats, virtual_stats);
-}
-
-TEST(FastPathTest, UntrackedKernelSkipsCollisionBookkeeping)
-{
-    // trackCollisions=false compiles the tag bookkeeping out of the
-    // kernels: predictions are unchanged, collision stats read zero.
-    const ReplayBuffer &buffer = testBuffer();
-    SimOptions tracked;
-    tracked.maxBranches = testEvalBranches;
-    SimOptions untracked = tracked;
-    untracked.trackCollisions = false;
+    ReplayBuffer::Cursor bias_stream = buffer.cursor();
+    const HintDb hints = selectStatic95(
+        ProfileDb::collect(bias_stream, testEvalBranches));
+    ASSERT_GT(hints.size(), 0u);
 
     for (const auto kind : allPredictorKinds()) {
-        auto tracked_predictor = makePredictor(kind, 2048);
-        const SimStats tracked_stats =
-            simulateReplay(*tracked_predictor, buffer, tracked);
+        SimOptions options;
+        options.maxBranches = testEvalBranches;
 
-        auto untracked_predictor = makePredictor(kind, 2048);
+        CombinedPredictor virtual_combined(makePredictor(kind, 2048),
+                                           hints,
+                                           ShiftPolicy::ShiftOutcome);
+        ProfileDb virtual_profile;
+        options.profile = &virtual_profile;
+        ReplayBuffer::Cursor cursor = buffer.cursor();
+        const SimStats virtual_stats =
+            simulate(virtual_combined, cursor, options);
+
+        CombinedPredictor kernel_combined(makePredictor(kind, 2048),
+                                          hints,
+                                          ShiftPolicy::ShiftOutcome);
+        ProfileDb kernel_profile;
+        options.profile = &kernel_profile;
         bool used_fast = false;
-        const SimStats untracked_stats = simulateReplay(
-            *untracked_predictor, buffer, untracked, &used_fast);
+        bool used_simd = true;
+        const SimStats kernel_stats = simulateReplay(
+            kernel_combined, buffer, options, &used_fast, &used_simd);
 
-        EXPECT_TRUE(used_fast) << predictorKindName(kind);
-        EXPECT_EQ(tracked_stats.branches, untracked_stats.branches);
-        EXPECT_EQ(tracked_stats.instructions,
-                  untracked_stats.instructions);
-        EXPECT_EQ(tracked_stats.mispredictions,
-                  untracked_stats.mispredictions);
-        EXPECT_GT(tracked_stats.collisions.lookups, 0u);
-        EXPECT_EQ(untracked_stats.collisions.lookups, 0u);
-        EXPECT_EQ(untracked_stats.collisions.collisions, 0u);
-        EXPECT_EQ(untracked_stats.collisions.constructive, 0u);
-        EXPECT_EQ(untracked_stats.collisions.destructive, 0u);
+        SCOPED_TRACE(predictorKindName(kind));
+        EXPECT_TRUE(used_fast);
+        EXPECT_FALSE(used_simd);
+        expectSameStats(virtual_stats, kernel_stats);
+        expectSameProfile(virtual_profile, kernel_profile);
     }
+}
+
+TEST(FastPathTest, AliasSinkSelectsTheRecordKernel)
+{
+    // The batch kernels do not report lookups to a ContextAliasSink,
+    // so attaching one moves a batch-capable predictor to the record
+    // kernel, whose sink reports must equal the virtual loop's.
+    const ReplayBuffer &buffer = testBuffer();
+    SimOptions options;
+    options.maxBranches = testEvalBranches;
+
+    auto virtual_predictor = makePredictor(PredictorKind::Gshare, 512);
+    ContextAliasSink virtual_sink(1);
+    virtual_predictor->attachAliasSink(&virtual_sink);
+    ReplayBuffer::Cursor cursor = buffer.cursor();
+    const SimStats virtual_stats =
+        simulate(*virtual_predictor, cursor, options);
+
+    auto kernel_predictor = makePredictor(PredictorKind::Gshare, 512);
+    ContextAliasSink kernel_sink(1);
+    kernel_predictor->attachAliasSink(&kernel_sink);
+    bool used_fast = false;
+    bool used_simd = true;
+    const SimStats kernel_stats = simulateReplay(
+        *kernel_predictor, buffer, options, &used_fast, &used_simd);
+
+    EXPECT_TRUE(used_fast);
+    EXPECT_FALSE(used_simd);
+    expectSameStats(virtual_stats, kernel_stats);
+    const std::vector<ContextAliasCell> expected = virtual_sink.cells();
+    const std::vector<ContextAliasCell> got = kernel_sink.cells();
+    ASSERT_EQ(expected.size(), got.size());
+    ASSERT_GT(expected.front().collisions, 0u);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(expected[i].collisions, got[i].collisions);
+        EXPECT_EQ(expected[i].constructive, got[i].constructive);
+        EXPECT_EQ(expected[i].destructive, got[i].destructive);
+    }
+
+    // Detached again, the same predictor runs the batch kernels.
+    kernel_predictor->attachAliasSink(nullptr);
+    simulateReplay(*kernel_predictor, buffer, options, &used_fast,
+                   &used_simd);
+    EXPECT_TRUE(used_simd);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
- * Differential bit-identity suite for fused sweep execution: a fused
- * run must produce exactly the per-cell path's MatrixResult in every
- * deterministic field — at any thread count, with the journal on or
+ * Differential bit-identity suite for fused sweep execution, the
+ * runner's only path: every cell of a run must equal the per-cell
+ * oracle — the cell simulated alone by the virtual simulate() loop
+ * (tests/oracle.hh) — at any thread count, with the journal on or
  * off, when resuming from a mid-sweep checkpoint, and when a fault
  * kills one member of a fused group.
  *
@@ -19,6 +20,7 @@
 
 #include "core/runner.hh"
 #include "obs/run_journal.hh"
+#include "oracle.hh"
 #include "support/fault.hh"
 #include "workload/specint.hh"
 
@@ -74,61 +76,64 @@ runMatrix(RunnerOptions options)
 }
 
 RunnerOptions
-matrixOptions(unsigned threads, bool fused)
+matrixOptions(unsigned threads)
 {
     RunnerOptions options;
     options.threads = threads;
-    options.fused = fused;
     return options;
 }
 
-/** Per-cell (non-fused) single-thread reference run. */
-const MatrixResult &
-perCellReference()
+/** A single-thread run() of a matrix and the oracle of each cell. */
+struct Reference
 {
-    static const MatrixResult reference =
-        runMatrix(matrixOptions(1, false));
+    MatrixResult run;
+    std::vector<ExperimentResult> oracle;
+};
+
+template <typename AddCells>
+Reference
+referenceOf(AddCells &&add_cells)
+{
+    ExperimentRunner runner(matrixOptions(1));
+    add_cells(runner);
+    Reference reference;
+    reference.run = runner.run();
+    reference.oracle = oracle::resultsOf(runner);
     return reference;
 }
 
-void
-expectSameStats(const SimStats &a, const SimStats &b)
+const Reference &
+reference()
 {
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.staticPredicted, b.staticPredicted);
-    EXPECT_EQ(a.staticMispredictions, b.staticMispredictions);
-    EXPECT_EQ(a.collisions.lookups, b.collisions.lookups);
-    EXPECT_EQ(a.collisions.collisions, b.collisions.collisions);
-    EXPECT_EQ(a.collisions.constructive, b.collisions.constructive);
-    EXPECT_EQ(a.collisions.destructive, b.collisions.destructive);
+    static const Reference ref = referenceOf(addTestCells);
+    return ref;
 }
 
+/**
+ * @p got equals the oracle cell by cell, and the single-thread
+ * reference run in the deterministic path and accounting fields.
+ */
 void
-expectSameDeterministicFields(const CellResult &a, const CellResult &b)
+expectSameMatrix(const MatrixResult &got, const Reference &ref)
 {
-    expectSameStats(a.result.stats, b.result.stats);
-    EXPECT_EQ(a.result.hintCount, b.result.hintCount);
-    EXPECT_EQ(a.result.simulatedBranches, b.result.simulatedBranches);
-    EXPECT_EQ(a.usedKernel, b.usedKernel);
-    EXPECT_EQ(a.profileCached, b.profileCached);
-}
-
-void
-expectSameMatrix(const MatrixResult &fused, const MatrixResult &ref)
-{
-    ASSERT_EQ(fused.cells.size(), ref.cells.size());
-    for (std::size_t i = 0; i < fused.cells.size(); ++i) {
-        ASSERT_TRUE(fused.cells[i].ok()) << "cell " << i;
-        expectSameDeterministicFields(fused.cells[i], ref.cells[i]);
+    oracle::expectMatrixMatches(got, ref.oracle);
+    ASSERT_EQ(got.cells.size(), ref.run.cells.size());
+    for (std::size_t i = 0; i < got.cells.size(); ++i) {
+        EXPECT_EQ(got.cells[i].usedKernel, ref.run.cells[i].usedKernel)
+            << "cell " << i;
+        EXPECT_EQ(got.cells[i].usedSimd, ref.run.cells[i].usedSimd)
+            << "cell " << i;
+        EXPECT_EQ(got.cells[i].profileCached,
+                  ref.run.cells[i].profileCached)
+            << "cell " << i;
     }
-    EXPECT_EQ(fused.failedCells, ref.failedCells);
-    EXPECT_EQ(fused.profileCacheHits, ref.profileCacheHits);
-    EXPECT_EQ(fused.profileCacheMisses, ref.profileCacheMisses);
-    EXPECT_EQ(fused.kernelCells, ref.kernelCells);
-    EXPECT_EQ(fused.totalBranches, ref.totalBranches);
-    EXPECT_EQ(fused.actualBranches, ref.actualBranches);
+    EXPECT_EQ(got.failedCells, ref.run.failedCells);
+    EXPECT_EQ(got.profileCacheHits, ref.run.profileCacheHits);
+    EXPECT_EQ(got.profileCacheMisses, ref.run.profileCacheMisses);
+    EXPECT_EQ(got.kernelCells, ref.run.kernelCells);
+    EXPECT_EQ(got.simdCells, ref.run.simdCells);
+    EXPECT_EQ(got.totalBranches, ref.run.totalBranches);
+    EXPECT_EQ(got.actualBranches, ref.run.actualBranches);
 }
 
 std::string
@@ -155,33 +160,30 @@ writeFile(const std::string &path, const std::string &content)
 
 TEST(FusedTest, BitIdenticalToPerCellAtAnyThreadCount)
 {
-    const MatrixResult &reference = perCellReference();
-    EXPECT_FALSE(reference.fused);
-    EXPECT_EQ(reference.fusedGroups, 0u);
+    const Reference &ref = reference();
+    oracle::expectMatrixMatches(ref.run, ref.oracle);
+    EXPECT_EQ(ref.run.kernelCells, ref.run.cells.size());
+    EXPECT_EQ(ref.run.simdCells, ref.run.cells.size());
+    // Serially there is nothing to split: exactly one fused pass per
+    // (program, input) pair and phase.
+    EXPECT_EQ(ref.run.fusedGroups, 4u);
 
     for (const unsigned threads : {1u, 2u, 4u}) {
-        const MatrixResult fused =
-            runMatrix(matrixOptions(threads, true));
-        EXPECT_TRUE(fused.fused) << threads << " threads";
+        const MatrixResult fused = runMatrix(matrixOptions(threads));
         // 2 profile groups + 2 cell groups; spare workers may split
         // a group into more chunks, never fewer.
         EXPECT_GE(fused.fusedGroups, 4u) << threads << " threads";
-        expectSameMatrix(fused, reference);
+        expectSameMatrix(fused, ref);
     }
-    // Serially there is nothing to split: exactly one fused pass per
-    // (program, input) pair and phase.
-    EXPECT_EQ(runMatrix(matrixOptions(1, true)).fusedGroups, 4u);
 }
 
 TEST(FusedTest, JournalDoesNotPerturbResultsAndRecordsGroups)
 {
-    const MatrixResult &reference = perCellReference();
-
     obs::RunJournal journal("fused journal");
-    RunnerOptions options = matrixOptions(2, true);
+    RunnerOptions options = matrixOptions(2);
     options.journal = &journal;
     const MatrixResult fused = runMatrix(options);
-    expectSameMatrix(fused, reference);
+    expectSameMatrix(fused, reference());
 
     const obs::JournalSummary summary = journal.summary();
     EXPECT_EQ(summary.fusedGroups, fused.fusedGroups);
@@ -194,69 +196,147 @@ TEST(FusedTest, JournalDoesNotPerturbResultsAndRecordsGroups)
 
 TEST(FusedTest, ProfileCacheOffStillBitIdentical)
 {
-    RunnerOptions uncached_ref = matrixOptions(1, false);
-    uncached_ref.profileCache = false;
-    const MatrixResult reference = runMatrix(uncached_ref);
+    // Cells whose makeDynamic factory has no dynamicKey cannot share
+    // a profiling phase: each profiles privately inside its fused
+    // cell chunk. Such cells stay bit-identical to the oracle.
+    const auto add_keyless = [](ExperimentRunner &runner) {
+        for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
+            const std::size_t program =
+                runner.addProgram(makeSpecProgram(id, InputSet::Ref));
+            for (const auto kind :
+                 {PredictorKind::Gshare, PredictorKind::Bimodal}) {
+                for (const auto scheme :
+                     {StaticScheme::None, StaticScheme::Static95,
+                      StaticScheme::StaticAcc}) {
+                    ExperimentConfig config = testConfig(kind, scheme);
+                    config.makeDynamic = [kind] {
+                        return makePredictor(kind, 2048);
+                    };
+                    runner.addCell(program, config);
+                }
+            }
+        }
+    };
+    const Reference ref = referenceOf(add_keyless);
+    oracle::expectMatrixMatches(ref.run, ref.oracle);
+    EXPECT_EQ(ref.run.profileCacheHits, 0u);
+    EXPECT_EQ(ref.run.profileCacheMisses, 0u);
+    EXPECT_EQ(ref.run.kernelCells, ref.run.cells.size());
+    EXPECT_EQ(ref.run.simdCells, ref.run.cells.size());
 
-    RunnerOptions uncached_fused = matrixOptions(2, true);
-    uncached_fused.profileCache = false;
-    const MatrixResult fused = runMatrix(uncached_fused);
-
-    EXPECT_EQ(fused.profileCacheHits, 0u);
-    expectSameMatrix(fused, reference);
+    ExperimentRunner runner(matrixOptions(2));
+    add_keyless(runner);
+    const MatrixResult fused = runner.run();
+    expectSameMatrix(fused, ref);
+    EXPECT_EQ(fused.actualBranches, fused.totalBranches);
+    for (const CellResult &cell : fused.cells)
+        EXPECT_FALSE(cell.profileCached);
 }
 
-/**
- * Same bit-identity contract for the registry's tagged family: tage
- * and perceptron gang-replay via visitPredictor but have no batch
- * kernels, so the fused path must agree with per-cell execution
- * through the record-at-a-time kernels. A separate cell set keeps the
- * group-count and fault-index assertions above untouched.
+/*
+ * The benches' own matrices, shortened: fig7_12 (6 programs x the
+ * paper's five predictors x none/Static_95/Static_Acc) and
+ * fig_tagged_schemes (6 programs x seven registry predictors x four
+ * schemes), with small windows. Each must equal the oracle cell by
+ * cell at 1, 2 and 4 threads; the paper predictors run the batch
+ * kernels, tage and the perceptron — devirtualized via visitPredictor
+ * but without batch kernels — the record kernel. Separate cell sets
+ * keep the group-count and fault-index assertions above untouched.
  */
-ExperimentConfig
-taggedConfig(const std::string &predictor, StaticScheme scheme)
-{
-    ExperimentConfig config;
-    config.predictor = predictor;
-    config.sizeBytes = 2048;
-    config.scheme = scheme;
-    config.profileBranches = testProfileBranches;
-    config.evalBranches = testEvalBranches;
-    return config;
-}
+constexpr Count shortProfileBranches = 20'000;
+constexpr Count shortEvalBranches = 40'000;
 
-MatrixResult
-runTaggedMatrix(const RunnerOptions &options)
+void
+addShortPaperMatrix(ExperimentRunner &runner)
 {
-    ExperimentRunner runner(options);
-    for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
+    for (const auto id : allSpecPrograms()) {
         const std::size_t program =
             runner.addProgram(makeSpecProgram(id, InputSet::Ref));
-        for (const char *predictor : {"tage", "perceptron"}) {
+        for (const auto kind : allPredictorKinds()) {
             for (const auto scheme :
                  {StaticScheme::None, StaticScheme::Static95,
                   StaticScheme::StaticAcc}) {
-                runner.addCell(program,
-                               taggedConfig(predictor, scheme));
+                ExperimentConfig config = testConfig(kind, scheme);
+                config.sizeBytes = 8192;
+                config.profileBranches = shortProfileBranches;
+                config.evalBranches = shortEvalBranches;
+                runner.addCell(program, config);
             }
         }
     }
-    return runner.run();
+}
+
+const std::vector<std::string> taggedMatrixPredictors = {
+    "bimodal", "ghist", "gshare", "bimode", "2bcgskew", "tage",
+    "perceptron"};
+
+const std::vector<StaticScheme> taggedMatrixSchemes = {
+    StaticScheme::None, StaticScheme::Static95, StaticScheme::StaticAcc,
+    StaticScheme::StaticFac};
+
+void
+addShortTaggedMatrix(ExperimentRunner &runner)
+{
+    for (const auto id : allSpecPrograms()) {
+        const std::size_t program =
+            runner.addProgram(makeSpecProgram(id, InputSet::Ref));
+        for (const std::string &predictor : taggedMatrixPredictors) {
+            for (const StaticScheme scheme : taggedMatrixSchemes) {
+                ExperimentConfig config;
+                config.predictor = predictor;
+                config.sizeBytes = 8192;
+                config.scheme = scheme;
+                config.profileBranches = shortProfileBranches;
+                config.evalBranches = shortEvalBranches;
+                runner.addCell(program, config);
+            }
+        }
+    }
+}
+
+TEST(FusedTest, PaperMatrixMatchesOracleAtAnyThreadCount)
+{
+    const Reference ref = referenceOf(addShortPaperMatrix);
+    ASSERT_EQ(ref.run.cells.size(), 90u);
+    oracle::expectMatrixMatches(ref.run, ref.oracle);
+    for (const CellResult &cell : ref.run.cells) {
+        EXPECT_TRUE(cell.usedKernel);
+        EXPECT_TRUE(cell.usedSimd);
+    }
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        ExperimentRunner runner(matrixOptions(threads));
+        addShortPaperMatrix(runner);
+        expectSameMatrix(runner.run(), ref);
+    }
 }
 
 TEST(FusedTest, TaggedFamilyBitIdenticalToPerCellAtAnyThreadCount)
 {
-    const MatrixResult reference =
-        runTaggedMatrix(matrixOptions(1, false));
-    // Registry predictors marked kernel-capable devirtualize via
-    // visitPredictor even though they have no batch kernels.
-    EXPECT_EQ(reference.kernelCells, reference.cells.size());
+    const Reference ref = referenceOf(addShortTaggedMatrix);
+    ASSERT_EQ(ref.run.cells.size(), 168u);
+    oracle::expectMatrixMatches(ref.run, ref.oracle);
+    std::size_t tagged = 0;
+    for (std::size_t i = 0; i < ref.run.cells.size(); ++i) {
+        const std::string &name =
+            taggedMatrixPredictors[(i / taggedMatrixSchemes.size()) %
+                                   taggedMatrixPredictors.size()];
+        const CellResult &cell = ref.run.cells[i];
+        SCOPED_TRACE("cell " + std::to_string(i) + " " + name);
+        EXPECT_TRUE(cell.usedKernel);
+        if (name == "tage" || name == "perceptron") {
+            EXPECT_FALSE(cell.usedSimd);
+            ++tagged;
+        } else {
+            EXPECT_TRUE(cell.usedSimd);
+        }
+    }
+    EXPECT_EQ(tagged, 48u);
 
     for (const unsigned threads : {1u, 2u, 4u}) {
-        const MatrixResult fused =
-            runTaggedMatrix(matrixOptions(threads, true));
-        EXPECT_TRUE(fused.fused) << threads << " threads";
-        expectSameMatrix(fused, reference);
+        ExperimentRunner runner(matrixOptions(threads));
+        addShortTaggedMatrix(runner);
+        expectSameMatrix(runner.run(), ref);
     }
 }
 
@@ -273,11 +353,11 @@ constexpr std::size_t targetIndex = 1;
 
 TEST_F(FusedFaultTest, FaultKillsOneMemberSurvivorsUnaffected)
 {
-    const MatrixResult &reference = perCellReference();
+    const Reference &ref = reference();
     FaultInjector::instance().arm(fault_points::cell, 1,
                                   ErrorCode::CellFailed, 1,
                                   targetLabel);
-    const MatrixResult result = runMatrix(matrixOptions(2, true));
+    const MatrixResult result = runMatrix(matrixOptions(2));
 
     EXPECT_EQ(result.failedCells, 1u);
     const CellResult &failed = result.cells[targetIndex];
@@ -286,35 +366,36 @@ TEST_F(FusedFaultTest, FaultKillsOneMemberSurvivorsUnaffected)
     EXPECT_EQ(failed.attempts, 1u);
 
     // The dead member's gang-mates and every other cell still match
-    // the per-cell reference bit for bit.
+    // the oracle bit for bit.
     for (std::size_t i = 0; i < result.cells.size(); ++i) {
         if (i == targetIndex)
             continue;
         ASSERT_TRUE(result.cells[i].ok()) << "cell " << i;
-        expectSameDeterministicFields(result.cells[i],
-                                      reference.cells[i]);
+        oracle::expectCellMatches(result.cells[i], ref.oracle[i]);
+        EXPECT_EQ(result.cells[i].usedKernel,
+                  ref.run.cells[i].usedKernel);
+        EXPECT_EQ(result.cells[i].profileCached,
+                  ref.run.cells[i].profileCached);
     }
 }
 
 TEST_F(FusedFaultTest, TransientMemberFaultRetriesWithinTheGroup)
 {
-    const MatrixResult &reference = perCellReference();
     FaultInjector::instance().arm(fault_points::cell, 1,
                                   ErrorCode::ResourceExhausted, 1,
                                   targetLabel);
-    RunnerOptions options = matrixOptions(2, true);
+    RunnerOptions options = matrixOptions(2);
     options.retries = 1;
     const MatrixResult result = runMatrix(options);
 
     EXPECT_EQ(result.failedCells, 0u);
     ASSERT_TRUE(result.cells[targetIndex].ok());
     EXPECT_EQ(result.cells[targetIndex].attempts, 2u);
-    expectSameMatrix(result, reference);
+    expectSameMatrix(result, reference());
 }
 
 TEST_F(FusedFaultTest, ResumeFromMidSweepCheckpointIsBitIdentical)
 {
-    const MatrixResult &reference = perCellReference();
     const std::string path = tempPath("fused_resume.jsonl");
     std::remove(path.c_str());
 
@@ -324,7 +405,7 @@ TEST_F(FusedFaultTest, ResumeFromMidSweepCheckpointIsBitIdentical)
     FaultInjector::instance().arm(fault_points::cell, 1,
                                   ErrorCode::CellFailed, 1,
                                   targetLabel);
-    RunnerOptions first = matrixOptions(2, true);
+    RunnerOptions first = matrixOptions(2);
     first.checkpointPath = path;
     const MatrixResult interrupted = runMatrix(first);
     EXPECT_EQ(interrupted.failedCells, 1u);
@@ -338,7 +419,7 @@ TEST_F(FusedFaultTest, ResumeFromMidSweepCheckpointIsBitIdentical)
         writeFile(path, snapshot);
 
         obs::RunJournal journal("fused resume");
-        RunnerOptions resume = matrixOptions(threads, true);
+        RunnerOptions resume = matrixOptions(threads);
         resume.checkpointPath = path;
         resume.resume = true;
         resume.journal = &journal;
@@ -348,34 +429,10 @@ TEST_F(FusedFaultTest, ResumeFromMidSweepCheckpointIsBitIdentical)
         EXPECT_EQ(resumed.restoredCells, resumed.cells.size() - 1)
             << threads << " threads";
         EXPECT_FALSE(resumed.cells[targetIndex].restored);
-        expectSameMatrix(resumed, reference);
+        expectSameMatrix(resumed, reference());
 
         EXPECT_EQ(journal.summary().cellsRestored,
                   resumed.cells.size() - 1);
-    }
-}
-
-TEST_F(FusedFaultTest, FusedAndPerCellResumeSeeTheSameCheckpoint)
-{
-    // Cross-path checkpoint compatibility: a checkpoint recorded by a
-    // fused sweep restores under --no-fused, and vice versa.
-    const MatrixResult &reference = perCellReference();
-    const std::string path = tempPath("fused_cross_resume.jsonl");
-    std::remove(path.c_str());
-
-    RunnerOptions record = matrixOptions(2, true);
-    record.checkpointPath = path;
-    const MatrixResult original = runMatrix(record);
-    EXPECT_EQ(original.failedCells, 0u);
-
-    for (const bool fused : {false, true}) {
-        RunnerOptions resume = matrixOptions(2, fused);
-        resume.checkpointPath = path;
-        resume.resume = true;
-        const MatrixResult resumed = runMatrix(resume);
-        EXPECT_EQ(resumed.restoredCells, resumed.cells.size())
-            << "fused " << fused;
-        expectSameMatrix(resumed, reference);
     }
 }
 

@@ -4,7 +4,10 @@
  * every predictor kind x static scheme pinned against checked-in JSON
  * files under tests/golden/. Any change to predictor update rules,
  * selection logic, stream generation, or the devirtualized kernels
- * that alters results shows up here as an exact-value diff.
+ * that alters results shows up here as an exact-value diff. Each
+ * golden pins two paths: ExperimentRunner::run(), the path every
+ * default run takes, and runExperimentStreams(), the virtual-loop
+ * oracle.
  *
  * The workload is a fully explicit ProgramConfig (never a SPEC
  * preset), so future workload-tuning PRs that adjust the presets do
@@ -27,11 +30,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "predictor/factory.hh"
 #include "predictor/registry.hh"
 #include "scenario/scenario.hh"
@@ -261,14 +266,13 @@ writeGoldenFile(const std::string &name,
 }
 
 /**
- * Run every scheme through BOTH simulation paths — the replay entry
- * point (devirtualized kernels where the predictor is one of the
- * paper's five kinds, virtual fallback otherwise) and the virtual
- * stream interface — and compare each against the same checked-in
- * values under tests/golden/@p name.json. Pinning both paths to one
- * golden also pins them to each other. @p configure adapts the base
- * config per predictor (factory kind or makeDynamic extension);
- * @p expect_kernel asserts the replay run actually took the
+ * Run every scheme through BOTH paths — ExperimentRunner::run() (the
+ * devirtualized kernels for kernel-capable predictors, the virtual
+ * loop otherwise) and runExperimentStreams() over a cursor, the
+ * oracle — and compare each against the same checked-in values under
+ * tests/golden/@p name.json. Pinning both paths to one golden also
+ * pins them to each other. @p configure adapts the base config per
+ * predictor; @p expect_kernel asserts run() actually took the
  * devirtualized path.
  */
 void
@@ -283,36 +287,46 @@ runGolden(const std::string &name,
     ASSERT_EQ(buffer.size(),
               std::max(goldenProfileBranches, goldenEvalBranches));
 
-    std::vector<GoldenStats> kernel_stats;
-    std::vector<GoldenStats> virtual_stats;
+    RunnerOptions options;
+    options.threads = 1;
+    ExperimentRunner runner(options);
+    const std::size_t program = runner.addProgram(
+        buildProgram(goldenProgramConfig(), InputSet::Ref));
+    std::vector<ExperimentConfig> configs;
     for (const StaticScheme scheme : goldenSchemes) {
         ExperimentConfig config = goldenExperimentConfig(
             PredictorKind::Gshare, scheme);
         configure(config);
+        runner.addCell(program, config);
+        configs.push_back(config);
+    }
+    const MatrixResult run = runner.run();
 
-        bool used_kernel = false;
-        const ExperimentResult replayed = runExperimentReplay(
-            &buffer, buffer, config, nullptr, &used_kernel);
+    std::vector<GoldenStats> run_stats;
+    std::vector<GoldenStats> virtual_stats;
+    for (std::size_t i = 0; i < goldenSchemes.size(); ++i) {
+        const std::string cell_name =
+            name + "/" + staticSchemeName(goldenSchemes[i]);
+        ASSERT_TRUE(run.cells[i].ok()) << cell_name;
         if (expect_kernel) {
-            EXPECT_TRUE(used_kernel)
-                << name << "/" << staticSchemeName(scheme)
-                << " fell off the devirtualized path";
+            EXPECT_TRUE(run.cells[i].usedKernel)
+                << cell_name << " fell off the devirtualized path";
         }
-        kernel_stats.push_back(fromResult(replayed));
+        run_stats.push_back(fromResult(run.cells[i].result));
 
         ReplayBuffer::Cursor profile_stream = buffer.cursor();
         ReplayBuffer::Cursor eval_stream = buffer.cursor();
         const ExperimentResult streamed = runExperimentStreams(
-            profile_stream, eval_stream, config);
+            profile_stream, eval_stream, configs[i]);
         virtual_stats.push_back(fromResult(streamed));
     }
 
     if (std::getenv("BPSIM_WRITE_GOLDEN") != nullptr) {
-        writeGoldenFile(name, kernel_stats);
+        writeGoldenFile(name, run_stats);
         // Even while regenerating, the two paths must agree.
         for (std::size_t i = 0; i < goldenSchemes.size(); ++i)
             expectMatchesGolden(
-                kernel_stats[i], virtual_stats[i],
+                run_stats[i], virtual_stats[i],
                 staticSchemeName(goldenSchemes[i]) + " (paths)");
         return;
     }
@@ -336,8 +350,8 @@ runGolden(const std::string &name,
         ASSERT_NE(cell, nullptr)
             << "no golden cell for " << scheme << " in " << path;
         const GoldenStats expected = fromJson(*cell);
-        expectMatchesGolden(expected, kernel_stats[i],
-                            scheme + " (kernel path)");
+        expectMatchesGolden(expected, run_stats[i],
+                            scheme + " (run() path)");
         expectMatchesGolden(expected, virtual_stats[i],
                             scheme + " (virtual path)");
     }
@@ -595,14 +609,25 @@ writeScenarioGoldenFile(const std::string &name,
 
 /**
  * One scenario golden per registered predictor, mirroring GoldenTest.
- * The replay path carries the attribution payload; the virtual stream
- * path computes no attribution but must agree with it on every shared
- * total, which pins the two paths to each other over the interleaved
- * stream too.
+ * ExperimentRunner::run() carries the attribution payload; the
+ * virtual stream path computes no attribution but must agree with it
+ * on every shared total, which pins the two paths to each other over
+ * the interleaved stream too.
  */
 class ScenarioGoldenTest : public ::testing::TestWithParam<std::string>
 {
 };
+
+std::unique_ptr<ScenarioWorkload>
+scenarioGoldenWorkload(ScenarioKind kind)
+{
+    std::vector<SyntheticProgram> members;
+    for (std::size_t c = 0; c < scenarioGoldenContexts; ++c)
+        members.push_back(
+            buildProgram(scenarioMemberConfig(c), InputSet::Ref));
+    return std::make_unique<ScenarioWorkload>(scenarioGoldenSpec(kind),
+                                              std::move(members));
+}
 
 TEST_P(ScenarioGoldenTest, PinsAttributionAndTotals)
 {
@@ -614,30 +639,34 @@ TEST_P(ScenarioGoldenTest, PinsAttributionAndTotals)
     std::vector<ScenarioGoldenCell> cells;
     std::vector<GoldenStats> stream_totals;
     for (const ScenarioKind kind : scenarioGoldenKinds) {
-        std::vector<SyntheticProgram> members;
-        for (std::size_t c = 0; c < scenarioGoldenContexts; ++c)
-            members.push_back(buildProgram(scenarioMemberConfig(c),
-                                           InputSet::Ref));
-        ScenarioWorkload workload(scenarioGoldenSpec(kind),
-                                  std::move(members));
         const ReplayBuffer buffer = ReplayBuffer::materialize(
-            workload,
+            *scenarioGoldenWorkload(kind),
             std::max(goldenProfileBranches, goldenEvalBranches));
 
+        RunnerOptions options;
+        options.threads = 1;
+        ExperimentRunner runner(options);
+        const std::size_t workload =
+            runner.addWorkload(scenarioGoldenWorkload(kind));
+        std::vector<ExperimentConfig> configs;
         for (const StaticScheme scheme : scenarioGoldenSchemes) {
             ExperimentConfig config = goldenExperimentConfig(
                 PredictorKind::Gshare, scheme);
             config.predictor = info->name;
             config.scenarioContexts = scenarioGoldenContexts;
+            runner.addCell(workload, config);
+            configs.push_back(config);
+        }
+        const MatrixResult run = runner.run();
 
-            const ExperimentResult replayed =
-                runExperimentReplay(&buffer, buffer, config);
-            cells.push_back(scenarioCellFromResult(replayed));
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            ASSERT_TRUE(run.cells[i].ok()) << runner.cell(i).label;
+            cells.push_back(scenarioCellFromResult(run.cells[i].result));
 
             ReplayBuffer::Cursor profile_stream = buffer.cursor();
             ReplayBuffer::Cursor eval_stream = buffer.cursor();
             const ExperimentResult streamed = runExperimentStreams(
-                profile_stream, eval_stream, config);
+                profile_stream, eval_stream, configs[i]);
             stream_totals.push_back(fromResult(streamed));
         }
     }

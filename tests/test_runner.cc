@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/runner.hh"
+#include "oracle.hh"
 #include "trace/memory_trace.hh"
 #include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
@@ -46,19 +47,7 @@ threadOptions(unsigned threads)
     return options;
 }
 
-void
-expectSameStats(const SimStats &a, const SimStats &b)
-{
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.staticPredicted, b.staticPredicted);
-    EXPECT_EQ(a.staticMispredictions, b.staticMispredictions);
-    EXPECT_EQ(a.collisions.lookups, b.collisions.lookups);
-    EXPECT_EQ(a.collisions.collisions, b.collisions.collisions);
-    EXPECT_EQ(a.collisions.constructive, b.collisions.constructive);
-    EXPECT_EQ(a.collisions.destructive, b.collisions.destructive);
-}
+using oracle::expectSameStats;
 
 TEST(ReplayBufferTest, RoundTripsRecords)
 {
@@ -182,14 +171,12 @@ TEST(RunnerTest, CrossInputFilterIdenticalToRegenerated)
 
 /** The thread-count/cache test matrix: 2 programs x 2 kinds x
  * {none, static_95, static_acc} = 12 cells, 8 with a profiling
- * phase sharing 4 unique profile runs. */
-MatrixResult
-runTestMatrix(unsigned threads, bool profile_cache)
+ * phase sharing 4 unique profile runs. With @p keyless the cells
+ * build their predictor through a makeDynamic factory without a
+ * dynamicKey, so no profiling phase can be shared. */
+void
+addTestMatrix(ExperimentRunner &runner, bool keyless)
 {
-    RunnerOptions options;
-    options.threads = threads;
-    options.profileCache = profile_cache;
-    ExperimentRunner runner(options);
     for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
         const std::size_t program =
             runner.addProgram(makeSpecProgram(id, InputSet::Ref));
@@ -198,18 +185,31 @@ runTestMatrix(unsigned threads, bool profile_cache)
             for (const auto scheme :
                  {StaticScheme::None, StaticScheme::Static95,
                   StaticScheme::StaticAcc}) {
-                runner.addCell(program, testConfig(kind, scheme));
+                ExperimentConfig config = testConfig(kind, scheme);
+                if (keyless) {
+                    config.makeDynamic = [kind] {
+                        return makePredictor(kind, 2048);
+                    };
+                }
+                runner.addCell(program, config);
             }
         }
     }
+}
+
+MatrixResult
+runTestMatrix(unsigned threads)
+{
+    ExperimentRunner runner(threadOptions(threads));
+    addTestMatrix(runner, false);
     return runner.run();
 }
 
 TEST(RunnerTest, ResultsIdenticalAtAnyThreadCount)
 {
-    const MatrixResult one = runTestMatrix(1, true);
-    const MatrixResult two = runTestMatrix(2, true);
-    const MatrixResult eight = runTestMatrix(8, true);
+    const MatrixResult one = runTestMatrix(1);
+    const MatrixResult two = runTestMatrix(2);
+    const MatrixResult eight = runTestMatrix(8);
     EXPECT_EQ(one.threads, 1u);
     EXPECT_EQ(two.threads, 2u);
     EXPECT_EQ(eight.threads, 8u);
@@ -245,8 +245,13 @@ TEST(RunnerTest, ResultsIdenticalAtAnyThreadCount)
 
 TEST(RunnerTest, ProfileCacheOffIsBitIdentical)
 {
-    const MatrixResult cached = runTestMatrix(2, true);
-    const MatrixResult uncached = runTestMatrix(2, false);
+    // Keyless makeDynamic cells stay out of the profile cache: each
+    // scheme cell re-runs its own profiling phase, and every cell
+    // still equals the oracle and the cached matrix.
+    const MatrixResult cached = runTestMatrix(2);
+    ExperimentRunner runner(threadOptions(2));
+    addTestMatrix(runner, true);
+    const MatrixResult uncached = runner.run();
     ASSERT_EQ(cached.cells.size(), uncached.cells.size());
 
     EXPECT_EQ(uncached.profileCacheHits, 0u);
@@ -255,14 +260,14 @@ TEST(RunnerTest, ProfileCacheOffIsBitIdentical)
     // Without sharing, every scheme cell re-runs its own profile.
     EXPECT_EQ(uncached.actualBranches, uncached.totalBranches);
 
+    const std::vector<ExperimentResult> expected =
+        oracle::resultsOf(runner);
     for (std::size_t i = 0; i < cached.cells.size(); ++i) {
-        expectSameStats(cached.cells[i].result.stats,
-                        uncached.cells[i].result.stats);
-        EXPECT_EQ(cached.cells[i].result.hintCount,
-                  uncached.cells[i].result.hintCount);
-        EXPECT_EQ(cached.cells[i].result.simulatedBranches,
-                  uncached.cells[i].result.simulatedBranches);
+        ASSERT_TRUE(uncached.cells[i].ok()) << "cell " << i;
+        oracle::expectCellMatches(uncached.cells[i], expected[i]);
+        oracle::expectCellMatches(cached.cells[i], expected[i]);
         EXPECT_FALSE(uncached.cells[i].profileCached);
+        EXPECT_TRUE(uncached.cells[i].usedKernel);
     }
 }
 

@@ -3,7 +3,7 @@
  * Differential and property suite for multi-context scenarios: a
  * scenario cell must be deterministic at any thread count, round-trip
  * its per-context attribution through checkpoints and shards, degrade
- * to the plain per-cell path bit-for-bit with a single member, and
+ * to the member's plain cell bit-for-bit with a single member, and
  * keep its attribution arithmetic consistent with the shared SimStats
  * totals.
  *
@@ -209,7 +209,7 @@ writeFile(const std::string &path, const std::string &content)
  * The degenerate scenario: a single member is context 0, whose PC
  * space is unshifted, so the interleaved stream is the member's
  * stream byte for byte and every statistic must match the plain
- * per-cell path exactly. Only the attribution payload (one context
+ * program's cell exactly. Only the attribution payload (one context
  * covering everything, a 1x1 matrix) is extra.
  */
 TEST(ScenarioTest, SingleContextBitIdenticalToPlainProgram)

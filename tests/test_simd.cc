@@ -1,11 +1,12 @@
 /**
  * @file
  * Runtime SIMD dispatch suite: the BPSIM_SIMD environment override
- * and --simd/--no-simd resolution rules of core/simd.hh, and the
- * differential bit-identity contract of the batched kernels — a run
- * under any dispatch level must produce exactly the reference path's
- * MatrixResult in every deterministic field, at any thread count,
- * fused or per-cell, and across a checkpoint/resume boundary.
+ * rules of core/simd.hh, and the differential bit-identity contract
+ * of the batch kernels — a run under any dispatch level must equal
+ * the oracle (the virtual simulate() loop, tests/oracle.hh) in every
+ * deterministic field, at any thread count and across a
+ * checkpoint/resume boundary. Forcing BPSIM_SIMD=scalar pins the two
+ * compiled kernel units against each other.
  *
  * Tests mutate the process environment (BPSIM_SIMD), so every test
  * runs under a fixture whose SetUp/TearDown clear it.
@@ -19,6 +20,7 @@
 #include "core/runner.hh"
 #include "core/simd.hh"
 #include "obs/run_journal.hh"
+#include "oracle.hh"
 #include "support/error.hh"
 #include "support/fault.hh"
 #include "workload/specint.hh"
@@ -64,12 +66,10 @@ addTestCells(ExperimentRunner &runner)
 }
 
 RunnerOptions
-matrixOptions(unsigned threads, bool fused, bool simd)
+matrixOptions(unsigned threads)
 {
     RunnerOptions options;
     options.threads = threads;
-    options.fused = fused;
-    options.simd = simd;
     return options;
 }
 
@@ -81,40 +81,17 @@ runMatrix(const RunnerOptions &options)
     return runner.run();
 }
 
+/** Oracle identity plus the kernel flag and branch accounting; the
+ * simd flags are checked per test since they depend on the level. */
 void
-expectSameStats(const SimStats &a, const SimStats &b)
+expectSameMatrix(const MatrixResult &got,
+                 const std::vector<ExperimentResult> &oracle_results)
 {
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.mispredictions, b.mispredictions);
-    EXPECT_EQ(a.staticPredicted, b.staticPredicted);
-    EXPECT_EQ(a.staticMispredictions, b.staticMispredictions);
-    EXPECT_EQ(a.collisions.lookups, b.collisions.lookups);
-    EXPECT_EQ(a.collisions.collisions, b.collisions.collisions);
-    EXPECT_EQ(a.collisions.constructive, b.collisions.constructive);
-    EXPECT_EQ(a.collisions.destructive, b.collisions.destructive);
-}
-
-/** Deterministic-field identity; path flags (usedSimd) are checked
- * separately since they legitimately differ across dispatch levels. */
-void
-expectSameMatrix(const MatrixResult &got, const MatrixResult &ref)
-{
-    ASSERT_EQ(got.cells.size(), ref.cells.size());
-    for (std::size_t i = 0; i < got.cells.size(); ++i) {
-        ASSERT_TRUE(got.cells[i].ok()) << "cell " << i;
-        expectSameStats(got.cells[i].result.stats,
-                        ref.cells[i].result.stats);
-        EXPECT_EQ(got.cells[i].result.hintCount,
-                  ref.cells[i].result.hintCount);
-        EXPECT_EQ(got.cells[i].result.simulatedBranches,
-                  ref.cells[i].result.simulatedBranches);
-        EXPECT_EQ(got.cells[i].usedKernel, ref.cells[i].usedKernel);
-    }
-    EXPECT_EQ(got.failedCells, ref.failedCells);
-    EXPECT_EQ(got.totalBranches, ref.totalBranches);
-    EXPECT_EQ(got.actualBranches, ref.actualBranches);
-    EXPECT_EQ(got.kernelCells, ref.kernelCells);
+    oracle::expectMatrixMatches(got, oracle_results);
+    for (const CellResult &cell : got.cells)
+        EXPECT_TRUE(cell.usedKernel);
+    EXPECT_EQ(got.failedCells, 0u);
+    EXPECT_EQ(got.kernelCells, got.cells.size());
 }
 
 class SimdTest : public ::testing::Test
@@ -129,36 +106,17 @@ class SimdTest : public ::testing::Test
     }
 };
 
-/** Reference: batch kernels off, one thread, per-cell execution. */
-const MatrixResult &
+/** The oracle of every cell of the test matrix. */
+const std::vector<ExperimentResult> &
 reference()
 {
-    static const MatrixResult result = [] {
-        ::unsetenv("BPSIM_SIMD");
-        return runMatrix(matrixOptions(1, false, false));
+    static const std::vector<ExperimentResult> results = [] {
+        ExperimentRunner runner(matrixOptions(1));
+        addTestCells(runner);
+        runner.materialize();
+        return oracle::resultsOf(runner);
     }();
-    return result;
-}
-
-TEST_F(SimdTest, ResolveHonoursTheEnabledFlag)
-{
-    EXPECT_EQ(resolveSimdLevel(false), SimdLevel::Off);
-    EXPECT_EQ(resolveSimdLevel(true), detectSimdLevel());
-    // The detected level is a real kernel set, never Off.
-    EXPECT_NE(detectSimdLevel(), SimdLevel::Off);
-}
-
-TEST_F(SimdTest, EnvOffAndScalarOverrideTheFlag)
-{
-    ::setenv("BPSIM_SIMD", "off", 1);
-    EXPECT_EQ(resolveSimdLevel(true), SimdLevel::Off);
-    EXPECT_EQ(resolveSimdLevel(false), SimdLevel::Off);
-
-    ::setenv("BPSIM_SIMD", "scalar", 1);
-    EXPECT_EQ(resolveSimdLevel(true), SimdLevel::Scalar);
-    // The override also wins over --no-simd: it names a level, not a
-    // preference.
-    EXPECT_EQ(resolveSimdLevel(false), SimdLevel::Scalar);
+    return results;
 }
 
 TEST_F(SimdTest, UnsupportedForcedLevelFallsBackToScalar)
@@ -166,30 +124,31 @@ TEST_F(SimdTest, UnsupportedForcedLevelFallsBackToScalar)
     const SimdLevel detected = detectSimdLevel();
 
     ::setenv("BPSIM_SIMD", "avx2", 1);
-    EXPECT_EQ(resolveSimdLevel(true), detected == SimdLevel::Avx2
-                                          ? SimdLevel::Avx2
-                                          : SimdLevel::Scalar);
+    EXPECT_EQ(resolveSimdLevel(), detected == SimdLevel::Avx2
+                                      ? SimdLevel::Avx2
+                                      : SimdLevel::Scalar);
 
     ::setenv("BPSIM_SIMD", "neon", 1);
-    EXPECT_EQ(resolveSimdLevel(true), detected == SimdLevel::Neon
-                                          ? SimdLevel::Neon
-                                          : SimdLevel::Scalar);
+    EXPECT_EQ(resolveSimdLevel(), detected == SimdLevel::Neon
+                                      ? SimdLevel::Neon
+                                      : SimdLevel::Scalar);
 }
 
 TEST_F(SimdTest, UnknownEnvValueIsIgnored)
 {
-    ::setenv("BPSIM_SIMD", "quantum", 1);
-    EXPECT_EQ(resolveSimdLevel(true), detectSimdLevel());
-    EXPECT_EQ(resolveSimdLevel(false), SimdLevel::Off);
+    EXPECT_EQ(resolveSimdLevel(), detectSimdLevel());
+    // "off" names no kernel unit: there is no reference path to force.
+    for (const char *unknown : {"quantum", "off"}) {
+        ::setenv("BPSIM_SIMD", unknown, 1);
+        EXPECT_EQ(resolveSimdLevel(), detectSimdLevel()) << unknown;
+    }
 }
 
 TEST_F(SimdTest, LevelNamesAndWidthsAreConsistent)
 {
-    EXPECT_STREQ(simdLevelName(SimdLevel::Off), "off");
     EXPECT_STREQ(simdLevelName(SimdLevel::Scalar), "scalar");
     EXPECT_STREQ(simdLevelName(SimdLevel::Avx2), "avx2");
     EXPECT_STREQ(simdLevelName(SimdLevel::Neon), "neon");
-    EXPECT_EQ(simdWidth(SimdLevel::Off), 1u);
     EXPECT_EQ(simdWidth(SimdLevel::Scalar), 1u);
     EXPECT_EQ(simdWidth(SimdLevel::Avx2), 8u);
     EXPECT_EQ(simdWidth(SimdLevel::Neon), 4u);
@@ -197,42 +156,35 @@ TEST_F(SimdTest, LevelNamesAndWidthsAreConsistent)
 
 TEST_F(SimdTest, BitIdenticalAcrossDispatchAtAnyThreadCount)
 {
-    const MatrixResult &ref = reference();
-    EXPECT_EQ(ref.dispatch, "off");
-    EXPECT_EQ(ref.simdCells, 0u);
-
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        for (const bool fused : {false, true}) {
-            const MatrixResult got =
-                runMatrix(matrixOptions(threads, fused, true));
-            expectSameMatrix(got, ref);
-            EXPECT_EQ(got.dispatch,
-                      simdLevelName(detectSimdLevel()))
-                << threads << " threads, fused=" << fused;
-            // Fused passes batch every shape (plain, profiling and
-            // hinted sims, via the shared site index); the per-cell
-            // path batches only the plain dynamic cells — hinted
-            // and profiling runs keep the record-at-a-time kernels
-            // there, so exactly the scheme-none half batches.
-            EXPECT_EQ(got.simdCells,
-                      fused ? got.kernelCells : got.kernelCells / 2)
-                << threads << " threads, fused=" << fused;
+    // The detected level, then the portable unit forced: both compiled
+    // kernel units must equal the oracle at every thread count.
+    for (const char *forced : {"", "scalar"}) {
+        if (*forced != '\0')
+            ::setenv("BPSIM_SIMD", forced, 1);
+        const SimdLevel level = resolveSimdLevel();
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            const MatrixResult got = runMatrix(matrixOptions(threads));
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         simdLevelName(level));
+            expectSameMatrix(got, reference());
+            EXPECT_EQ(got.dispatch, simdLevelName(level));
+            EXPECT_EQ(got.simdLanes, simdWidth(level));
+            // Fused passes batch every shape: plain, profiling and
+            // hinted sims, via the shared site index.
+            EXPECT_EQ(got.simdCells, got.kernelCells);
         }
     }
 }
 
 /**
  * The tagged family (tage, perceptron) publishes no batch kernels:
- * hasBatchKernels is false, so SIMD dispatch must fall back to the
- * record-at-a-time reference kernels in place — zero simdCells, and
- * results bit-identical to a SIMD-off run at any thread count, fused
- * or per-cell. Separate cell set so the kernelCells/2 arithmetic in
- * the batched-kind tests above is untouched.
+ * hasBatchKernels is false, so its cells run the record kernels under
+ * every dispatch level — zero simdCells, and results equal to the
+ * oracle at any thread count.
  */
-MatrixResult
-runTaggedMatrix(const RunnerOptions &options)
+void
+addTaggedCells(ExperimentRunner &runner)
 {
-    ExperimentRunner runner(options);
     for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
         const std::size_t program =
             runner.addProgram(makeSpecProgram(id, InputSet::Ref));
@@ -249,67 +201,36 @@ runTaggedMatrix(const RunnerOptions &options)
             }
         }
     }
-    return runner.run();
 }
 
 TEST_F(SimdTest, TaggedFamilyFallsBackToReferenceBitIdentically)
 {
-    const MatrixResult ref =
-        runTaggedMatrix(matrixOptions(1, false, false));
-    EXPECT_EQ(ref.simdCells, 0u);
-    EXPECT_EQ(ref.kernelCells, ref.cells.size());
+    std::vector<ExperimentResult> oracle_results;
+    {
+        ExperimentRunner runner(matrixOptions(1));
+        addTaggedCells(runner);
+        runner.materialize();
+        oracle_results = oracle::resultsOf(runner);
+    }
 
     for (const unsigned threads : {1u, 2u, 4u}) {
-        for (const bool fused : {false, true}) {
-            const MatrixResult got = runTaggedMatrix(
-                matrixOptions(threads, fused, true));
-            expectSameMatrix(got, ref);
-            EXPECT_EQ(got.simdCells, 0u)
-                << threads << " threads, fused=" << fused;
-        }
+        ExperimentRunner runner(matrixOptions(threads));
+        addTaggedCells(runner);
+        const MatrixResult got = runner.run();
+        expectSameMatrix(got, oracle_results);
+        EXPECT_EQ(got.simdCells, 0u) << threads << " threads";
     }
-}
-
-TEST_F(SimdTest, EnvOffForcesTheReferencePathDespiteTheFlag)
-{
-    ::setenv("BPSIM_SIMD", "off", 1);
-    const MatrixResult got = runMatrix(matrixOptions(2, true, true));
-    expectSameMatrix(got, reference());
-    EXPECT_EQ(got.dispatch, "off");
-    EXPECT_EQ(got.simdCells, 0u);
 }
 
 TEST_F(SimdTest, EnvScalarForcesThePortableBatchKernels)
 {
     ::setenv("BPSIM_SIMD", "scalar", 1);
-    const MatrixResult got = runMatrix(matrixOptions(2, true, true));
+    EXPECT_EQ(resolveSimdLevel(), SimdLevel::Scalar);
+    const MatrixResult got = runMatrix(matrixOptions(2));
     expectSameMatrix(got, reference());
     EXPECT_EQ(got.dispatch, "scalar");
     EXPECT_EQ(got.simdLanes, 1u);
     EXPECT_EQ(got.simdCells, got.kernelCells);
-}
-
-TEST_F(SimdTest, PerCellConfigNarrowsTheRunnerDefault)
-{
-    ExperimentRunner runner(matrixOptions(1, false, true));
-    const std::size_t program = runner.addProgram(
-        makeSpecProgram(SpecProgram::Go, InputSet::Ref));
-    ExperimentConfig batched =
-        testConfig(PredictorKind::Gshare, StaticScheme::None);
-    ExperimentConfig narrowed = batched;
-    narrowed.simd = false;
-    runner.addCell(program, batched, "go/batched");
-    runner.addCell(program, narrowed, "go/narrowed");
-    const MatrixResult got = runner.run();
-
-    ASSERT_EQ(got.cells.size(), 2u);
-    ASSERT_TRUE(got.cells[0].ok());
-    ASSERT_TRUE(got.cells[1].ok());
-    EXPECT_TRUE(got.cells[0].usedSimd);
-    EXPECT_FALSE(got.cells[1].usedSimd);
-    EXPECT_EQ(got.cells[0].usedKernel, got.cells[1].usedKernel);
-    expectSameStats(got.cells[0].result.stats,
-                    got.cells[1].result.stats);
 }
 
 TEST_F(SimdTest, CheckpointRoundTripsAcrossDispatchLevels)
@@ -318,21 +239,23 @@ TEST_F(SimdTest, CheckpointRoundTripsAcrossDispatchLevels)
         ::testing::TempDir() + "simd_checkpoint.jsonl";
     std::remove(path.c_str());
 
-    RunnerOptions first = matrixOptions(2, true, true);
+    RunnerOptions first = matrixOptions(2);
     first.checkpointPath = path;
     const MatrixResult executed = runMatrix(first);
     for (const CellResult &cell : executed.cells)
         ASSERT_TRUE(cell.ok());
 
-    // Resume under the opposite dispatch level: the fingerprint
-    // ignores the simd flag, so every cell restores, and the
-    // persisted path flags survive verbatim.
-    RunnerOptions second = matrixOptions(1, false, false);
+    // Resume under the portable unit: the fingerprint ignores the
+    // dispatch level, so every cell restores, and the persisted path
+    // flags survive verbatim.
+    ::setenv("BPSIM_SIMD", "scalar", 1);
+    RunnerOptions second = matrixOptions(1);
     second.checkpointPath = path;
     second.resume = true;
     const MatrixResult restored = runMatrix(second);
 
     EXPECT_EQ(restored.restoredCells, restored.cells.size());
+    EXPECT_EQ(restored.dispatch, "scalar");
     expectSameMatrix(restored, reference());
     EXPECT_EQ(restored.simdCells, executed.simdCells);
     for (std::size_t i = 0; i < restored.cells.size(); ++i) {
@@ -346,14 +269,14 @@ TEST_F(SimdTest, CheckpointRoundTripsAcrossDispatchLevels)
 
 TEST_F(SimdTest, FaultUnderBatchDispatchKillsOnlyTheTargetedCell)
 {
-    const MatrixResult &ref = reference();
+    const std::vector<ExperimentResult> &ref = reference();
     // go's gshare static_95 cell: a batched gang member in the fused
     // pass. Its death must not perturb its gang-mates' batched state.
     constexpr const char *target = "go/gshare:2048/static_95";
     constexpr std::size_t target_index = 3;
     FaultInjector::instance().arm(fault_points::cell, 1,
                                   ErrorCode::CellFailed, 1, target);
-    const MatrixResult got = runMatrix(matrixOptions(2, true, true));
+    const MatrixResult got = runMatrix(matrixOptions(2));
 
     EXPECT_EQ(got.failedCells, 1u);
     ASSERT_FALSE(got.cells[target_index].ok());
@@ -363,17 +286,14 @@ TEST_F(SimdTest, FaultUnderBatchDispatchKillsOnlyTheTargetedCell)
         if (i == target_index)
             continue;
         ASSERT_TRUE(got.cells[i].ok()) << "cell " << i;
-        expectSameStats(got.cells[i].result.stats,
-                        ref.cells[i].result.stats);
-        EXPECT_EQ(got.cells[i].result.hintCount,
-                  ref.cells[i].result.hintCount);
+        oracle::expectCellMatches(got.cells[i], ref[i]);
     }
 }
 
 TEST_F(SimdTest, JournalRecordsDispatchAndSimdCells)
 {
     obs::RunJournal journal("simd journal");
-    RunnerOptions options = matrixOptions(2, true, true);
+    RunnerOptions options = matrixOptions(2);
     options.journal = &journal;
     const MatrixResult got = runMatrix(options);
     expectSameMatrix(got, reference());

@@ -63,12 +63,12 @@ namespace
 class CliJournal
 {
   public:
-    CliJournal(std::string path, std::string label, bool simd)
+    CliJournal(std::string path, std::string label)
         : path(std::move(path))
     {
         if (this->path.empty())
             return;
-        const SimdLevel level = resolveSimdLevel(simd);
+        const SimdLevel level = resolveSimdLevel();
         journal =
             std::make_unique<obs::RunJournal>(std::move(label));
         journal->record(
@@ -199,13 +199,6 @@ addCommonOptions(ArgParser &args)
     args.addFlag("filter-unstable",
                  "apply the cross-training merge filter (5% rule)");
     args.addFlag("csv", "emit one machine-readable CSV row per run");
-    args.addFlag("simd",
-                 "run the batched SIMD-dispatch kernels (default; "
-                 "results are bit-identical either way)");
-    args.addFlag("no-simd",
-                 "run the record-at-a-time reference kernels "
-                 "(overrides --simd; BPSIM_SIMD=off|scalar|avx2|neon "
-                 "overrides both)");
     args.addOption("journal", "",
                    "write the structured run journal (JSONL) to this "
                    "path; the metrics summary lands next to it "
@@ -301,8 +294,7 @@ cmdRun(int argc, char **argv)
     const StaticScheme scheme =
         staticSchemeFromName(args.get("scheme"));
     bool csv_header = false;
-    CliJournal journal(args.get("journal"), "bpsim_cli run",
-                       !args.getFlag("no-simd"));
+    CliJournal journal(args.get("journal"), "bpsim_cli run");
 
     if (!args.get("trace").empty()) {
         // Trace replay: static schemes need a workload to re-run for
@@ -315,7 +307,6 @@ cmdRun(int argc, char **argv)
         options.maxBranches = args.getUint("branches");
         options.warmupBranches = args.getUint("warmup");
         options.counters = journal.counters();
-        options.simd = !args.getFlag("no-simd");
         const std::string label =
             args.get("trace") + "/" + predictor->name();
         journal.beginCell(label);
@@ -339,7 +330,6 @@ cmdRun(int argc, char **argv)
         options.maxBranches = args.getUint("branches");
         options.warmupBranches = args.getUint("warmup");
         options.counters = journal.counters();
-        options.simd = !args.getFlag("no-simd");
         auto predictor = makePredictor(spec);
         const std::string label =
             program.name() + "/" + predictor->name() + "/none";
@@ -354,9 +344,8 @@ cmdRun(int argc, char **argv)
         return 0;
     }
 
-    // Two-phase experiment path (paper methodology); any registered
-    // predictor works — kernel-capable ones replay devirtualized,
-    // the rest run record-at-a-time through the virtual reference.
+    // Two-phase experiment path (paper methodology) over the live
+    // program's streams; any registered predictor works.
     Result<ParsedPredictorSpec> parsed = parsePredictorSpec(spec);
     if (!parsed.ok())
         raise(std::move(parsed.error()));
@@ -378,7 +367,6 @@ cmdRun(int argc, char **argv)
     config.filterUnstable = args.getFlag("filter-unstable");
     config.evalWarmupBranches = args.getUint("warmup");
     config.counters = journal.counters();
-    config.simd = !args.getFlag("no-simd");
 
     const std::string label = program.name() + "/" + kind_name + ":" +
                               std::to_string(config.sizeBytes) + "/" +
@@ -452,12 +440,6 @@ cmdSweep(int argc, char **argv)
                    "(resource_exhausted) cell failures");
     args.addFlag("fail-fast",
                  "abort the sweep at the first failed cell");
-    args.addFlag("fused",
-                 "fuse cells sharing a replay buffer into one pass "
-                 "(default; results are bit-identical either way)");
-    args.addFlag("no-fused",
-                 "run every cell's evaluation as its own pass "
-                 "(overrides --fused)");
     args.addOption("shard", "",
                    "execute only shard i of N (1-based \"i/N\"); "
                    "cells are partitioned by fingerprint hash, so N "
@@ -512,8 +494,6 @@ cmdSweep(int argc, char **argv)
     options.failFast = args.getFlag("fail-fast");
     options.checkpointPath = args.get("checkpoint");
     options.resume = args.getFlag("resume");
-    options.fused = !args.getFlag("no-fused");
-    options.simd = !args.getFlag("no-simd");
     options.cacheDir = args.get("cache-dir");
     if (!args.get("shard").empty()) {
         Result<std::pair<unsigned, unsigned>> shard =

@@ -44,7 +44,6 @@ TOP_LEVEL_REQUIRED = {
     "simd_cells": int,
     "dispatch": str,
     "simd_width": int,
-    "fused": bool,
     "fused_groups": int,
     "failed_cells": int,
     "restored_cells": int,
@@ -83,7 +82,7 @@ CELL_REQUIRED = {
 }
 
 # Runtime dispatch levels (bpsim::SimdLevel wire names).
-DISPATCH_LEVELS = {"off", "scalar", "avx2", "neon"}
+DISPATCH_LEVELS = {"scalar", "avx2", "neon"}
 
 # Registered predictor names (the anchor list in
 # src/predictor/registry.cc) and static-scheme wire names. Canonical
@@ -504,9 +503,8 @@ def check_runner_file(path, warm_cache=False):
         fail(path, f"kernel_cells {data['kernel_cells']} != "
                    f"count of kernel cells {kernel_cells}")
 
-    # Batched SIMD execution is a refinement of the devirtualized
-    # kernel path: a cell can only batch if it took the kernels, and
-    # an off dispatch means no cell batched at all.
+    # Batch-kernel execution is a refinement of the devirtualized
+    # kernel path: a cell can only batch if it took the kernels.
     if data["dispatch"] not in DISPATCH_LEVELS:
         fail(path, f"unknown dispatch level '{data['dispatch']}'")
     simd_cells = sum(1 for cell in data["cells"] if cell["simd"])
@@ -516,17 +514,9 @@ def check_runner_file(path, warm_cache=False):
     for index, cell in enumerate(data["cells"]):
         if cell["simd"] and not cell["kernel"]:
             fail(path, f"cells[{index}]: simd without kernel")
-    # Restored cells keep the flag of the run that executed them, so
-    # only freshly executed cells must obey this run's dispatch.
-    executed_simd = sum(1 for cell in data["cells"]
-                        if cell["simd"] and "restored" not in cell)
-    if data["dispatch"] == "off" and executed_simd > 0:
-        fail(path, f"dispatch is off but {executed_simd} executed "
-                   f"cells report simd")
     if data["simd_width"] < 1:
         fail(path, f"simd_width {data['simd_width']} < 1")
-    if data["dispatch"] in ("off", "scalar") and \
-            data["simd_width"] != 1:
+    if data["dispatch"] == "scalar" and data["simd_width"] != 1:
         fail(path, f"dispatch '{data['dispatch']}' with simd_width "
                    f"{data['simd_width']} (expected 1)")
 
@@ -614,7 +604,7 @@ def check_journal_file(path):
                        f"'{run_begin['dispatch']}'")
         check_fields(path, run_begin, {"simd_width": int},
                      "run_begin")
-        if run_begin["dispatch"] in ("off", "scalar") and \
+        if run_begin["dispatch"] == "scalar" and \
                 run_begin["simd_width"] != 1:
             fail(path, f"run_begin: dispatch "
                        f"'{run_begin['dispatch']}' with simd_width "
@@ -722,11 +712,6 @@ def check_journal_file(path):
                         fail(path, f"{where}: 'simd' must be a bool")
                     if event["simd"] and event.get("kernel") is False:
                         fail(path, f"{where}: simd without kernel")
-                    if event["simd"] and \
-                            event.get("restored") is not True and \
-                            run_begin.get("dispatch") == "off":
-                        fail(path, f"{where}: simd cell executed "
-                                   f"under an off dispatch")
                 cell_ends.append(event)
             else:
                 check_fields(path, event, CELL_ERROR_REQUIRED, where)
@@ -764,9 +749,6 @@ def check_journal_file(path):
         fail(path, f"run_end fused_groups "
                    f"{run_end['fused_groups']} != "
                    f"{len(fused_groups)} fused_group events")
-    if fused_groups and run_end.get("fused") is False:
-        fail(path, "fused_group events present but run_end says "
-                   "fused is false")
     if "kernel_cells" in run_end:
         kernel = sum(1 for e in cell_ends if e.get("kernel") is True)
         if kernel != run_end["kernel_cells"]:
