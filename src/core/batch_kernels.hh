@@ -43,6 +43,8 @@
 #include "predictor/bimode.hh"
 #include "predictor/ghist.hh"
 #include "predictor/gshare.hh"
+#include "predictor/perceptron.hh"
+#include "predictor/tage.hh"
 #include "predictor/two_bc_gskew.hh"
 #include "profile/branch_profile.hh"
 #include "support/bits.hh"
@@ -99,6 +101,66 @@ template <> struct BatchTraits<TwoBcGskew>
     static BitCount histMeta(const TwoBcGskew &p) { return p.histMeta; }
 };
 
+template <> struct BatchTraits<Tage>
+{
+    static CounterTable &base(Tage &p) { return p.base; }
+    static CounterTable &
+    bank(Tage &p, unsigned b)
+    {
+        return p.banks[b].pred;
+    }
+    static std::uint8_t *
+    tags(Tage &p, unsigned b)
+    {
+        return p.banks[b].tags.data();
+    }
+    static std::uint8_t *
+    useful(Tage &p, unsigned b)
+    {
+        return p.banks[b].useful.data();
+    }
+    static LongHistory &history(Tage &p) { return p.history; }
+
+    /** Bank @p b's folds: 0 = index, 1 = tag, 2 = shifted tag. */
+    static FoldedHistory &
+    fold(Tage &p, unsigned b, unsigned which)
+    {
+        Tage::Bank &bank = p.banks[b];
+        return which == 0 ? bank.idxFold
+                          : (which == 1 ? bank.tagFold1 : bank.tagFold2);
+    }
+
+    static Count &allocations(Tage &p) { return p.allocations; }
+
+    /** updateStep()'s aging tick: count one update and age the useful
+     * counters when the period is up. */
+    static void
+    countUpdate(Tage &p)
+    {
+        if (++p.updatesSinceAging >= p.agePeriod)
+            p.ageUseful();
+    }
+};
+
+template <> struct BatchTraits<HashedPerceptron>
+{
+    static CounterTable &
+    table(HashedPerceptron &p, unsigned t)
+    {
+        return p.tables[t];
+    }
+    static GlobalHistory &
+    history(HashedPerceptron &p)
+    {
+        return p.history;
+    }
+    static int
+    threshold(const HashedPerceptron &p)
+    {
+        return p.trainingThreshold;
+    }
+};
+
 namespace batch
 {
 
@@ -116,15 +178,16 @@ inline constexpr std::uint8_t hintTakenBit = 1;
 struct SiteTables
 {
     /** Bimodal/gshare PC index or fold; bi-mode choice index; gskew
-     * bimodal-bank index. */
+     * bimodal-bank index; TAGE base index; perceptron table-width PC
+     * fold. */
     std::vector<std::uint32_t> primary;
 
     /** Bi-mode direction-table PC fold; gskew bank-0 PC skew chain
-     * H(v1). */
+     * H(v1); TAGE bank-width PC fold. */
     std::vector<std::uint32_t> secondary;
 
     /** Gskew bank-1 PC skew chain pre-mixed with its parity source:
-     * H(H(v1)) ^ v1. */
+     * H(H(v1)) ^ v1; TAGE tag-width PC fold. */
     std::vector<std::uint32_t> tertiary;
 
     /** Gskew meta-bank PC fold. */
@@ -189,6 +252,28 @@ buildSiteTables(P &predictor, const SiteIndex &sites)
             tables.quaternary[s] = static_cast<std::uint32_t>(
                 foldBits(pcIndexOf(s), meta.indexBits()));
         }
+    } else if constexpr (std::is_same_v<P, Tage>) {
+        CounterTable &base = BatchTraits<P>::base(predictor);
+        const BitCount bankBits =
+            BatchTraits<P>::bank(predictor, 0).indexBits();
+        tables.primary.resize(count);
+        tables.secondary.resize(count);
+        tables.tertiary.resize(count);
+        for (std::uint32_t s = 0; s < count; ++s) {
+            tables.primary[s] = static_cast<std::uint32_t>(
+                base.indexFor(pcIndexOf(s)));
+            tables.secondary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), bankBits));
+            tables.tertiary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), Tage::tagBits));
+        }
+    } else if constexpr (std::is_same_v<P, HashedPerceptron>) {
+        const BitCount bits =
+            BatchTraits<P>::table(predictor, 0).indexBits();
+        tables.primary.resize(count);
+        for (std::uint32_t s = 0; s < count; ++s)
+            tables.primary[s] = static_cast<std::uint32_t>(
+                foldBits(pcIndexOf(s), bits));
     }
     // Ghist indexes purely by history: nothing to hoist.
     (void)predictor;
@@ -252,8 +337,9 @@ struct PlainArgs
 /**
  * The batch kernels are compiled once per instruction-set target from
  * core/batch_kernels_impl.hh; each namespace below is one translation
- * unit's entry points (explicitly instantiated there for the five
- * paper predictors).
+ * unit's entry points, explicitly instantiated there for every type in
+ * BPSIM_KERNEL_PREDICTORS (a listed type without a batch state fails
+ * to compile).
  */
 namespace kernels_scalar
 {
@@ -275,22 +361,6 @@ void runPlainBatch(const batch::PlainArgs<P> &args);
 } // namespace kernels_avx2
 #endif
 
-/**
- * Whether batched kernel instantiations exist for predictor type
- * @p P. The impl translation units explicitly instantiate the batch
- * kernels for the five paper predictors only; a kernel-visitable type
- * without this trait (e.g. Tage, HashedPerceptron — multi-bank
- * allocation and weight sums don't fit the prepare/apply batch split)
- * gets an empty BatchKernelSet from batchKernelsFor and the engine
- * runs its record kernels instead.
- */
-template <typename P> inline constexpr bool hasBatchKernels = false;
-template <> inline constexpr bool hasBatchKernels<Bimodal> = true;
-template <> inline constexpr bool hasBatchKernels<Ghist> = true;
-template <> inline constexpr bool hasBatchKernels<Gshare> = true;
-template <> inline constexpr bool hasBatchKernels<BiMode> = true;
-template <> inline constexpr bool hasBatchKernels<TwoBcGskew> = true;
-
 /** The kernel entry points one SimdLevel dispatches to. */
 template <typename P>
 struct BatchKernelSet
@@ -299,40 +369,37 @@ struct BatchKernelSet
     void (*dense)(const batch::DenseArgs<P> &) = nullptr;
     void (*plain)(const batch::PlainArgs<P> &) = nullptr;
 
-    /** True when the set holds kernels (hasBatchKernels<P>). */
+    /** True when the set holds kernels; the engine leaves it empty
+     * for a sim with a ContextAliasSink attached. */
     explicit operator bool() const { return gang != nullptr; }
 };
 
 /**
- * Resolve @p level to its kernel set; empty for a type without batch
- * kernels. Neon resolves to the baseline translation unit, which on
- * aarch64 the compiler vectorizes with baseline NEON.
+ * Resolve @p level to the kernel set of kernel-visited type @p P.
+ * Neon resolves to the baseline translation unit, which on aarch64
+ * the compiler vectorizes with baseline NEON.
  */
 template <typename P>
 BatchKernelSet<P>
 batchKernelsFor(SimdLevel level)
 {
     BatchKernelSet<P> set;
-    if constexpr (hasBatchKernels<P>) {
-        switch (level) {
+    switch (level) {
 #if defined(BPSIM_HAVE_AVX2_KERNELS)
-          case SimdLevel::Avx2:
-            set.gang = &kernels_avx2::runGangBatch<P>;
-            set.dense = &kernels_avx2::runDenseBatch<P>;
-            set.plain = &kernels_avx2::runPlainBatch<P>;
-            break;
+      case SimdLevel::Avx2:
+        set.gang = &kernels_avx2::runGangBatch<P>;
+        set.dense = &kernels_avx2::runDenseBatch<P>;
+        set.plain = &kernels_avx2::runPlainBatch<P>;
+        break;
 #else
-          case SimdLevel::Avx2:
+      case SimdLevel::Avx2:
 #endif
-          case SimdLevel::Scalar:
-          case SimdLevel::Neon:
-            set.gang = &kernels_scalar::runGangBatch<P>;
-            set.dense = &kernels_scalar::runDenseBatch<P>;
-            set.plain = &kernels_scalar::runPlainBatch<P>;
-            break;
-        }
-    } else {
-        (void)level;
+      case SimdLevel::Scalar:
+      case SimdLevel::Neon:
+        set.gang = &kernels_scalar::runGangBatch<P>;
+        set.dense = &kernels_scalar::runDenseBatch<P>;
+        set.plain = &kernels_scalar::runPlainBatch<P>;
+        break;
     }
     return set;
 }

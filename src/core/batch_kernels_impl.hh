@@ -32,9 +32,11 @@
 #include "core/batch_kernels.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "predictor/factory.hh"
 #include "support/bits.hh"
 #include "support/sat_counter.hh"
 #include "support/skew.hh"
@@ -45,8 +47,10 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define BPSIM_BATCH_PREFETCH(addr) __builtin_prefetch(addr)
+#define BPSIM_BATCH_INLINE inline __attribute__((always_inline))
 #else
 #define BPSIM_BATCH_PREFETCH(addr) ((void)0)
+#define BPSIM_BATCH_INLINE inline
 #endif
 
 namespace bpsim
@@ -99,6 +103,8 @@ skewHinvFast(std::uint64_t x, BitCount bits, std::uint64_t table_mask)
 /** Raw structure-of-arrays view of one CounterTable. */
 struct LaneTable
 {
+    LaneTable() = default;
+
     explicit LaneTable(CounterTable &table)
         : cnt(table.counterData()), tags(table.tagData()),
           mask(table.indexMask()), src(&table),
@@ -107,13 +113,13 @@ struct LaneTable
     {
     }
 
-    std::uint8_t *cnt;
-    Addr *tags;
-    std::size_t mask;
-    CounterTable *src;
-    std::uint8_t msb;
-    std::uint8_t maxv;
-    bool prefetch;
+    std::uint8_t *cnt = nullptr;
+    Addr *tags = nullptr;
+    std::size_t mask = 0;
+    CounterTable *src = nullptr;
+    std::uint8_t msb = 0;
+    std::uint8_t maxv = 0;
+    bool prefetch = false;
 };
 
 /**
@@ -642,6 +648,453 @@ class GskewState
     std::size_t metaIdx[pipelineSlots][batchRecords];
 };
 
+/**
+ * TAGE's history shadow: register-resident copies of the long history
+ * (LongHistory's two storage words) and of every bank's three CSR
+ * folds, advanced per record under HistoryShadow's hint and shift
+ * policy rules with the arithmetic of LongHistory::push and
+ * FoldedHistory::update, and synced back at segment end.
+ */
+class TageShadow
+{
+  public:
+    static constexpr unsigned banks = Tage::numBanks;
+
+    /** Folds per bank, in BatchTraits<Tage>::fold order: index, tag,
+     * shifted tag. */
+    static constexpr unsigned foldsPerBank = 3;
+    static constexpr unsigned folds = banks * foldsPerBank;
+
+    explicit TageShadow(Tage &predictor)
+    {
+        const LongHistory &history =
+            BatchTraits<Tage>::history(predictor);
+        lo = history.word(0);
+        hi = history.word(1);
+        const BitCount width = history.width();
+        loMask = width <= 64 ? mask(width) : ~std::uint64_t{0};
+        hiMask = width <= 64 ? ~std::uint64_t{0} : mask(width - 64);
+        for (unsigned w = 0; w < foldsPerBank; ++w) {
+            for (unsigned b = 0; b < banks; ++b) {
+                const FoldedHistory &fold =
+                    BatchTraits<Tage>::fold(predictor, b, w);
+                const unsigned j = w * banks + b;
+                comp[j] = fold.value();
+                compLen[j] = fold.foldedBits();
+                outPoint[j] = fold.windowBits() % fold.foldedBits();
+                compMask[j] = mask(fold.foldedBits());
+            }
+        }
+    }
+
+    /** Bank @p b's index fold. */
+    std::uint64_t indexFold(unsigned b) const { return comp[b]; }
+
+    /** Bank @p b's tag material: tag fold ^ (shifted tag fold << 1). */
+    std::uint64_t
+    tagFold(unsigned b) const
+    {
+        return comp[banks + b] ^ (comp[2 * banks + b] << 1);
+    }
+
+    template <ShiftPolicy Policy, bool WithHints>
+    void
+    advance(std::uint8_t taken, std::uint8_t code)
+    {
+        // Branchless like HistoryShadow::advance: a NoShift hint keeps
+        // every word through selects rather than a branch.
+        bool bit = taken != 0;
+        bool shift = true;
+        if constexpr (WithHints) {
+            const bool present = (code & batch::hintPresentBit) != 0;
+            if constexpr (Policy == ShiftPolicy::NoShift) {
+                shift = !present;
+            } else if constexpr (Policy ==
+                                 ShiftPolicy::ShiftPrediction) {
+                const bool hinted =
+                    (code & batch::hintTakenBit) != 0;
+                bit = present ? hinted : bit;
+            }
+        } else {
+            (void)code;
+        }
+        const std::uint64_t in = bit ? 1 : 0;
+        // Each bank's folds drop the outcome leaving its window.
+        std::uint64_t out[banks];
+#pragma GCC unroll 4
+        for (unsigned b = 0; b < banks; ++b) {
+            const BitCount pos = Tage::historyLengths[b] - 1;
+            out[b] = (pos < 64 ? lo >> pos : hi >> (pos - 64)) & 1;
+        }
+        const std::uint64_t next_lo = ((lo << 1) | in) & loMask;
+        const std::uint64_t next_hi = ((hi << 1) | (lo >> 63)) & hiMask;
+        lo = shift ? next_lo : lo;
+        hi = shift ? next_hi : hi;
+        // Unrolled so each fold keeps its own register chain at -O2.
+#pragma GCC unroll 12
+        for (unsigned j = 0; j < folds; ++j) {
+            std::uint64_t next = (comp[j] << 1) | in;
+            next ^= out[j % banks] << outPoint[j];
+            next ^= next >> compLen[j];
+            next &= compMask[j];
+            comp[j] = shift ? next : comp[j];
+        }
+    }
+
+    void
+    flush(Tage &predictor) const
+    {
+        BatchTraits<Tage>::history(predictor).setWords(lo, hi);
+        for (unsigned w = 0; w < foldsPerBank; ++w) {
+            for (unsigned b = 0; b < banks; ++b)
+                BatchTraits<Tage>::fold(predictor, b, w)
+                    .set(comp[w * banks + b]);
+        }
+    }
+
+  private:
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::uint64_t loMask = 0;
+    std::uint64_t hiMask = 0;
+    std::uint64_t comp[folds] = {};
+    std::uint64_t compMask[folds] = {};
+    BitCount compLen[folds] = {};
+    BitCount outPoint[folds] = {};
+};
+
+/**
+ * Batch state for TAGE. Prepare carries the base index and every
+ * bank's index and tag; apply reads each bank's tag match at apply
+ * time (an earlier record's allocation may have rewritten it) and
+ * then performs updateStep()'s provider/alternate selection, useful
+ * update, training, allocation and aging on the member's own update
+ * count.
+ */
+class TageState
+{
+  public:
+    static constexpr unsigned banks = Tage::numBanks;
+    static_assert(Tage::tagBits == 8, "carried tags are bytes");
+
+    explicit TageState(Tage &predictor)
+        : owner(predictor), shadow(predictor),
+          bankBits(BatchTraits<Tage>::bank(predictor, 0).indexBits()),
+          weakTaken(SatCounter::weak(Tage::predBits, true).value()),
+          weakNotTaken(SatCounter::weak(Tage::predBits, false).value())
+    {
+        // Slot 0 is the base table, slot 1 + b bank b. The banks share
+        // one width, so one PC fold per record serves all four.
+        lanes[0] = LaneTable(BatchTraits<Tage>::base(predictor));
+        for (unsigned b = 0; b < banks; ++b) {
+            CounterTable &bank = BatchTraits<Tage>::bank(predictor, b);
+            bpsim_assert(bank.indexBits() == bankBits,
+                         "tage banks must share one width");
+            lanes[1 + b] = LaneTable(bank);
+            tags[b] = BatchTraits<Tage>::tags(predictor, b);
+            useful[b] = BatchTraits<Tage>::useful(predictor, b);
+        }
+    }
+
+    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    void
+    prepare(unsigned slot, std::size_t count,
+            const std::uint64_t *pc_index, const std::uint8_t *taken,
+            const std::uint32_t *site, const std::uint8_t *codes,
+            const batch::SiteTables *tables)
+    {
+        std::uint64_t pc_fold[batchRecords];
+        std::uint64_t tag_pc_fold[batchRecords];
+        std::uint64_t index_fold[banks][batchRecords];
+        std::uint64_t tag_fold[banks][batchRecords];
+        std::size_t *base_out = idx[slot][0];
+        // Serial pass: the history shadow (a register-resident copy,
+        // written back once per batch) and the site-table loads.
+        TageShadow sh = shadow;
+        for (std::size_t i = 0; i < count; ++i) {
+            if constexpr (WithSites) {
+                base_out[i] = tables->primary[site[i]] & lanes[0].mask;
+                pc_fold[i] = tables->secondary[site[i]];
+                tag_pc_fold[i] = tables->tertiary[site[i]];
+            }
+#pragma GCC unroll 4
+            for (unsigned b = 0; b < banks; ++b) {
+                index_fold[b][i] = sh.indexFold(b);
+                tag_fold[b][i] = sh.tagFold(b);
+            }
+            sh.template advance<Policy, WithHints>(
+                taken[i], WithHints ? codes[site[i]] : 0);
+        }
+        shadow = sh;
+        // Elementwise passes: vectorizable across records.
+        if constexpr (!WithSites) {
+            for (std::size_t i = 0; i < count; ++i) {
+                base_out[i] = pc_index[i] & lanes[0].mask;
+                pc_fold[i] = foldBits(pc_index[i], bankBits);
+                tag_pc_fold[i] = foldBits(pc_index[i], Tage::tagBits);
+            }
+        }
+        for (unsigned b = 0; b < banks; ++b) {
+            for (std::size_t i = 0; i < count; ++i) {
+                idx[slot][1 + b][i] =
+                    (pc_fold[i] ^ index_fold[b][i]) & lanes[1 + b].mask;
+                tag[slot][b][i] = static_cast<std::uint8_t>(
+                    tag_pc_fold[i] ^ tag_fold[b][i]);
+            }
+        }
+        if (lanes[0].prefetch) {
+            for (std::size_t i = 0; i < count; ++i) {
+                BPSIM_BATCH_PREFETCH(&lanes[0].cnt[base_out[i]]);
+                BPSIM_BATCH_PREFETCH(&lanes[0].tags[base_out[i]]);
+            }
+        }
+        if (lanes[1].prefetch) {
+            for (unsigned b = 0; b < banks; ++b) {
+                for (std::size_t i = 0; i < count; ++i) {
+                    const std::size_t k = idx[slot][1 + b][i];
+                    BPSIM_BATCH_PREFETCH(&lanes[1 + b].cnt[k]);
+                    BPSIM_BATCH_PREFETCH(&lanes[1 + b].tags[k]);
+                    BPSIM_BATCH_PREFETCH(&tags[b][k]);
+                }
+            }
+        }
+    }
+
+    BPSIM_BATCH_INLINE ApplyResult
+    apply(unsigned slot, std::size_t i, Addr pc,
+          std::uint64_t /*pc_index*/, bool taken)
+    {
+        // Bit s of hits/preds describes slot s; the base always hits.
+        std::size_t k[1 + banks];
+        std::uint8_t c[1 + banks];
+        unsigned hits = 1;
+        unsigned preds = 0;
+        for (unsigned s = 0; s <= banks; ++s) {
+            k[s] = idx[slot][s][i];
+            c[s] = lanes[s].cnt[k[s]];
+            preds |= static_cast<unsigned>(
+                         satCounterTaken(c[s], lanes[s].msb))
+                     << s;
+        }
+        for (unsigned b = 0; b < banks; ++b) {
+            hits |= static_cast<unsigned>(tags[b][k[1 + b]] ==
+                                          tag[slot][b][i])
+                    << (1 + b);
+        }
+        // Provider: the longest matching bank, else the base.
+        // Alternate: the next-longest match, else the base.
+        const unsigned provider =
+            static_cast<unsigned>(std::bit_width(hits)) - 1;
+        const unsigned alternate =
+            static_cast<unsigned>(
+                std::bit_width((hits & ~(1u << provider)) | 1u)) -
+            1;
+        const bool prediction = ((preds >> provider) & 1) != 0;
+        const bool alt_prediction = ((preds >> alternate) & 1) != 0;
+        const bool correct = prediction == taken;
+
+        std::uint32_t collided = 0;
+        for (unsigned s = 0; s <= banks; ++s)
+            collided += touchLane(lanes[s], stats[s], k[s], pc, correct);
+
+        // The useful counter moves only when provider and alternate
+        // disagreed, toward whichever was right.
+        if (provider > 0 && prediction != alt_prediction) {
+            std::uint8_t &u = useful[provider - 1][k[provider]];
+            if (prediction == taken)
+                u += u < Tage::usefulMax ? 1 : 0;
+            else
+                u -= u > 0 ? 1 : 0;
+        }
+        lanes[provider].cnt[k[provider]] = satCounterTrain(
+            c[provider], taken, lanes[provider].maxv);
+
+        // Banks longer than the provider are slots provider + 1 ..
+        // banks, i.e. banks provider .. banks - 1.
+        if (!correct && provider < banks)
+            allocate(provider, k, tag[slot], i, taken);
+
+        BatchTraits<Tage>::countUpdate(owner);
+        return {correct, collided};
+    }
+
+    void
+    flushSegment(Tage &predictor)
+    {
+        for (unsigned s = 0; s <= banks; ++s)
+            stats[s].flush(*lanes[s].src);
+        shadow.flush(predictor);
+    }
+
+  private:
+    /** Tage::allocate over the carried indices and tags. */
+    void
+    allocate(unsigned first, const std::size_t *k,
+             const std::uint8_t (*record_tags)[batchRecords],
+             std::size_t i, bool taken)
+    {
+        for (unsigned b = first; b < banks; ++b) {
+            const std::size_t entry = k[1 + b];
+            if (useful[b][entry] == 0) {
+                tags[b][entry] = record_tags[b][i];
+                lanes[1 + b].cnt[entry] =
+                    taken ? weakTaken : weakNotTaken;
+                ++BatchTraits<Tage>::allocations(owner);
+                return;
+            }
+        }
+        // Every candidate is protected: decay them all.
+        for (unsigned b = first; b < banks; ++b) {
+            std::uint8_t &u = useful[b][k[1 + b]];
+            u -= u > 0 ? 1 : 0;
+        }
+    }
+
+    LaneTable lanes[1 + banks];
+    LaneStats stats[1 + banks];
+    std::uint8_t *tags[banks] = {};
+    std::uint8_t *useful[banks] = {};
+    Tage &owner;
+    TageShadow shadow;
+    BitCount bankBits;
+    std::uint8_t weakTaken;
+    std::uint8_t weakNotTaken;
+    std::size_t idx[pipelineSlots][1 + banks][batchRecords];
+    std::uint8_t tag[pipelineSlots][banks][batchRecords];
+};
+
+/**
+ * Batch state for the hashed perceptron. Prepare carries the eight
+ * weight indices (history slices folded with fixed slice counts and
+ * the per-table salts computed once here); apply sums the weights and
+ * trains them under the threshold rule.
+ */
+class PerceptronState
+{
+  public:
+    static constexpr unsigned tableCount = HashedPerceptron::numTables;
+
+    explicit PerceptronState(HashedPerceptron &predictor)
+        : shadow(predictor),
+          bits(BatchTraits<HashedPerceptron>::table(predictor, 0)
+                   .indexBits()),
+          threshold(BatchTraits<HashedPerceptron>::threshold(predictor))
+    {
+        for (unsigned t = 0; t < tableCount; ++t) {
+            CounterTable &table =
+                BatchTraits<HashedPerceptron>::table(predictor, t);
+            bpsim_assert(table.indexBits() == bits,
+                         "perceptron tables must share one width");
+            lanes[t] = LaneTable(table);
+            const BitCount feature = HashedPerceptron::featureBits[t];
+            historyMask[t] = mask(feature);
+            // The slices foldBits() would XOR, as a fixed count: the
+            // index loops then carry no data-dependent branch and
+            // vectorize across records.
+            historySlices[t] = (feature + bits - 1) / bits;
+            // HashedPerceptron::tableIndex's salt; the bias table
+            // (t = 0) keeps the plain PC index.
+            salt[t] = t == 0 ? 0 : foldBits(mix64(t), bits);
+        }
+    }
+
+    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    void
+    prepare(unsigned slot, std::size_t count,
+            const std::uint64_t *pc_index, const std::uint8_t *taken,
+            const std::uint32_t *site, const std::uint8_t *codes,
+            const batch::SiteTables *tables)
+    {
+        // Zero past count: the elementwise loops below run the full
+        // batch width, a compile-time trip count they vectorize at.
+        std::uint64_t hist[batchRecords] = {};
+        std::uint64_t pc_fold[batchRecords] = {};
+        HistoryShadow sh = shadow;
+        for (std::size_t i = 0; i < count; ++i) {
+            hist[i] = sh.hist;
+            if constexpr (WithSites)
+                pc_fold[i] = tables->primary[site[i]];
+            sh.template advance<Policy, WithHints>(
+                taken[i], WithHints ? codes[site[i]] : 0);
+        }
+        shadow = sh;
+        if constexpr (!WithSites) {
+            for (std::size_t i = 0; i < count; ++i)
+                pc_fold[i] = foldBits(pc_index[i], bits);
+        }
+        // Elementwise, slice-major so each inner loop vectorizes
+        // across records.
+        for (unsigned t = 0; t < tableCount; ++t) {
+            std::uint64_t acc[batchRecords];
+            for (std::size_t i = 0; i < batchRecords; ++i)
+                acc[i] = pc_fold[i] ^ salt[t];
+            for (unsigned k = 0; k < historySlices[t]; ++k) {
+                const BitCount shift = k * bits;
+                for (std::size_t i = 0; i < batchRecords; ++i)
+                    acc[i] ^= (hist[i] & historyMask[t]) >> shift;
+            }
+            for (std::size_t i = 0; i < batchRecords; ++i)
+                idx[slot][t][i] = acc[i] & lanes[t].mask;
+        }
+        if (lanes[0].prefetch) {
+            for (unsigned t = 0; t < tableCount; ++t) {
+                for (std::size_t i = 0; i < count; ++i) {
+                    BPSIM_BATCH_PREFETCH(&lanes[t].cnt[idx[slot][t][i]]);
+                    BPSIM_BATCH_PREFETCH(
+                        &lanes[t].tags[idx[slot][t][i]]);
+                }
+            }
+        }
+    }
+
+    BPSIM_BATCH_INLINE ApplyResult
+    apply(unsigned slot, std::size_t i, Addr pc,
+          std::uint64_t /*pc_index*/, bool taken)
+    {
+        std::uint8_t weight[tableCount];
+        int sum = 0;
+        for (unsigned t = 0; t < tableCount; ++t) {
+            weight[t] = lanes[t].cnt[idx[slot][t][i]];
+            sum += static_cast<int>(weight[t]) -
+                   HashedPerceptron::weightBias;
+        }
+        const bool correct = (sum >= 0) == taken;
+
+        std::uint32_t collided = 0;
+        for (unsigned t = 0; t < tableCount; ++t)
+            collided += touchLane(lanes[t], stats[t], idx[slot][t][i],
+                                  pc, correct);
+
+        const int magnitude = sum < 0 ? -sum : sum;
+        const bool train = !correct || magnitude <= threshold;
+        for (unsigned t = 0; t < tableCount; ++t) {
+            lanes[t].cnt[idx[slot][t][i]] =
+                train ? satCounterTrain(weight[t], taken, lanes[t].maxv)
+                      : weight[t];
+        }
+        return {correct, collided};
+    }
+
+    void
+    flushSegment(HashedPerceptron &predictor)
+    {
+        for (unsigned t = 0; t < tableCount; ++t)
+            stats[t].flush(*lanes[t].src);
+        BatchTraits<HashedPerceptron>::history(predictor).set(shadow.hist);
+    }
+
+  private:
+    LaneTable lanes[tableCount];
+    LaneStats stats[tableCount];
+    HistoryShadow shadow;
+    BitCount bits;
+    int threshold;
+    std::uint64_t historyMask[tableCount] = {};
+    unsigned historySlices[tableCount] = {};
+    std::uint64_t salt[tableCount] = {};
+    std::size_t idx[pipelineSlots][tableCount][batchRecords];
+};
+
 /** The batch state class handling predictor type @p P. */
 template <typename P>
 struct StateFor;
@@ -669,6 +1122,16 @@ template <> struct StateFor<BiMode>
 template <> struct StateFor<TwoBcGskew>
 {
     using type = GskewState;
+};
+
+template <> struct StateFor<Tage>
+{
+    using type = TageState;
+};
+
+template <> struct StateFor<HashedPerceptron>
+{
+    using type = PerceptronState;
 };
 
 /**
@@ -893,30 +1356,17 @@ runPlainBatch(const batch::PlainArgs<P> &args)
         nullptr, args.from, args.to);
 }
 
-template void runGangBatch<Bimodal>(const batch::GangArgs<Bimodal> &);
-template void runGangBatch<Ghist>(const batch::GangArgs<Ghist> &);
-template void runGangBatch<Gshare>(const batch::GangArgs<Gshare> &);
-template void runGangBatch<BiMode>(const batch::GangArgs<BiMode> &);
-template void
-runGangBatch<TwoBcGskew>(const batch::GangArgs<TwoBcGskew> &);
-
-template void
-runDenseBatch<Bimodal>(const batch::DenseArgs<Bimodal> &);
-template void runDenseBatch<Ghist>(const batch::DenseArgs<Ghist> &);
-template void runDenseBatch<Gshare>(const batch::DenseArgs<Gshare> &);
-template void runDenseBatch<BiMode>(const batch::DenseArgs<BiMode> &);
-template void
-runDenseBatch<TwoBcGskew>(const batch::DenseArgs<TwoBcGskew> &);
-
-template void
-runPlainBatch<Bimodal>(const batch::PlainArgs<Bimodal> &);
-template void runPlainBatch<Ghist>(const batch::PlainArgs<Ghist> &);
-template void runPlainBatch<Gshare>(const batch::PlainArgs<Gshare> &);
-template void runPlainBatch<BiMode>(const batch::PlainArgs<BiMode> &);
-template void
-runPlainBatch<TwoBcGskew>(const batch::PlainArgs<TwoBcGskew> &);
+// Every kernel-visited type: a type the engine visits without a
+// StateFor specialization fails to compile here.
+#define BPSIM_INSTANTIATE_BATCH_KERNELS(P)                             \
+    template void runGangBatch<P>(const batch::GangArgs<P> &);         \
+    template void runDenseBatch<P>(const batch::DenseArgs<P> &);       \
+    template void runPlainBatch<P>(const batch::PlainArgs<P> &);
+BPSIM_KERNEL_PREDICTORS(BPSIM_INSTANTIATE_BATCH_KERNELS)
+#undef BPSIM_INSTANTIATE_BATCH_KERNELS
 
 } // namespace BPSIM_BATCH_NS
 } // namespace bpsim
 
 #undef BPSIM_BATCH_PREFETCH
+#undef BPSIM_BATCH_INLINE

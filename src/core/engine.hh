@@ -138,10 +138,10 @@ struct FusedSim
  *  - a predictor (or a CombinedPredictor's dynamic component) whose
  *    concrete type the kernels visit (visitPredictor) runs
  *    devirtualized; anything else runs the virtual loop;
- *  - a visited type with batch kernels (hasBatchKernels) runs them,
- *    unless a ContextAliasSink is attached: the batch kernels do not
- *    report lookups to the sink, so such sims — and the types
- *    without batch kernels — run the record kernels.
+ *  - a visited sim runs the batch kernels unless a ContextAliasSink
+ *    is attached (the batch kernels do not report lookups to the
+ *    sink) or it has both static hints and a profile (a shape the
+ *    batch kernels do not cover); those sims run the record kernel.
  *
  * @p sites optionally carries the buffer's site enumeration, onto
  * whose dense site-indexed arrays the pass flattens static hints and

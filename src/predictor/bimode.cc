@@ -90,7 +90,6 @@ BPSIM_REGISTER_PREDICTOR(
             },
         .paperKind = true,
         .kernelCapable = true,
-        .batchCapable = true,
     })
 
 } // namespace bpsim

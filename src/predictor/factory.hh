@@ -69,10 +69,12 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
 /**
  * The concrete predictor types the devirtualized replay kernels
  * dispatch to. A type listed here flows through visitPredictor into
- * the engine's record kernels and record-major gangs with zero
- * further edits; the batch kernels additionally require a
- * BatchTraits/hasBatchKernels specialization (core/batch_kernels.hh)
- * and otherwise the record kernels run.
+ * the engine's kernels; the batch kernel units instantiate for every
+ * listed type, so each one needs a BatchTraits specialization
+ * (core/batch_kernels.hh) and a batch state (StateFor in
+ * core/batch_kernels_impl.hh). The record kernel serves the same
+ * types for the shapes the batch kernels leave out (an attached
+ * ContextAliasSink; hints and a profile together).
  */
 #define BPSIM_KERNEL_PREDICTORS(X)                                     \
     X(Bimodal)                                                         \

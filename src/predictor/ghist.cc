@@ -74,7 +74,6 @@ BPSIM_REGISTER_PREDICTOR(
             },
         .paperKind = true,
         .kernelCapable = true,
-        .batchCapable = true,
     })
 
 } // namespace bpsim

@@ -65,6 +65,22 @@ class LongHistory
     /** Clear to the power-on (all not-taken) state. */
     void clear() { words = {0, 0}; }
 
+    /**
+     * Read and restore the raw storage words (word 0 holds the 64
+     * most recent outcomes). Used by the batch replay kernels, which
+     * evolve the history in registers and sync it back at segment
+     * boundaries.
+     */
+    ///@{
+    std::uint64_t word(unsigned i) const { return words[i]; }
+
+    void
+    setWords(std::uint64_t low, std::uint64_t high)
+    {
+        words = {low, high};
+    }
+    ///@}
+
   private:
     std::array<std::uint64_t, 2> words{};
     BitCount numBits;
@@ -118,6 +134,10 @@ class FoldedHistory
 
     /** Reset to the all-not-taken state. */
     void clear() { comp = 0; }
+
+    /** Restore an explicit folded value (the batch kernels' sync-back,
+     * as for LongHistory::setWords). */
+    void set(std::uint64_t value) { comp = value & mask(compLen); }
 
     /**
      * From-scratch fold of @p history's length-origLen window; the

@@ -137,6 +137,8 @@ class HashedPerceptron : public BranchPredictor
     ///@}
 
   private:
+    template <typename> friend struct BatchTraits;
+
     std::size_t
     tableIndex(unsigned t, std::uint64_t pc_index) const
     {

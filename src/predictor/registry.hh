@@ -6,11 +6,13 @@
  * translation unit (BPSIM_REGISTER_PREDICTOR at the bottom of its
  * .cc file). The factory, the CLI listing, the golden suite and the
  * benches all enumerate this registry instead of hand-maintained
- * name lists, so adding a predictor means: write the class, register
- * it, and (if the devirtualized kernels should handle it) add one
- * line to BPSIM_KERNEL_PREDICTORS in factory.hh. Nothing else —
- * runner identity strings, checkpoint fingerprints, profile-cache
- * keys and the golden suite derive from the registered name.
+ * name lists, so adding a predictor means: write the class and
+ * register it. If the devirtualized kernels should handle it, also
+ * add one line to BPSIM_KERNEL_PREDICTORS in factory.hh and give it a
+ * batch state in core/batch_kernels_impl.hh (the kernel units do not
+ * compile without one). Nothing else — runner identity strings,
+ * checkpoint fingerprints, profile-cache keys and the golden suite
+ * derive from the registered name.
  */
 
 #ifndef BPSIM_PREDICTOR_REGISTRY_HH
@@ -45,17 +47,11 @@ struct PredictorInfo
 
     /**
      * The devirtualized replay kernels dispatch on this concrete
-     * type (it is listed in BPSIM_KERNEL_PREDICTORS); false means
-     * simulation takes the virtual fallback path.
+     * type (it is listed in BPSIM_KERNEL_PREDICTORS, so it has batch
+     * kernels); false means simulation takes the virtual fallback
+     * path.
      */
     bool kernelCapable = false;
-
-    /**
-     * The batch kernels cover this concrete type (hasBatchKernels in
-     * core/batch_kernels.hh); false means the engine runs its record
-     * kernels instead.
-     */
-    bool batchCapable = false;
 
     /** Byte budget used when a spec gives the bare name. */
     std::size_t defaultBytes = 8192;

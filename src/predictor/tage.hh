@@ -228,6 +228,8 @@ class Tage : public BranchPredictor
     ///@}
 
   private:
+    template <typename> friend struct BatchTraits;
+
     struct Bank
     {
         CounterTable pred;

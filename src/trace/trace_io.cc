@@ -68,9 +68,10 @@ TraceWriter::write(const BranchRecord &record)
 {
     bpsim_assert(file != nullptr, "write to closed TraceWriter");
     bpsim_assert(record.instGap >= 1, "instGap must be >= 1");
+    // Unsigned subtraction wraps with defined behaviour; read as a
+    // signed value it is the plain difference whenever that fits.
     const std::int64_t delta =
-        static_cast<std::int64_t>(record.pc) -
-        static_cast<std::int64_t>(lastPc);
+        static_cast<std::int64_t>(record.pc - lastPc);
     putVarint(zigzagEncode(delta));
     putVarint((static_cast<std::uint64_t>(record.instGap) << 1) |
               (record.taken ? 1 : 0));
@@ -153,8 +154,9 @@ TraceReader::next(BranchRecord &record)
     std::uint64_t gap_bits;
     if (!getVarint(gap_bits))
         bpsim_fatal("trace '", path, "' ends mid-record");
+    // The writer's wrapping subtraction, undone by a wrapping add.
     const std::int64_t delta = zigzagDecode(delta_bits);
-    lastPc = static_cast<Addr>(static_cast<std::int64_t>(lastPc) + delta);
+    lastPc += static_cast<Addr>(delta);
     record.pc = lastPc;
     record.taken = (gap_bits & 1) != 0;
     record.instGap = static_cast<std::uint32_t>(gap_bits >> 1);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/runner.hh"
+#include "profile/profile_db.hh"
 
 namespace bpsim::oracle
 {
@@ -32,6 +33,22 @@ expectSameStats(const SimStats &a, const SimStats &b)
     EXPECT_EQ(a.collisions.collisions, b.collisions.collisions);
     EXPECT_EQ(a.collisions.constructive, b.collisions.constructive);
     EXPECT_EQ(a.collisions.destructive, b.collisions.destructive);
+}
+
+/** Every per-branch profile count, exactly. */
+inline void
+expectSameProfile(const ProfileDb &a, const ProfileDb &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto &[pc, profile] : a.entries()) {
+        const BranchProfile *other = b.find(pc);
+        ASSERT_NE(other, nullptr) << "pc " << std::hex << pc;
+        EXPECT_EQ(profile.executed, other->executed);
+        EXPECT_EQ(profile.taken, other->taken);
+        EXPECT_EQ(profile.predicted, other->predicted);
+        EXPECT_EQ(profile.correct, other->correct);
+        EXPECT_EQ(profile.collisions, other->collisions);
+    }
 }
 
 /**

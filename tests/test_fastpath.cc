@@ -2,21 +2,25 @@
  * @file
  * Bit-identity contract of the devirtualized replay kernels
  * (core/engine simulateReplayFused, the engine's only replay path):
- * for every predictor kind, scheme and shift policy the kernels must
- * produce exactly the SimStats, profile contents and hint counts of
- * the virtual simulate() loop, the oracle; predictors outside the
- * visitor must run the virtual loop transparently.
+ * for every kernel-visited predictor, scheme and shift policy the
+ * kernels must produce exactly the SimStats, profile contents and hint
+ * counts of the virtual simulate() loop, the oracle; predictors
+ * outside the visitor must run the virtual loop transparently.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/engine.hh"
 #include "core/experiment.hh"
 #include "oracle.hh"
 #include "predictor/factory.hh"
+#include "predictor/registry.hh"
 #include "staticsel/selection.hh"
 #include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
@@ -29,11 +33,59 @@ namespace
 constexpr Count testProfileBranches = 60'000;
 constexpr Count testEvalBranches = 120'000;
 
+/**
+ * The registered names of the kernel-visited predictors: the paper's
+ * kinds first, in PredictorKind order, then every other
+ * kernel-capable registration (tage, perceptron).
+ */
+const std::vector<std::string> &
+kernelPredictorNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const PredictorKind kind : allPredictorKinds())
+            out.push_back(predictorKindName(kind));
+        for (const PredictorInfo *info :
+             PredictorRegistry::instance().all()) {
+            if (info->kernelCapable && !info->paperKind)
+                out.push_back(info->name);
+        }
+        return out;
+    }();
+    return names;
+}
+
+/**
+ * Test parameter naming one kernelPredictorNames() entry by position.
+ * gtest prints it as a 4-byte object, as it prints the PredictorKind
+ * values whose positions it shares, so the paper kinds keep their
+ * test ids.
+ */
+struct KernelPredictor
+{
+    std::uint32_t position;
+
+    const std::string &
+    name() const
+    {
+        return kernelPredictorNames()[position];
+    }
+};
+
+std::vector<KernelPredictor>
+allKernelPredictors()
+{
+    std::vector<KernelPredictor> all;
+    for (std::uint32_t p = 0; p < kernelPredictorNames().size(); ++p)
+        all.push_back({p});
+    return all;
+}
+
 ExperimentConfig
-fastConfig(PredictorKind kind, StaticScheme scheme)
+fastConfig(const std::string &predictor, StaticScheme scheme)
 {
     ExperimentConfig config;
-    config.kind = kind;
+    config.predictor = predictor;
     config.sizeBytes = 2048;
     config.scheme = scheme;
     config.profileBranches = testProfileBranches;
@@ -41,39 +93,30 @@ fastConfig(PredictorKind kind, StaticScheme scheme)
     return config;
 }
 
+using oracle::expectSameProfile;
 using oracle::expectSameStats;
-
-void
-expectSameProfile(const ProfileDb &a, const ProfileDb &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto &[pc, profile] : a.entries()) {
-        const BranchProfile *other = b.find(pc);
-        ASSERT_NE(other, nullptr) << "pc " << std::hex << pc;
-        EXPECT_EQ(profile.executed, other->executed);
-        EXPECT_EQ(profile.taken, other->taken);
-        EXPECT_EQ(profile.predicted, other->predicted);
-        EXPECT_EQ(profile.correct, other->correct);
-        EXPECT_EQ(profile.collisions, other->collisions);
-    }
-}
 
 /**
  * One experiment over the replay path: prepareEvaluationReplay (with
  * its own profiling pass), simulateReplay and finishPreparedEvaluation.
- * @p used_kernel reports whether every simulation ran devirtualized.
+ * @p used_kernel reports whether every simulation ran devirtualized,
+ * @p used_simd whether every one ran the batch kernels.
  */
 ExperimentResult
 replayExperiment(const ReplayBuffer &buffer,
-                 const ExperimentConfig &config, bool *used_kernel)
+                 const ExperimentConfig &config, bool *used_kernel,
+                 bool *used_simd = nullptr)
 {
     PreparedEvaluation prepared =
         prepareEvaluationReplay(&buffer, buffer, config, nullptr);
     bool eval_kernel = false;
-    const SimStats stats =
-        simulateReplay(*prepared.combined, buffer,
-                       evalSimOptions(config, prepared), &eval_kernel);
+    bool eval_simd = false;
+    const SimStats stats = simulateReplay(
+        *prepared.combined, buffer, evalSimOptions(config, prepared),
+        &eval_kernel, &eval_simd);
     *used_kernel = prepared.preEvalFastPath && eval_kernel;
+    if (used_simd != nullptr)
+        *used_simd = prepared.preEvalSimd && eval_simd;
     return finishPreparedEvaluation(prepared, config, stats, &buffer);
 }
 
@@ -90,7 +133,7 @@ testBuffer()
     return buffer;
 }
 
-using KindScheme = std::tuple<PredictorKind, StaticScheme>;
+using KindScheme = std::tuple<KernelPredictor, StaticScheme>;
 
 class FastPathExperiment
     : public ::testing::TestWithParam<KindScheme>
@@ -98,8 +141,8 @@ class FastPathExperiment
 
 TEST_P(FastPathExperiment, KernelIdenticalToVirtualPath)
 {
-    const auto [kind, scheme] = GetParam();
-    const ExperimentConfig config = fastConfig(kind, scheme);
+    const auto [predictor, scheme] = GetParam();
+    const ExperimentConfig config = fastConfig(predictor.name(), scheme);
     const ReplayBuffer &buffer = testBuffer();
 
     // Virtual path: the stream-based core only ever uses simulate().
@@ -109,10 +152,12 @@ TEST_P(FastPathExperiment, KernelIdenticalToVirtualPath)
         runExperimentStreams(profile_stream, eval_stream, config);
 
     bool used_fast = false;
+    bool used_simd = false;
     const ExperimentResult kernel_result =
-        replayExperiment(buffer, config, &used_fast);
+        replayExperiment(buffer, config, &used_fast, &used_simd);
 
     EXPECT_TRUE(used_fast);
+    EXPECT_TRUE(used_simd);
     expectSameStats(virtual_result.stats, kernel_result.stats);
     EXPECT_EQ(virtual_result.hintCount, kernel_result.hintCount);
     EXPECT_EQ(virtual_result.simulatedBranches,
@@ -122,22 +167,22 @@ TEST_P(FastPathExperiment, KernelIdenticalToVirtualPath)
 INSTANTIATE_TEST_SUITE_P(
     AllKindsAndSchemes, FastPathExperiment,
     ::testing::Combine(
-        ::testing::ValuesIn(allPredictorKinds()),
+        ::testing::ValuesIn(allKernelPredictors()),
         ::testing::Values(StaticScheme::None, StaticScheme::Static95,
                           StaticScheme::StaticAcc)),
     [](const auto &info) {
-        return predictorKindName(std::get<0>(info.param)) + "_" +
+        return std::get<0>(info.param).name() + "_" +
                staticSchemeName(std::get<1>(info.param));
     });
 
 class FastPathProfile
-    : public ::testing::TestWithParam<PredictorKind>
+    : public ::testing::TestWithParam<KernelPredictor>
 {};
 
 TEST_P(FastPathProfile, ProfilePhaseIdenticalToVirtualPath)
 {
     const ExperimentConfig config =
-        fastConfig(GetParam(), StaticScheme::StaticAcc);
+        fastConfig(GetParam().name(), StaticScheme::StaticAcc);
     const ReplayBuffer &buffer = testBuffer();
 
     ReplayBuffer::Cursor stream = buffer.cursor();
@@ -155,36 +200,41 @@ TEST_P(FastPathProfile, ProfilePhaseIdenticalToVirtualPath)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathProfile,
-                         ::testing::ValuesIn(allPredictorKinds()),
+                         ::testing::ValuesIn(allKernelPredictors()),
                          [](const auto &info) {
-                             return predictorKindName(info.param);
+                             return info.param.name();
                          });
 
 TEST(FastPathTest, ShiftPoliciesIdenticalToVirtualPath)
 {
-    // The combined kernel owns the history treatment of statically
-    // predicted branches; every policy must match the wrapper.
-    for (const auto shift :
-         {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
-          ShiftPolicy::ShiftPrediction}) {
-        ExperimentConfig config =
-            fastConfig(PredictorKind::Ghist, StaticScheme::Static95);
-        config.shift = shift;
-        const ReplayBuffer &buffer = testBuffer();
+    // The kernels own the history treatment of statically predicted
+    // branches; every policy must match the wrapper for every kernel
+    // type.
+    const ReplayBuffer &buffer = testBuffer();
+    for (const std::string &name : kernelPredictorNames()) {
+        for (const auto shift :
+             {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
+              ShiftPolicy::ShiftPrediction}) {
+            SCOPED_TRACE(name + " " + shiftPolicyName(shift));
+            ExperimentConfig config =
+                fastConfig(name, StaticScheme::Static95);
+            config.shift = shift;
 
-        ReplayBuffer::Cursor profile_stream = buffer.cursor();
-        ReplayBuffer::Cursor eval_stream = buffer.cursor();
-        const ExperimentResult virtual_result =
-            runExperimentStreams(profile_stream, eval_stream, config);
+            ReplayBuffer::Cursor profile_stream = buffer.cursor();
+            ReplayBuffer::Cursor eval_stream = buffer.cursor();
+            const ExperimentResult virtual_result =
+                runExperimentStreams(profile_stream, eval_stream, config);
 
-        bool used_fast = false;
-        const ExperimentResult kernel_result =
-            replayExperiment(buffer, config, &used_fast);
+            bool used_fast = false;
+            bool used_simd = false;
+            const ExperimentResult kernel_result =
+                replayExperiment(buffer, config, &used_fast, &used_simd);
 
-        EXPECT_TRUE(used_fast)
-            << shiftPolicyName(shift);
-        expectSameStats(virtual_result.stats, kernel_result.stats);
-        EXPECT_EQ(virtual_result.hintCount, kernel_result.hintCount);
+            EXPECT_TRUE(used_fast);
+            EXPECT_TRUE(used_simd);
+            expectSameStats(virtual_result.stats, kernel_result.stats);
+            EXPECT_EQ(virtual_result.hintCount, kernel_result.hintCount);
+        }
     }
 }
 
@@ -197,18 +247,21 @@ TEST(FastPathTest, WarmupIdenticalToVirtualPath)
     options.warmupBranches = 20'000;
     options.maxBranches = 50'000;
 
-    for (const auto kind : allPredictorKinds()) {
-        auto virtual_predictor = makePredictor(kind, 2048);
+    for (const std::string &name : kernelPredictorNames()) {
+        auto virtual_predictor = makePredictor(name + ":2048");
         ReplayBuffer::Cursor cursor = buffer.cursor();
         const SimStats virtual_stats =
             simulate(*virtual_predictor, cursor, options);
 
-        auto kernel_predictor = makePredictor(kind, 2048);
+        auto kernel_predictor = makePredictor(name + ":2048");
         bool used_fast = false;
+        bool used_simd = false;
         const SimStats kernel_stats = simulateReplay(
-            *kernel_predictor, buffer, options, &used_fast);
+            *kernel_predictor, buffer, options, &used_fast, &used_simd);
 
-        EXPECT_TRUE(used_fast) << predictorKindName(kind);
+        SCOPED_TRACE(name);
+        EXPECT_TRUE(used_fast);
+        EXPECT_TRUE(used_simd);
         expectSameStats(virtual_stats, kernel_stats);
     }
 }
@@ -264,8 +317,7 @@ TEST(FastPathTest, CustomFactoryExperimentFallsBack)
 {
     // A makeDynamic factory constructing a non-visitable type runs
     // the whole experiment on the virtual path, bit-identically.
-    ExperimentConfig config =
-        fastConfig(PredictorKind::Gshare, StaticScheme::Static95);
+    ExperimentConfig config = fastConfig("gshare", StaticScheme::Static95);
     config.makeDynamic = [] { return makePredictor("yags:2048"); };
     const ReplayBuffer &buffer = testBuffer();
 
@@ -294,11 +346,11 @@ TEST(FastPathTest, HintsWithProfileRunTheRecordKernel)
         ProfileDb::collect(bias_stream, testEvalBranches));
     ASSERT_GT(hints.size(), 0u);
 
-    for (const auto kind : allPredictorKinds()) {
+    for (const std::string &name : kernelPredictorNames()) {
         SimOptions options;
         options.maxBranches = testEvalBranches;
 
-        CombinedPredictor virtual_combined(makePredictor(kind, 2048),
+        CombinedPredictor virtual_combined(makePredictor(name + ":2048"),
                                            hints,
                                            ShiftPolicy::ShiftOutcome);
         ProfileDb virtual_profile;
@@ -307,7 +359,7 @@ TEST(FastPathTest, HintsWithProfileRunTheRecordKernel)
         const SimStats virtual_stats =
             simulate(virtual_combined, cursor, options);
 
-        CombinedPredictor kernel_combined(makePredictor(kind, 2048),
+        CombinedPredictor kernel_combined(makePredictor(name + ":2048"),
                                           hints,
                                           ShiftPolicy::ShiftOutcome);
         ProfileDb kernel_profile;
@@ -317,7 +369,7 @@ TEST(FastPathTest, HintsWithProfileRunTheRecordKernel)
         const SimStats kernel_stats = simulateReplay(
             kernel_combined, buffer, options, &used_fast, &used_simd);
 
-        SCOPED_TRACE(predictorKindName(kind));
+        SCOPED_TRACE(name);
         EXPECT_TRUE(used_fast);
         EXPECT_FALSE(used_simd);
         expectSameStats(virtual_stats, kernel_stats);

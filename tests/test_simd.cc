@@ -176,12 +176,8 @@ TEST_F(SimdTest, BitIdenticalAcrossDispatchAtAnyThreadCount)
     }
 }
 
-/**
- * The tagged family (tage, perceptron) publishes no batch kernels:
- * hasBatchKernels is false, so its cells run the record kernels under
- * every dispatch level — zero simdCells, and results equal to the
- * oracle at any thread count.
- */
+/** The tagged family (tage, perceptron): 2 programs x 2 predictors x
+ * 2 schemes = 8 cells. */
 void
 addTaggedCells(ExperimentRunner &runner)
 {
@@ -203,7 +199,7 @@ addTaggedCells(ExperimentRunner &runner)
     }
 }
 
-TEST_F(SimdTest, TaggedFamilyFallsBackToReferenceBitIdentically)
+TEST_F(SimdTest, TaggedFamilyBitIdenticalAcrossDispatchAtAnyThreadCount)
 {
     std::vector<ExperimentResult> oracle_results;
     {
@@ -213,12 +209,22 @@ TEST_F(SimdTest, TaggedFamilyFallsBackToReferenceBitIdentically)
         oracle_results = oracle::resultsOf(runner);
     }
 
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        ExperimentRunner runner(matrixOptions(threads));
-        addTaggedCells(runner);
-        const MatrixResult got = runner.run();
-        expectSameMatrix(got, oracle_results);
-        EXPECT_EQ(got.simdCells, 0u) << threads << " threads";
+    // As for the paper kinds: the detected level, then the portable
+    // unit forced, each equal to the oracle with every cell batched.
+    for (const char *forced : {"", "scalar"}) {
+        if (*forced != '\0')
+            ::setenv("BPSIM_SIMD", forced, 1);
+        const SimdLevel level = resolveSimdLevel();
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            ExperimentRunner runner(matrixOptions(threads));
+            addTaggedCells(runner);
+            const MatrixResult got = runner.run();
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         simdLevelName(level));
+            expectSameMatrix(got, oracle_results);
+            EXPECT_EQ(got.dispatch, simdLevelName(level));
+            EXPECT_EQ(got.simdCells, got.kernelCells);
+        }
     }
 }
 

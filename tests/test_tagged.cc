@@ -4,7 +4,10 @@
  * allocation/useful-bit/provider mechanics, the folded-history (CSR)
  * invariant, the hashed perceptron's threshold-gated training and
  * weight saturation bounds, and checkpoint fingerprints for
- * registry-constructed predictors.
+ * registry-constructed predictors. The batch-kernel differentials
+ * replay both predictors at sizes and aging periods the goldens never
+ * reach, through every batch shape, against the virtual simulate()
+ * loop.
  *
  * Streams are generated from a fixed-seed xorshift so every property
  * is checked over a deterministic but adversarial outcome sequence.
@@ -14,13 +17,20 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hh"
+#include "core/combined_predictor.hh"
+#include "core/engine.hh"
 #include "core/runner.hh"
+#include "oracle.hh"
 #include "predictor/long_history.hh"
 #include "predictor/perceptron.hh"
 #include "predictor/tage.hh"
+#include "staticsel/selection.hh"
+#include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
 #include "workload/synthetic_program.hh"
 
@@ -275,6 +285,203 @@ taggedConfig(const std::string &predictor, StaticScheme scheme)
     config.profileBranches = 30'000;
     config.evalBranches = 60'000;
     return config;
+}
+
+/** The gcc trace the batch-kernel differentials replay: long enough
+ * to cross fused-walk block boundaries (segment flushes). */
+const ReplayBuffer &
+kernelBuffer()
+{
+    static const ReplayBuffer buffer = [] {
+        SyntheticProgram program =
+            makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+        return ReplayBuffer::materialize(program, 150'000);
+    }();
+    return buffer;
+}
+
+/** Two different Static_95 hint sets over the trace (whole-trace and
+ * first-fifth bias), so a gang's members diverge. */
+std::vector<HintDb>
+kernelHintSets()
+{
+    std::vector<HintDb> sets;
+    for (const Count window : {Count{150'000}, Count{30'000}}) {
+        ReplayBuffer::Cursor cursor = kernelBuffer().cursor();
+        sets.push_back(selectStatic95(ProfileDb::collect(cursor, window)));
+    }
+    return sets;
+}
+
+/**
+ * Every piece of TAGE state the batch kernels carry: aging and
+ * allocation counts, each bank's tags and useful counters, the long
+ * history and the index folds; a probe predict() then compares what
+ * the counters, tag folds and base table yield for a spread of PCs.
+ */
+void
+expectSameState(Tage &expected, Tage &got)
+{
+    EXPECT_EQ(expected.agingPasses(), got.agingPasses());
+    EXPECT_EQ(expected.allocationCount(), got.allocationCount());
+    for (unsigned b = 0; b < Tage::numBanks; ++b) {
+        SCOPED_TRACE("bank " + std::to_string(b));
+        EXPECT_EQ(expected.bankIndexFold(b).value(),
+                  got.bankIndexFold(b).value());
+        for (std::size_t i = 0; i < expected.bankEntries(b); ++i) {
+            ASSERT_EQ(expected.tagAt(b, i), got.tagAt(b, i)) << i;
+            ASSERT_EQ(expected.usefulAt(b, i), got.usefulAt(b, i)) << i;
+        }
+    }
+    const LongHistory &history = expected.longHistory();
+    for (BitCount j = 0; j < history.width(); ++j)
+        EXPECT_EQ(history.bit(j), got.longHistory().bit(j)) << j;
+
+    Stream probes(0x7a9e);
+    for (int n = 0; n < 64; ++n) {
+        const Addr pc = probes.pc();
+        EXPECT_EQ(expected.predict(pc), got.predict(pc));
+        EXPECT_EQ(expected.lastProvider(), got.lastProvider());
+        for (unsigned b = 0; b < Tage::numBanks; ++b) {
+            EXPECT_EQ(expected.lastBankIndex(b), got.lastBankIndex(b));
+            EXPECT_EQ(expected.lastBankTag(b), got.lastBankTag(b));
+        }
+    }
+}
+
+/** Every weight, then probe sums (which read the history). */
+void
+expectSameState(HashedPerceptron &expected, HashedPerceptron &got)
+{
+    for (unsigned t = 0; t < HashedPerceptron::numTables; ++t) {
+        for (std::size_t i = 0; i < expected.tableEntries(); ++i)
+            ASSERT_EQ(expected.weightAt(t, i), got.weightAt(t, i))
+                << "table " << t << " entry " << i;
+    }
+    Stream probes(0x7a9e);
+    for (int n = 0; n < 64; ++n) {
+        const Addr pc = probes.pc();
+        EXPECT_EQ(expected.predict(pc), got.predict(pc));
+        EXPECT_EQ(expected.lastSum(), got.lastSum());
+    }
+}
+
+/**
+ * Replay fresh predictors from @p make through the three batch shapes
+ * — plain simulateReplay, a dense-profile pass and a hinted gang
+ * through simulateReplayFused under every shift policy — and require
+ * stats, collision split, profile counts and predictor state equal to
+ * the virtual simulate() loop's.
+ */
+template <typename Make>
+void
+expectBatchShapesMatchOracle(const Make &make)
+{
+    using P = typename decltype(make())::element_type;
+    const ReplayBuffer &buffer = kernelBuffer();
+    SimOptions options;
+    options.warmupBranches = 5'000;
+
+    {
+        SCOPED_TRACE("plain");
+        auto expected = make();
+        ReplayBuffer::Cursor cursor = buffer.cursor();
+        const SimStats oracle_stats = simulate(*expected, cursor, options);
+        auto got = make();
+        bool used_simd = false;
+        const SimStats stats =
+            simulateReplay(*got, buffer, options, nullptr, &used_simd);
+        EXPECT_TRUE(used_simd);
+        oracle::expectSameStats(oracle_stats, stats);
+        expectSameState(*expected, *got);
+    }
+
+    {
+        SCOPED_TRACE("dense profile");
+        auto expected = make();
+        ProfileDb expected_profile;
+        SimOptions profiled = options;
+        profiled.profile = &expected_profile;
+        ReplayBuffer::Cursor cursor = buffer.cursor();
+        const SimStats oracle_stats =
+            simulate(*expected, cursor, profiled);
+        auto got = make();
+        ProfileDb profile;
+        profiled.profile = &profile;
+        bool used_simd = false;
+        const SimStats stats =
+            simulateReplay(*got, buffer, profiled, nullptr, &used_simd);
+        EXPECT_TRUE(used_simd);
+        oracle::expectSameStats(oracle_stats, stats);
+        oracle::expectSameProfile(expected_profile, profile);
+        expectSameState(*expected, *got);
+    }
+
+    const std::vector<HintDb> hint_sets = kernelHintSets();
+    for (const ShiftPolicy policy :
+         {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
+          ShiftPolicy::ShiftPrediction}) {
+        SCOPED_TRACE(std::string("hinted gang, ") +
+                     shiftPolicyName(policy));
+        std::vector<std::unique_ptr<CombinedPredictor>> expected;
+        std::vector<std::unique_ptr<CombinedPredictor>> got;
+        std::vector<FusedSim> sims;
+        for (const HintDb &hints : hint_sets) {
+            expected.push_back(
+                std::make_unique<CombinedPredictor>(make(), hints, policy));
+            got.push_back(
+                std::make_unique<CombinedPredictor>(make(), hints, policy));
+            FusedSim sim;
+            sim.predictor = got.back().get();
+            sim.options = options;
+            sims.push_back(sim);
+        }
+        simulateReplayFused(sims, buffer);
+        for (std::size_t m = 0; m < sims.size(); ++m) {
+            SCOPED_TRACE("member " + std::to_string(m));
+            ReplayBuffer::Cursor cursor = buffer.cursor();
+            const SimStats oracle_stats =
+                simulate(*expected[m], cursor, options);
+            EXPECT_TRUE(sims[m].usedSimd);
+            EXPECT_GT(sims[m].stats.staticPredicted, 0u);
+            oracle::expectSameStats(oracle_stats, sims[m].stats);
+            expectSameState(
+                dynamic_cast<P &>(expected[m]->dynamicComponent()),
+                dynamic_cast<P &>(got[m]->dynamicComponent()));
+        }
+    }
+}
+
+TEST(TaggedKernelTest, TageAgingAndAllocationMatchTheVirtualLoop)
+{
+    // A 1024-update aging period makes aging fire ~150 times over the
+    // trace; the default 2^18 never fires in the goldens. The 64KB
+    // size also takes the prefetching path of the larger tables.
+    for (const std::size_t bytes : {std::size_t{2048}, std::size_t{65536}}) {
+        SCOPED_TRACE(std::to_string(bytes) + " bytes");
+        const auto make = [bytes] {
+            return std::make_unique<Tage>(bytes, Count{1024});
+        };
+        expectBatchShapesMatchOracle(make);
+
+        Tage reference(bytes, Count{1024});
+        ReplayBuffer::Cursor cursor = kernelBuffer().cursor();
+        simulate(reference, cursor);
+        EXPECT_GT(reference.agingPasses(), 100u);
+        EXPECT_GT(reference.allocationCount(), 1000u);
+    }
+}
+
+TEST(TaggedKernelTest, PerceptronMatchesTheVirtualLoopAcrossTableWidths)
+{
+    // 8-, 256- and 8192-entry tables: index widths of 3, 8 and 13
+    // bits change how many slices every history fold takes.
+    for (const std::size_t bytes :
+         {std::size_t{64}, std::size_t{2048}, std::size_t{65536}}) {
+        SCOPED_TRACE(std::to_string(bytes) + " bytes");
+        expectBatchShapesMatchOracle(
+            [bytes] { return std::make_unique<HashedPerceptron>(bytes); });
+    }
 }
 
 TEST(TaggedCheckpointTest, RegistryPredictorsFingerprint)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "support/random.hh"
@@ -215,6 +216,62 @@ TEST(BinaryTraceFuzzTest, RandomStreamsRoundTripExactly)
         EXPECT_EQ(replayed.data(), original.data()) << "seed " << seed;
         std::remove(path.c_str());
     }
+}
+
+TEST(BinaryTraceFuzzTest, ExtremePcDeltasRoundTrip)
+{
+    // PCs on opposite sides of the signed midpoint: a signed
+    // subtraction of these overflows. The delta is taken in unsigned
+    // arithmetic, which wraps, and the reader wraps it back.
+    constexpr Addr top = ~Addr{0};
+    constexpr Addr signed_max = top >> 1;
+    constexpr Addr signed_min = signed_max + 1;
+    const Addr pcs[] = {signed_max, signed_min, signed_max, top,
+                        signed_max, 0,          signed_min, 0,
+                        top,        signed_min};
+    MemoryTrace original;
+    for (const Addr pc : pcs) {
+        BranchRecord record;
+        record.pc = pc;
+        record.taken = (pc & 1) != 0;
+        record.instGap = 1;
+        original.append(record);
+    }
+    const std::string path = tempPath("extreme");
+    {
+        TraceWriter writer(path);
+        original.reset();
+        ASSERT_EQ(writer.writeAll(original), std::size(pcs));
+    }
+    TraceReader reader(path);
+    MemoryTrace loaded = MemoryTrace::capture(reader);
+    EXPECT_EQ(loaded.data(), original.data());
+    std::remove(path.c_str());
+
+    // Deltas that fit keep their bytes: +0x1000 then -4.
+    {
+        TraceWriter writer(path);
+        BranchRecord record;
+        record.pc = 0x1000;
+        record.taken = true;
+        record.instGap = 1;
+        writer.write(record);
+        record.pc = 0xffc;
+        record.taken = false;
+        record.instGap = 2;
+        writer.write(record);
+    }
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    unsigned char bytes[16];
+    const std::size_t size = std::fread(bytes, 1, sizeof(bytes), file);
+    std::fclose(file);
+    const unsigned char expected[] = {'B',  'P',  'T',  '1', 0x80,
+                                      0x40, 0x03, 0x07, 0x04};
+    ASSERT_EQ(size, sizeof(expected));
+    for (std::size_t i = 0; i < size; ++i)
+        EXPECT_EQ(bytes[i], expected[i]) << "byte " << i;
+    std::remove(path.c_str());
 }
 
 TEST(BinaryTraceFuzzTest, ZeroRecordTraceRoundTrips)

@@ -881,13 +881,11 @@ cmdList()
     std::printf("\npredictors:\n");
     for (const PredictorInfo *info :
          PredictorRegistry::instance().all()) {
-        std::printf("  %-12s %-6s default=%zuB kernel=%-3s "
-                    "batch=%-3s  %s\n",
+        std::printf("  %-12s %-6s default=%zuB kernel=%-3s  %s\n",
                     info->name.c_str(),
                     info->paperKind ? "paper" : "ext",
                     info->defaultBytes,
                     info->kernelCapable ? "yes" : "no",
-                    info->batchCapable ? "yes" : "no",
                     info->description.c_str());
     }
     std::printf("schemes:   none static_95 static_acc static_fac "
