@@ -13,14 +13,16 @@
  *
  * Fused-shape variants per predictor (simulateReplayFused over a site
  * index, the experiment runner's hot path):
- *  - gang:  1 unhinted + 3 Static_95 members
- *  - dense: profile collection onto dense site arrays
+ *  - gang:       1 unhinted + 3 Static_95 members
+ *  - dense:      profile collection onto dense site arrays
+ *  - attributed: a scenario evaluation's lone sim, Static_95 hints
+ *                with a profile and a ContextAliasSink attached
  *
  * Invoked as `microbench_engine --batch-gate` the binary instead runs
  * the CI throughput gate: it times the virtual loop and the batch
- * kernels side by side for the plain and gang shapes and exits
- * nonzero when the batch kernels regress below the virtual loop in
- * any gate group (per-shape aggregate over the group, 5% noise
+ * kernels side by side for the plain, gang and attributed shapes and
+ * exits nonzero when the batch kernels regress below the virtual loop
+ * in any gate group (per-shape aggregate over the group, 5% noise
  * tolerance, best of three runs).
  */
 
@@ -35,6 +37,7 @@
 
 #include "core/combined_predictor.hh"
 #include "core/engine.hh"
+#include "predictor/context_alias.hh"
 #include "predictor/factory.hh"
 #include "profile/profile_db.hh"
 #include "staticsel/selection.hh"
@@ -201,6 +204,55 @@ fusedDenseThroughput(benchmark::State &state, const char *name)
 }
 
 /**
+ * A scenario evaluation's shape: one Static_95-hinted sim collecting a
+ * profile with a ContextAliasSink attached, which the engine runs
+ * alone on the batch kernels' solo shape.
+ */
+struct AttributedFixture
+{
+    explicit AttributedFixture(const char *name)
+        : predictor(makePredictor(specOf(name)), static95Hints(),
+                    ShiftPolicy::NoShift)
+    {
+        predictor.attachAliasSink(&sink);
+        sims[0].predictor = &predictor;
+        sims[0].options.profile = &profile;
+    }
+
+    /** The same sim simulated by the virtual loop. */
+    void
+    runVirtual()
+    {
+        auto cursor = trace().cursor();
+        SimOptions options;
+        options.profile = &profile;
+        benchmark::DoNotOptimize(
+            simulate(predictor, cursor, options).mispredictions);
+    }
+
+    void runBatch() { simulateReplayFused(sims, trace(), &sites()); }
+
+    CombinedPredictor predictor;
+    ContextAliasSink sink{1};
+    ProfileDb profile;
+    std::vector<FusedSim> sims = std::vector<FusedSim>(1);
+};
+
+void
+fusedAttributedThroughput(benchmark::State &state, const char *name)
+{
+    AttributedFixture fixture(name);
+    for (auto _ : state) {
+        fixture.runBatch();
+        if (!fixture.sims[0].usedSimd)
+            state.SkipWithError("unexpected dispatch path");
+        benchmark::DoNotOptimize(fixture.sims[0].stats.mispredictions);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * trace().size()));
+}
+
+/**
  * The gate's predictor groups, each held to the tolerance on its own
  * per-shape aggregate: the five paper schemes together, then TAGE and
  * the hashed perceptron each alone. Their virtual loops cost several
@@ -243,7 +295,7 @@ bestOfThree(const Body &body)
 
 /**
  * The CI throughput gate: the batch kernels must not regress below
- * the virtual loop on either engine shape in any gate group
+ * the virtual loop on any of the three engine shapes in any gate group
  * (aggregate over the group's predictors; 5% tolerance absorbs
  * machine noise).
  *
@@ -262,7 +314,7 @@ runBatchGate()
         const double virtual_rate = branches / virtual_seconds;
         const double batch_rate = branches / batch_seconds;
         const bool ok = batch_rate >= virtual_rate * tolerance;
-        std::printf("%-10s %-6s virtual %8.1fM/s   batch %8.1fM/s   "
+        std::printf("%-10s %-10s virtual %8.1fM/s   batch %8.1fM/s   "
                     "%5.2fx  %s\n",
                     group.label, shape, virtual_rate / 1e6,
                     batch_rate / 1e6, batch_rate / virtual_rate,
@@ -308,6 +360,19 @@ runBatchGate()
             gang_branches += records * fixture.sims.size();
         }
         report(group, "gang", gang_virtual, gang_batch, gang_branches);
+
+        // Attributed shape: a scenario evaluation's lone sim against
+        // the same sim simulated by the virtual loop.
+        double attributed_virtual = 0.0;
+        double attributed_batch = 0.0;
+        for (const char *name : group.predictors) {
+            AttributedFixture fixture(name);
+            attributed_virtual +=
+                bestOfThree([&] { fixture.runVirtual(); });
+            attributed_batch += bestOfThree([&] { fixture.runBatch(); });
+        }
+        report(group, "attributed", attributed_virtual, attributed_batch,
+               records * group.predictors.size());
     }
 
     std::printf("gate: %s\n", pass ? "pass" : "FAIL");
@@ -324,6 +389,9 @@ runBatchGate()
     BENCHMARK_CAPTURE(fusedGangThroughput, name##_gang, spec)          \
         ->Unit(benchmark::kMillisecond);                               \
     BENCHMARK_CAPTURE(fusedDenseThroughput, name##_dense, spec)        \
+        ->Unit(benchmark::kMillisecond);                               \
+    BENCHMARK_CAPTURE(fusedAttributedThroughput, name##_attributed,    \
+                      spec)                                            \
         ->Unit(benchmark::kMillisecond)
 
 BPSIM_ENGINE_BENCH(bimodal, "bimodal");

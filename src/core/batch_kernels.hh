@@ -132,7 +132,7 @@ template <> struct BatchTraits<Tage>
 
     static Count &allocations(Tage &p) { return p.allocations; }
 
-    /** updateStep()'s aging tick: count one update and age the useful
+    /** update()'s aging tick: count one update and age the useful
      * counters when the period is up. */
     static void
     countUpdate(Tage &p)
@@ -301,16 +301,23 @@ struct GangArgs
 };
 
 /**
- * One dense-profile segment: a single profiling sim accumulating
- * per-site BranchProfile counts (site-indexed array, flushed to the
- * ProfileDb when the pass finishes).
+ * One solo segment: a sim that runs alone over the site index because
+ * it accumulates per-site BranchProfile counts (site-indexed array,
+ * flushed to the ProfileDb when the pass finishes), reports colliding
+ * lookups to a ContextAliasSink, or both; at least one of @p profiles
+ * and @p sink is set. Optional dense hint codes apply under @p policy;
+ * a hinted record adds only its outcome to the profile, as
+ * simulate() records it.
  */
 template <typename P>
-struct DenseArgs
+struct SoloArgs
 {
     P *predictor = nullptr;
     const SiteTables *siteTables = nullptr;
+    const std::uint8_t *hintCodes = nullptr;
+    ShiftPolicy policy = ShiftPolicy::NoShift;
     BranchProfile *profiles = nullptr;
+    ContextAliasSink *sink = nullptr;
     SimStats *stats = nullptr;
     const ReplayBuffer *buffer = nullptr;
     const std::uint32_t *siteOf = nullptr;
@@ -344,8 +351,7 @@ struct PlainArgs
 namespace kernels_scalar
 {
 template <typename P> void runGangBatch(const batch::GangArgs<P> &args);
-template <typename P>
-void runDenseBatch(const batch::DenseArgs<P> &args);
+template <typename P> void runSoloBatch(const batch::SoloArgs<P> &args);
 template <typename P>
 void runPlainBatch(const batch::PlainArgs<P> &args);
 } // namespace kernels_scalar
@@ -354,8 +360,7 @@ void runPlainBatch(const batch::PlainArgs<P> &args);
 namespace kernels_avx2
 {
 template <typename P> void runGangBatch(const batch::GangArgs<P> &args);
-template <typename P>
-void runDenseBatch(const batch::DenseArgs<P> &args);
+template <typename P> void runSoloBatch(const batch::SoloArgs<P> &args);
 template <typename P>
 void runPlainBatch(const batch::PlainArgs<P> &args);
 } // namespace kernels_avx2
@@ -366,12 +371,8 @@ template <typename P>
 struct BatchKernelSet
 {
     void (*gang)(const batch::GangArgs<P> &) = nullptr;
-    void (*dense)(const batch::DenseArgs<P> &) = nullptr;
+    void (*solo)(const batch::SoloArgs<P> &) = nullptr;
     void (*plain)(const batch::PlainArgs<P> &) = nullptr;
-
-    /** True when the set holds kernels; the engine leaves it empty
-     * for a sim with a ContextAliasSink attached. */
-    explicit operator bool() const { return gang != nullptr; }
 };
 
 /**
@@ -388,7 +389,7 @@ batchKernelsFor(SimdLevel level)
 #if defined(BPSIM_HAVE_AVX2_KERNELS)
       case SimdLevel::Avx2:
         set.gang = &kernels_avx2::runGangBatch<P>;
-        set.dense = &kernels_avx2::runDenseBatch<P>;
+        set.solo = &kernels_avx2::runSoloBatch<P>;
         set.plain = &kernels_avx2::runPlainBatch<P>;
         break;
 #else
@@ -397,7 +398,7 @@ batchKernelsFor(SimdLevel level)
       case SimdLevel::Scalar:
       case SimdLevel::Neon:
         set.gang = &kernels_scalar::runGangBatch<P>;
-        set.dense = &kernels_scalar::runDenseBatch<P>;
+        set.solo = &kernels_scalar::runSoloBatch<P>;
         set.plain = &kernels_scalar::runPlainBatch<P>;
         break;
     }

@@ -23,10 +23,9 @@
  * vectorize across records. The apply pass walks the records in
  * order, performing the branchless counter load / predict / train /
  * tag update with the carried indices; its per-record operation
- * sequence is exactly the one the record kernel in core/engine.cc and
- * the virtual simulate() loop perform, so every SimStats field,
- * collision statistic, profile count and table byte is bit-identical
- * to theirs.
+ * sequence is exactly the one the virtual simulate() loop performs, so
+ * every SimStats field, collision statistic, profile count, alias-sink
+ * cell and table byte is bit-identical to the oracle's.
  */
 
 #include "core/batch_kernels.hh"
@@ -71,8 +70,7 @@ constexpr unsigned pipelineSlots = 2;
  * fixed-size chunks. A compile-time member count lets the apply
  * pass's member loop fully unroll with its accumulators in
  * registers, and four independent predictor chains already saturate
- * the out-of-order window (same bound as the record kernel's
- * sub-gangs).
+ * the out-of-order window.
  */
 constexpr std::size_t gangChunk = 4;
 
@@ -108,7 +106,8 @@ struct LaneTable
     explicit LaneTable(CounterTable &table)
         : cnt(table.counterData()), tags(table.tagData()),
           mask(table.indexMask()), src(&table),
-          msb(table.counterMsb()), maxv(table.counterMax()),
+          sink(table.attachedSink()), msb(table.counterMsb()),
+          maxv(table.counterMax()),
           prefetch(table.indexMask() + 1 >= prefetchMinEntries)
     {
     }
@@ -117,6 +116,7 @@ struct LaneTable
     Addr *tags = nullptr;
     std::size_t mask = 0;
     CounterTable *src = nullptr;
+    ContextAliasSink *sink = nullptr;
     std::uint8_t msb = 0;
     std::uint8_t maxv = 0;
     bool prefetch = false;
@@ -128,7 +128,7 @@ struct LaneTable
  * tag protocol matches CounterTable::lookup exactly; the
  * classification happens inline (the overall correctness is already
  * known at apply time), so the table's pending counter stays zero —
- * the same state updateStep() leaves behind.
+ * the same state update() leaves behind.
  */
 struct LaneStats
 {
@@ -151,10 +151,14 @@ struct LaneStats
 
 /**
  * One instrumented table access: tag check, tag write and classified
- * collision accounting.
+ * collision accounting. @p WithSink instantiations also note a
+ * colliding access to the table's ContextAliasSink, as
+ * CounterTable::lookup does (the driver classifies the record's notes
+ * once it is applied); the check is compiled out of every other loop.
  *
  * @return 1 when the access collided, else 0
  */
+template <bool WithSink>
 inline std::uint32_t
 touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
           Addr pc, bool correct)
@@ -164,6 +168,10 @@ touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
     const std::uint32_t collided =
         static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
         static_cast<std::uint32_t>(tag != pc);
+    if constexpr (WithSink) {
+        if (collided != 0)
+            table.sink->note(pc, tag);
+    }
     table.tags[index] = pc;
     stats.collisions += collided;
     stats.constructive += collided & static_cast<std::uint32_t>(correct);
@@ -189,8 +197,8 @@ enum class IndexKind
 /**
  * Shared history-shadow machinery: each state keeps the global
  * history in a register, advancing it per record with the same
- * policy/hint rules the scalar kernels apply through historyStep(),
- * and syncs it back into the predictor at segment end.
+ * policy/hint rules CombinedPredictor::updateHistory applies, and
+ * syncs it back into the predictor at segment end.
  */
 struct HistoryShadow
 {
@@ -313,6 +321,7 @@ class TableState
         }
     }
 
+    template <bool WithSink>
     ApplyResult
     apply(unsigned slot, std::size_t i, Addr pc,
           std::uint64_t pc_index, bool taken)
@@ -324,7 +333,7 @@ class TableState
         const bool prediction = satCounterTaken(counter, table.msb);
         const bool correct = prediction == taken;
         const std::uint32_t collided =
-            touchLane(table, stats, k, pc, correct);
+            touchLane<WithSink>(table, stats, k, pc, correct);
         table.cnt[k] = satCounterTrain(counter, taken, table.maxv);
         return {correct, collided};
     }
@@ -401,6 +410,7 @@ class BiModeState
         }
     }
 
+    template <bool WithSink>
     ApplyResult
     apply(unsigned slot, std::size_t i, Addr pc,
           std::uint64_t /*pc_index*/, bool taken)
@@ -420,8 +430,8 @@ class BiModeState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane(choice, choiceStats, kc, pc, correct) +
-            touchLane(selected, selectedStats, kd, pc, correct);
+            touchLane<WithSink>(choice, choiceStats, kc, pc, correct) +
+            touchLane<WithSink>(selected, selectedStats, kd, pc, correct);
 
         // Partial update: only the selected direction table trains.
         selected.cnt[kd] = satCounterTrain(dirCounter, taken,
@@ -564,6 +574,7 @@ class GskewState
         }
     }
 
+    template <bool WithSink>
     ApplyResult
     apply(unsigned slot, std::size_t i, Addr pc,
           std::uint64_t /*pc_index*/, bool taken)
@@ -588,10 +599,10 @@ class GskewState
         const bool correct = prediction == taken;
 
         const std::uint32_t collided =
-            touchLane(bim, bimStats, kb, pc, correct) +
-            touchLane(g0, g0Stats, k0, pc, correct) +
-            touchLane(g1, g1Stats, k1, pc, correct) +
-            touchLane(meta, metaStats, km, pc, correct);
+            touchLane<WithSink>(bim, bimStats, kb, pc, correct) +
+            touchLane<WithSink>(g0, g0Stats, k0, pc, correct) +
+            touchLane<WithSink>(g1, g1Stats, k1, pc, correct) +
+            touchLane<WithSink>(meta, metaStats, km, pc, correct);
 
         // Partial update as branchless masks: on a wrong overall
         // prediction all voting banks train; on a correct one only
@@ -767,7 +778,7 @@ class TageShadow
  * Batch state for TAGE. Prepare carries the base index and every
  * bank's index and tag; apply reads each bank's tag match at apply
  * time (an earlier record's allocation may have rewritten it) and
- * then performs updateStep()'s provider/alternate selection, useful
+ * then performs Tage::update()'s provider/alternate selection, useful
  * update, training, allocation and aging on the member's own update
  * count.
  */
@@ -860,6 +871,7 @@ class TageState
         }
     }
 
+    template <bool WithSink>
     BPSIM_BATCH_INLINE ApplyResult
     apply(unsigned slot, std::size_t i, Addr pc,
           std::uint64_t /*pc_index*/, bool taken)
@@ -895,7 +907,8 @@ class TageState
 
         std::uint32_t collided = 0;
         for (unsigned s = 0; s <= banks; ++s)
-            collided += touchLane(lanes[s], stats[s], k[s], pc, correct);
+            collided +=
+                touchLane<WithSink>(lanes[s], stats[s], k[s], pc, correct);
 
         // The useful counter moves only when provider and alternate
         // disagreed, toward whichever was right.
@@ -1047,6 +1060,7 @@ class PerceptronState
         }
     }
 
+    template <bool WithSink>
     BPSIM_BATCH_INLINE ApplyResult
     apply(unsigned slot, std::size_t i, Addr pc,
           std::uint64_t /*pc_index*/, bool taken)
@@ -1062,8 +1076,8 @@ class PerceptronState
 
         std::uint32_t collided = 0;
         for (unsigned t = 0; t < tableCount; ++t)
-            collided += touchLane(lanes[t], stats[t], idx[slot][t][i],
-                                  pc, correct);
+            collided += touchLane<WithSink>(lanes[t], stats[t],
+                                            idx[slot][t][i], pc, correct);
 
         const int magnitude = sum < 0 ? -sum : sum;
         const bool train = !correct || magnitude <= threshold;
@@ -1142,25 +1156,29 @@ template <> struct StateFor<HashedPerceptron>
  * batch's apply work. The apply pass is record-major: every member
  * steps through a record before the pass moves to the next one, so
  * the members' mutually independent dependent chains (counter load ->
- * predict -> train -> store) overlap in the out-of-order window —
- * the same interleaving the record kernel uses. @p N
+ * predict -> train -> store) overlap in the out-of-order window. @p N
  * is the compile-time member count (callers chunk larger gangs), so
  * the member loops fully unroll and the per-member accumulators are
  * register-resident fixed arrays. Stat totals equal the per-record
- * increments of the record kernel exactly (integer sums
- * in a different grouping); per member the record order is the
- * buffer order, so the table and history evolution is identical.
+ * increments of simulate() exactly (integer sums in a different
+ * grouping); per member the record order is the buffer order, so the
+ * table and history evolution is identical. A lone member may also
+ * accumulate its site-indexed @p profiles (@p WithDense) and report
+ * its colliding lookups to @p sink (@p WithSink), both as simulate()
+ * records them.
  */
 template <typename P, ShiftPolicy Policy, bool WithHints,
-          bool WithSites, bool WithDense, std::size_t N>
+          bool WithSites, bool WithDense, bool WithSink, std::size_t N>
 void
 runBatchLoop(P *const *predictors,
              const batch::SiteTables *const *site_tables,
              const std::uint8_t *const *hint_codes,
              SimStats *const *stats, const ReplayBuffer &buffer,
              const std::uint32_t *site_of, BranchProfile *profiles,
-             Count start, Count end)
+             ContextAliasSink *sink, Count start, Count end)
 {
+    static_assert(N == 1 || !(WithDense || WithSink),
+                  "a profiling or attributed sim runs alone");
     using State = typename StateFor<P>::type;
     constexpr std::size_t B = batchRecords;
 
@@ -1238,11 +1256,23 @@ runBatchLoop(P *const *predictors,
                         mispredictions[m] += miss;
                         ++staticPredicted[m];
                         staticMispredicted[m] += miss;
+                        // Accuracy counts describe the *dynamic*
+                        // predictor, so a hinted record adds only its
+                        // outcome to the profile.
+                        if constexpr (WithDense) {
+                            BranchProfile &profile =
+                                profiles[site[cur][i]];
+                            ++profile.executed;
+                            profile.taken += recTaken ? 1 : 0;
+                        }
                         continue;
                     }
                 }
                 const ApplyResult result =
-                    st[m].apply(cur, i, recPc, recPcIndex, recTaken);
+                    st[m].template apply<WithSink>(cur, i, recPc,
+                                                   recPcIndex, recTaken);
+                if constexpr (WithSink)
+                    sink->classify(result.correct);
                 mispredictions[m] += !result.correct;
                 if constexpr (WithDense) {
                     BranchProfile &profile = profiles[site[cur][i]];
@@ -1268,35 +1298,66 @@ runBatchLoop(P *const *predictors,
     }
 }
 
-/**
- * Run one gang chunk of compile-time size through the batch loop,
- * dispatching the runtime shift policy.
- */
+/** Invoke @p fn with @p policy as a compile-time constant. */
+template <typename Fn>
+void
+withPolicy(ShiftPolicy policy, const Fn &fn)
+{
+    switch (policy) {
+      case ShiftPolicy::NoShift:
+        fn(std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>{});
+        break;
+      case ShiftPolicy::ShiftOutcome:
+        fn(std::integral_constant<ShiftPolicy,
+                                  ShiftPolicy::ShiftOutcome>{});
+        break;
+      case ShiftPolicy::ShiftPrediction:
+        fn(std::integral_constant<ShiftPolicy,
+                                  ShiftPolicy::ShiftPrediction>{});
+        break;
+    }
+}
+
+/** Run one gang chunk of compile-time size through the batch loop. */
 template <typename P, std::size_t N>
 void
 dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
 {
-    const auto run = [&](auto policy_tag) {
-        constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
-        runBatchLoop<P, kPolicy, true, true, false, N>(
+    withPolicy(args.policy, [&](auto policy_tag) {
+        runBatchLoop<P, decltype(policy_tag)::value, true, true, false,
+                     false, N>(
             args.predictors + offset, args.siteTables + offset,
-            args.hintCodes + offset, args.stats + offset,
-            *args.buffer, args.siteOf, nullptr, args.from, args.to);
+            args.hintCodes + offset, args.stats + offset, *args.buffer,
+            args.siteOf, nullptr, nullptr, args.from, args.to);
+    });
+}
+
+/**
+ * Run one solo segment under a compile-time hint shape. Only the
+ * three profile/sink combinations a solo sim can have are stamped
+ * out: a profile, a sink, or both (a scenario evaluation).
+ */
+template <typename P, bool WithHints, ShiftPolicy Policy>
+void
+dispatchSolo(const batch::SoloArgs<P> &args)
+{
+    P *predictor = args.predictor;
+    const batch::SiteTables *tables = args.siteTables;
+    const std::uint8_t *codes = args.hintCodes;
+    SimStats *stats = args.stats;
+    const auto run = [&](auto dense_tag, auto sink_tag) {
+        runBatchLoop<P, Policy, WithHints, true,
+                     decltype(dense_tag)::value, decltype(sink_tag)::value,
+                     1>(
+            &predictor, &tables, &codes, &stats, *args.buffer,
+            args.siteOf, args.profiles, args.sink, args.from, args.to);
     };
-    switch (args.policy) {
-      case ShiftPolicy::NoShift:
-        run(std::integral_constant<ShiftPolicy,
-                                   ShiftPolicy::NoShift>{});
-        break;
-      case ShiftPolicy::ShiftOutcome:
-        run(std::integral_constant<ShiftPolicy,
-                                   ShiftPolicy::ShiftOutcome>{});
-        break;
-      case ShiftPolicy::ShiftPrediction:
-        run(std::integral_constant<ShiftPolicy,
-                                   ShiftPolicy::ShiftPrediction>{});
-        break;
-    }
+    if (args.sink == nullptr)
+        run(std::true_type{}, std::false_type{});
+    else if (args.profiles == nullptr)
+        run(std::false_type{}, std::true_type{});
+    else
+        run(std::true_type{}, std::true_type{});
 }
 
 } // namespace
@@ -1335,14 +1396,17 @@ runGangBatch(const batch::GangArgs<P> &args)
 
 template <typename P>
 void
-runDenseBatch(const batch::DenseArgs<P> &args)
+runSoloBatch(const batch::SoloArgs<P> &args)
 {
-    P *predictor = args.predictor;
-    const batch::SiteTables *tables = args.siteTables;
-    SimStats *stats = args.stats;
-    runBatchLoop<P, ShiftPolicy::NoShift, false, true, true, 1>(
-        &predictor, &tables, nullptr, &stats, *args.buffer, args.siteOf,
-        args.profiles, args.from, args.to);
+    bpsim_assert(args.profiles != nullptr || args.sink != nullptr,
+                 "a solo segment needs a profile or a sink");
+    if (args.hintCodes == nullptr) {
+        dispatchSolo<P, false, ShiftPolicy::NoShift>(args);
+        return;
+    }
+    withPolicy(args.policy, [&](auto policy_tag) {
+        dispatchSolo<P, true, decltype(policy_tag)::value>(args);
+    });
 }
 
 template <typename P>
@@ -1351,16 +1415,16 @@ runPlainBatch(const batch::PlainArgs<P> &args)
 {
     P *predictor = args.predictor;
     SimStats *stats = args.stats;
-    runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, 1>(
+    runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, false, 1>(
         &predictor, nullptr, nullptr, &stats, *args.buffer, nullptr,
-        nullptr, args.from, args.to);
+        nullptr, nullptr, args.from, args.to);
 }
 
 // Every kernel-visited type: a type the engine visits without a
 // StateFor specialization fails to compile here.
 #define BPSIM_INSTANTIATE_BATCH_KERNELS(P)                             \
     template void runGangBatch<P>(const batch::GangArgs<P> &);         \
-    template void runDenseBatch<P>(const batch::DenseArgs<P> &);       \
+    template void runSoloBatch<P>(const batch::SoloArgs<P> &);         \
     template void runPlainBatch<P>(const batch::PlainArgs<P> &);
 BPSIM_KERNEL_PREDICTORS(BPSIM_INSTANTIATE_BATCH_KERNELS)
 #undef BPSIM_INSTANTIATE_BATCH_KERNELS

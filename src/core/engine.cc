@@ -93,26 +93,6 @@ constexpr Count fusedBlock = 65536;
 using batch::hintPresentBit;
 using batch::hintTakenBit;
 
-/** Invoke @p fn with @p policy as a compile-time constant. */
-template <typename Fn>
-void
-withPolicy(ShiftPolicy policy, Fn &&fn)
-{
-    switch (policy) {
-      case ShiftPolicy::NoShift:
-        fn(std::integral_constant<ShiftPolicy, ShiftPolicy::NoShift>{});
-        break;
-      case ShiftPolicy::ShiftOutcome:
-        fn(std::integral_constant<ShiftPolicy,
-                                  ShiftPolicy::ShiftOutcome>{});
-        break;
-      case ShiftPolicy::ShiftPrediction:
-        fn(std::integral_constant<ShiftPolicy,
-                                  ShiftPolicy::ShiftPrediction>{});
-        break;
-    }
-}
-
 /** Dense per-site hint codes of @p hints (all zero when null). */
 std::vector<std::uint8_t>
 hintCodesFor(const HintDb *hints, const SiteIndex &sites)
@@ -126,132 +106,6 @@ hintCodesFor(const HintDb *hints, const SiteIndex &sites)
             codes[s] = hintPresentBit | (taken ? hintTakenBit : 0);
     }
     return codes;
-}
-
-/**
- * History treatment of a statically predicted record, mirroring
- * CombinedPredictor::updateHistory: statically resolved branches never
- * touch the dynamic tables.
- */
-template <ShiftPolicy Policy, typename P>
-inline void
-shiftStatic(P &predictor, bool taken, bool hint_direction)
-{
-    if constexpr (Policy == ShiftPolicy::ShiftOutcome)
-        predictor.historyStep(taken);
-    else if constexpr (Policy == ShiftPolicy::ShiftPrediction)
-        predictor.historyStep(hint_direction);
-    else {
-        (void)predictor;
-        (void)taken;
-        (void)hint_direction;
-    }
-}
-
-/**
- * The record kernel: replay records [start, end) through the inline
- * *Step protocol of @p N same-type predictors, one record at a time
- * with no indirect calls, advancing every member through a record
- * before moving to the next. The members' dependent chains (history
- * -> index -> table load -> update) are mutually independent, so the
- * out-of-order window overlaps them. Static hints (dense per-site
- * codes, per member) and profiling (dense per-site counts of a lone
- * member, flushed into its ProfileDb after the pass) are compile-time
- * shapes, as in the batch loop. Every table lookup goes through
- * CounterTable, so an attached ContextAliasSink sees it.
- */
-template <bool WithHints, bool WithProfile, ShiftPolicy Policy,
-          std::size_t N, typename P>
-void
-runRecordLoop(P *const *predictors, const std::uint8_t *const *hint_codes,
-              SimStats *const *stats, const std::uint32_t *site_of,
-              BranchProfile *profiles, const ReplayBuffer &buffer,
-              Count start, Count end)
-{
-    static_assert(!WithProfile || N == 1, "a profiling sim runs alone");
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
-    // Hoist the member state and keep the counters in locals: with N
-    // a compile-time constant the member loop fully unrolls and the
-    // accumulators stay register-resident instead of round-tripping
-    // through SimStats memory on every record.
-    P *preds[N];
-    const std::uint8_t *codes[N];
-    for (std::size_t k = 0; k < N; ++k) {
-        preds[k] = predictors[k];
-        codes[k] = WithHints ? hint_codes[k] : nullptr;
-    }
-    Count instructions = 0;
-    Count mispredictions[N]{};
-    Count static_predicted[N]{};
-    Count static_mispredicted[N]{};
-
-    for (Count i = start; i < end; ++i) {
-        const Addr pc = pcs[i];
-        const std::uint32_t word = packed[i];
-        const bool taken = (word & ReplayBuffer::packedTakenBit) != 0;
-        instructions += word & ~ReplayBuffer::packedTakenBit;
-        // Loaded once per record: the members' table stores are byte
-        // stores, which the compiler must assume alias site_of.
-        std::uint32_t site = 0;
-        if constexpr (WithHints || WithProfile)
-            site = site_of[i];
-
-        for (std::size_t k = 0; k < N; ++k) {
-            P &predictor = *preds[k];
-            if constexpr (WithHints) {
-                const std::uint8_t code = codes[k][site];
-                if ((code & hintPresentBit) != 0) {
-                    const bool direction = (code & hintTakenBit) != 0;
-                    const bool miss = direction != taken;
-                    shiftStatic<Policy>(predictor, taken, direction);
-                    ++static_predicted[k];
-                    static_mispredicted[k] += miss;
-                    mispredictions[k] += miss;
-                    // Accuracy counts describe the *dynamic*
-                    // predictor, so statically resolved branches
-                    // record outcomes only.
-                    if constexpr (WithProfile) {
-                        BranchProfile &counts = profiles[site];
-                        ++counts.executed;
-                        counts.taken += taken ? 1 : 0;
-                    }
-                    continue;
-                }
-            }
-
-            const bool correct = predictor.predictStep(pc) == taken;
-            // Sampled between the predict and update steps:
-            // updateStep() classifies and clears the pending state.
-            Count lookup_collisions = 0;
-            if constexpr (WithProfile)
-                lookup_collisions = predictor.pendingStep();
-            predictor.updateStep(pc, taken);
-            predictor.historyStep(taken);
-            mispredictions[k] += !correct;
-
-            if constexpr (WithProfile) {
-                BranchProfile &counts = profiles[site];
-                ++counts.executed;
-                counts.taken += taken ? 1 : 0;
-                ++counts.predicted;
-                counts.correct += correct ? 1 : 0;
-                counts.collisions += lookup_collisions;
-            }
-        }
-    }
-
-    // Pure integer sums flushed once per segment: the totals equal
-    // the per-record increments of simulate() exactly.
-    for (std::size_t k = 0; k < N; ++k) {
-        SimStats &st = *stats[k];
-        st.branches += end - start;
-        st.instructions += instructions;
-        st.mispredictions += mispredictions[k];
-        st.staticPredicted += static_predicted[k];
-        st.staticMispredictions += static_mispredicted[k];
-    }
 }
 
 /**
@@ -337,11 +191,10 @@ class FusedExec
 };
 
 /**
- * Fused exec running the devirtualized kernels for sims whose dynamic
+ * Fused exec running the batch kernels for sims whose dynamic
  * components share the concrete type @p P and one effective shift
- * policy: the batch kernels when @p kernels holds them and the shape
- * fits, the record kernel otherwise. A sim with a profile runs alone.
- * Hints and profile counts live on the pass's dense site arrays.
+ * policy. A sim with a profile or an alias sink runs alone. Hints
+ * and profile counts live on the pass's dense site arrays.
  */
 template <typename P>
 class KernelExec final : public FusedExec
@@ -367,24 +220,22 @@ class KernelExec final : public FusedExec
         }
         // Gangs and hinted sims read per-member hint codes (all zero
         // for unhinted members); the pass has a site index whenever a
-        // sim has hints or a profile, or sims are ganged.
+        // sim has hints, a profile or a sink, or sims are ganged.
         if (hinted || members.size() > 1) {
             for (const Member &member : members)
                 hintCodes.push_back(hintCodesFor(member.hints, *sites));
             for (const std::vector<std::uint8_t> &codes : hintCodes)
                 codePtrs.push_back(codes.data());
         }
-        if (sims.front()->options.profile != nullptr) {
+        sink = predictors.front()->aliasSink();
+        const bool profiling = sims.front()->options.profile != nullptr;
+        if (profiling || sink != nullptr) {
             bpsim_assert(members.size() == 1,
-                         "a profiling sim runs alone");
-            profileCounts.assign(sites->siteCount(), BranchProfile{});
+                         "a profiling or attributed sim runs alone");
         }
-        // The batch kernels cover every shape but hints and a
-        // profile together.
-        if (!codePtrs.empty() && !profileCounts.empty())
-            this->kernels = {};
-        if (this->kernels &&
-            (!codePtrs.empty() || !profileCounts.empty())) {
+        if (profiling)
+            profileCounts.assign(sites->siteCount(), BranchProfile{});
+        if (!codePtrs.empty() || profiling || sink != nullptr) {
             for (const Member &member : members) {
                 siteTables.push_back(
                     batch::buildSiteTables(*member.concrete, *sites));
@@ -405,7 +256,7 @@ class KernelExec final : public FusedExec
         for (FusedSim *sim : sims) {
             sim->stats.collisions = sim->predictor->collisionStats();
             sim->usedFastPath = true;
-            sim->usedSimd = static_cast<bool>(kernels);
+            sim->usedSimd = true;
             if (sim->options.counters == nullptr)
                 continue;
             sim->options.counters->add("engine.kernel_runs");
@@ -422,9 +273,24 @@ class KernelExec final : public FusedExec
     runSegment(Count from, Count to, bool measured) override
     {
         SimStats *const *stats = statsFor(measured);
-        const bool profiling = measured && !profileCounts.empty();
-        if (!kernels) {
-            runRecord(from, to, stats, profiling);
+        // Profile counts and alias attribution cover the measured
+        // window only (the warmup boundary clears the sink), so a
+        // solo sim's warmup takes the gang or plain shape.
+        if (measured && (!profileCounts.empty() || sink != nullptr)) {
+            batch::SoloArgs<P> args;
+            args.predictor = predictors.front();
+            args.siteTables = tablePtrs.front();
+            args.hintCodes = codePtrs.empty() ? nullptr : codePtrs.front();
+            args.policy = policy;
+            args.profiles =
+                profileCounts.empty() ? nullptr : profileCounts.data();
+            args.sink = sink;
+            args.stats = stats[0];
+            args.buffer = &buffer;
+            args.siteOf = sites->siteData();
+            args.from = from;
+            args.to = to;
+            kernels.solo(args);
         } else if (!codePtrs.empty()) {
             // One kernel call advances every member through the
             // segment (the batch driver walks members per batch, so
@@ -441,17 +307,6 @@ class KernelExec final : public FusedExec
             args.to = to;
             args.policy = policy;
             kernels.gang(args);
-        } else if (profiling) {
-            batch::DenseArgs<P> args;
-            args.predictor = predictors.front();
-            args.siteTables = tablePtrs.front();
-            args.profiles = profileCounts.data();
-            args.stats = stats[0];
-            args.buffer = &buffer;
-            args.siteOf = sites->siteData();
-            args.from = from;
-            args.to = to;
-            kernels.dense(args);
         } else {
             batch::PlainArgs<P> args;
             args.predictor = predictors.front();
@@ -473,69 +328,10 @@ class KernelExec final : public FusedExec
         return out;
     }
 
-    void
-    runRecord(Count from, Count to, SimStats *const *stats,
-              bool profiling)
-    {
-        const std::uint32_t *site_of =
-            sites != nullptr ? sites->siteData() : nullptr;
-        BranchProfile *profiles = profileCounts.data();
-        if (codePtrs.empty()) {
-            // A lone unhinted sim.
-            constexpr ShiftPolicy kNoShift = ShiftPolicy::NoShift;
-            if (profiling) {
-                runRecordLoop<false, true, kNoShift, 1>(
-                    predictors.data(), nullptr, stats, site_of,
-                    profiles, buffer, from, to);
-            } else {
-                runRecordLoop<false, false, kNoShift, 1>(
-                    predictors.data(), nullptr, stats, site_of,
-                    profiles, buffer, from, to);
-            }
-            return;
-        }
-        withPolicy(policy, [&](auto policy_tag) {
-            constexpr ShiftPolicy kPolicy = decltype(policy_tag)::value;
-            if (profiling) {
-                runRecordLoop<true, true, kPolicy, 1>(
-                    predictors.data(), codePtrs.data(), stats, site_of,
-                    profiles, buffer, from, to);
-                return;
-            }
-            // Larger gangs run as sub-gangs of at most four members:
-            // the fixed-N loops keep their accumulators in registers,
-            // and four independent predictor chains already saturate
-            // the out-of-order window. Each member still sees every
-            // record of [from, to) exactly once, in order.
-            for (std::size_t at = 0; at < predictors.size(); at += 4) {
-                const auto run = [&](auto n_tag) {
-                    runRecordLoop<true, false, kPolicy,
-                                  decltype(n_tag)::value>(
-                        predictors.data() + at, codePtrs.data() + at,
-                        stats + at, site_of, nullptr, buffer, from, to);
-                };
-                switch (std::min<std::size_t>(predictors.size() - at,
-                                              4)) {
-                  case 1:
-                    run(std::integral_constant<std::size_t, 1>{});
-                    break;
-                  case 2:
-                    run(std::integral_constant<std::size_t, 2>{});
-                    break;
-                  case 3:
-                    run(std::integral_constant<std::size_t, 3>{});
-                    break;
-                  default:
-                    run(std::integral_constant<std::size_t, 4>{});
-                    break;
-                }
-            }
-        });
-    }
-
     const SiteIndex *sites;
     ShiftPolicy policy;
     BatchKernelSet<P> kernels;
+    ContextAliasSink *sink = nullptr;
     std::vector<P *> predictors;
     std::vector<std::vector<std::uint8_t>> hintCodes;
     std::vector<const std::uint8_t *> codePtrs;
@@ -724,6 +520,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         const HintDb *hints = nullptr;
         ShiftPolicy policy = ShiftPolicy::NoShift;
         BranchPredictor *dyn = nullptr;
+        bool solo = false; // a profile or an alias sink: runs alone
     };
     std::vector<Resolved> resolved(sims.size());
     bool needs_sites = false;
@@ -745,45 +542,38 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         resolved[s].dyn = combined != nullptr
                               ? &combined->dynamicComponent()
                               : sim.predictor;
+        resolved[s].solo = sim.options.profile != nullptr ||
+                           resolved[s].dyn->aliasSink() != nullptr;
         const bool kernel =
             visitPredictor(*resolved[s].dyn, [](auto &) {});
-        needs_sites = needs_sites ||
-                      (kernel && (hinted || sim.options.profile != nullptr));
+        needs_sites =
+            needs_sites || (kernel && (hinted || resolved[s].solo));
 
         if (sim.options.resetPredictor)
             sim.predictor->reset();
         sim.predictor->clearCollisionStats();
     }
 
-    // Hints and profile counts always live on dense site arrays.
+    // Hints and profile counts live on dense site arrays, and every
+    // solo sim runs over the site index.
     SiteIndex built;
     if (sites == nullptr && needs_sites) {
         built = SiteIndex::build(buffer);
         sites = &built;
     }
 
-    // A sim's batch kernels: its concrete type's, unless an alias sink
-    // is attached — the batch kernels do not report to it.
-    const SimdLevel level = resolveSimdLevel();
-    const auto kernelsFor = [&](std::size_t s, auto &concrete) {
-        using Concrete = std::decay_t<decltype(concrete)>;
-        return resolved[s].dyn->aliasSink() == nullptr
-                   ? batchKernelsFor<Concrete>(level)
-                   : BatchKernelSet<Concrete>{};
-    };
-
     // Devirtualized sims are grouped into kernel execs: evaluation
-    // sims (no profile) sharing a concrete type, replay window,
-    // effective shift policy and kernel family form one gang; a
-    // profiling sim, or any sim of a pass without a site index, runs
+    // sims (no profile, no alias sink) sharing a concrete type, replay
+    // window and effective shift policy form one gang; a profiling or
+    // attributed sim, or any sim of a pass without a site index, runs
     // alone. Everything else runs the virtual loop.
+    const SimdLevel level = resolveSimdLevel();
     struct Group
     {
         std::type_index type;
         ShiftPolicy policy;
         Count warmup = 0;
         Count max = 0;
-        bool batched = false;
         bool open = false;
         std::vector<std::size_t> members;
     };
@@ -800,10 +590,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                                 resolved[s].policy,
                                 options.warmupBranches,
                                 options.maxBranches,
-                                static_cast<bool>(
-                                    kernelsFor(s, concrete)),
-                                sites != nullptr &&
-                                    options.profile == nullptr,
+                                sites != nullptr && !resolved[s].solo,
                                 {}};
                 Group *group = nullptr;
                 for (Group &candidate : groups) {
@@ -811,8 +598,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                         candidate.type == key.type &&
                         candidate.policy == key.policy &&
                         candidate.warmup == key.warmup &&
-                        candidate.max == key.max &&
-                        candidate.batched == key.batched) {
+                        candidate.max == key.max) {
                         group = &candidate;
                         break;
                     }
@@ -841,7 +627,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
             }
             execs.push_back(std::make_unique<Exec>(
                 members, buffer, sites, group.policy,
-                kernelsFor(first_sim, first)));
+                batchKernelsFor<Concrete>(level)));
         });
     }
 

@@ -82,11 +82,11 @@ SimStats simulate(BranchPredictor &predictor, BranchStream &stream,
  * options.resetStream is meaningless here (the buffer is immutable)
  * and ignored.
  *
- * @param used_fast_path optionally receives whether a devirtualized
- *                       kernel ran (false = the virtual loop)
- * @param used_simd      optionally receives whether the batch
- *                       kernels ran (false = the record kernels or
- *                       the virtual loop)
+ * @param used_fast_path optionally receives whether the batch
+ *                       kernels ran (false = the virtual loop)
+ * @param used_simd      optionally receives the same flag; kept for
+ *                       the callers and records that report it
+ *                       separately
  */
 SimStats simulateReplay(BranchPredictor &predictor,
                         const ReplayBuffer &buffer,
@@ -114,11 +114,12 @@ struct FusedSim
     /** Output: the run's statistics. */
     SimStats stats;
 
-    /** Output: whether this sim ran a devirtualized kernel. */
+    /** Output: whether this sim ran the batch kernels. */
     bool usedFastPath = false;
 
-    /** Output: whether this sim ran the batch kernels (always false
-     * when usedFastPath is false). */
+    /** Output: equal to usedFastPath, the batch kernels being the
+     * only devirtualized path; runner records and checkpoints still
+     * report it as their own field. */
     bool usedSimd = false;
 };
 
@@ -133,21 +134,21 @@ struct FusedSim
  * @p buffer.cursor(): each sim advances its own predictor, history
  * and statistics through the same record sequence, and warmup and
  * maxBranches windows are honoured per sim. Which loop steps a sim
- * follows from two facts the engine observes, never from an option:
+ * follows from facts the engine observes, never from an option:
  *
  *  - a predictor (or a CombinedPredictor's dynamic component) whose
- *    concrete type the kernels visit (visitPredictor) runs
- *    devirtualized; anything else runs the virtual loop;
- *  - a visited sim runs the batch kernels unless a ContextAliasSink
- *    is attached (the batch kernels do not report lookups to the
- *    sink) or it has both static hints and a profile (a shape the
- *    batch kernels do not cover); those sims run the record kernel.
+ *    concrete type the kernels visit (visitPredictor) runs the batch
+ *    kernels; anything else runs the virtual loop;
+ *  - a visited sim with a profile or a ContextAliasSink runs alone
+ *    (the solo shape, with its hints if it has any); other visited
+ *    sims sharing a type, replay window and shift policy run as one
+ *    gang when the pass has a site index, else each alone.
  *
  * @p sites optionally carries the buffer's site enumeration, onto
  * whose dense site-indexed arrays the pass flattens static hints and
- * per-branch profile counts. When it is null and a sim has hints or
- * a profile, the pass builds one. When given it must have been built
- * from @p buffer.
+ * per-branch profile counts. When it is null and a visited sim has
+ * hints, a profile or a sink, the pass builds one. When given it must
+ * have been built from @p buffer.
  */
 void simulateReplayFused(std::vector<FusedSim> &sims,
                          const ReplayBuffer &buffer,

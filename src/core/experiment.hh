@@ -128,9 +128,9 @@ struct ExperimentConfig
      * single-program cells. When positive, the evaluation attaches a
      * per-branch profile and a ContextAliasSink so the result carries
      * per-context statistics and the NxN interference matrix. With
-     * the sink attached the engine runs the record kernels (the
-     * batch kernels bypass the tag path the sink observes); aggregate
-     * stats stay bit-identical.
+     * the sink attached the evaluation still runs the batch kernels,
+     * alone, with sink reporting compiled in; aggregate stats stay
+     * bit-identical.
      */
     std::size_t scenarioContexts = 0;
 

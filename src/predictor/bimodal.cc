@@ -16,13 +16,16 @@ Bimodal::Bimodal(std::size_t size_bytes, BitCount counter_bits)
 bool
 Bimodal::predict(Addr pc)
 {
-    return predictStep(pc);
+    lastIndex = table.indexFor(pc / instructionBytes);
+    return table.lookup(lastIndex, pc).taken();
 }
 
 void
-Bimodal::update(Addr pc, bool taken)
+Bimodal::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    auto counter = table.entry(lastIndex);
+    table.classify(counter.taken() == taken);
+    counter.train(taken);
 }
 
 void
@@ -58,7 +61,7 @@ Bimodal::clearCollisionStats()
 Count
 Bimodal::lastPredictCollisions() const
 {
-    return pendingStep();
+    return table.pending();
 }
 
 BPSIM_REGISTER_PREDICTOR(

@@ -19,10 +19,6 @@ namespace bpsim
  * PC-indexed table of saturating counters. Captures per-branch bias;
  * essentially alias-free beyond ~2 KB on SPEC-sized programs, which
  * is why the paper finds Static_95 useless for it.
- *
- * The inline *Step methods are the non-virtual per-branch protocol
- * used by the devirtualized replay kernels; the virtual interface
- * forwards to them.
  */
 class Bimodal : public BranchPredictor
 {
@@ -49,30 +45,6 @@ class Bimodal : public BranchPredictor
     {
         table.setAliasSink(sink);
     }
-
-    /** Non-virtual predict(). */
-    bool
-    predictStep(Addr pc)
-    {
-        lastIndex = table.indexFor(pc / instructionBytes);
-        return table.lookup(lastIndex, pc).taken();
-    }
-
-    /** Non-virtual update(). */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        auto counter = table.entry(lastIndex);
-        table.classify(counter.taken() == taken);
-        counter.train(taken);
-    }
-
-    /** Non-virtual updateHistory(): bimodal keeps no history. */
-    void historyStep(bool) {}
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count pendingStep() const { return table.pending(); }
 
   private:
     template <typename> friend struct BatchTraits;

@@ -24,19 +24,40 @@ BiMode::BiMode(std::size_t size_bytes, BitCount counter_bits)
 bool
 BiMode::predict(Addr pc)
 {
-    return predictStep(pc);
+    lastChoiceIndex = choice.indexFor(pc / instructionBytes);
+    lastDirectionIndex = directionIndex(pc);
+
+    lastChoseTaken = choice.lookup(lastChoiceIndex, pc).taken();
+    CounterTable &direction = lastChoseTaken ? takenTable : notTakenTable;
+    lastPrediction = direction.lookup(lastDirectionIndex, pc).taken();
+    return lastPrediction;
 }
 
 void
-BiMode::update(Addr pc, bool taken)
+BiMode::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    const bool correct = lastPrediction == taken;
+
+    CounterTable &selected = lastChoseTaken ? takenTable : notTakenTable;
+    CounterTable &unselected = lastChoseTaken ? notTakenTable : takenTable;
+    selected.classify(correct);
+    unselected.classify(correct);
+    choice.classify(correct);
+
+    // Partial update: only the selected direction table trains.
+    selected.entry(lastDirectionIndex).train(taken);
+
+    // Choice trains toward the outcome except when it opposed the
+    // outcome but the selected direction table still got it right.
+    const bool choice_opposes = lastChoseTaken != taken;
+    if (!(choice_opposes && correct))
+        choice.entry(lastChoiceIndex).train(taken);
 }
 
 void
 BiMode::updateHistory(bool taken)
 {
-    historyStep(taken);
+    history.push(taken);
 }
 
 void
@@ -76,7 +97,8 @@ BiMode::clearCollisionStats()
 Count
 BiMode::lastPredictCollisions() const
 {
-    return pendingStep();
+    return choice.pending() + takenTable.pending() +
+           notTakenTable.pending();
 }
 
 BPSIM_REGISTER_PREDICTOR(

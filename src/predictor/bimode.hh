@@ -30,10 +30,6 @@ namespace bpsim
  * each the two direction tables. The direction tables use as many
  * history bits as their index requires (the paper's §2 convention for
  * its bi-mode simulations).
- *
- * The inline *Step methods are the non-virtual per-branch protocol
- * used by the devirtualized replay kernels; the virtual interface
- * forwards to them.
  */
 class BiMode : public BranchPredictor
 {
@@ -57,59 +53,6 @@ class BiMode : public BranchPredictor
         choice.setAliasSink(sink);
         takenTable.setAliasSink(sink);
         notTakenTable.setAliasSink(sink);
-    }
-
-    /** Non-virtual predict(). */
-    bool
-    predictStep(Addr pc)
-    {
-        lastChoiceIndex = choice.indexFor(pc / instructionBytes);
-        lastDirectionIndex = directionIndex(pc);
-
-        lastChoseTaken =
-            choice.lookup(lastChoiceIndex, pc).taken();
-        CounterTable &direction =
-            lastChoseTaken ? takenTable : notTakenTable;
-        lastPrediction =
-            direction.lookup(lastDirectionIndex, pc).taken();
-        return lastPrediction;
-    }
-
-    /** Non-virtual update(): the paper's partial-update policy. */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        const bool correct = lastPrediction == taken;
-
-        CounterTable &selected =
-            lastChoseTaken ? takenTable : notTakenTable;
-
-        CounterTable &unselected =
-            lastChoseTaken ? notTakenTable : takenTable;
-        selected.classify(correct);
-        unselected.classify(correct);
-        choice.classify(correct);
-
-        // Partial update: only the selected direction table trains.
-        selected.entry(lastDirectionIndex).train(taken);
-
-        // Choice trains toward the outcome except when it opposed the
-        // outcome but the selected direction table still got it right.
-        const bool choice_opposes = lastChoseTaken != taken;
-        if (!(choice_opposes && correct))
-            choice.entry(lastChoiceIndex).train(taken);
-    }
-
-    /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count
-    pendingStep() const
-    {
-        return choice.pending() + takenTable.pending() +
-               notTakenTable.pending();
     }
 
   private:

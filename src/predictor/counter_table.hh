@@ -217,7 +217,8 @@ class CounterTable
      * @name Raw structure-of-arrays access for the batch kernels
      * The kernels gather counters/tags directly and accumulate
      * collision statistics in registers, flushing into statsRef() at
-     * segment boundaries.
+     * segment boundaries; their sink-reporting instantiation notes
+     * colliding lookups into attachedSink(), as lookup() does.
      */
     ///@{
     std::uint8_t *counterData() { return counters.data(); }
@@ -225,6 +226,7 @@ class CounterTable
     std::uint8_t counterMax() const { return maxVal; }
     std::uint8_t counterMsb() const { return msbThreshold; }
     CollisionStats &statsRef() { return collisionStats; }
+    ContextAliasSink *attachedSink() const { return aliasSink; }
     ///@}
 
   private:

@@ -72,9 +72,9 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
  * the engine's kernels; the batch kernel units instantiate for every
  * listed type, so each one needs a BatchTraits specialization
  * (core/batch_kernels.hh) and a batch state (StateFor in
- * core/batch_kernels_impl.hh). The record kernel serves the same
- * types for the shapes the batch kernels leave out (an attached
- * ContextAliasSink; hints and a profile together).
+ * core/batch_kernels_impl.hh). The batch kernels cover every shape
+ * of a listed type: hints, a profile and an attached
+ * ContextAliasSink, alone or together.
  */
 #define BPSIM_KERNEL_PREDICTORS(X)                                     \
     X(Bimodal)                                                         \
@@ -95,7 +95,8 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
  *
  * Matching is on the exact dynamic type, not an is-a relationship,
  * because a subclass could override the virtual protocol in ways the
- * base class's inline *Step methods would silently bypass.
+ * batch kernels, which replay the base class's protocol on its raw
+ * tables, would silently bypass.
  *
  * @return true if the concrete type was listed and the visitor ran;
  *         false (visitor untouched) for anything else, e.g. the

@@ -17,19 +17,22 @@ Ghist::Ghist(std::size_t size_bytes, BitCount counter_bits)
 bool
 Ghist::predict(Addr pc)
 {
-    return predictStep(pc);
+    lastIndex = table.indexFor(history.value());
+    return table.lookup(lastIndex, pc).taken();
 }
 
 void
-Ghist::update(Addr pc, bool taken)
+Ghist::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    auto counter = table.entry(lastIndex);
+    table.classify(counter.taken() == taken);
+    counter.train(taken);
 }
 
 void
 Ghist::updateHistory(bool taken)
 {
-    historyStep(taken);
+    history.push(taken);
 }
 
 void
@@ -60,7 +63,7 @@ Ghist::clearCollisionStats()
 Count
 Ghist::lastPredictCollisions() const
 {
-    return pendingStep();
+    return table.pending();
 }
 
 BPSIM_REGISTER_PREDICTOR(

@@ -21,10 +21,6 @@ namespace bpsim
  * Captures branch correlation but aliases heavily: every branch at a
  * given history shares one counter, which makes it the predictor that
  * benefits most from statically removing biased branches.
- *
- * The inline *Step methods are the non-virtual per-branch protocol
- * used by the devirtualized replay kernels; the virtual interface
- * forwards to them.
  */
 class Ghist : public BranchPredictor
 {
@@ -53,30 +49,6 @@ class Ghist : public BranchPredictor
 
     /** History length in use (== index width). */
     BitCount historyBits() const { return table.indexBits(); }
-
-    /** Non-virtual predict(). */
-    bool
-    predictStep(Addr pc)
-    {
-        lastIndex = table.indexFor(history.value());
-        return table.lookup(lastIndex, pc).taken();
-    }
-
-    /** Non-virtual update(). */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        auto counter = table.entry(lastIndex);
-        table.classify(counter.taken() == taken);
-        counter.train(taken);
-    }
-
-    /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count pendingStep() const { return table.pending(); }
 
   private:
     template <typename> friend struct BatchTraits;

@@ -20,19 +20,22 @@ Gshare::Gshare(std::size_t size_bytes, BitCount history_bits,
 bool
 Gshare::predict(Addr pc)
 {
-    return predictStep(pc);
+    lastIndex = index(pc);
+    return table.lookup(lastIndex, pc).taken();
 }
 
 void
-Gshare::update(Addr pc, bool taken)
+Gshare::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    auto counter = table.entry(lastIndex);
+    table.classify(counter.taken() == taken);
+    counter.train(taken);
 }
 
 void
 Gshare::updateHistory(bool taken)
 {
-    historyStep(taken);
+    history.push(taken);
 }
 
 void
@@ -63,7 +66,7 @@ Gshare::clearCollisionStats()
 Count
 Gshare::lastPredictCollisions() const
 {
-    return pendingStep();
+    return table.pending();
 }
 
 BPSIM_REGISTER_PREDICTOR(

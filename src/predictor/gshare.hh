@@ -20,11 +20,6 @@ namespace bpsim
 /**
  * Address-xor-history indexed predictor. The base dynamic predictor
  * of the paper's Figures 1-6 sweep.
- *
- * The per-branch protocol is implemented by the inline *Step methods
- * below; the virtual BranchPredictor interface forwards to them, and
- * the devirtualized replay kernels (core/engine simulateReplay) call
- * them directly so the measured loop contains no indirect calls.
  */
 class Gshare : public BranchPredictor
 {
@@ -56,30 +51,6 @@ class Gshare : public BranchPredictor
 
     /** History length in use. */
     BitCount historyBits() const { return history.width(); }
-
-    /** Non-virtual predict(); see class comment. */
-    bool
-    predictStep(Addr pc)
-    {
-        lastIndex = index(pc);
-        return table.lookup(lastIndex, pc).taken();
-    }
-
-    /** Non-virtual update(); see class comment. */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        auto counter = table.entry(lastIndex);
-        table.classify(counter.taken() == taken);
-        counter.train(taken);
-    }
-
-    /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count pendingStep() const { return table.pending(); }
 
   private:
     template <typename> friend struct BatchTraits;

@@ -37,19 +37,39 @@ HashedPerceptron::HashedPerceptron(std::size_t size_bytes)
 bool
 HashedPerceptron::predict(Addr pc)
 {
-    return predictStep(pc);
+    // The sign of the selected-weight sum.
+    const std::uint64_t pc_index = pc / instructionBytes;
+    int sum = 0;
+    for (unsigned t = 0; t < numTables; ++t) {
+        last.idx[t] = tableIndex(t, pc_index);
+        sum += static_cast<int>(
+                   tables[t].lookup(last.idx[t], pc).value()) -
+               weightBias;
+    }
+    last.sum = sum;
+    last.finalPred = sum >= 0;
+    return last.finalPred;
 }
 
 void
-HashedPerceptron::update(Addr pc, bool taken)
+HashedPerceptron::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    const bool correct = last.finalPred == taken;
+
+    for (CounterTable &table : tables)
+        table.classify(correct);
+
+    const int magnitude = last.sum < 0 ? -last.sum : last.sum;
+    if (!correct || magnitude <= trainingThreshold) {
+        for (unsigned t = 0; t < numTables; ++t)
+            tables[t].entry(last.idx[t]).train(taken);
+    }
 }
 
 void
 HashedPerceptron::updateHistory(bool taken)
 {
-    historyStep(taken);
+    history.push(taken);
 }
 
 void
@@ -89,7 +109,10 @@ HashedPerceptron::clearCollisionStats()
 Count
 HashedPerceptron::lastPredictCollisions() const
 {
-    return pendingStep();
+    Count pending = 0;
+    for (const CounterTable &table : tables)
+        pending += table.pending();
+    return pending;
 }
 
 int

@@ -34,11 +34,7 @@
 namespace bpsim
 {
 
-/**
- * Hashed perceptron. The inline *Step methods are the non-virtual
- * per-branch protocol used by the devirtualized replay kernels; the
- * virtual interface forwards to them.
- */
+/** Hashed perceptron. */
 class HashedPerceptron : public BranchPredictor
 {
   public:
@@ -70,53 +66,6 @@ class HashedPerceptron : public BranchPredictor
     {
         for (CounterTable &table : tables)
             table.setAliasSink(sink);
-    }
-
-    /** Non-virtual predict(): sign of the selected-weight sum. */
-    bool
-    predictStep(Addr pc)
-    {
-        const std::uint64_t pc_index = pc / instructionBytes;
-        int sum = 0;
-        for (unsigned t = 0; t < numTables; ++t) {
-            last.idx[t] = tableIndex(t, pc_index);
-            sum += static_cast<int>(
-                       tables[t].lookup(last.idx[t], pc).value()) -
-                   weightBias;
-        }
-        last.sum = sum;
-        last.finalPred = sum >= 0;
-        return last.finalPred;
-    }
-
-    /** Non-virtual update(): perceptron training rule. */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        const bool correct = last.finalPred == taken;
-
-        for (CounterTable &table : tables)
-            table.classify(correct);
-
-        const int magnitude = last.sum < 0 ? -last.sum : last.sum;
-        if (!correct || magnitude <= trainingThreshold) {
-            for (unsigned t = 0; t < numTables; ++t)
-                tables[t].entry(last.idx[t]).train(taken);
-        }
-    }
-
-    /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count
-    pendingStep() const
-    {
-        Count pending = 0;
-        for (const CounterTable &table : tables)
-            pending += table.pending();
-        return pending;
     }
 
     /**

@@ -122,9 +122,9 @@ class BranchPredictor
      * Route per-context-pair collision attribution into @p sink
      * (null detaches) and remember it. Predictors without tagged
      * counter tables report no attribution. The replay engine runs a
-     * predictor with a sink attached on the record kernels, whose
-     * lookups all go through CounterTable; the batch kernels bypass
-     * the tag path the sink observes.
+     * predictor with a sink attached alone, on the batch kernels'
+     * sink-reporting instantiation, which notes each colliding lookup
+     * as CounterTable::lookup does.
      */
     void
     attachAliasSink(ContextAliasSink *sink)

@@ -54,19 +54,89 @@ Tage::Tage(std::size_t size_bytes, Count age_period)
 bool
 Tage::predict(Addr pc)
 {
-    return predictStep(pc);
+    const std::uint64_t pc_index = pc / instructionBytes;
+    last.baseIdx = base.indexFor(pc_index);
+    last.basePred = base.lookup(last.baseIdx, pc).taken();
+
+    last.provider = -1;
+    last.altPred = last.basePred;
+    for (unsigned b = 0; b < numBanks; ++b) {
+        Bank &bank = banks[b];
+        last.idx[b] = bankIndex(b, pc_index);
+        last.tag[b] = bankTag(b, pc_index);
+        last.hit[b] = bank.tags[last.idx[b]] == last.tag[b];
+        last.pred[b] = bank.pred.lookup(last.idx[b], pc).taken();
+    }
+    for (int b = numBanks - 1; b >= 0; --b) {
+        if (last.hit[b]) {
+            last.provider = b;
+            break;
+        }
+    }
+    if (last.provider >= 0) {
+        for (int b = last.provider - 1; b >= 0; --b) {
+            if (last.hit[b]) {
+                last.altPred = last.pred[b];
+                break;
+            }
+        }
+        last.finalPred = last.pred[last.provider];
+    } else {
+        last.finalPred = last.basePred;
+    }
+    return last.finalPred;
 }
 
 void
-Tage::update(Addr pc, bool taken)
+Tage::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    const bool correct = last.finalPred == taken;
+
+    base.classify(correct);
+    for (Bank &bank : banks)
+        bank.pred.classify(correct);
+
+    if (last.provider >= 0) {
+        Bank &provider = banks[last.provider];
+        const std::size_t idx = last.idx[last.provider];
+
+        // The useful counter tracks "provider beat the alternate": it
+        // only moves when they disagreed, toward whichever was right.
+        if (last.pred[last.provider] != last.altPred) {
+            std::uint8_t &useful = provider.useful[idx];
+            if (last.pred[last.provider] == taken)
+                useful += useful < usefulMax ? 1 : 0;
+            else
+                useful -= useful > 0 ? 1 : 0;
+        }
+        provider.pred.entry(idx).train(taken);
+    } else {
+        base.entry(last.baseIdx).train(taken);
+    }
+
+    // Allocate a longer-history entry on a misprediction (the only
+    // time allocation happens — pinned by test_tagged.cc).
+    if (!correct && last.provider < static_cast<int>(numBanks) - 1)
+        allocate(taken);
+
+    if (++updatesSinceAging >= agePeriod)
+        ageUseful();
 }
 
 void
 Tage::updateHistory(bool taken)
 {
-    historyStep(taken);
+    // Shift the long history and advance every folded image of it.
+    std::array<bool, numBanks> out_bits;
+    for (unsigned b = 0; b < numBanks; ++b)
+        out_bits[b] = history.bit(historyLengths[b] - 1);
+    history.push(taken);
+    for (unsigned b = 0; b < numBanks; ++b) {
+        Bank &bank = banks[b];
+        bank.idxFold.update(taken, out_bits[b]);
+        bank.tagFold1.update(taken, out_bits[b]);
+        bank.tagFold2.update(taken, out_bits[b]);
+    }
 }
 
 void
@@ -117,7 +187,10 @@ Tage::clearCollisionStats()
 Count
 Tage::lastPredictCollisions() const
 {
-    return pendingStep();
+    Count pending = base.pending();
+    for (const Bank &bank : banks)
+        pending += bank.pred.pending();
+    return pending;
 }
 
 std::size_t

@@ -45,19 +45,63 @@ TwoBcGskew::TwoBcGskew(std::size_t size_bytes, BitCount hist_g0,
 bool
 TwoBcGskew::predict(Addr pc)
 {
-    return predictStep(pc);
+    last.bimIdx = bimIndex(pc);
+    last.g0Idx = skewedIndex(0, pc, histG0);
+    last.g1Idx = skewedIndex(1, pc, histG1);
+    last.metaIdx = metaIndex(pc);
+
+    last.bimPred = bim.lookup(last.bimIdx, pc).taken();
+    last.g0Pred = g0.lookup(last.g0Idx, pc).taken();
+    last.g1Pred = g1.lookup(last.g1Idx, pc).taken();
+
+    const int votes = (last.bimPred ? 1 : 0) + (last.g0Pred ? 1 : 0) +
+                      (last.g1Pred ? 1 : 0);
+    last.majority = votes >= 2;
+
+    last.useMajority = meta.lookup(last.metaIdx, pc).taken();
+    last.finalPred = last.useMajority ? last.majority : last.bimPred;
+    return last.finalPred;
 }
 
 void
-TwoBcGskew::update(Addr pc, bool taken)
+TwoBcGskew::update(Addr, bool taken)
 {
-    updateStep(pc, taken);
+    const bool correct = last.finalPred == taken;
+
+    bim.classify(correct);
+    g0.classify(correct);
+    g1.classify(correct);
+    meta.classify(correct);
+
+    if (!correct) {
+        // Bad overall prediction: retrain all three voting banks.
+        bim.entry(last.bimIdx).train(taken);
+        g0.entry(last.g0Idx).train(taken);
+        g1.entry(last.g1Idx).train(taken);
+    } else if (last.useMajority) {
+        // Correct via the majority vote: strengthen only the banks
+        // that voted with the (correct) majority.
+        if (last.bimPred == taken)
+            bim.entry(last.bimIdx).train(taken);
+        if (last.g0Pred == taken)
+            g0.entry(last.g0Idx).train(taken);
+        if (last.g1Pred == taken)
+            g1.entry(last.g1Idx).train(taken);
+    } else {
+        // Correct via the bimodal component alone.
+        bim.entry(last.bimIdx).train(taken);
+    }
+
+    // Meta trains only when the components disagree, toward whichever
+    // was correct.
+    if (last.majority != last.bimPred)
+        meta.entry(last.metaIdx).train(last.majority == taken);
 }
 
 void
 TwoBcGskew::updateHistory(bool taken)
 {
-    historyStep(taken);
+    history.push(taken);
 }
 
 void
@@ -100,7 +144,7 @@ TwoBcGskew::clearCollisionStats()
 Count
 TwoBcGskew::lastPredictCollisions() const
 {
-    return pendingStep();
+    return bim.pending() + g0.pending() + g1.pending() + meta.pending();
 }
 
 BPSIM_REGISTER_PREDICTOR(

@@ -30,13 +30,7 @@
 namespace bpsim
 {
 
-/**
- * 2bcgskew hybrid predictor; four equal banks of 2-bit counters.
- *
- * The inline *Step methods are the non-virtual per-branch protocol
- * used by the devirtualized replay kernels; the virtual interface
- * forwards to them.
- */
+/** 2bcgskew hybrid predictor; four equal banks of 2-bit counters. */
 class TwoBcGskew : public BranchPredictor
 {
   public:
@@ -79,77 +73,6 @@ class TwoBcGskew : public BranchPredictor
     BitCount histG0Bits() const { return histG0; }
     BitCount histG1Bits() const { return histG1; }
     BitCount histMetaBits() const { return histMeta; }
-
-    /** Non-virtual predict(). */
-    bool
-    predictStep(Addr pc)
-    {
-        last.bimIdx = bimIndex(pc);
-        last.g0Idx = skewedIndex(0, pc, histG0);
-        last.g1Idx = skewedIndex(1, pc, histG1);
-        last.metaIdx = metaIndex(pc);
-
-        last.bimPred = bim.lookup(last.bimIdx, pc).taken();
-        last.g0Pred = g0.lookup(last.g0Idx, pc).taken();
-        last.g1Pred = g1.lookup(last.g1Idx, pc).taken();
-
-        const int votes = (last.bimPred ? 1 : 0) +
-                          (last.g0Pred ? 1 : 0) +
-                          (last.g1Pred ? 1 : 0);
-        last.majority = votes >= 2;
-
-        last.useMajority = meta.lookup(last.metaIdx, pc).taken();
-        last.finalPred = last.useMajority ? last.majority : last.bimPred;
-        return last.finalPred;
-    }
-
-    /** Non-virtual update(): the paper's partial-update policy. */
-    void
-    updateStep(Addr pc, bool taken)
-    {
-        (void)pc;
-        const bool correct = last.finalPred == taken;
-
-        bim.classify(correct);
-        g0.classify(correct);
-        g1.classify(correct);
-        meta.classify(correct);
-
-        if (!correct) {
-            // Bad overall prediction: retrain all three voting banks.
-            bim.entry(last.bimIdx).train(taken);
-            g0.entry(last.g0Idx).train(taken);
-            g1.entry(last.g1Idx).train(taken);
-        } else if (last.useMajority) {
-            // Correct via the majority vote: strengthen only the
-            // banks that voted with the (correct) majority.
-            if (last.bimPred == taken)
-                bim.entry(last.bimIdx).train(taken);
-            if (last.g0Pred == taken)
-                g0.entry(last.g0Idx).train(taken);
-            if (last.g1Pred == taken)
-                g1.entry(last.g1Idx).train(taken);
-        } else {
-            // Correct via the bimodal component alone.
-            bim.entry(last.bimIdx).train(taken);
-        }
-
-        // Meta trains only when the components disagree, toward
-        // whichever was correct.
-        if (last.majority != last.bimPred)
-            meta.entry(last.metaIdx).train(last.majority == taken);
-    }
-
-    /** Non-virtual updateHistory(). */
-    void historyStep(bool taken) { history.push(taken); }
-
-    /** Non-virtual lastPredictCollisions(). */
-    Count
-    pendingStep() const
-    {
-        return bim.pending() + g0.pending() + g1.pending() +
-               meta.pending();
-    }
 
   private:
     template <typename> friend struct BatchTraits;

@@ -3,8 +3,8 @@
  * The test suite's differential oracle: the virtual simulate() loop,
  * reached through runExperimentStreams() over cursors of a runner's
  * own replay buffers, one cell at a time. Every production path — the
- * fused runner at any thread count, the batch and record kernels at
- * any dispatch level — must reproduce it exactly.
+ * fused runner at any thread count, the batch kernels at any dispatch
+ * level — must reproduce it exactly.
  */
 
 #ifndef BPSIM_TESTS_ORACLE_HH
@@ -48,6 +48,21 @@ expectSameProfile(const ProfileDb &a, const ProfileDb &b)
         EXPECT_EQ(profile.predicted, other->predicted);
         EXPECT_EQ(profile.correct, other->correct);
         EXPECT_EQ(profile.collisions, other->collisions);
+    }
+}
+
+/** Every cell of a victim x aggressor interference matrix, exactly. */
+inline void
+expectSameAliasMatrix(const std::vector<ContextAliasCell> &a,
+                      const std::vector<ContextAliasCell> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].collisions, b[i].collisions) << "matrix cell " << i;
+        EXPECT_EQ(a[i].constructive, b[i].constructive)
+            << "matrix cell " << i;
+        EXPECT_EQ(a[i].destructive, b[i].destructive)
+            << "matrix cell " << i;
     }
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Bit-identity contract of the devirtualized replay kernels
  * (core/engine simulateReplayFused, the engine's only replay path):
- * for every kernel-visited predictor, scheme and shift policy the
- * kernels must produce exactly the SimStats, profile contents and hint
- * counts of the virtual simulate() loop, the oracle; predictors
- * outside the visitor must run the virtual loop transparently.
+ * for every kernel-visited predictor, scheme, shift policy and
+ * attached alias sink the kernels must produce exactly the SimStats,
+ * profile contents, hint counts and interference-matrix cells of the
+ * virtual simulate() loop, the oracle; predictors outside the visitor
+ * must run the virtual loop transparently.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +20,10 @@
 #include "core/engine.hh"
 #include "core/experiment.hh"
 #include "oracle.hh"
+#include "predictor/context_alias.hh"
 #include "predictor/factory.hh"
 #include "predictor/registry.hh"
+#include "scenario/scenario.hh"
 #include "staticsel/selection.hh"
 #include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
@@ -93,6 +96,7 @@ fastConfig(const std::string &predictor, StaticScheme scheme)
     return config;
 }
 
+using oracle::expectSameAliasMatrix;
 using oracle::expectSameProfile;
 using oracle::expectSameStats;
 
@@ -335,91 +339,139 @@ TEST(FastPathTest, CustomFactoryExperimentFallsBack)
     EXPECT_EQ(virtual_result.hintCount, replay_result.hintCount);
 }
 
-TEST(FastPathTest, HintsWithProfileRunTheRecordKernel)
+/** Records of the scenario buffer (small: the asan leg runs it). */
+constexpr Count scenarioBranches = 60'000;
+constexpr std::size_t scenarioContexts = 2;
+
+/**
+ * A two-context SMT interleave of go and compress, each in its own PC
+ * space: the input of a scenario evaluation, whose shared tables see
+ * cross-context collisions on every table size.
+ */
+const ReplayBuffer &
+scenarioBuffer()
 {
-    // The batch kernels cover every shape but hints and a profile
-    // together; that shape takes the record kernel and must still
-    // match the virtual loop in stats and profile contents.
-    const ReplayBuffer &buffer = testBuffer();
-    ReplayBuffer::Cursor bias_stream = buffer.cursor();
-    const HintDb hints = selectStatic95(
-        ProfileDb::collect(bias_stream, testEvalBranches));
-    ASSERT_GT(hints.size(), 0u);
-
-    for (const std::string &name : kernelPredictorNames()) {
-        SimOptions options;
-        options.maxBranches = testEvalBranches;
-
-        CombinedPredictor virtual_combined(makePredictor(name + ":2048"),
-                                           hints,
-                                           ShiftPolicy::ShiftOutcome);
-        ProfileDb virtual_profile;
-        options.profile = &virtual_profile;
-        ReplayBuffer::Cursor cursor = buffer.cursor();
-        const SimStats virtual_stats =
-            simulate(virtual_combined, cursor, options);
-
-        CombinedPredictor kernel_combined(makePredictor(name + ":2048"),
-                                          hints,
-                                          ShiftPolicy::ShiftOutcome);
-        ProfileDb kernel_profile;
-        options.profile = &kernel_profile;
-        bool used_fast = false;
-        bool used_simd = true;
-        const SimStats kernel_stats = simulateReplay(
-            kernel_combined, buffer, options, &used_fast, &used_simd);
-
-        SCOPED_TRACE(name);
-        EXPECT_TRUE(used_fast);
-        EXPECT_FALSE(used_simd);
-        expectSameStats(virtual_stats, kernel_stats);
-        expectSameProfile(virtual_profile, kernel_profile);
-    }
+    static const ReplayBuffer buffer = [] {
+        std::vector<SyntheticProgram> members;
+        members.push_back(makeSpecProgram(SpecProgram::Go, InputSet::Ref));
+        members.push_back(
+            makeSpecProgram(SpecProgram::Compress, InputSet::Ref));
+        ScenarioSpec smt;
+        smt.kind = ScenarioKind::Smt;
+        ScenarioWorkload workload(smt, std::move(members));
+        return ReplayBuffer::materialize(workload, scenarioBranches);
+    }();
+    return buffer;
 }
 
-TEST(FastPathTest, AliasSinkSelectsTheRecordKernel)
+/** Static_95 hints over the scenario buffer. */
+const HintDb &
+scenarioHints()
 {
-    // The batch kernels do not report lookups to a ContextAliasSink,
-    // so attaching one moves a batch-capable predictor to the record
-    // kernel, whose sink reports must equal the virtual loop's.
-    const ReplayBuffer &buffer = testBuffer();
+    static const HintDb hints = [] {
+        ReplayBuffer::Cursor cursor = scenarioBuffer().cursor();
+        return selectStatic95(ProfileDb::collect(cursor, scenarioBranches));
+    }();
+    return hints;
+}
+
+/** One run of a predictor with a ContextAliasSink attached. */
+struct AttributedRun
+{
+    SimStats stats;
+    ProfileDb profile;
+    ContextAliasSink sink{scenarioContexts};
+    bool usedSimd = false;
+};
+
+/**
+ * Run @p spec wrapped with @p hints under @p shift over the scenario
+ * buffer, with a sink attached and optionally a profile: through the
+ * engine's replay path when @p replay is set, else through the
+ * oracle, simulate().
+ */
+AttributedRun
+attributedRun(const std::string &spec, const HintDb &hints,
+              ShiftPolicy shift, bool profiled, Count warmup, bool replay)
+{
+    AttributedRun run;
+    CombinedPredictor predictor(makePredictor(spec), hints, shift);
+    predictor.attachAliasSink(&run.sink);
     SimOptions options;
-    options.maxBranches = testEvalBranches;
+    options.warmupBranches = warmup;
+    options.profile = profiled ? &run.profile : nullptr;
+    if (replay) {
+        run.stats = simulateReplay(predictor, scenarioBuffer(), options,
+                                   nullptr, &run.usedSimd);
+    } else {
+        ReplayBuffer::Cursor cursor = scenarioBuffer().cursor();
+        run.stats = simulate(predictor, cursor, options);
+    }
+    return run;
+}
 
-    auto virtual_predictor = makePredictor(PredictorKind::Gshare, 512);
-    ContextAliasSink virtual_sink(1);
-    virtual_predictor->attachAliasSink(&virtual_sink);
-    ReplayBuffer::Cursor cursor = buffer.cursor();
-    const SimStats virtual_stats =
-        simulate(*virtual_predictor, cursor, options);
+class FastPathAttributed
+    : public ::testing::TestWithParam<KernelPredictor>
+{};
 
-    auto kernel_predictor = makePredictor(PredictorKind::Gshare, 512);
-    ContextAliasSink kernel_sink(1);
-    kernel_predictor->attachAliasSink(&kernel_sink);
-    bool used_fast = false;
-    bool used_simd = true;
-    const SimStats kernel_stats = simulateReplay(
-        *kernel_predictor, buffer, options, &used_fast, &used_simd);
+TEST_P(FastPathAttributed, SoloShapesMatchTheVirtualLoop)
+{
+    // A sim with a profile or a ContextAliasSink runs alone on the
+    // batch kernels' solo shape, with its hints under its shift
+    // policy. Every combination, warmup included, must match the
+    // virtual loop in stats, profile counts and every sink cell.
+    const std::string spec = GetParam().name() + ":2048";
+    ASSERT_GT(scenarioHints().size(), 0u);
+    const HintDb no_hints;
+    for (const auto shift :
+         {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
+          ShiftPolicy::ShiftPrediction}) {
+        for (const bool hinted : {false, true}) {
+            for (const bool profiled : {false, true}) {
+                for (const Count warmup : {Count{0}, Count{7'000}}) {
+                    SCOPED_TRACE(shiftPolicyName(shift) +
+                                 (hinted ? " hinted" : " unhinted") +
+                                 (profiled ? " profiled" : "") +
+                                 " warmup " + std::to_string(warmup));
+                    const HintDb &hints =
+                        hinted ? scenarioHints() : no_hints;
+                    const AttributedRun expected = attributedRun(
+                        spec, hints, shift, profiled, warmup, false);
+                    const AttributedRun got = attributedRun(
+                        spec, hints, shift, profiled, warmup, true);
 
-    EXPECT_TRUE(used_fast);
-    EXPECT_FALSE(used_simd);
-    expectSameStats(virtual_stats, kernel_stats);
-    const std::vector<ContextAliasCell> expected = virtual_sink.cells();
-    const std::vector<ContextAliasCell> got = kernel_sink.cells();
-    ASSERT_EQ(expected.size(), got.size());
-    ASSERT_GT(expected.front().collisions, 0u);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(expected[i].collisions, got[i].collisions);
-        EXPECT_EQ(expected[i].constructive, got[i].constructive);
-        EXPECT_EQ(expected[i].destructive, got[i].destructive);
+                    EXPECT_TRUE(got.usedSimd);
+                    expectSameStats(expected.stats, got.stats);
+                    expectSameProfile(expected.profile, got.profile);
+                    expectSameAliasMatrix(expected.sink.cells(),
+                                          got.sink.cells());
+                    EXPECT_GT(got.sink.cell(0, 1).collisions +
+                                  got.sink.cell(1, 0).collisions,
+                              0u);
+                }
+            }
+        }
     }
 
-    // Detached again, the same predictor runs the batch kernels.
-    kernel_predictor->attachAliasSink(nullptr);
-    simulateReplay(*kernel_predictor, buffer, options, &used_fast,
-                   &used_simd);
+    // Detached again, the same predictor runs the unattributed
+    // kernels and leaves the sink as the attached run left it.
+    auto predictor = makePredictor(spec);
+    ContextAliasSink sink(scenarioContexts);
+    predictor->attachAliasSink(&sink);
+    simulateReplay(*predictor, scenarioBuffer());
+    const std::vector<ContextAliasCell> attached = sink.cells();
+    predictor->attachAliasSink(nullptr);
+    bool used_simd = false;
+    simulateReplay(*predictor, scenarioBuffer(), {}, nullptr, &used_simd);
     EXPECT_TRUE(used_simd);
+    expectSameAliasMatrix(attached, sink.cells());
 }
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathAttributed,
+                         ::testing::ValuesIn(allKernelPredictors()),
+                         [](const auto &info) {
+                             return info.param.name();
+                         });
 
 } // namespace
 } // namespace bpsim

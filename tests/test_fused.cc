@@ -238,10 +238,9 @@ TEST(FusedTest, ProfileCacheOffStillBitIdentical)
  * paper's five predictors x none/Static_95/Static_Acc) and
  * fig_tagged_schemes (6 programs x seven registry predictors x four
  * schemes), with small windows. Each must equal the oracle cell by
- * cell at 1, 2 and 4 threads; the paper predictors run the batch
- * kernels, tage and the perceptron — devirtualized via visitPredictor
- * but without batch kernels — the record kernel. Separate cell sets
- * keep the group-count and fault-index assertions above untouched.
+ * cell at 1, 2 and 4 threads; every one of their predictors runs the
+ * batch kernels. Separate cell sets keep the group-count and
+ * fault-index assertions above untouched.
  */
 constexpr Count shortProfileBranches = 20'000;
 constexpr Count shortEvalBranches = 40'000;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/runner.hh"
+#include "oracle.hh"
 #include "scenario/scenario.hh"
 #include "support/fault.hh"
 #include "support/random.hh"
@@ -155,19 +156,8 @@ expectSameScenarioCell(const CellResult &a, const CellResult &b)
         EXPECT_EQ(x.collisions, y.collisions) << "context " << c;
     }
 
-    ASSERT_EQ(a.result.aliasMatrix.size(),
-              b.result.aliasMatrix.size());
-    for (std::size_t i = 0; i < a.result.aliasMatrix.size(); ++i) {
-        EXPECT_EQ(a.result.aliasMatrix[i].collisions,
-                  b.result.aliasMatrix[i].collisions)
-            << "matrix cell " << i;
-        EXPECT_EQ(a.result.aliasMatrix[i].constructive,
-                  b.result.aliasMatrix[i].constructive)
-            << "matrix cell " << i;
-        EXPECT_EQ(a.result.aliasMatrix[i].destructive,
-                  b.result.aliasMatrix[i].destructive)
-            << "matrix cell " << i;
-    }
+    oracle::expectSameAliasMatrix(a.result.aliasMatrix,
+                                  b.result.aliasMatrix);
 }
 
 void
