@@ -65,8 +65,7 @@ main(int argc, char **argv)
     // The iterative pass runs after run() (so after run_end); it
     // feeds the journal's timers and counters, which carry no event
     // ordering, rather than emitting phase events of its own.
-    TimerRegistry *timers =
-        journal ? &journal->timers() : nullptr;
+    TimerRegistry *timers = obs::timersOf(journal.get());
     std::vector<IterativeRow> rows(runner.programCount());
     runner.pool().parallelFor(
         runner.programCount(), [&](std::size_t p) {
@@ -88,8 +87,7 @@ main(int argc, char **argv)
                 runner.buffer(p, InputSet::Ref).cursor();
             SimOptions sim_options;
             sim_options.maxBranches = evalBranches;
-            sim_options.counters =
-                journal ? &journal->counters() : nullptr;
+            sim_options.counters = obs::countersOf(journal.get());
             rows[p].stats =
                 simulate(combined, eval_stream, sim_options);
             rows[p].hints = selection.hints.size();

@@ -25,7 +25,9 @@ main(int argc, char **argv)
 {
     const BenchOptions bench_options =
         parseBenchOptions(argc, argv, "aliasing_loss");
-    BenchJournal journal(bench_options, "aliasing_loss");
+    const auto journal = makeJournal(bench_options, "aliasing_loss");
+    auto run =
+        obs::Span::run(journal.get(), runBeginFields(bench_options.threads));
     const std::size_t size_bytes = 4096; // 13-bit index and history
 
     std::printf("Aliasing loss at gshare 4 KB (vs interference-free "
@@ -35,11 +37,12 @@ main(int argc, char **argv)
 
     for (const auto id : allSpecPrograms()) {
         SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
 
         SimOptions options;
         options.maxBranches = evalBranches;
-        options.counters = journal.counters();
+        options.counters = obs::countersOf(journal.get());
 
         Gshare real(size_bytes);
         const double real_misp =
@@ -54,7 +57,7 @@ main(int argc, char **argv)
         auto recovered = [&](StaticScheme scheme) {
             ExperimentConfig config = baseConfig(
                 PredictorKind::Gshare, size_bytes, scheme);
-            config.counters = journal.counters();
+            config.counters = obs::countersOf(journal.get());
             const double with =
                 runExperiment(program, config).stats.mispKi();
             return loss > 0.0
@@ -75,6 +78,7 @@ main(int argc, char **argv)
                 "back (Static_Acc can exceed 100%% because it also "
                 "statically fixes branches the ideal predictor "
                 "mispredicts).\n");
-    journal.finish();
+    run.close();
+    writeJournal(bench_options, journal.get());
     return 0;
 }

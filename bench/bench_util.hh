@@ -13,7 +13,6 @@
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
-#include "core/simd.hh"
 #include "obs/run_journal.hh"
 #include "support/args.hh"
 #include "workload/specint.hh"
@@ -194,9 +193,9 @@ parseBenchOptions(int argc, char **argv, const char *tool,
 
 /**
  * Journal for a bench run: constructed only when --journal was given
- * (the runner and the write helpers all accept null). The runner
- * records run_begin/run_end itself; manual benches use BenchJournal
- * below instead.
+ * (obs spans, the runner and writeJournal() all accept null). Manual
+ * benches open a run span and one "bench.<section>" phase span per
+ * section; the runner records its own.
  */
 inline std::unique_ptr<obs::RunJournal>
 makeJournal(const BenchOptions &options, std::string label)
@@ -230,108 +229,12 @@ inline void
 writeJournal(const BenchOptions &options,
              const obs::RunJournal *journal)
 {
-    if (journal == nullptr || options.journalPath.empty())
+    if (journal == nullptr)
         return;
-    journal->writeJsonl(options.journalPath);
-    const std::string metrics =
-        obs::RunJournal::metricsPathFor(options.journalPath);
-    journal->writeMetrics(metrics);
+    const std::string metrics = journal->writeFiles(options.journalPath);
     std::printf("journal: %s\nmetrics: %s\n",
                 options.journalPath.c_str(), metrics.c_str());
 }
-
-/**
- * Journal wiring for the manual (non-runner) benches: opens the
- * journal when --journal was given, records run_begin immediately and
- * run_end from finish(), and brackets named sections of the bench
- * body as phase events so the table passes show up in the timeline.
- */
-class BenchJournal
-{
-  public:
-    BenchJournal(const BenchOptions &options, std::string label)
-        : journalPath(options.journalPath)
-    {
-        if (journalPath.empty())
-            return;
-        journal =
-            std::make_unique<obs::RunJournal>(std::move(label));
-        const SimdLevel level = resolveSimdLevel();
-        journal->record(
-            obs::EventKind::RunBegin, 0, journal->runLabel(),
-            {obs::Field::u64("threads", options.threads),
-             obs::Field::str("dispatch", simdLevelName(level)),
-             obs::Field::u64("simd_width", simdWidth(level))});
-    }
-
-    /** The journal, null when --journal was not given. */
-    obs::RunJournal *get() { return journal.get(); }
-
-    /** Counter registry for SimOptions/ExperimentConfig wiring
-     * (null when journaling is off). */
-    CounterRegistry *
-    counters()
-    {
-        return journal ? &journal->counters() : nullptr;
-    }
-
-    /** RAII phase bracket: phase_begin now, phase_end (with the
-     * elapsed seconds) when the section leaves scope. */
-    class Section
-    {
-      public:
-        Section(BenchJournal &parent, std::string name)
-            : journal(parent.journal.get()), name(std::move(name)),
-              timer(journal ? &journal->timers() : nullptr,
-                    "bench." + this->name)
-        {
-            if (journal != nullptr)
-                journal->record(obs::EventKind::PhaseBegin, 0,
-                                this->name);
-        }
-
-        Section(const Section &) = delete;
-        Section &operator=(const Section &) = delete;
-
-        ~Section()
-        {
-            if (journal != nullptr) {
-                journal->record(
-                    obs::EventKind::PhaseEnd, 0, name,
-                    {obs::Field::f64("seconds", timer.stop())});
-            }
-        }
-
-      private:
-        obs::RunJournal *journal;
-        std::string name;
-        ScopedTimer timer;
-    };
-
-    Section section(std::string name) { return {*this, std::move(name)}; }
-
-    /** Record run_end and write the JSONL + metrics files. */
-    void
-    finish()
-    {
-        if (journal == nullptr)
-            return;
-        journal->record(
-            obs::EventKind::RunEnd, 0, journal->runLabel(),
-            {obs::Field::f64("seconds",
-                             journal->secondsSinceStart())});
-        journal->writeJsonl(journalPath);
-        const std::string metrics =
-            obs::RunJournal::metricsPathFor(journalPath);
-        journal->writeMetrics(metrics);
-        std::printf("journal: %s\nmetrics: %s\n", journalPath.c_str(),
-                    metrics.c_str());
-    }
-
-  private:
-    std::string journalPath;
-    std::unique_ptr<obs::RunJournal> journal;
-};
 
 /** Percentage improvement (positive = better) formatted as "+x.x%". */
 inline std::string

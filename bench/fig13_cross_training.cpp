@@ -27,7 +27,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "fig13_cross_training");
-    BenchJournal journal(options, "fig13_cross_training");
+    const auto journal = makeJournal(options, "fig13_cross_training");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t size_bytes = 16384;
 
     std::printf("Figure 13: cross-training, gshare 16 KB + Static_95 "
@@ -37,11 +38,12 @@ main(int argc, char **argv)
 
     for (const auto id : allSpecPrograms()) {
         SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
 
         ExperimentConfig config = baseConfig(
             PredictorKind::Gshare, size_bytes, StaticScheme::None);
-        config.counters = journal.counters();
+        config.counters = obs::countersOf(journal.get());
         const double none =
             runExperiment(program, config).stats.mispKi();
 
@@ -66,6 +68,7 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: naive cross-training degrades perl "
                 "and m88ksim sharply; the >5%% bias-change filter "
                 "recovers them.\n");
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

@@ -24,7 +24,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "fig1_6_gshare_scaling");
-    BenchJournal journal(options, "fig1_6_gshare_scaling");
+    const auto journal = makeJournal(options, "fig1_6_gshare_scaling");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t sizes_kb[] = {1, 2, 4, 8, 16, 32, 64};
 
     std::printf("Figures 1-6: gshare size sweep, no-static vs "
@@ -32,7 +33,8 @@ main(int argc, char **argv)
 
     for (const auto id : allSpecPrograms()) {
         SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
         std::printf("\n[%s]\n", program.name().c_str());
         std::printf("%6s %12s %12s %8s %14s %14s\n", "size", "MISP/KI",
                     "MISP/KI+st", "improv", "collisions",
@@ -41,7 +43,7 @@ main(int argc, char **argv)
         for (const std::size_t kb : sizes_kb) {
             ExperimentConfig config = baseConfig(
                 PredictorKind::Gshare, kb * 1024, StaticScheme::None);
-            config.counters = journal.counters();
+            config.counters = obs::countersOf(journal.get());
             ExperimentResult base = runExperiment(program, config);
 
             config.scheme = StaticScheme::StaticAcc;
@@ -58,6 +60,7 @@ main(int argc, char **argv)
                             with.stats.collisions.collisions));
         }
     }
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

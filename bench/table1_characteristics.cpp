@@ -24,7 +24,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table1_characteristics");
-    BenchJournal journal(options, "table1_characteristics");
+    const auto journal = makeJournal(options, "table1_characteristics");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
 
     std::printf("Table 1: program characteristics (synthetic stand-ins"
                 ")\n\n");
@@ -34,14 +35,15 @@ main(int argc, char **argv)
 
     for (const auto id : allSpecPrograms()) {
         SyntheticProgram program = makeSpecProgram(id, InputSet::Train);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
 
         // A throwaway predictor: Table 1 only needs stream statistics.
         Bimodal counter_only(2048);
 
         SimOptions sim_options;
         sim_options.maxBranches = evalBranches;
-        sim_options.counters = journal.counters();
+        sim_options.counters = obs::countersOf(journal.get());
         SimStats train = simulate(counter_only, program, sim_options);
 
         program.setInput(InputSet::Ref);
@@ -62,6 +64,7 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: every 7th-8th instruction is a "
                 "conditional branch (CBRs/KI 108-156), except ijpeg "
                 "(~61); gcc has by far the most static branches.\n");
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

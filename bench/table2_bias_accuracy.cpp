@@ -23,7 +23,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table2_bias_accuracy");
-    BenchJournal journal(options, "table2_bias_accuracy");
+    const auto journal = makeJournal(options, "table2_bias_accuracy");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const Count branches = 2'000'000;
     const std::size_t size_bytes = 32768;
 
@@ -41,7 +42,8 @@ main(int argc, char **argv)
     for (const auto program_id : allSpecPrograms()) {
         SyntheticProgram program =
             makeSpecProgram(program_id, InputSet::Ref);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
 
         // Bias-only profile to measure the biased fraction.
         program.reset();
@@ -71,6 +73,7 @@ main(int argc, char **argv)
     std::printf("\nPaper shape: the more highly biased branches a "
                 "program executes, the higher every scheme's accuracy "
                 "(r close to +1).\n");
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

@@ -21,7 +21,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table3_2bcgskew_small");
-    BenchJournal journal(options, "table3_2bcgskew_small");
+    const auto journal = makeJournal(options, "table3_2bcgskew_small");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t sizes_kb[] = {2, 4, 8, 16, 32};
     const SpecProgram programs[] = {SpecProgram::Go, SpecProgram::Gcc};
 
@@ -36,8 +37,9 @@ main(int argc, char **argv)
 
     for (const std::size_t kb : sizes_kb) {
         std::printf("%6zuKB", kb);
+        const std::string size = std::to_string(kb) + "KB";
         auto section =
-            journal.section(std::to_string(kb) + "KB");
+            obs::Span::phase(journal.get(), size, "bench." + size);
         for (const auto id : programs) {
             SyntheticProgram program =
                 makeSpecProgram(id, InputSet::Ref);
@@ -45,7 +47,7 @@ main(int argc, char **argv)
             ExperimentConfig config =
                 baseConfig(PredictorKind::TwoBcGskew, kb * 1024,
                            StaticScheme::None);
-            config.counters = journal.counters();
+            config.counters = obs::countersOf(journal.get());
             const double none =
                 runExperiment(program, config).stats.mispKi();
 
@@ -66,6 +68,7 @@ main(int argc, char **argv)
 
     std::printf("\nPaper shape: gains shrink with size; gcc > go at "
                 "every size; go goes negative at 16-32 KB.\n");
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

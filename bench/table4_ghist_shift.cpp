@@ -33,7 +33,8 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table4_ghist_shift");
-    BenchJournal journal(options, "table4_ghist_shift");
+    const auto journal = makeJournal(options, "table4_ghist_shift");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t sizes_kb[] = {32, 64};
 
     std::printf("Table 4: 2bcgskew, %% MISP/KI improvement over the "
@@ -44,12 +45,13 @@ main(int argc, char **argv)
 
     for (const auto id : allSpecPrograms()) {
         SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = journal.section(program.name());
+        auto section = obs::Span::phase(
+            journal.get(), program.name(), "bench." + program.name());
         for (const std::size_t kb : sizes_kb) {
             ExperimentConfig config =
                 baseConfig(PredictorKind::TwoBcGskew, kb * 1024,
                            StaticScheme::None);
-            config.counters = journal.counters();
+            config.counters = obs::countersOf(journal.get());
             const double none =
                 runExperiment(program, config).stats.mispKi();
 
@@ -76,6 +78,7 @@ main(int argc, char **argv)
 
     std::printf("\nPaper shape: where a plain scheme degrades "
                 "(negative), its +shift column recovers.\n");
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

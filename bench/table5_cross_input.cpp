@@ -31,7 +31,8 @@ main(int argc, char **argv)
         parseBenchOptions(argc, argv, "table5_cross_input");
     const Count profile_len = 4 * evalBranches;
 
-    BenchJournal journal(options, "table5_cross_input");
+    const auto journal = makeJournal(options, "table5_cross_input");
+    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     ExperimentRunner runner(runnerOptions(options, journal.get()));
     for (const auto id : allSpecPrograms()) {
         const std::size_t program =
@@ -40,13 +41,15 @@ main(int argc, char **argv)
         runner.requireBuffer(program, InputSet::Ref, profile_len);
     }
     {
-        auto section = journal.section("materialize");
+        auto section = obs::Span::phase(
+            journal.get(), "materialize", "bench.materialize");
         runner.materialize();
     }
 
     std::vector<CrossInputStats> rows(runner.programCount());
     {
-        auto section = journal.section("compare_profiles");
+        auto section = obs::Span::phase(
+            journal.get(), "compare_profiles", "bench.compare_profiles");
         runner.pool().parallelFor(
             runner.programCount(), [&](std::size_t p) {
                 ReplayBuffer::Cursor train_stream =
@@ -83,6 +86,7 @@ main(int argc, char **argv)
                     stats.biasChangeOver50Static,
                     stats.biasChangeOver50Dynamic);
     }
-    journal.finish();
+    run.close();
+    writeJournal(options, journal.get());
     return 0;
 }

@@ -40,13 +40,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
 constexpr std::size_t noPhase = std::numeric_limits<std::size_t>::max();
 
 /**
- * Worker index of the calling thread within the pool currently
- * executing it; 0 everywhere else. The coordinating thread
- * participates as worker 0, so its default needs no special casing.
- */
-thread_local unsigned poolWorkerIndex = 0;
-
-/**
  * Cache identity of a cell's profiling run: everything that affects
  * the ProfilePhase and nothing that doesn't (the selection scheme and
  * its tunables apply downstream, which is what makes the phase
@@ -100,8 +93,9 @@ inputSetName(InputSet input)
 }
 
 /** Comma-joined index list ("3,4,7") for journal payloads. */
+template <typename Index>
 std::string
-joinIndexList(const std::vector<Count> &values)
+joinIndexList(const std::vector<Index> &values)
 {
     std::string out;
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -252,12 +246,6 @@ TaskPool::TaskPool(unsigned threads)
 {
 }
 
-unsigned
-TaskPool::currentWorkerIndex()
-{
-    return poolWorkerIndex;
-}
-
 void
 TaskPool::run(std::vector<std::function<void()>> tasks)
 {
@@ -307,7 +295,7 @@ TaskPool::runCollect(std::vector<std::function<void()>> tasks)
     std::atomic<std::size_t> remaining{tasks.size()};
 
     const auto worker = [&](unsigned self) {
-        poolWorkerIndex = self;
+        obs::setWorkerIndex(self);
         for (;;) {
             std::size_t task_index = 0;
             bool found = false;
@@ -414,6 +402,40 @@ parseShardSpec(const std::string &spec)
             static_cast<unsigned>(count)));
 }
 
+std::vector<obs::Field>
+runBeginFields(unsigned threads)
+{
+    const SimdLevel level = resolveSimdLevel();
+    return {obs::Field::u64("threads", threads),
+            obs::Field::str("dispatch", simdLevelName(level)),
+            obs::Field::u64("simd_width", simdWidth(level))};
+}
+
+std::vector<obs::Field>
+cellEndFields(Count cell, double seconds, const SimStats &stats,
+              std::size_t hints)
+{
+    const Count classified =
+        stats.collisions.constructive + stats.collisions.destructive;
+    const Count neutral = stats.collisions.collisions > classified
+                              ? stats.collisions.collisions - classified
+                              : 0;
+    return {obs::Field::u64("cell", cell),
+            obs::Field::f64("seconds", seconds),
+            obs::Field::u64("branches", stats.branches),
+            obs::Field::u64("instructions", stats.instructions),
+            obs::Field::u64("mispredictions", stats.mispredictions),
+            obs::Field::f64("misp_ki", stats.mispKi()),
+            obs::Field::u64("hints", hints),
+            obs::Field::u64("static_predicted", stats.staticPredicted),
+            obs::Field::u64("lookups", stats.collisions.lookups),
+            obs::Field::u64("collisions", stats.collisions.collisions),
+            obs::Field::u64("constructive",
+                            stats.collisions.constructive),
+            obs::Field::u64("destructive", stats.collisions.destructive),
+            obs::Field::u64("neutral", neutral)};
+}
+
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : options(options), taskPool(options.threads)
 {
@@ -504,8 +526,8 @@ ExperimentRunner::addCell(std::size_t program_index,
     // counters (kernel vs virtual path, branch totals) land in the
     // metrics summary. Not part of the cell's identity: the profile
     // cache key ignores it and results are unaffected.
-    if (options.journal != nullptr)
-        cell.config.counters = &options.journal->counters();
+    if (CounterRegistry *counters = obs::countersOf(options.journal))
+        cell.config.counters = counters;
     if (label.empty()) {
         const std::string identity = predictorIdentityOf(config);
         label = programs[program_index]->name() + "/" +
@@ -599,7 +621,15 @@ ExperimentRunner::materialize()
     if (pending.empty())
         return;
 
-    obs::RunJournal *journal = options.journal;
+    const auto noteReplay = [&](std::size_t p, unsigned input,
+                                const char *op) {
+        obs::note(options.journal, obs::EventKind::Cache,
+                  programs[p]->name(),
+                  {obs::Field::str("artifact", "replay"),
+                   obs::Field::str("op", op),
+                   obs::Field::u64("bytes",
+                                   buffers[p][input]->memoryBytes())});
+    };
     const auto start = std::chrono::steady_clock::now();
     taskPool.parallelFor(pending.size(), [&](std::size_t i) {
         const std::size_t p = pending[i];
@@ -623,28 +653,15 @@ ExperimentRunner::materialize()
                                  "bpsim: warning: corrupt replay "
                                  "artifact: %s\n",
                                  lookup.error().describe().c_str());
-                    if (journal != nullptr) {
-                        journal->record(
-                            obs::EventKind::CacheCorrupt,
-                            TaskPool::currentWorkerIndex(),
-                            programs[p]->name(),
-                            {obs::Field::str("artifact", "replay"),
-                             obs::Field::str("key", key)});
-                    }
+                    obs::note(options.journal,
+                              obs::EventKind::CacheCorrupt,
+                              programs[p]->name(),
+                              {obs::Field::str("artifact", "replay"),
+                               obs::Field::str("key", key)});
                 } else if (lookup.value().hit) {
                     buffers[p][input] = std::make_unique<ReplayBuffer>(
                         std::move(lookup.value().buffer));
-                    if (journal != nullptr) {
-                        journal->record(
-                            obs::EventKind::Cache,
-                            TaskPool::currentWorkerIndex(),
-                            programs[p]->name(),
-                            {obs::Field::str("artifact", "replay"),
-                             obs::Field::str("op", "hit"),
-                             obs::Field::u64(
-                                 "bytes",
-                                 buffers[p][input]->memoryBytes())});
-                    }
+                    noteReplay(p, input, "hit");
                     continue;
                 }
             }
@@ -661,16 +678,8 @@ ExperimentRunner::materialize()
                                  "bpsim: warning: replay artifact "
                                  "store failed: %s\n",
                                  stored.error().describe().c_str());
-                } else if (journal != nullptr) {
-                    journal->record(
-                        obs::EventKind::Cache,
-                        TaskPool::currentWorkerIndex(),
-                        programs[p]->name(),
-                        {obs::Field::str("artifact", "replay"),
-                         obs::Field::str("op", "store"),
-                         obs::Field::u64(
-                             "bytes",
-                             buffers[p][input]->memoryBytes())});
+                } else {
+                    noteReplay(p, input, "store");
                 }
             }
         }
@@ -691,58 +700,317 @@ ExperimentRunner::buffer(std::size_t program_index,
     return *held;
 }
 
-MatrixResult
-ExperimentRunner::run()
+/**
+ * One run() of the matrix: the state its stages share, from the plan
+ * to the aggregated result. The materialize, profile and execute
+ * stages are each one journal phase span.
+ */
+class ExperimentRunner::Sweep
 {
-    obs::RunJournal *journal = options.journal;
-    TimerRegistry *timers =
-        journal != nullptr ? &journal->timers() : nullptr;
+    /** One cell's plan, fixed before any work starts. */
+    struct CellPlan
+    {
+        std::string fingerprint; // when checkpointing or sharding
+        bool inShard = true;
+        std::optional<Error> invalid;
+        std::optional<CheckpointRecord> restored;
+        std::size_t phase = noPhase;
+    };
 
-    validateShardOptions();
+    /** One unique shared profiling phase and its outcome, written by
+     * exactly one worker. */
+    struct PhaseSlot
+    {
+        std::size_t programIndex = 0;
+        InputSet input = InputSet::Ref;
+        const ExperimentConfig *config = nullptr;
+        std::string diskKey;
+        ProfilePhase phase;
+        Count branches = 0;
+        double wall = 0.0;
+        bool kernel = false;
+        bool simd = false;
+        std::optional<Error> error;
+    };
 
-    // Checkpoint binding and resume load come first: an unreadable
-    // checkpoint under --resume is a whole-run failure, raised before
-    // any simulation work or journal events.
-    std::unique_ptr<SweepCheckpoint> checkpoint;
-    if (!options.checkpointPath.empty()) {
-        checkpoint =
-            std::make_unique<SweepCheckpoint>(options.checkpointPath);
+    /** A fused-chunk member that passed its gates and was prepared. */
+    struct LiveCell
+    {
+        std::size_t index = 0;
+        PreparedEvaluation prepared;
+        unsigned attempts = 0;
+        double prepareSeconds = 0.0;
+    };
+
+    /** A lazily built SiteIndex, shared read-only by every fused pass
+     * over its buffer. */
+    struct SiteSlot
+    {
+        std::once_flag once;
+        std::unique_ptr<SiteIndex> index;
+    };
+
+  public:
+    explicit Sweep(ExperimentRunner &runner)
+        : runner(runner), options(runner.options), cells(runner.cells),
+          journal(options.journal), timers(obs::timersOf(journal)),
+          plans(cells.size()), siteSlots(runner.programs.size())
+    {
+        const SimdLevel level = resolveSimdLevel();
+        result.cells.resize(cells.size());
+        result.threads = runner.taskPool.threadCount();
+        result.dispatch = simdLevelName(level);
+        result.simdLanes = simdWidth(level);
+        result.shardIndex = options.shardIndex;
+        result.shardCount = options.shardCount;
     }
-    if (options.resume && checkpoint != nullptr) {
-        Result<void> loaded = checkpoint->load();
-        if (!loaded.ok()) {
-            raise(std::move(loaded.error())
-                      .withContext("while resuming sweep"));
+
+    MatrixResult result;
+
+    /**
+     * Checkpoint load and shard stamp, shard membership, per-cell
+     * validation, restored cells and the profile-phase plan. Records
+     * no events, so an unreadable checkpoint fails the run before any
+     * journal output.
+     */
+    void
+    plan()
+    {
+        runner.validateShardOptions();
+        if (!options.checkpointPath.empty()) {
+            checkpoint =
+                std::make_unique<SweepCheckpoint>(options.checkpointPath);
         }
-    }
-    std::vector<std::string> fingerprints(cells.size());
-    if (checkpoint != nullptr || options.shardCount > 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            fingerprints[i] = fingerprintOf(i);
+        if (options.resume && checkpoint != nullptr) {
+            Result<void> loaded = checkpoint->load();
+            if (!loaded.ok()) {
+                raise(std::move(loaded.error())
+                          .withContext("while resuming sweep"));
+            }
+        }
+        // Out-of-shard cells keep their (empty) result slots, so
+        // indices stay matrix-stable, and nothing else.
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            if (checkpoint != nullptr || options.shardCount > 1)
+                plans[i].fingerprint = runner.fingerprintOf(i);
+            plans[i].inShard = runner.cellInShard(i);
+        }
+        if (checkpoint != nullptr)
+            stampCheckpoint();
+
+        // An invalid cell fails without executing anything and stays
+        // out of the profile-phase plan. Out-of-shard cells are
+        // another process's to validate (failing them here would
+        // double-count across shards). Restored cells are copied out:
+        // the checkpoint grows once workers record new cells.
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            CellPlan &plan = plans[i];
+            if (!plan.inShard)
+                continue;
+            Result<void> valid = cells[i].config.validate();
+            if (!valid.ok()) {
+                plan.invalid = std::move(valid.error());
+                continue;
+            }
+            if (options.resume && checkpoint != nullptr) {
+                if (const CheckpointRecord *record =
+                        checkpoint->find(plan.fingerprint))
+                    plan.restored = *record;
+            }
+        }
+        planProfilePhases();
     }
 
-    // Shard membership. Out-of-shard cells keep their result slots
-    // (indices stay matrix-stable for benches that print by position)
-    // but are excluded from demand, profiling, execution, journal
-    // events, checkpointing and aggregation.
-    std::vector<char> in_shard(cells.size(), 1);
-    if (options.shardCount > 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            in_shard[i] = cellInShard(i) ? 1 : 0;
+    /** run_begin's fields. */
+    std::vector<obs::Field>
+    runBegin() const
+    {
+        std::vector<obs::Field> fields = runBeginFields(result.threads);
+        fields.push_back(obs::Field::u64("cells", cells.size()));
+        fields.push_back(
+            obs::Field::u64("shard_index", options.shardIndex));
+        fields.push_back(
+            obs::Field::u64("shard_count", options.shardCount));
+        return fields;
     }
 
-    // Stamp the checkpoint with this run's shard identity. A resumed
-    // file carrying a different stamp would silently mix slices of
-    // different partitions, so that is rejected up front; the
-    // immediate flush gives even a zero-cell shard a header-stamped
-    // file for `merge` to verify.
-    if (checkpoint != nullptr) {
+    /** Build (or map) every replay buffer the plan demands. */
+    void
+    materialize()
+    {
+        obs::Span span = obs::Span::phase(journal, "materialize",
+                                          "runner.materialize");
+        runner.materialize();
+        for (const auto &per_program : runner.buffers) {
+            for (const auto &held : per_program) {
+                if (held != nullptr)
+                    result.replayBytes += held->memoryBytes();
+            }
+        }
+        std::vector<obs::Field> fields = {
+            obs::Field::f64("seconds", span.seconds()),
+            obs::Field::u64("bytes", result.replayBytes)};
+        if (runner.cache != nullptr) {
+            const ArtifactCacheStats stats = runner.cache->stats();
+            fields.push_back(
+                obs::Field::u64("cache_replay_hits", stats.replayHits));
+            fields.push_back(obs::Field::u64("cache_replay_misses",
+                                             stats.replayMisses));
+            fields.push_back(
+                obs::Field::u64("mmap_bytes", stats.mappedBytes));
+        }
+        obs::note(journal, obs::EventKind::Materialize, "materialize",
+                  std::move(fields));
+    }
+
+    /** Run the needed profiling phases: artifact-cache hits, then
+     * one fused pass per chunk of phases sharing a buffer. */
+    void
+    profile()
+    {
+        runStart = std::chrono::steady_clock::now();
+        if (phaseExec.empty())
+            return;
+        obs::Span span = obs::Span::phase(journal, "profile");
+        loadCachedPhases();
+        const std::vector<FusedGroupPlan> chunks = chunkGroups(
+            groupForFusion(phaseExec,
+                           [&](std::size_t j) {
+                               return std::pair(phases[j].programIndex,
+                                                phases[j].input);
+                           }),
+            result.threads);
+        runner.taskPool.parallelFor(chunks.size(), [&](std::size_t c) {
+            runProfileChunk(chunks[c]);
+        });
+        storePhases();
+    }
+
+    /** Settle the cells that need no simulation, then run the rest
+     * in fused passes over their evaluation buffers (read-only here,
+     * like the shared phases, so the hot path takes no locks). */
+    void
+    execute()
+    {
+        obs::Span span = obs::Span::phase(journal, "cells");
+        std::vector<std::size_t> pending;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const CellPlan &plan = plans[i];
+            if (!plan.inShard)
+                result.cells[i].shardSkipped = true; // no events
+            else if (plan.invalid.has_value() ||
+                     plan.restored.has_value())
+                openCell(i);
+            else
+                pending.push_back(i);
+        }
+        const std::vector<FusedGroupPlan> chunks = chunkGroups(
+            groupForFusion(pending,
+                           [&](std::size_t i) {
+                               return std::pair(
+                                   cells[i].programIndex,
+                                   cells[i].config.evalInput);
+                           }),
+            result.threads);
+        runner.taskPool.parallelFor(chunks.size(), [&](std::size_t c) {
+            runCellChunk(chunks[c]);
+        });
+        result.fusedGroups =
+            fusedGroupCount.load(std::memory_order_relaxed);
+        span.close();
+        result.runSeconds = secondsSince(runStart);
+    }
+
+    /** Fold the cells into the matrix totals; returns run_end's
+     * fields. */
+    std::vector<obs::Field>
+    aggregate()
+    {
+        // A phase whose every consumer was restored never ran; take
+        // its branch count from a restored consumer.
+        for (const CellPlan &plan : plans) {
+            if (plan.restored.has_value() && plan.phase != noPhase &&
+                phases[plan.phase].branches == 0)
+                phases[plan.phase].branches =
+                    plan.restored->phaseBranches;
+        }
+        for (std::size_t i = 0; i < result.cells.size(); ++i) {
+            const CellResult &cell = result.cells[i];
+            if (cell.shardSkipped) {
+                ++result.shardSkippedCells;
+                continue;
+            }
+            if (!cell.ok()) {
+                ++result.failedCells;
+                continue;
+            }
+            if (cell.restored)
+                ++result.restoredCells;
+            result.totalBranches += cell.result.simulatedBranches;
+            // A shared phase's branches count once (below) in the
+            // actual work done.
+            result.actualBranches += cell.result.simulatedBranches;
+            if (cell.profileCached)
+                result.actualBranches -= phases[plans[i].phase].branches;
+            if (cell.usedKernel)
+                ++result.kernelCells;
+            if (cell.usedSimd)
+                ++result.simdCells;
+        }
+        for (const PhaseSlot &slot : phases) {
+            result.actualBranches += slot.branches;
+            result.profileSeconds += slot.wall;
+        }
+        result.shardCells = cells.size() - result.shardSkippedCells;
+        result.materializeSeconds = runner.materializeSeconds;
+        if (runner.cache != nullptr) {
+            const ArtifactCacheStats stats = runner.cache->stats();
+            result.cacheReplayHits = stats.replayHits;
+            result.cacheReplayMisses = stats.replayMisses;
+            result.cacheProfileHits = stats.profileHits;
+            result.cacheProfileMisses = stats.profileMisses;
+            result.cacheCorrupt = stats.corrupt;
+            result.mappedBytes = stats.mappedBytes;
+        }
+        const auto count = [](const char *key, Count value) {
+            return obs::Field::u64(key, value);
+        };
+        return {obs::Field::f64("run_seconds", result.runSeconds),
+                count("cells", result.shardCells),
+                count("total_branches", result.totalBranches),
+                count("actual_branches", result.actualBranches),
+                count("profile_cache_hits", result.profileCacheHits),
+                count("profile_cache_misses", result.profileCacheMisses),
+                count("kernel_cells", result.kernelCells),
+                count("simd_cells", result.simdCells),
+                count("failed_cells", result.failedCells),
+                count("restored_cells", result.restoredCells),
+                count("fused_groups", result.fusedGroups),
+                count("shard_index", result.shardIndex),
+                count("shard_count", result.shardCount),
+                count("shard_cells", result.shardCells),
+                count("shard_skipped", result.shardSkippedCells),
+                count("cache_replay_hits", result.cacheReplayHits),
+                count("cache_replay_misses", result.cacheReplayMisses),
+                count("cache_profile_hits", result.cacheProfileHits),
+                count("cache_profile_misses", result.cacheProfileMisses),
+                count("cache_corrupt", result.cacheCorrupt),
+                count("mmap_bytes", result.mappedBytes)};
+    }
+
+  private:
+    /** Stamp the checkpoint with this run's shard identity (a file
+     * from another partition would mix slices) and flush, so even a
+     * zero-cell shard leaves a stamped file for `merge`. */
+    void
+    stampCheckpoint()
+    {
         ShardStamp stamp;
         stamp.shardIndex = options.shardIndex;
         stamp.shardCount = options.shardCount;
         stamp.matrixCells = cells.size();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (in_shard[i] && !fingerprints[i].empty())
+        for (const CellPlan &plan : plans) {
+            if (plan.inShard && !plan.fingerprint.empty())
                 ++stamp.shardCells;
         }
         const std::optional<ShardStamp> existing = checkpoint->shard();
@@ -757,8 +1025,7 @@ ExperimentRunner::run()
                           "file '" + options.checkpointPath +
                           "' is shard " +
                           std::to_string(existing->shardIndex) + "/" +
-                          std::to_string(existing->shardCount) +
-                          " of " +
+                          std::to_string(existing->shardCount) + " of " +
                           std::to_string(existing->matrixCells) +
                           " cells; this run is shard " +
                           std::to_string(stamp.shardIndex) + "/" +
@@ -775,323 +1042,151 @@ ExperimentRunner::run()
         }
     }
 
-    // Resolve the dispatch level once up front so the journal and the
-    // runner JSON agree on what the engine will pick (the engine
-    // re-resolves per pass, but the inputs — CPU and BPSIM_SIMD — are
-    // identical).
-    const SimdLevel dispatch_level = resolveSimdLevel();
-
-    if (journal != nullptr) {
-        journal->record(
-            obs::EventKind::RunBegin, TaskPool::currentWorkerIndex(),
-            journal->runLabel(),
-            {obs::Field::u64("threads", taskPool.threadCount()),
-             obs::Field::u64("cells", cells.size()),
-             obs::Field::str("dispatch",
-                             simdLevelName(dispatch_level)),
-             obs::Field::u64("simd_width",
-                             simdWidth(dispatch_level)),
-             obs::Field::u64("shard_index", options.shardIndex),
-             obs::Field::u64("shard_count", options.shardCount)});
-    }
-
-    const auto start = std::chrono::steady_clock::now();
+    /**
+     * Plan each unique profiling simulation once (every scheme cell of
+     * one program × predictor shares one), in first-seen cell order so
+     * the plan is independent of the thread count. Restored cells are
+     * planned too, so a resumed run reports an uninterrupted run's
+     * hit/miss counts; only phases with a consumer to run execute.
+     */
+    void
+    planProfilePhases()
     {
-        if (journal != nullptr)
-            journal->record(obs::EventKind::PhaseBegin,
-                            TaskPool::currentWorkerIndex(),
-                            "materialize");
-        ScopedTimer timer(timers, "runner.materialize");
-        try {
-            materialize();
-        } catch (...) {
-            // Nothing can run without buffers: close the phase
-            // bracket and let the failure escape to the caller.
-            if (journal != nullptr) {
-                journal->record(obs::EventKind::PhaseEnd,
-                                TaskPool::currentWorkerIndex(),
-                                "materialize",
-                                {obs::Field::f64("seconds", 0.0)});
-            }
-            throw;
-        }
-        const double seconds = timer.stop();
-        if (journal != nullptr) {
-            std::size_t bytes = 0;
-            for (const auto &per_program : buffers) {
-                for (const auto &held : per_program) {
-                    if (held != nullptr)
-                        bytes += held->memoryBytes();
-                }
-            }
-            std::vector<obs::Field> fields = {
-                obs::Field::f64("seconds", seconds),
-                obs::Field::u64("bytes", bytes)};
-            if (cache != nullptr) {
-                const ArtifactCacheStats stats = cache->stats();
-                fields.push_back(obs::Field::u64("cache_replay_hits",
-                                                 stats.replayHits));
-                fields.push_back(obs::Field::u64(
-                    "cache_replay_misses", stats.replayMisses));
-                fields.push_back(
-                    obs::Field::u64("mmap_bytes", stats.mappedBytes));
-            }
-            journal->record(obs::EventKind::Materialize,
-                            TaskPool::currentWorkerIndex(),
-                            "materialize", std::move(fields));
-            journal->record(obs::EventKind::PhaseEnd,
-                            TaskPool::currentWorkerIndex(),
-                            "materialize",
-                            {obs::Field::f64("seconds", seconds)});
-        }
-    }
-
-    MatrixResult result;
-    result.cells.resize(cells.size());
-    result.threads = taskPool.threadCount();
-    result.dispatch = simdLevelName(dispatch_level);
-    result.simdLanes = simdWidth(dispatch_level);
-    result.shardIndex = options.shardIndex;
-    result.shardCount = options.shardCount;
-
-    // Per-cell validation up front: an invalid cell becomes a failed
-    // result without executing anything — crucially it also stays
-    // out of the profile-phase plan, where its config could not
-    // build a predictor. Out-of-shard cells are not validated: they
-    // are another process's responsibility, and marking them failed
-    // here would double-count the failure across shards.
-    std::vector<std::optional<Error>> invalid(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!in_shard[i])
-            continue;
-        Result<void> valid = cells[i].config.validate();
-        if (!valid.ok())
-            invalid[i] = std::move(valid.error());
-    }
-
-    // Cells restored from the checkpoint (copied out: the checkpoint
-    // grows concurrently once workers start recording new cells).
-    std::vector<std::optional<CheckpointRecord>> restored(cells.size());
-    if (options.resume && checkpoint != nullptr) {
+        std::unordered_map<std::string, std::size_t> phase_of_key;
+        std::vector<char> needed;
         for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!in_shard[i] || invalid[i].has_value())
+            const ExperimentConfig &config = cells[i].config;
+            CellPlan &plan = plans[i];
+            if (!plan.inShard || plan.invalid.has_value() ||
+                config.scheme == StaticScheme::None)
                 continue;
-            const CheckpointRecord *record =
-                checkpoint->find(fingerprints[i]);
-            if (record != nullptr)
-                restored[i] = *record;
+            const std::string key = profileCacheKey(cells[i]);
+            if (key.empty())
+                continue;
+            const auto [it, inserted] =
+                phase_of_key.try_emplace(key, phases.size());
+            if (inserted) {
+                phases.emplace_back();
+                phases.back().programIndex = cells[i].programIndex;
+                phases.back().input = config.profileInput;
+                phases.back().config = &config;
+                needed.push_back(0);
+            } else {
+                ++result.profileCacheHits;
+            }
+            plan.phase = it->second;
+            if (!plan.restored.has_value())
+                needed[plan.phase] = 1;
+        }
+        result.profileCacheMisses = phases.size();
+        for (std::size_t j = 0; j < phases.size(); ++j) {
+            if (needed[j])
+                phaseExec.push_back(j);
         }
     }
 
-    const auto run_start = std::chrono::steady_clock::now();
-
-    // Phase A: the unique profiling runs. Distinct cells often need
-    // byte-identical profiling simulations (every scheme cell of one
-    // program × predictor does); run each unique one once, in
-    // first-seen cell order so the task list — and with it every
-    // result — is independent of the thread count. The plan (and the
-    // cache accounting) covers restored cells too: it is a property
-    // of the matrix, so a resumed run reports the same hit/miss
-    // counts as an uninterrupted one.
-    struct ProfileTask
+    /**
+     * Satisfy phases from valid on-disk profiles. A disk hit still
+     * journals a profile_phase (cache="disk"), so the validator's
+     * events-vs-misses invariant holds on warm runs; kernel/simd are
+     * vacuously true for a phase nothing simulated. The disk hit/miss
+     * split goes to the cache counters, not profileCacheMisses.
+     */
+    void
+    loadCachedPhases()
     {
-        std::size_t programIndex;
-        InputSet input;
-        const ExperimentConfig *config;
-    };
-    std::vector<ProfileTask> profile_tasks;
-    std::vector<std::size_t> cell_phase(cells.size(), noPhase);
-    std::unordered_map<std::string, std::size_t> phase_of_key;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const ExperimentConfig &config = cells[i].config;
-        if (!in_shard[i] || invalid[i].has_value())
-            continue;
-        if (config.scheme == StaticScheme::None)
-            continue;
-        const std::string key = profileCacheKey(cells[i]);
-        if (key.empty())
-            continue;
-        const auto [it, inserted] =
-            phase_of_key.try_emplace(key, profile_tasks.size());
-        if (inserted) {
-            profile_tasks.push_back(
-                {cells[i].programIndex, config.profileInput, &config});
-        } else {
-            ++result.profileCacheHits;
-        }
-        cell_phase[i] = it->second;
-    }
-    result.profileCacheMisses = profile_tasks.size();
-
-    // Only phases with at least one pending consumer execute; a
-    // phase whose every consumer was restored is skipped (its branch
-    // count is recovered from the checkpoint records below).
-    std::vector<char> phase_needed(profile_tasks.size(), 0);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cell_phase[i] != noPhase && !restored[i].has_value())
-            phase_needed[cell_phase[i]] = 1;
-    }
-    std::vector<std::size_t> phase_exec;
-    for (std::size_t j = 0; j < profile_tasks.size(); ++j) {
-        if (phase_needed[j])
-            phase_exec.push_back(j);
-    }
-
-    std::vector<ProfilePhase> phases(profile_tasks.size());
-    std::vector<Count> phase_branches(profile_tasks.size(), 0);
-    std::vector<double> phase_walls(profile_tasks.size(), 0.0);
-    std::vector<char> phase_kernel(profile_tasks.size(), 0);
-    std::vector<char> phase_simd(profile_tasks.size(), 0);
-    std::vector<std::optional<Error>> phase_errors(
-        profile_tasks.size());
-    std::atomic<bool> abortRun{false};
-    std::atomic<Count> fused_group_count{0};
-
-    // Cooperative cancellation: polled at the same gates as the
-    // fail-fast flag, in both phases. Work not yet started when the
-    // token trips is skipped with a Cancelled error; work in flight
-    // finishes (and checkpoints) normally.
-    const auto cancelled = [&] {
-        return options.cancel && options.cancel();
-    };
-
-    // Artifact-cache pass over the executable phases: a valid on-disk
-    // profile satisfies a phase without simulating anything. Each
-    // disk hit still journals a profile_phase event (marked
-    // cache="disk") so the events-vs-misses invariant the validator
-    // checks holds on warm runs; kernel/simd are vacuously true for a
-    // phase nothing simulated, mirroring how restored cells keep
-    // their recorded flags. profileCacheMisses deliberately stays the
-    // in-memory plan size — the disk hit/miss split is reported
-    // separately in the cache counters.
-    std::vector<std::string> phase_disk_keys(profile_tasks.size());
-    if (cache != nullptr && !phase_exec.empty()) {
+        if (runner.cache == nullptr)
+            return;
         std::vector<std::size_t> still_exec;
-        still_exec.reserve(phase_exec.size());
-        for (const std::size_t j : phase_exec) {
-            const ProfileTask &task = profile_tasks[j];
-            const ExperimentConfig &config = *task.config;
+        for (const std::size_t j : phaseExec) {
+            PhaseSlot &slot = phases[j];
             const WorkloadSource &program =
-                *programs[task.programIndex];
-            const std::string identity = predictorIdentityOf(config);
-            phase_disk_keys[j] = profileArtifactKey(
+                *runner.programs[slot.programIndex];
+            slot.diskKey = profileArtifactKey(
                 program.name(), program.seedValue(),
-                static_cast<unsigned>(task.input),
-                config.profileBranches, identity);
+                static_cast<unsigned>(slot.input),
+                slot.config->profileBranches,
+                predictorIdentityOf(*slot.config));
             ScopedTimer timer(timers, "runner.profile_cache_load");
-            auto lookup = cache->loadProfile(phase_disk_keys[j]);
+            auto lookup = runner.cache->loadProfile(slot.diskKey);
             if (!lookup.ok()) {
                 std::fprintf(stderr,
                              "bpsim: warning: corrupt profile "
                              "artifact: %s\n",
                              lookup.error().describe().c_str());
-                if (journal != nullptr) {
-                    journal->record(
-                        obs::EventKind::CacheCorrupt,
-                        TaskPool::currentWorkerIndex(),
-                        program.name(),
-                        {obs::Field::str("artifact", "profile"),
-                         obs::Field::str("key", phase_disk_keys[j])});
-                }
+                obs::note(journal, obs::EventKind::CacheCorrupt,
+                          program.name(),
+                          {obs::Field::str("artifact", "profile"),
+                           obs::Field::str("key", slot.diskKey)});
+            }
+            if (!lookup.ok() || !lookup.value().hit) {
                 still_exec.push_back(j);
                 continue;
             }
-            if (!lookup.value().hit) {
-                timer.stop();
-                still_exec.push_back(j);
-                continue;
-            }
-            phases[j].profile = std::move(lookup.value().profile);
-            phases[j].simulatedBranches =
+            slot.phase.profile = std::move(lookup.value().profile);
+            slot.phase.simulatedBranches =
                 lookup.value().simulatedBranches;
-            phase_branches[j] = phases[j].simulatedBranches;
-            phase_kernel[j] = 1;
-            phase_simd[j] = 1;
-            phase_walls[j] = timer.stop();
-            if (journal != nullptr) {
-                journal->record(
-                    obs::EventKind::Cache,
-                    TaskPool::currentWorkerIndex(), program.name(),
-                    {obs::Field::str("artifact", "profile"),
-                     obs::Field::str("op", "hit"),
-                     obs::Field::u64("branches", phase_branches[j])});
-                journal->record(
-                    obs::EventKind::ProfilePhase,
-                    TaskPool::currentWorkerIndex(), program.name(),
-                    {obs::Field::u64("phase", j),
-                     obs::Field::f64("seconds", phase_walls[j]),
-                     obs::Field::boolean("kernel", true),
-                     obs::Field::boolean("simd", true),
-                     obs::Field::u64("branches", phase_branches[j]),
-                     obs::Field::str("cache", "disk")});
-            }
+            slot.branches = slot.phase.simulatedBranches;
+            slot.kernel = true;
+            slot.simd = true;
+            slot.wall = timer.stop();
+            obs::note(journal, obs::EventKind::Cache, program.name(),
+                      {obs::Field::str("artifact", "profile"),
+                       obs::Field::str("op", "hit"),
+                       obs::Field::u64("branches", slot.branches)});
+            notePhase(j, true);
         }
-        phase_exec = std::move(still_exec);
+        phaseExec = std::move(still_exec);
     }
 
-    // One lazily built SiteIndex per materialized buffer, shared
-    // read-only by every fused pass over that buffer. call_once makes
-    // the concurrent chunks of one group race-free; a site index is
-    // pure acceleration, so results do not depend on who built it.
-    struct SiteSlot
+    /** Persist fresh phases for the next process or shard; a store
+     * failure only costs a future regeneration. */
+    void
+    storePhases()
     {
-        std::once_flag once;
-        std::unique_ptr<SiteIndex> index;
-    };
-    std::vector<std::array<SiteSlot, numInputSets>> site_slots(
-        programs.size());
-    const auto siteFor = [&](std::size_t program_index,
-                             InputSet input) -> const SiteIndex * {
-        SiteSlot &slot =
-            site_slots[program_index][static_cast<unsigned>(input)];
-        std::call_once(slot.once, [&] {
-            ScopedTimer timer(timers, "runner.site_index");
-            slot.index = std::make_unique<SiteIndex>(
-                SiteIndex::build(buffer(program_index, input)));
-        });
-        return slot.index.get();
-    };
-    const auto groupLabel = [&](const FusedGroupPlan &chunk) {
-        return programs[chunk.programIndex]->name() + "/" +
-               inputSetName(chunk.input);
-    };
-
-    // One fused profiling chunk: gate each member through its own
-    // abort/fault checks (so an injected fault fails exactly that
-    // member and leaves the rest of the group unaffected), then run
-    // the survivors' profiling sims in a single pass over the shared
-    // buffer.
-    const auto runFusedProfileChunk = [&](const FusedGroupPlan
-                                              &chunk) {
-        const std::string &program_name =
-            programs[chunk.programIndex]->name();
-        std::vector<std::size_t> live;
-        for (const std::size_t j : chunk.members) {
-            if (cancelled()) {
-                phase_errors[j] =
-                    Error(ErrorCode::Cancelled,
-                          "skipped: run cancelled before the "
-                          "profiling phase started");
+        if (runner.cache == nullptr)
+            return;
+        for (const std::size_t j : phaseExec) {
+            const PhaseSlot &slot = phases[j];
+            if (slot.error.has_value() || slot.diskKey.empty())
+                continue;
+            const Result<void> stored = runner.cache->storeProfile(
+                slot.diskKey, slot.phase.profile,
+                slot.phase.simulatedBranches);
+            if (!stored.ok()) {
+                std::fprintf(stderr,
+                             "bpsim: warning: profile artifact store "
+                             "failed: %s\n",
+                             stored.error().describe().c_str());
                 continue;
             }
-            if (abortRun.load(std::memory_order_relaxed)) {
-                phase_errors[j] = Error(
-                    ErrorCode::CellFailed,
-                    "skipped: fail-fast after an earlier failure");
+            obs::note(journal, obs::EventKind::Cache,
+                      programName(slot.programIndex),
+                      {obs::Field::str("artifact", "profile"),
+                       obs::Field::str("op", "store"),
+                       obs::Field::u64("branches", slot.branches)});
+        }
+    }
+
+    /** Gate each member on its own (a fault fails exactly that
+     * member), then profile the survivors in one pass. */
+    void
+    runProfileChunk(const FusedGroupPlan &chunk)
+    {
+        std::vector<std::size_t> live;
+        for (const std::size_t j : chunk.members) {
+            if (std::optional<Error> skipped =
+                    gate("the profiling phase")) {
+                phases[j].error = std::move(skipped);
                 continue;
             }
             unsigned attempts = 0;
-            std::optional<Error> failure = attemptWithRetries(
-                options.retries, attempts, [&] {
-                    faultPoint(fault_points::profilePhase,
-                               program_name);
-                });
-            if (failure.has_value()) {
-                phase_errors[j] = std::move(*failure).withContext(
-                    "in shared profiling phase (" + program_name +
-                    ")");
-                if (options.failFast)
-                    abortRun.store(true, std::memory_order_relaxed);
+            if (std::optional<Error> failure = attemptWithRetries(
+                    options.retries, attempts, [&] {
+                        faultPoint(fault_points::profilePhase,
+                                   programName(chunk.programIndex));
+                    })) {
+                failPhase(j, std::move(*failure));
                 continue;
             }
             live.push_back(j);
@@ -1101,408 +1196,188 @@ ExperimentRunner::run()
 
         ScopedTimer timer(timers, "runner.profile_phase");
         std::vector<const ExperimentConfig *> configs;
-        configs.reserve(live.size());
         for (const std::size_t j : live)
-            configs.push_back(profile_tasks[j].config);
+            configs.push_back(phases[j].config);
         std::vector<FusedProfileOutcome> outcomes;
         unsigned pass_attempts = 0;
         std::optional<Error> pass_failure = attemptWithRetries(
             options.retries, pass_attempts, [&] {
                 outcomes = runProfilePhasesFusedReplay(
-                    buffer(chunk.programIndex, chunk.input), configs,
-                    siteFor(chunk.programIndex, chunk.input));
+                    runner.buffer(chunk.programIndex, chunk.input),
+                    configs, siteFor(chunk.programIndex, chunk.input));
             });
         const double wall = timer.stop();
         if (pass_failure.has_value()) {
-            for (const std::size_t j : live) {
-                Error failure = *pass_failure;
-                phase_errors[j] = std::move(failure).withContext(
-                    "in shared profiling phase (" + program_name +
-                    ")");
-            }
-            if (options.failFast)
-                abortRun.store(true, std::memory_order_relaxed);
+            for (const std::size_t j : live)
+                failPhase(j, *pass_failure);
             return;
         }
 
         Count total_branches = 0;
         for (const FusedProfileOutcome &outcome : outcomes)
             total_branches += outcome.phase.simulatedBranches;
-        std::vector<Count> member_phases;
         for (std::size_t k = 0; k < live.size(); ++k) {
-            const std::size_t j = live[k];
-            phases[j] = std::move(outcomes[k].phase);
-            phase_branches[j] = phases[j].simulatedBranches;
-            phase_kernel[j] = outcomes[k].usedFastPath ? 1 : 0;
-            phase_simd[j] = outcomes[k].usedSimd ? 1 : 0;
+            PhaseSlot &slot = phases[live[k]];
+            slot.phase = std::move(outcomes[k].phase);
+            slot.branches = slot.phase.simulatedBranches;
+            slot.kernel = outcomes[k].usedFastPath;
+            slot.simd = outcomes[k].usedSimd;
             // Prorate the pass wall over members by branch share.
-            phase_walls[j] =
-                total_branches > 0
-                    ? wall * static_cast<double>(phase_branches[j]) /
-                          static_cast<double>(total_branches)
-                    : wall / static_cast<double>(live.size());
-            member_phases.push_back(j);
-            if (journal != nullptr) {
-                journal->record(
-                    obs::EventKind::ProfilePhase,
-                    TaskPool::currentWorkerIndex(), program_name,
-                    {obs::Field::u64("phase", j),
-                     obs::Field::f64("seconds", phase_walls[j]),
-                     obs::Field::boolean("kernel",
-                                         outcomes[k].usedFastPath),
-                     obs::Field::boolean("simd",
-                                         outcomes[k].usedSimd),
-                     obs::Field::u64("branches",
-                                     phase_branches[j])});
-            }
+            slot.wall = total_branches > 0
+                            ? wall * static_cast<double>(slot.branches) /
+                                  static_cast<double>(total_branches)
+                            : wall / static_cast<double>(live.size());
+            notePhase(live[k], false);
         }
-        if (journal != nullptr) {
-            journal->record(
-                obs::EventKind::FusedGroup,
-                TaskPool::currentWorkerIndex(), groupLabel(chunk),
-                {obs::Field::str("phase", "profile"),
-                 obs::Field::u64("members", live.size()),
-                 obs::Field::str("cells",
-                                 joinIndexList(member_phases)),
-                 obs::Field::f64("seconds", wall),
-                 obs::Field::u64("branches", total_branches)});
-        }
-        fused_group_count.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    if (journal != nullptr && !phase_exec.empty())
-        journal->record(obs::EventKind::PhaseBegin,
-                        TaskPool::currentWorkerIndex(), "profile");
-    // Fused profiling: group the executable phases by their shared
-    // profile buffer and run each chunk's predictors in one pass over
-    // it.
-    const std::vector<FusedGroupPlan> profile_chunks = chunkGroups(
-        groupForFusion(phase_exec,
-                       [&](std::size_t j) {
-                           return std::pair(
-                               profile_tasks[j].programIndex,
-                               profile_tasks[j].input);
-                       }),
-        taskPool.threadCount());
-    taskPool.parallelFor(profile_chunks.size(), [&](std::size_t c) {
-        runFusedProfileChunk(profile_chunks[c]);
-    });
-    // Persist freshly executed phases so the next process (or the
-    // next shard) loads them instead of re-simulating. Store failures
-    // only cost a future regeneration.
-    if (cache != nullptr) {
-        for (const std::size_t j : phase_exec) {
-            if (phase_errors[j].has_value() ||
-                phase_disk_keys[j].empty())
-                continue;
-            const Result<void> stored = cache->storeProfile(
-                phase_disk_keys[j], phases[j].profile,
-                phases[j].simulatedBranches);
-            if (!stored.ok()) {
-                std::fprintf(stderr,
-                             "bpsim: warning: profile artifact "
-                             "store failed: %s\n",
-                             stored.error().describe().c_str());
-            } else if (journal != nullptr) {
-                journal->record(
-                    obs::EventKind::Cache,
-                    TaskPool::currentWorkerIndex(),
-                    programs[profile_tasks[j].programIndex]->name(),
-                    {obs::Field::str("artifact", "profile"),
-                     obs::Field::str("op", "store"),
-                     obs::Field::u64("branches",
-                                     phase_branches[j])});
-            }
-        }
+        noteFusedGroup(chunk, "profile", live, wall, total_branches);
     }
-    for (const double wall : phase_walls)
-        result.profileSeconds += wall;
-    if (journal != nullptr && !phase_exec.empty())
-        journal->record(obs::EventKind::PhaseEnd,
-                        TaskPool::currentWorkerIndex(), "profile",
-                        {obs::Field::f64("seconds",
-                                         result.profileSeconds)});
 
-    // Phase B plumbing.
-
-    // Progress hook: one call per in-shard cell once its outcome is
-    // final (executed, restored or failed). Runs on worker threads.
-    const auto notifyCell = [&](std::size_t i) {
-        if (options.onCellFinished)
-            options.onCellFinished(i, result.cells[i]);
-    };
-
-    // Close a cell's journal bracket with a cell_error and set its
-    // failure slot; with failFast, wave the rest of the sweep off.
-    const auto failCell = [&](std::size_t i, Error error,
-                              unsigned attempts) {
-        CellResult &out = result.cells[i];
-        out.error = std::move(error);
-        out.attempts = attempts;
-        // Cancellation ends cells without aborting the run: the
-        // token is already monotonic, and fail-fast would repaint
-        // the remaining cells' errors as cell_failed.
-        if (options.failFast &&
-            out.error->code() != ErrorCode::Cancelled)
+    void
+    failPhase(std::size_t j, Error error)
+    {
+        phases[j].error = std::move(error).withContext(
+            "in shared profiling phase (" +
+            programName(phases[j].programIndex) + ")");
+        if (options.failFast)
             abortRun.store(true, std::memory_order_relaxed);
-        if (journal != nullptr) {
-            journal->record(
-                obs::EventKind::CellError,
-                TaskPool::currentWorkerIndex(), cells[i].label,
-                {obs::Field::u64("cell", i),
-                 obs::Field::str("code",
-                                 errorCodeName(out.error->code())),
-                 obs::Field::str("message", out.error->message()),
-                 obs::Field::u64("attempts", attempts)});
+    }
+
+    /** profile_phase for a simulated or (@p disk) cache-served phase. */
+    void
+    notePhase(std::size_t j, bool disk)
+    {
+        const PhaseSlot &slot = phases[j];
+        std::vector<obs::Field> fields = {
+            obs::Field::u64("phase", j),
+            obs::Field::f64("seconds", slot.wall),
+            obs::Field::boolean("kernel", slot.kernel),
+            obs::Field::boolean("simd", slot.simd),
+            obs::Field::u64("branches", slot.branches)};
+        if (disk)
+            fields.push_back(obs::Field::str("cache", "disk"));
+        obs::note(journal, obs::EventKind::ProfilePhase,
+                  programName(slot.programIndex), std::move(fields));
+    }
+
+    /** Cancellation and fail-fast, polled before each profiling
+     * phase and cell starts; work in flight finishes normally. */
+    std::optional<Error>
+    gate(const char *subject) const
+    {
+        if (options.cancel && options.cancel()) {
+            return Error(ErrorCode::Cancelled,
+                         std::string("skipped: run cancelled before ") +
+                             subject + " started");
         }
-        notifyCell(i);
-    };
-
-    const auto emitCellEnd = [&](std::size_t i) {
-        if (journal == nullptr)
-            return;
-        const CellResult &out = result.cells[i];
-        const SimStats &stats = out.result.stats;
-        const Count classified = stats.collisions.constructive +
-                                 stats.collisions.destructive;
-        const Count neutral =
-            stats.collisions.collisions > classified
-                ? stats.collisions.collisions - classified
-                : 0;
-        journal->record(
-            obs::EventKind::CellEnd,
-            TaskPool::currentWorkerIndex(), cells[i].label,
-            {obs::Field::u64("cell", i),
-             obs::Field::f64("seconds", out.wallSeconds),
-             obs::Field::boolean("kernel", out.usedKernel),
-             obs::Field::boolean("simd", out.usedSimd),
-             obs::Field::boolean("profile_cached",
-                                 out.profileCached),
-             obs::Field::boolean("restored", out.restored),
-             obs::Field::u64("branches", stats.branches),
-             obs::Field::u64("simulated_branches",
-                             out.result.simulatedBranches),
-             obs::Field::u64("instructions", stats.instructions),
-             obs::Field::u64("mispredictions",
-                             stats.mispredictions),
-             obs::Field::f64("misp_ki", stats.mispKi()),
-             obs::Field::u64("hints", out.result.hintCount),
-             obs::Field::u64("static_predicted",
-                             stats.staticPredicted),
-             obs::Field::u64("lookups", stats.collisions.lookups),
-             obs::Field::u64("collisions",
-                             stats.collisions.collisions),
-             obs::Field::u64("constructive",
-                             stats.collisions.constructive),
-             obs::Field::u64("destructive",
-                             stats.collisions.destructive),
-             obs::Field::u64("neutral", neutral)});
-
-        // Scenario cells add a compact multi-context summary: the
-        // cross- vs self-context split of the attributed collisions.
-        // The full NxN matrix is runner/bench JSON payload, not a
-        // journal event.
-        const std::vector<ContextAliasCell> &matrix =
-            out.result.aliasMatrix;
-        const std::size_t contexts =
-            cells[i].config.scenarioContexts;
-        if (contexts == 0 ||
-            matrix.size() != contexts * contexts)
-            return;
-        Count cross_collisions = 0;
-        Count cross_destructive = 0;
-        Count self_collisions = 0;
-        Count self_destructive = 0;
-        for (std::size_t victim = 0; victim < contexts; ++victim) {
-            for (std::size_t aggr = 0; aggr < contexts; ++aggr) {
-                const ContextAliasCell &entry =
-                    matrix[victim * contexts + aggr];
-                if (victim == aggr) {
-                    self_collisions += entry.collisions;
-                    self_destructive += entry.destructive;
-                } else {
-                    cross_collisions += entry.collisions;
-                    cross_destructive += entry.destructive;
-                }
-            }
+        if (abortRun.load(std::memory_order_relaxed)) {
+            return Error(ErrorCode::CellFailed,
+                         "skipped: fail-fast after an earlier failure");
         }
-        journal->record(
-            obs::EventKind::ScenarioCell,
-            TaskPool::currentWorkerIndex(), cells[i].label,
-            {obs::Field::u64("cell", i),
-             obs::Field::u64("contexts", contexts),
-             obs::Field::u64("collisions_cross", cross_collisions),
-             obs::Field::u64("destructive_cross", cross_destructive),
-             obs::Field::u64("collisions_self", self_collisions),
-             obs::Field::u64("destructive_self", self_destructive)});
-    };
+        return std::nullopt;
+    }
 
-    // Persist before the journal event: a kill between the two can
-    // only lose the cell (re-run on resume), never record it twice.
-    // A failed checkpoint write degrades durability, not
-    // correctness, so it warns instead of failing the cell.
-    const auto writeCheckpoint = [&](std::size_t i) {
-        if (checkpoint == nullptr || fingerprints[i].empty())
-            return;
-        const CellResult &out = result.cells[i];
-        try {
-            faultPoint(fault_points::checkpointWrite, cells[i].label);
-            CheckpointRecord record;
-            record.fingerprint = fingerprints[i];
-            record.label = cells[i].label;
-            record.result = out.result;
-            record.usedKernel = out.usedKernel;
-            record.usedSimd = out.usedSimd;
-            record.phaseBranches =
-                out.profileCached ? phase_branches[cell_phase[i]]
-                                  : 0;
-            const Result<void> recorded =
-                checkpoint->record(std::move(record));
-            if (!recorded.ok()) {
-                std::fprintf(stderr,
-                             "bpsim: warning: checkpoint write "
-                             "failed for '%s': %s\n",
-                             cells[i].label.c_str(),
-                             recorded.error().describe().c_str());
-            }
-        } catch (const ErrorException &write_failure) {
-            std::fprintf(stderr,
-                         "bpsim: warning: checkpoint write "
-                         "failed for '%s': %s\n",
-                         cells[i].label.c_str(),
-                         write_failure.what());
+    /** Open cell @p i's journal bracket and settle it when it needs
+     * no simulation: invalid, restored, gated off, or left without its
+     * shared phase. Returns whether it still has to run. */
+    bool
+    openCell(std::size_t i)
+    {
+        const CellPlan &plan = plans[i];
+        obs::note(journal, obs::EventKind::CellBegin, cells[i].label,
+                  {obs::Field::u64("cell", i)});
+        if (plan.invalid.has_value()) {
+            failCell(i, *plan.invalid, 0);
+            return false;
         }
-    };
+        if (plan.restored.has_value()) {
+            // profileCached follows the plan, as in an uninterrupted
+            // run; wallSeconds stays 0.
+            CellResult &out = result.cells[i];
+            out.result = plan.restored->result;
+            out.usedKernel = plan.restored->usedKernel;
+            out.usedSimd = plan.restored->usedSimd;
+            out.profileCached = plan.phase != noPhase;
+            out.restored = true;
+            noteCellEnd(i);
+            finishCell(i);
+            return false;
+        }
+        if (std::optional<Error> skipped = gate("the cell")) {
+            failCell(i, std::move(*skipped), 0);
+            return false;
+        }
+        if (plan.phase != noPhase &&
+            phases[plan.phase].error.has_value()) {
+            const Error &phase_error = *phases[plan.phase].error;
+            failCell(i,
+                     Error(phase_error.code() == ErrorCode::Cancelled
+                               ? ErrorCode::Cancelled
+                               : ErrorCode::CellFailed,
+                           "shared profiling phase failed")
+                         .withContext(phase_error.describe()),
+                     0);
+            return false;
+        }
+        return true;
+    }
 
-    // A cell that needs no simulation: another shard's, invalid, or
-    // restored from the checkpoint. Settled on the coordinator so
-    // fused chunks hold only real work.
-    const auto settleCell = [&](std::size_t i) {
+    /** Open cell @p i and run its pre-evaluation work (profiling
+     * unless a shared phase stands in, filter, selection, predictor);
+     * nullopt when it was settled instead. */
+    std::optional<LiveCell>
+    prepareCell(std::size_t i)
+    {
+        if (!openCell(i))
+            return std::nullopt;
         const MatrixCell &cell = cells[i];
-        CellResult &out = result.cells[i];
-        // Another shard's cell: keep the empty result slot, emit no
-        // events — from this process's perspective it does not run.
-        if (!in_shard[i]) {
-            out.shardSkipped = true;
-            return;
+        const ExperimentConfig &config = cell.config;
+        const ProfilePhase *cached =
+            plans[i].phase != noPhase ? &phases[plans[i].phase].phase
+                                      : nullptr;
+        const ReplayBuffer *profile_buffer =
+            config.scheme != StaticScheme::None && cached == nullptr
+                ? &runner.buffer(cell.programIndex, config.profileInput)
+                : nullptr;
+
+        ScopedTimer timer(timers, "runner.cell");
+        LiveCell entry;
+        entry.index = i;
+        std::optional<Error> failure = attemptWithRetries(
+            options.retries, entry.attempts, [&] {
+                faultPoint(fault_points::cell, cell.label);
+                entry.prepared = prepareEvaluationReplay(
+                    profile_buffer,
+                    runner.buffer(cell.programIndex, config.evalInput),
+                    config, cached);
+            });
+        entry.prepareSeconds = timer.stop();
+        if (failure.has_value()) {
+            result.cells[i].wallSeconds = entry.prepareSeconds;
+            failCell(i,
+                     std::move(*failure).withContext(
+                         "while running cell " + cell.label),
+                     entry.attempts);
+            return std::nullopt;
         }
-        if (journal != nullptr)
-            journal->record(obs::EventKind::CellBegin,
-                            TaskPool::currentWorkerIndex(), cell.label,
-                            {obs::Field::u64("cell", i)});
+        return entry;
+    }
 
-        if (invalid[i].has_value()) {
-            failCell(i, *invalid[i], 0);
-            return;
-        }
-
-        // Restored from the checkpoint: surface the persisted result
-        // without executing. profileCached comes from the matrix's
-        // phase plan so cache accounting matches an uninterrupted
-        // run; wallSeconds stays 0 (no work was done).
-        out.result = restored[i]->result;
-        out.usedKernel = restored[i]->usedKernel;
-        out.usedSimd = restored[i]->usedSimd;
-        out.profileCached = cell_phase[i] != noPhase;
-        out.restored = true;
-        emitCellEnd(i);
-        notifyCell(i);
-    };
-
-    // One fused evaluation chunk: prepare each member cell (its
-    // profiling, merge filter, selection and predictor construction),
-    // then step every prepared predictor through the shared eval
-    // buffer in one pass and assemble per-cell results. Per-member
-    // gates isolate failures: an injected fault or failed shared phase
-    // takes down exactly that member, and the survivors' results are
-    // unaffected.
-    const auto runFusedCellChunk = [&](const FusedGroupPlan &chunk) {
-        struct LiveCell
-        {
-            std::size_t index = 0;
-            PreparedEvaluation prepared;
-            bool cached = false;
-            unsigned attempts = 0;
-            double prepareSeconds = 0.0;
-        };
+    /** Prepare each member, then step every prepared predictor
+     * through the shared eval buffer in one pass. A member's failure
+     * takes down only that member. */
+    void
+    runCellChunk(const FusedGroupPlan &chunk)
+    {
         std::vector<LiveCell> live;
         for (const std::size_t i : chunk.members) {
-            const MatrixCell &cell = cells[i];
-            const ExperimentConfig &config = cell.config;
-            if (journal != nullptr) {
-                journal->record(obs::EventKind::CellBegin,
-                                TaskPool::currentWorkerIndex(),
-                                cell.label,
-                                {obs::Field::u64("cell", i)});
-            }
-            if (cancelled()) {
-                failCell(i,
-                         Error(ErrorCode::Cancelled,
-                               "skipped: run cancelled before the "
-                               "cell started"),
-                         0);
-                continue;
-            }
-            if (abortRun.load(std::memory_order_relaxed)) {
-                failCell(i,
-                         Error(ErrorCode::CellFailed,
-                               "skipped: fail-fast after an earlier "
-                               "failure"),
-                         0);
-                continue;
-            }
-            const ProfilePhase *cached = nullptr;
-            if (cell_phase[i] != noPhase) {
-                if (phase_errors[cell_phase[i]].has_value()) {
-                    const ErrorCode phase_code =
-                        phase_errors[cell_phase[i]]->code();
-                    failCell(i,
-                             Error(phase_code == ErrorCode::Cancelled
-                                       ? ErrorCode::Cancelled
-                                       : ErrorCode::CellFailed,
-                                   "shared profiling phase failed")
-                                 .withContext(
-                                     phase_errors[cell_phase[i]]
-                                         ->describe()),
-                             0);
-                    continue;
-                }
-                cached = &phases[cell_phase[i]];
-            }
-            const ReplayBuffer *profile_buffer =
-                config.scheme != StaticScheme::None &&
-                        cached == nullptr
-                    ? &buffer(cell.programIndex, config.profileInput)
-                    : nullptr;
-
-            ScopedTimer timer(timers, "runner.cell");
-            LiveCell entry;
-            entry.index = i;
-            entry.cached = cached != nullptr;
-            std::optional<Error> failure = attemptWithRetries(
-                options.retries, entry.attempts, [&] {
-                    faultPoint(fault_points::cell, cell.label);
-                    entry.prepared = prepareEvaluationReplay(
-                        profile_buffer,
-                        buffer(cell.programIndex, config.evalInput),
-                        config, cached);
-                });
-            entry.prepareSeconds = timer.stop();
-            if (failure.has_value()) {
-                result.cells[i].wallSeconds = entry.prepareSeconds;
-                failCell(i,
-                         std::move(*failure).withContext(
-                             "while running cell " + cell.label),
-                         entry.attempts);
-                continue;
-            }
-            live.push_back(std::move(entry));
+            if (std::optional<LiveCell> entry = prepareCell(i))
+                live.push_back(std::move(*entry));
         }
         if (live.empty())
             return;
 
         const ReplayBuffer &eval_buffer =
-            buffer(chunk.programIndex, chunk.input);
+            runner.buffer(chunk.programIndex, chunk.input);
         std::vector<FusedSim> sims(live.size());
         for (std::size_t k = 0; k < live.size(); ++k) {
             sims[k].predictor = live[k].prepared.combined.get();
@@ -1522,209 +1397,256 @@ ExperimentRunner::run()
             for (const LiveCell &entry : live) {
                 result.cells[entry.index].wallSeconds =
                     entry.prepareSeconds;
-                Error failure = *pass_failure;
                 failCell(entry.index,
-                         std::move(failure).withContext(
-                             "while running cell " +
-                             cells[entry.index].label),
+                         Error(*pass_failure)
+                             .withContext("while running cell " +
+                                          cells[entry.index].label),
                          entry.attempts + pass_attempts - 1);
             }
             return;
         }
 
-        // Per-record work of each member: measured branches plus its
-        // warmup slice of the shared buffer. Used to prorate the
-        // pass wall over the members.
+        // Each member's share of the pass wall, prorated by its
+        // records: measured branches plus its warmup slice.
         double total_records = 0.0;
         std::vector<double> member_records(live.size(), 0.0);
         for (std::size_t k = 0; k < live.size(); ++k) {
             member_records[k] =
                 static_cast<double>(sims[k].stats.branches) +
-                static_cast<double>(
-                    std::min<Count>(sims[k].options.warmupBranches,
-                                    eval_buffer.size()));
+                static_cast<double>(std::min<Count>(
+                    sims[k].options.warmupBranches, eval_buffer.size()));
             total_records += member_records[k];
         }
-        std::vector<Count> member_cells;
+        std::vector<std::size_t> member_cells;
         std::vector<Count> member_branches;
         std::vector<Count> member_misps;
         Count group_branches = 0;
         for (std::size_t k = 0; k < live.size(); ++k) {
             const std::size_t i = live[k].index;
+            const PhaseSlot *shared =
+                plans[i].phase != noPhase ? &phases[plans[i].phase]
+                                          : nullptr;
             CellResult &out = result.cells[i];
             out.result = finishPreparedEvaluation(
                 live[k].prepared, cells[i].config, sims[k].stats,
                 &eval_buffer);
             out.attempts = live[k].attempts + pass_attempts - 1;
-            out.profileCached = live[k].cached;
-            const bool fast = live[k].prepared.preEvalFastPath &&
-                              sims[k].usedFastPath;
-            out.usedKernel =
-                fast &&
-                (!live[k].cached || phase_kernel[cell_phase[i]]);
-            const bool simd = live[k].prepared.preEvalSimd &&
-                              sims[k].usedSimd;
-            out.usedSimd =
-                simd &&
-                (!live[k].cached || phase_simd[cell_phase[i]]);
+            out.profileCached = shared != nullptr;
+            out.usedKernel = live[k].prepared.preEvalFastPath &&
+                             sims[k].usedFastPath &&
+                             (shared == nullptr || shared->kernel);
+            out.usedSimd = live[k].prepared.preEvalSimd &&
+                           sims[k].usedSimd &&
+                           (shared == nullptr || shared->simd);
             out.wallSeconds =
                 live[k].prepareSeconds +
                 (total_records > 0.0
                      ? pass_wall * member_records[k] / total_records
-                     : pass_wall /
-                           static_cast<double>(live.size()));
+                     : pass_wall / static_cast<double>(live.size()));
             writeCheckpoint(i);
-            emitCellEnd(i);
-            notifyCell(i);
+            noteCellEnd(i);
+            finishCell(i);
             member_cells.push_back(i);
             member_branches.push_back(sims[k].stats.branches);
             member_misps.push_back(sims[k].stats.mispredictions);
             group_branches += sims[k].stats.branches;
         }
-        if (journal != nullptr) {
-            journal->record(
-                obs::EventKind::FusedGroup,
-                TaskPool::currentWorkerIndex(), groupLabel(chunk),
-                {obs::Field::str("phase", "cells"),
-                 obs::Field::u64("members", live.size()),
-                 obs::Field::str("cells",
-                                 joinIndexList(member_cells)),
-                 obs::Field::f64("seconds", pass_wall),
-                 obs::Field::u64("branches", group_branches),
-                 obs::Field::str("branches_per_cell",
-                                 joinIndexList(member_branches)),
-                 obs::Field::str("mispredictions_per_cell",
-                                 joinIndexList(member_misps))});
-        }
-        fused_group_count.fetch_add(1, std::memory_order_relaxed);
-    };
-
-    // Phase B: the cells. Each worker owns its predictor and profile
-    // state; buffers and cached phases are shared read-only, so the
-    // hot path takes no locks.
-    if (journal != nullptr)
-        journal->record(obs::EventKind::PhaseBegin,
-                        TaskPool::currentWorkerIndex(), "cells");
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!in_shard[i] || invalid[i].has_value() ||
-            restored[i].has_value())
-            settleCell(i);
-        else
-            pending.push_back(i);
-    }
-    const std::vector<FusedGroupPlan> cell_chunks = chunkGroups(
-        groupForFusion(pending,
-                       [&](std::size_t i) {
-                           return std::pair(cells[i].programIndex,
-                                            cells[i].config.evalInput);
-                       }),
-        taskPool.threadCount());
-    taskPool.parallelFor(cell_chunks.size(), [&](std::size_t c) {
-        runFusedCellChunk(cell_chunks[c]);
-    });
-    result.fusedGroups =
-        fused_group_count.load(std::memory_order_relaxed);
-    if (journal != nullptr)
-        journal->record(obs::EventKind::PhaseEnd,
-                        TaskPool::currentWorkerIndex(), "cells",
-                        {obs::Field::f64("seconds",
-                                         secondsSince(run_start))});
-    result.runSeconds = secondsSince(run_start);
-    result.wallSeconds = secondsSince(start);
-    result.materializeSeconds = materializeSeconds;
-
-    // A phase skipped because its every consumer was restored never
-    // ran; recover its branch count from any restored consumer so
-    // the actual-branches accounting matches an uninterrupted run.
-    for (std::size_t i = 0; i < result.cells.size(); ++i) {
-        if (restored[i].has_value() && cell_phase[i] != noPhase &&
-            phase_branches[cell_phase[i]] == 0)
-            phase_branches[cell_phase[i]] = restored[i]->phaseBranches;
+        noteFusedGroup(
+            chunk, "cells", member_cells, pass_wall, group_branches,
+            {obs::Field::str("branches_per_cell",
+                             joinIndexList(member_branches)),
+             obs::Field::str("mispredictions_per_cell",
+                             joinIndexList(member_misps))});
     }
 
-    for (std::size_t i = 0; i < result.cells.size(); ++i) {
-        const CellResult &cell = result.cells[i];
-        if (cell.shardSkipped) {
-            ++result.shardSkippedCells;
-            continue;
-        }
-        if (!cell.ok()) {
-            ++result.failedCells;
-            continue;
-        }
-        if (cell.restored)
-            ++result.restoredCells;
-        result.totalBranches += cell.result.simulatedBranches;
-        // A cached phase's branches appear in every consumer's
-        // simulatedBranches; count them once (below) for the actual
-        // work done.
-        result.actualBranches += cell.result.simulatedBranches;
-        if (cell.profileCached)
-            result.actualBranches -= phase_branches[cell_phase[i]];
-        if (cell.usedKernel)
-            ++result.kernelCells;
-        if (cell.usedSimd)
-            ++result.simdCells;
-    }
-    for (const Count branches : phase_branches)
-        result.actualBranches += branches;
-    result.shardCells = cells.size() - result.shardSkippedCells;
-    for (const auto &per_program : buffers) {
-        for (const auto &held : per_program) {
-            if (held != nullptr)
-                result.replayBytes += held->memoryBytes();
-        }
-    }
-    if (cache != nullptr) {
-        const ArtifactCacheStats stats = cache->stats();
-        result.cacheReplayHits = stats.replayHits;
-        result.cacheReplayMisses = stats.replayMisses;
-        result.cacheProfileHits = stats.profileHits;
-        result.cacheProfileMisses = stats.profileMisses;
-        result.cacheCorrupt = stats.corrupt;
-        result.mappedBytes = stats.mappedBytes;
+    /** Close cell @p i's bracket with a cell_error; with failFast,
+     * wave the rest of the sweep off (not on cancellation, which
+     * would repaint the remaining cells' errors as cell_failed). */
+    void
+    failCell(std::size_t i, Error error, unsigned attempts)
+    {
+        CellResult &out = result.cells[i];
+        out.error = std::move(error);
+        out.attempts = attempts;
+        if (options.failFast &&
+            out.error->code() != ErrorCode::Cancelled)
+            abortRun.store(true, std::memory_order_relaxed);
+        obs::note(
+            journal, obs::EventKind::CellError, cells[i].label,
+            {obs::Field::u64("cell", i),
+             obs::Field::str("code", errorCodeName(out.error->code())),
+             obs::Field::str("message", out.error->message()),
+             obs::Field::u64("attempts", attempts)});
+        finishCell(i);
     }
 
-    if (journal != nullptr) {
-        journal->record(
-            obs::EventKind::RunEnd, TaskPool::currentWorkerIndex(),
-            journal->runLabel(),
-            {obs::Field::f64("seconds", result.wallSeconds),
-             obs::Field::f64("run_seconds", result.runSeconds),
-             obs::Field::u64("cells",
-                             result.cells.size() -
-                                 result.shardSkippedCells),
-             obs::Field::u64("total_branches", result.totalBranches),
-             obs::Field::u64("actual_branches",
-                             result.actualBranches),
-             obs::Field::u64("profile_cache_hits",
-                             result.profileCacheHits),
-             obs::Field::u64("profile_cache_misses",
-                             result.profileCacheMisses),
-             obs::Field::u64("kernel_cells", result.kernelCells),
-             obs::Field::u64("simd_cells", result.simdCells),
-             obs::Field::u64("failed_cells", result.failedCells),
-             obs::Field::u64("restored_cells",
-                             result.restoredCells),
-             obs::Field::u64("fused_groups", result.fusedGroups),
-             obs::Field::u64("shard_index", result.shardIndex),
-             obs::Field::u64("shard_count", result.shardCount),
-             obs::Field::u64("shard_cells", result.shardCells),
-             obs::Field::u64("shard_skipped",
-                             result.shardSkippedCells),
-             obs::Field::u64("cache_replay_hits",
-                             result.cacheReplayHits),
-             obs::Field::u64("cache_replay_misses",
-                             result.cacheReplayMisses),
-             obs::Field::u64("cache_profile_hits",
-                             result.cacheProfileHits),
-             obs::Field::u64("cache_profile_misses",
-                             result.cacheProfileMisses),
-             obs::Field::u64("cache_corrupt", result.cacheCorrupt),
-             obs::Field::u64("mmap_bytes", result.mappedBytes)});
+    /** The progress hook, once per in-shard cell outcome. */
+    void
+    finishCell(std::size_t i)
+    {
+        if (options.onCellFinished)
+            options.onCellFinished(i, result.cells[i]);
     }
-    return result;
+
+    /** cell_end, plus scenario_cell's cross- vs self-context split
+     * for a multi-context cell (the full NxN matrix is runner/bench
+     * JSON payload, not a journal event). */
+    void
+    noteCellEnd(std::size_t i)
+    {
+        const CellResult &out = result.cells[i];
+        std::vector<obs::Field> fields =
+            cellEndFields(i, out.wallSeconds, out.result.stats,
+                          out.result.hintCount);
+        fields.insert(fields.end(),
+                      {obs::Field::boolean("kernel", out.usedKernel),
+                       obs::Field::boolean("simd", out.usedSimd),
+                       obs::Field::boolean("profile_cached",
+                                           out.profileCached),
+                       obs::Field::boolean("restored", out.restored),
+                       obs::Field::u64("simulated_branches",
+                                       out.result.simulatedBranches)});
+        obs::note(journal, obs::EventKind::CellEnd, cells[i].label,
+                  std::move(fields));
+
+        const std::vector<ContextAliasCell> &matrix =
+            out.result.aliasMatrix;
+        const std::size_t contexts = cells[i].config.scenarioContexts;
+        if (contexts == 0 || matrix.size() != contexts * contexts)
+            return;
+        Count cross_collisions = 0;
+        Count cross_destructive = 0;
+        Count self_collisions = 0;
+        Count self_destructive = 0;
+        for (std::size_t victim = 0; victim < contexts; ++victim) {
+            for (std::size_t aggr = 0; aggr < contexts; ++aggr) {
+                const ContextAliasCell &entry =
+                    matrix[victim * contexts + aggr];
+                if (victim == aggr) {
+                    self_collisions += entry.collisions;
+                    self_destructive += entry.destructive;
+                } else {
+                    cross_collisions += entry.collisions;
+                    cross_destructive += entry.destructive;
+                }
+            }
+        }
+        obs::note(
+            journal, obs::EventKind::ScenarioCell, cells[i].label,
+            {obs::Field::u64("cell", i),
+             obs::Field::u64("contexts", contexts),
+             obs::Field::u64("collisions_cross", cross_collisions),
+             obs::Field::u64("destructive_cross", cross_destructive),
+             obs::Field::u64("collisions_self", self_collisions),
+             obs::Field::u64("destructive_self", self_destructive)});
+    }
+
+    /** Persist cell @p i before its journal event (a kill between
+     * the two can only lose the cell, never record it twice); a
+     * failed write warns instead of failing the cell. */
+    void
+    writeCheckpoint(std::size_t i)
+    {
+        if (checkpoint == nullptr || plans[i].fingerprint.empty())
+            return;
+        const CellResult &out = result.cells[i];
+        try {
+            faultPoint(fault_points::checkpointWrite, cells[i].label);
+            CheckpointRecord record;
+            record.fingerprint = plans[i].fingerprint;
+            record.label = cells[i].label;
+            record.result = out.result;
+            record.usedKernel = out.usedKernel;
+            record.usedSimd = out.usedSimd;
+            record.phaseBranches =
+                out.profileCached ? phases[plans[i].phase].branches : 0;
+            const Result<void> recorded =
+                checkpoint->record(std::move(record));
+            if (!recorded.ok()) {
+                std::fprintf(stderr,
+                             "bpsim: warning: checkpoint write failed "
+                             "for '%s': %s\n",
+                             cells[i].label.c_str(),
+                             recorded.error().describe().c_str());
+            }
+        } catch (const ErrorException &write_failure) {
+            std::fprintf(stderr,
+                         "bpsim: warning: checkpoint write failed for "
+                         "'%s': %s\n",
+                         cells[i].label.c_str(), write_failure.what());
+        }
+    }
+
+    /** fused_group for one executed pass, and count it. */
+    void
+    noteFusedGroup(const FusedGroupPlan &chunk, const char *phase,
+                   const std::vector<std::size_t> &members,
+                   double seconds, Count branches,
+                   std::vector<obs::Field> extra = {})
+    {
+        std::vector<obs::Field> fields = {
+            obs::Field::str("phase", phase),
+            obs::Field::u64("members", members.size()),
+            obs::Field::str("cells", joinIndexList(members)),
+            obs::Field::f64("seconds", seconds),
+            obs::Field::u64("branches", branches)};
+        fields.insert(fields.end(), extra.begin(), extra.end());
+        obs::note(journal, obs::EventKind::FusedGroup,
+                  programName(chunk.programIndex) + "/" +
+                      inputSetName(chunk.input),
+                  std::move(fields));
+        fusedGroupCount.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /** The buffer's SiteIndex, built once by whichever chunk needs
+     * it first (pure acceleration: results do not depend on it). */
+    const SiteIndex *
+    siteFor(std::size_t program_index, InputSet input)
+    {
+        SiteSlot &slot =
+            siteSlots[program_index][static_cast<unsigned>(input)];
+        std::call_once(slot.once, [&] {
+            ScopedTimer timer(timers, "runner.site_index");
+            slot.index = std::make_unique<SiteIndex>(
+                SiteIndex::build(runner.buffer(program_index, input)));
+        });
+        return slot.index.get();
+    }
+
+    const std::string &
+    programName(std::size_t program_index) const
+    {
+        return runner.programs[program_index]->name();
+    }
+
+    ExperimentRunner &runner;
+    const RunnerOptions &options;
+    const std::vector<MatrixCell> &cells;
+    obs::RunJournal *journal;
+    TimerRegistry *timers;
+    std::unique_ptr<SweepCheckpoint> checkpoint;
+    std::vector<CellPlan> plans;
+    std::vector<PhaseSlot> phases;
+
+    /** Phases left to run, in plan order. */
+    std::vector<std::size_t> phaseExec;
+    std::vector<std::array<SiteSlot, numInputSets>> siteSlots;
+    std::atomic<bool> abortRun{false};
+    std::atomic<Count> fusedGroupCount{0};
+    std::chrono::steady_clock::time_point runStart;
+};
+
+MatrixResult
+ExperimentRunner::run()
+{
+    Sweep sweep(*this);
+    sweep.plan();
+    obs::Span span = obs::Span::run(options.journal, sweep.runBegin());
+    sweep.materialize();
+    sweep.profile();
+    sweep.execute();
+    sweep.result.wallSeconds = span.close(sweep.aggregate());
+    return std::move(sweep.result);
 }
 
 void
@@ -1837,63 +1759,38 @@ writeRunnerJson(const std::string &path, const std::string &bench,
                      i + 1 < result.cells.size() ? "," : "");
     }
     std::fprintf(file, "  ],\n");
-    std::fprintf(file, "  \"materialize_seconds\": %.6f,\n",
-                 result.materializeSeconds);
-    std::fprintf(file, "  \"profile_seconds\": %.6f,\n",
-                 result.profileSeconds);
-    std::fprintf(file, "  \"profile_cache_hits\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.profileCacheHits));
-    std::fprintf(file, "  \"profile_cache_misses\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.profileCacheMisses));
-    std::fprintf(file, "  \"kernel_cells\": %llu,\n",
-                 static_cast<unsigned long long>(result.kernelCells));
-    std::fprintf(file, "  \"simd_cells\": %llu,\n",
-                 static_cast<unsigned long long>(result.simdCells));
+    const auto count = [file](const char *key, unsigned long long value) {
+        std::fprintf(file, "  \"%s\": %llu,\n", key, value);
+    };
+    const auto seconds = [file](const char *key, double value) {
+        std::fprintf(file, "  \"%s\": %.6f,\n", key, value);
+    };
+    seconds("materialize_seconds", result.materializeSeconds);
+    seconds("profile_seconds", result.profileSeconds);
+    count("profile_cache_hits", result.profileCacheHits);
+    count("profile_cache_misses", result.profileCacheMisses);
+    count("kernel_cells", result.kernelCells);
+    count("simd_cells", result.simdCells);
     std::fprintf(file, "  \"dispatch\": \"%s\",\n",
                  result.dispatch.c_str());
-    std::fprintf(file, "  \"simd_width\": %u,\n", result.simdLanes);
-    std::fprintf(file, "  \"fused_groups\": %llu,\n",
-                 static_cast<unsigned long long>(result.fusedGroups));
-    std::fprintf(file, "  \"failed_cells\": %llu,\n",
-                 static_cast<unsigned long long>(result.failedCells));
-    std::fprintf(file, "  \"restored_cells\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.restoredCells));
-    std::fprintf(file, "  \"shard_index\": %u,\n", result.shardIndex);
-    std::fprintf(file, "  \"shard_count\": %u,\n", result.shardCount);
-    std::fprintf(file, "  \"shard_cells\": %llu,\n",
-                 static_cast<unsigned long long>(result.shardCells));
-    std::fprintf(file, "  \"shard_skipped_cells\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.shardSkippedCells));
-    std::fprintf(file, "  \"cache_replay_hits\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.cacheReplayHits));
-    std::fprintf(file, "  \"cache_replay_misses\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.cacheReplayMisses));
-    std::fprintf(file, "  \"cache_profile_hits\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.cacheProfileHits));
-    std::fprintf(file, "  \"cache_profile_misses\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.cacheProfileMisses));
-    std::fprintf(file, "  \"cache_corrupt\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.cacheCorrupt));
-    std::fprintf(file, "  \"mmap_bytes\": %zu,\n",
-                 result.mappedBytes);
-    std::fprintf(file, "  \"run_seconds\": %.6f,\n",
-                 result.runSeconds);
-    std::fprintf(file, "  \"wall_seconds\": %.6f,\n",
-                 result.wallSeconds);
-    std::fprintf(file, "  \"total_branches\": %llu,\n",
-                 static_cast<unsigned long long>(result.totalBranches));
-    std::fprintf(file, "  \"actual_branches\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     result.actualBranches));
+    count("simd_width", result.simdLanes);
+    count("fused_groups", result.fusedGroups);
+    count("failed_cells", result.failedCells);
+    count("restored_cells", result.restoredCells);
+    count("shard_index", result.shardIndex);
+    count("shard_count", result.shardCount);
+    count("shard_cells", result.shardCells);
+    count("shard_skipped_cells", result.shardSkippedCells);
+    count("cache_replay_hits", result.cacheReplayHits);
+    count("cache_replay_misses", result.cacheReplayMisses);
+    count("cache_profile_hits", result.cacheProfileHits);
+    count("cache_profile_misses", result.cacheProfileMisses);
+    count("cache_corrupt", result.cacheCorrupt);
+    count("mmap_bytes", result.mappedBytes);
+    seconds("run_seconds", result.runSeconds);
+    seconds("wall_seconds", result.wallSeconds);
+    count("total_branches", result.totalBranches);
+    count("actual_branches", result.actualBranches);
     std::fprintf(file, "  \"kernel_branches_per_second\": %.1f,\n",
                  result.kernelBranchesPerSecond());
     std::fprintf(
@@ -1902,13 +1799,10 @@ writeRunnerJson(const std::string &path, const std::string &bench,
             ? static_cast<double>(result.totalBranches) /
                   result.wallSeconds
             : 0.0);
-    std::fprintf(file, "  \"replay_buffer_bytes\": %zu,\n",
-                 result.replayBytes);
-    std::fprintf(file, "  \"serial_estimate_seconds\": %.6f,\n",
-                 result.serialEstimateSeconds());
+    count("replay_buffer_bytes", result.replayBytes);
+    seconds("serial_estimate_seconds", result.serialEstimateSeconds());
     if (baseline_seconds > 0.0) {
-        std::fprintf(file, "  \"baseline_seconds\": %.6f,\n",
-                     baseline_seconds);
+        seconds("baseline_seconds", baseline_seconds);
         std::fprintf(file, "  \"speedup_vs_baseline\": %.3f,\n",
                      result.wallSeconds > 0.0
                          ? baseline_seconds / result.wallSeconds

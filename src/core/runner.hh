@@ -21,6 +21,11 @@
  *     the perf trajectory is tracked across PRs. A cell's share of its
  *     group's pass is prorated by the records it stepped.
  *
+ * run() is a fixed sequence of stages: plan (checkpoint, shards,
+ * validation, restored cells, the profile-phase plan), materialize,
+ * profile, execute and aggregate. The run is one obs::Span and each
+ * working stage one phase span inside it.
+ *
  * Determinism contract: a cell's result is a pure function of its
  * replay buffers and its config — workers share only immutable
  * buffers and write to disjoint result slots — so results are
@@ -93,11 +98,13 @@ class TaskPool
     unsigned threadCount() const { return workers; }
 
     /**
-     * Run every task to completion; tasks must be independent. A
-     * throwing task never terminates the process: its exception is
-     * captured, the pool drains every remaining task, and the first
-     * captured exception (in task order, so deterministic at any
-     * thread count) is rethrown once all workers have joined.
+     * Run every task to completion; tasks must be independent. Each
+     * worker sets its obs::workerIndex(), so journal events name the
+     * worker that recorded them. A throwing task never terminates the
+     * process: its exception is captured, the pool drains every
+     * remaining task, and the first captured exception (in task
+     * order, so deterministic at any thread count) is rethrown once
+     * all workers have joined.
      */
     void run(std::vector<std::function<void()>> tasks);
 
@@ -105,19 +112,10 @@ class TaskPool
      * Exception-safe run(): per-task exception capture into result
      * slots. Slot i holds the exception task i threw (null when it
      * completed); the pool always drains every task and never
-     * rethrows. This is the primitive the matrix runner builds
-     * per-cell fault isolation on.
+     * rethrows.
      */
     std::vector<std::exception_ptr>
     runCollect(std::vector<std::function<void()>> tasks);
-
-    /**
-     * Worker index of the calling thread: its position in the pool
-     * currently executing it, or 0 on any thread outside a pool (the
-     * coordinating thread doubles as worker 0). Used by the run
-     * journal to attribute events to threads.
-     */
-    static unsigned currentWorkerIndex();
 
     /** Run fn(0) .. fn(n-1) across the pool; rethrows the first
      * failure (by index) after every iteration ran. */
@@ -130,18 +128,6 @@ class TaskPool
         for (std::size_t i = 0; i < n; ++i)
             tasks.push_back([i, &fn] { fn(i); });
         run(std::move(tasks));
-    }
-
-    /** Exception-collecting parallelFor (see runCollect()). */
-    template <typename Fn>
-    std::vector<std::exception_ptr>
-    parallelForCollect(std::size_t n, Fn &&fn)
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            tasks.push_back([i, &fn] { fn(i); });
-        return runCollect(std::move(tasks));
     }
 
   private:
@@ -158,12 +144,11 @@ struct RunnerOptions
 
     /**
      * Optional run journal. When set, run() records the structured
-     * event stream (run/phase boundaries, per-profile-phase and
-     * per-cell events with timing, path-taken flags and stat
-     * snapshots), feeds the journal's timer registry through scoped
-     * timers, and attaches its counter registry to every cell's
-     * engine runs. Purely additive: results are identical with or
-     * without a journal.
+     * event stream (run/phase spans, per-profile-phase and per-cell
+     * events with timing, path-taken flags and stat snapshots), feeds
+     * the journal's timer registry, and attaches its counter registry
+     * to every cell's engine runs. Purely additive: results are
+     * identical with or without a journal.
      */
     obs::RunJournal *journal = nullptr;
 
@@ -505,6 +490,9 @@ class ExperimentRunner
     unsigned threadCount() const { return taskPool.threadCount(); }
 
   private:
+    /** One run()'s state and its stages (runner.cc). */
+    class Sweep;
+
     /** Fold one cell's stream demands into @p plan. */
     void noteCellDemand(
         const MatrixCell &cell,
@@ -536,6 +524,16 @@ class ExperimentRunner
     std::unique_ptr<ArtifactCache> cache;
     double materializeSeconds = 0.0;
 };
+
+/** run_begin's fields for a run on @p threads: the thread count and
+ * the resolved dispatch level with its SIMD width. */
+std::vector<obs::Field> runBeginFields(unsigned threads);
+
+/** cell_end's stat snapshot of cell @p cell (neutral is the
+ * unclassified remainder of the collisions). */
+std::vector<obs::Field> cellEndFields(Count cell, double seconds,
+                                      const SimStats &stats,
+                                      std::size_t hints);
 
 /**
  * Write a matrix result as the BENCH_runner.json format (see

@@ -26,6 +26,8 @@ appendU64(std::string &out, Count value)
     out += std::to_string(value);
 }
 
+thread_local unsigned currentWorker = 0;
+
 } // namespace
 
 const char *
@@ -183,20 +185,27 @@ RunJournal::secondsSinceStart() const
         .count();
 }
 
-void
-RunJournal::record(EventKind kind, unsigned thread, std::string label,
+const Event &
+RunJournal::append(EventKind kind, unsigned thread, std::string label,
                    std::vector<Field> fields)
 {
     Event event;
+    event.sequence = log.size();
+    event.seconds = secondsSinceStart();
     event.thread = thread;
     event.kind = kind;
     event.label = std::move(label);
     event.fields = std::move(fields);
-
-    std::lock_guard<std::mutex> guard(lock);
-    event.sequence = log.size();
-    event.seconds = secondsSinceStart();
     log.push_back(std::move(event));
+    return log.back();
+}
+
+void
+RunJournal::record(EventKind kind, unsigned thread, std::string label,
+                   std::vector<Field> fields)
+{
+    std::lock_guard<std::mutex> guard(lock);
+    append(kind, thread, std::move(label), std::move(fields));
 }
 
 std::string
@@ -204,17 +213,9 @@ RunJournal::recordAndRender(EventKind kind, unsigned thread,
                             std::string label,
                             std::vector<Field> fields)
 {
-    Event event;
-    event.thread = thread;
-    event.kind = kind;
-    event.label = std::move(label);
-    event.fields = std::move(fields);
-
     std::lock_guard<std::mutex> guard(lock);
-    event.sequence = log.size();
-    event.seconds = secondsSinceStart();
-    log.push_back(std::move(event));
-    return toJsonLine(log.back());
+    return toJsonLine(
+        append(kind, thread, std::move(label), std::move(fields)));
 }
 
 Count
@@ -386,50 +387,37 @@ RunJournal::writeMetrics(const std::string &path) const
     }
     std::fprintf(file, "\n  },\n");
 
-    std::fprintf(file, "  \"cells_begun\": %llu,\n",
-                 static_cast<unsigned long long>(sum.cellsBegun));
-    std::fprintf(file, "  \"cells_ended\": %llu,\n",
-                 static_cast<unsigned long long>(sum.cellsEnded));
-    std::fprintf(file, "  \"cells_failed\": %llu,\n",
-                 static_cast<unsigned long long>(sum.cellsFailed));
-    std::fprintf(file, "  \"cells_restored\": %llu,\n",
-                 static_cast<unsigned long long>(sum.cellsRestored));
-    std::fprintf(file, "  \"phase_begins\": %llu,\n",
-                 static_cast<unsigned long long>(sum.phaseBegins));
-    std::fprintf(file, "  \"phase_ends\": %llu,\n",
-                 static_cast<unsigned long long>(sum.phaseEnds));
+    const auto count = [file](const char *key, unsigned long long value) {
+        std::fprintf(file, "  \"%s\": %llu,\n", key, value);
+    };
+    const auto seconds = [file](const char *key, double value) {
+        std::fprintf(file, "  \"%s\": %.6f,\n", key, value);
+    };
+    count("cells_begun", sum.cellsBegun);
+    count("cells_ended", sum.cellsEnded);
+    count("cells_failed", sum.cellsFailed);
+    count("cells_restored", sum.cellsRestored);
+    count("phase_begins", sum.phaseBegins);
+    count("phase_ends", sum.phaseEnds);
     std::fprintf(file, "  \"phases_balanced\": %s,\n",
                  sum.phasesBalanced ? "true" : "false");
-    std::fprintf(file, "  \"materialize_seconds\": %.6f,\n",
-                 sum.materializeSeconds);
-    std::fprintf(file, "  \"profile_seconds\": %.6f,\n",
-                 sum.profileSeconds);
-    std::fprintf(file, "  \"cell_seconds\": %.6f,\n", sum.cellSeconds);
-    std::fprintf(file, "  \"wall_seconds\": %.6f,\n", sum.wallSeconds);
-    std::fprintf(file, "  \"kernel_cells\": %llu,\n",
-                 static_cast<unsigned long long>(sum.kernelCells));
-    std::fprintf(file, "  \"simd_cells\": %llu,\n",
-                 static_cast<unsigned long long>(sum.simdCells));
+    seconds("materialize_seconds", sum.materializeSeconds);
+    seconds("profile_seconds", sum.profileSeconds);
+    seconds("cell_seconds", sum.cellSeconds);
+    seconds("wall_seconds", sum.wallSeconds);
+    count("kernel_cells", sum.kernelCells);
+    count("simd_cells", sum.simdCells);
     std::fprintf(file, "  \"dispatch\": %s,\n",
                  jsonQuote(sum.dispatch).c_str());
-    std::fprintf(file, "  \"simd_width\": %llu,\n",
-                 static_cast<unsigned long long>(sum.simdWidth));
-    std::fprintf(file, "  \"cached_cells\": %llu,\n",
-                 static_cast<unsigned long long>(sum.cachedCells));
-    std::fprintf(file, "  \"fused_groups\": %llu,\n",
-                 static_cast<unsigned long long>(sum.fusedGroups));
-    std::fprintf(file, "  \"fused_members\": %llu,\n",
-                 static_cast<unsigned long long>(sum.fusedMembers));
-    std::fprintf(file, "  \"branches\": %llu,\n",
-                 static_cast<unsigned long long>(sum.branches));
-    std::fprintf(file, "  \"collisions\": %llu,\n",
-                 static_cast<unsigned long long>(sum.collisions));
-    std::fprintf(file, "  \"constructive\": %llu,\n",
-                 static_cast<unsigned long long>(sum.constructive));
-    std::fprintf(file, "  \"destructive\": %llu,\n",
-                 static_cast<unsigned long long>(sum.destructive));
-    std::fprintf(file, "  \"neutral\": %llu,\n",
-                 static_cast<unsigned long long>(sum.neutral));
+    count("simd_width", sum.simdWidth);
+    count("cached_cells", sum.cachedCells);
+    count("fused_groups", sum.fusedGroups);
+    count("fused_members", sum.fusedMembers);
+    count("branches", sum.branches);
+    count("collisions", sum.collisions);
+    count("constructive", sum.constructive);
+    count("destructive", sum.destructive);
+    count("neutral", sum.neutral);
 
     std::fprintf(file, "  \"counters\": {");
     first = true;
@@ -460,17 +448,101 @@ RunJournal::writeMetrics(const std::string &path) const
 }
 
 std::string
-RunJournal::metricsPathFor(const std::string &journal_path)
+RunJournal::writeFiles(const std::string &path) const
 {
     const std::string suffix = ".jsonl";
-    if (journal_path.size() > suffix.size() &&
-        journal_path.compare(journal_path.size() - suffix.size(),
-                             suffix.size(), suffix) == 0) {
-        return journal_path.substr(0,
-                                   journal_path.size() - suffix.size()) +
-               ".metrics.json";
-    }
-    return journal_path + ".metrics.json";
+    const bool jsonl = path.size() > suffix.size() &&
+                       path.compare(path.size() - suffix.size(),
+                                    suffix.size(), suffix) == 0;
+    const std::string metrics =
+        (jsonl ? path.substr(0, path.size() - suffix.size()) : path) +
+        ".metrics.json";
+    writeJsonl(path);
+    writeMetrics(metrics);
+    return metrics;
+}
+
+unsigned
+workerIndex()
+{
+    return currentWorker;
+}
+
+void
+setWorkerIndex(unsigned index)
+{
+    currentWorker = index;
+}
+
+void
+note(RunJournal *journal, EventKind kind, std::string label,
+     std::vector<Field> fields)
+{
+    if (journal != nullptr)
+        journal->record(kind, currentWorker, std::move(label),
+                        std::move(fields));
+}
+
+CounterRegistry *
+countersOf(RunJournal *journal)
+{
+    return journal != nullptr ? &journal->counters() : nullptr;
+}
+
+TimerRegistry *
+timersOf(RunJournal *journal)
+{
+    return journal != nullptr ? &journal->timers() : nullptr;
+}
+
+Span
+Span::run(RunJournal *journal, std::vector<Field> fields)
+{
+    return Span(journal, EventKind::RunBegin, EventKind::RunEnd,
+                journal != nullptr ? journal->runLabel() : "",
+                std::move(fields), {});
+}
+
+Span
+Span::phase(RunJournal *journal, std::string name, std::string timer)
+{
+    return Span(journal, EventKind::PhaseBegin, EventKind::PhaseEnd,
+                std::move(name), {}, std::move(timer));
+}
+
+Span::Span(RunJournal *journal, EventKind begin, EventKind end,
+           std::string label, std::vector<Field> fields,
+           std::string timer)
+    : journal(journal), endKind(end), label(std::move(label)),
+      timer(std::move(timer))
+{
+    note(journal, begin, this->label, std::move(fields));
+    // Started after the opening event, so the measured time never
+    // exceeds the bracket's.
+    start = std::chrono::steady_clock::now();
+}
+
+double
+Span::seconds() const
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+double
+Span::close(std::vector<Field> fields)
+{
+    if (!open)
+        return elapsed;
+    open = false;
+    elapsed = seconds();
+    if (TimerRegistry *timers = timersOf(journal);
+        timers != nullptr && !timer.empty())
+        timers->add(timer, elapsed);
+    fields.insert(fields.begin(), Field::f64("seconds", elapsed));
+    note(journal, endKind, label, std::move(fields));
+    return elapsed;
 }
 
 } // namespace bpsim::obs

@@ -12,6 +12,11 @@
  * or CI-produced record is checked against the event taxonomy and its
  * cross-event invariants.
  *
+ * A run and each of its phases is one RAII obs::Span, so run and
+ * phase brackets balance by construction (exceptions included) and a
+ * phase_end's seconds is its own bracket's wall time. Everything else
+ * (cells, cache traffic, fused passes) is a plain obs::note() event.
+ *
  * Granularity contract: events are per phase / per cell, never per
  * branch. A fig7-12-sized run emits a few hundred events, so the
  * journal's mutex and timestamping cost is noise (<3% of wall time)
@@ -192,8 +197,8 @@ struct JournalSummary
     /** Cells whose simulations ran the batched SIMD kernels. */
     Count simdCells = 0;
 
-    /** run_begin dispatch level ("off"/"scalar"/"avx2"/"neon";
-     * empty when the run_begin event predates the field). */
+    /** run_begin dispatch level ("scalar"/"avx2"/"neon"; empty when
+     * the run_begin event predates the field). */
     std::string dispatch;
 
     /** run_begin nominal vector width in 32-bit lanes (0 when the
@@ -226,9 +231,9 @@ struct JournalSummary
 
 /**
  * Thread-safe structured event log for one run, with an embedded
- * counter registry (fed by the engine) and timer registry (fed by the
- * runner's scoped phase timers), both serialized into the metrics
- * summary.
+ * counter registry (fed by the engine) and timer registry (fed by
+ * spans and the runner's scoped timers), both serialized into the
+ * metrics summary.
  */
 class RunJournal
 {
@@ -244,9 +249,6 @@ class RunJournal
     /** Scoped-timer accumulator attached to this run. */
     TimerRegistry &timers() { return timerRegistry; }
     const TimerRegistry &timers() const { return timerRegistry; }
-
-    /** Seconds since the journal was constructed. */
-    double secondsSinceStart() const;
 
     /**
      * Record one event (thread-safe). @p thread is the recording
@@ -278,22 +280,24 @@ class RunJournal
     /** Serialize one event as its JSONL line (no trailing newline). */
     static std::string toJsonLine(const Event &event);
 
-    /** Write the event log as JSONL (atomic temp + rename); fatal()
-     * if unwritable. */
-    void writeJsonl(const std::string &path) const;
-
     /**
-     * Write the aggregated metrics summary (plus counter and timer
-     * snapshots) as a single JSON object (atomic temp + rename);
-     * fatal() if unwritable.
+     * Write the event log as JSONL to @p path and the aggregated
+     * metrics summary (plus counter and timer snapshots) next to it
+     * ("x.jsonl" -> "x.metrics.json"), each by atomic temp + rename;
+     * fatal() if either is unwritable. Returns the metrics path.
      */
-    void writeMetrics(const std::string &path) const;
-
-    /** Conventional metrics path next to @p journal_path
-     * ("x.jsonl" -> "x.metrics.json"). */
-    static std::string metricsPathFor(const std::string &journal_path);
+    std::string writeFiles(const std::string &path) const;
 
   private:
+    double secondsSinceStart() const;
+
+    /** Append one event to the log; the caller holds the lock. */
+    const Event &append(EventKind kind, unsigned thread,
+                        std::string label, std::vector<Field> fields);
+
+    void writeJsonl(const std::string &path) const;
+    void writeMetrics(const std::string &path) const;
+
     std::string label;
     std::chrono::steady_clock::time_point epoch;
     CounterRegistry counterRegistry;
@@ -301,6 +305,74 @@ class RunJournal
 
     mutable std::mutex lock;
     std::vector<Event> log;
+};
+
+/**
+ * Worker index of the calling thread: its position in the TaskPool
+ * running it, or 0 on any thread outside a pool (the coordinating
+ * thread doubles as worker 0). Events are attributed to it.
+ */
+unsigned workerIndex();
+
+/** Set the calling thread's worker index (TaskPool does so on each of
+ * its workers). */
+void setWorkerIndex(unsigned index);
+
+/** Record one event from the calling worker; nothing on a null
+ * journal. */
+void note(RunJournal *journal, EventKind kind, std::string label,
+          std::vector<Field> fields = {});
+
+/** The journal's counter registry; null for a null journal. */
+CounterRegistry *countersOf(RunJournal *journal);
+
+/** The journal's timer registry; null for a null journal. */
+TimerRegistry *timersOf(RunJournal *journal);
+
+/**
+ * RAII bracket over a whole run or one named phase of it. Building a
+ * span records its opening event; its closing event is recorded
+ * exactly once, by close() or on scope exit (exceptions included),
+ * and carries {"seconds": <the span's own elapsed time>} ahead of any
+ * fields passed to close(). On a null journal a span records nothing
+ * but still measures.
+ */
+class Span
+{
+  public:
+    /** Run form: run_begin under the journal's run label with
+     * @p fields now, run_end at close. */
+    static Span run(RunJournal *journal, std::vector<Field> fields);
+
+    /** Phase form: phase_begin @p name now, phase_end at close. A
+     * non-empty @p timer also folds the elapsed time into that
+     * timers() entry. */
+    static Span phase(RunJournal *journal, std::string name,
+                      std::string timer = {});
+
+    Span(const Span &) = delete;
+    Span &operator=(const Span &) = delete;
+    ~Span() { close(); }
+
+    /** Seconds since the span opened. */
+    double seconds() const;
+
+    /** Record the closing event (first call only) and return the
+     * span's elapsed seconds. */
+    double close(std::vector<Field> fields = {});
+
+  private:
+    Span(RunJournal *journal, EventKind begin, EventKind end,
+         std::string label, std::vector<Field> fields,
+         std::string timer);
+
+    RunJournal *journal;
+    EventKind endKind;
+    std::string label;
+    std::string timer;
+    std::chrono::steady_clock::time_point start;
+    bool open = true;
+    double elapsed = 0.0;
 };
 
 } // namespace bpsim::obs

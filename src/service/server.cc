@@ -805,11 +805,8 @@ ServiceServer::waitUntilStopped()
             handler.join();
     }
 
-    if (!options.journalPath.empty()) {
-        serviceJournal.writeJsonl(options.journalPath);
-        serviceJournal.writeMetrics(
-            obs::RunJournal::metricsPathFor(options.journalPath));
-    }
+    if (!options.journalPath.empty())
+        serviceJournal.writeFiles(options.journalPath);
     started.store(false, std::memory_order_release);
 }
 

@@ -379,9 +379,24 @@ TEST_F(FaultTest, MaterializeFailureAbortsTheRun)
     // throws instead of failing every cell individually.
     FaultInjector::instance().arm(fault_points::materialize, 1,
                                   ErrorCode::IoFailure, 1);
-    ExperimentRunner runner(threadOptions(1));
+    obs::RunJournal journal("materialize fault");
+    RunnerOptions options = threadOptions(1);
+    options.journal = &journal;
+    ExperimentRunner runner(options);
     addTestCells(runner);
     EXPECT_THROW(runner.run(), ErrorException);
+
+    // The run and materialize spans close on the throw, so the
+    // journal still balances and ends with run_end.
+    const std::vector<obs::Event> events = journal.events();
+    ASSERT_EQ(events.size(), 4u);
+    EXPECT_EQ(events[0].kind, obs::EventKind::RunBegin);
+    EXPECT_EQ(events[1].kind, obs::EventKind::PhaseBegin);
+    EXPECT_EQ(events[1].label, "materialize");
+    EXPECT_EQ(events[2].kind, obs::EventKind::PhaseEnd);
+    EXPECT_EQ(events[2].label, "materialize");
+    EXPECT_EQ(events[3].kind, obs::EventKind::RunEnd);
+    EXPECT_TRUE(journal.summary().phasesBalanced);
 }
 
 TEST_F(FaultTest, FailFastSkipsCellsNotYetStarted)

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/engine.hh"
@@ -254,6 +256,24 @@ TEST(JournalProperty, CellAndPhaseBracketsBalance)
     EXPECT_EQ(events.back().kind, obs::EventKind::RunEnd);
     for (std::size_t i = 0; i < events.size(); ++i)
         EXPECT_EQ(events[i].sequence, i);
+
+    // A phase_end's seconds is its own bracket's wall time: never more
+    // than the time from its phase_begin to it (1 ms of slack), even
+    // when the phase's work ran on several workers.
+    std::map<std::string, double> opened;
+    Count phases_checked = 0;
+    for (const obs::Event &event : events) {
+        if (event.kind == obs::EventKind::PhaseBegin)
+            opened[event.label] = event.seconds;
+        if (event.kind != obs::EventKind::PhaseEnd)
+            continue;
+        ASSERT_EQ(opened.count(event.label), 1u) << event.label;
+        EXPECT_LE(event.f64("seconds"),
+                  event.seconds - opened[event.label] + 1e-3)
+            << event.label;
+        ++phases_checked;
+    }
+    EXPECT_EQ(phases_checked, 3u); // materialize, profile, cells
 }
 
 TEST(JournalProperty, CollisionClassificationPartitions)

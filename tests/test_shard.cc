@@ -20,6 +20,7 @@
 
 #include "core/checkpoint.hh"
 #include "core/runner.hh"
+#include "obs/run_journal.hh"
 #include "support/fault.hh"
 #include "workload/specint.hh"
 
@@ -397,13 +398,36 @@ TEST(ArtifactCacheRun, WarmRunIsBitIdenticalToCold)
     EXPECT_EQ(cold.cacheCorrupt, 0u);
     EXPECT_GT(cold.cacheProfileMisses, 0u);
 
-    const MatrixResult warm = runMatrix(options);
+    obs::RunJournal journal("warm");
+    RunnerOptions warm_options = options;
+    warm_options.journal = &journal;
+    const MatrixResult warm = runMatrix(warm_options);
     EXPECT_EQ(warm.cacheReplayHits, 1u);
     EXPECT_EQ(warm.cacheReplayMisses, 0u);
     EXPECT_EQ(warm.cacheProfileMisses, 0u);
     EXPECT_GT(warm.cacheProfileHits, 0u);
     EXPECT_GT(warm.mappedBytes, 0u);
     EXPECT_EQ(warm.cacheCorrupt, 0u);
+
+    // Profile phases served from disk still fall inside the profile
+    // bracket, like the phases a cold run simulates.
+    int open_profile = 0;
+    Count disk_phases = 0;
+    for (const obs::Event &event : journal.events()) {
+        if (event.label == "profile" &&
+            event.kind == obs::EventKind::PhaseBegin)
+            ++open_profile;
+        if (event.label == "profile" &&
+            event.kind == obs::EventKind::PhaseEnd)
+            --open_profile;
+        if (event.kind == obs::EventKind::ProfilePhase) {
+            EXPECT_EQ(open_profile, 1)
+                << "profile_phase " << event.u64("phase")
+                << " outside the profile bracket";
+            ++disk_phases;
+        }
+    }
+    EXPECT_EQ(disk_phases, warm.cacheProfileHits);
 
     // The warm run's results — including the branch accounting that
     // credits phases it never simulated locally — must match both the

@@ -36,7 +36,6 @@
 #include "core/engine.hh"
 #include "core/experiment.hh"
 #include "core/runner.hh"
-#include "core/simd.hh"
 #include "obs/run_journal.hh"
 #include "predictor/registry.hh"
 #include "scenario/scenario.hh"
@@ -53,109 +52,27 @@ using namespace bpsim;
 namespace
 {
 
-/**
- * Journal wiring for one CLI invocation (--journal): opens the
- * journal when requested, brackets each simulation as a
- * cell_begin/cell_end pair carrying the same stat-snapshot fields the
- * matrix runner emits, and writes the JSONL + metrics files from
- * finish().
- */
-class CliJournal
+/** The --journal run journal under @p label; null when the option
+ * is empty. */
+std::unique_ptr<obs::RunJournal>
+openJournal(const ArgParser &args, const char *label)
 {
-  public:
-    CliJournal(std::string path, std::string label)
-        : path(std::move(path))
-    {
-        if (this->path.empty())
-            return;
-        const SimdLevel level = resolveSimdLevel();
-        journal =
-            std::make_unique<obs::RunJournal>(std::move(label));
-        journal->record(
-            obs::EventKind::RunBegin, 0, journal->runLabel(),
-            {obs::Field::u64("threads", 1),
-             obs::Field::str("dispatch", simdLevelName(level)),
-             obs::Field::u64("simd_width", simdWidth(level))});
-    }
+    if (args.get("journal").empty())
+        return nullptr;
+    return std::make_unique<obs::RunJournal>(label);
+}
 
-    CounterRegistry *
-    counters()
-    {
-        return journal ? &journal->counters() : nullptr;
-    }
-
-    TimerRegistry *
-    timers()
-    {
-        return journal ? &journal->timers() : nullptr;
-    }
-
-    void
-    beginCell(const std::string &label)
-    {
-        if (journal == nullptr)
-            return;
-        journal->record(obs::EventKind::CellBegin, 0, label,
-                        {obs::Field::u64("cell", cells)});
-    }
-
-    void
-    endCell(const std::string &label, double seconds,
-            std::size_t hints, const SimStats &stats)
-    {
-        if (journal == nullptr)
-            return;
-        const Count classified = stats.collisions.constructive +
-                                 stats.collisions.destructive;
-        const Count neutral = stats.collisions.collisions > classified
-                                  ? stats.collisions.collisions -
-                                        classified
-                                  : 0;
-        journal->record(
-            obs::EventKind::CellEnd, 0, label,
-            {obs::Field::u64("cell", cells),
-             obs::Field::f64("seconds", seconds),
-             obs::Field::u64("branches", stats.branches),
-             obs::Field::u64("instructions", stats.instructions),
-             obs::Field::u64("mispredictions", stats.mispredictions),
-             obs::Field::f64("misp_ki", stats.mispKi()),
-             obs::Field::u64("hints", hints),
-             obs::Field::u64("static_predicted",
-                             stats.staticPredicted),
-             obs::Field::u64("lookups", stats.collisions.lookups),
-             obs::Field::u64("collisions",
-                             stats.collisions.collisions),
-             obs::Field::u64("constructive",
-                             stats.collisions.constructive),
-             obs::Field::u64("destructive",
-                             stats.collisions.destructive),
-             obs::Field::u64("neutral", neutral)});
-        ++cells;
-    }
-
-    void
-    finish()
-    {
-        if (journal == nullptr)
-            return;
-        journal->record(
-            obs::EventKind::RunEnd, 0, journal->runLabel(),
-            {obs::Field::f64("seconds",
-                             journal->secondsSinceStart()),
-             obs::Field::u64("cells", cells)});
-        journal->writeJsonl(path);
-        const std::string metrics =
-            obs::RunJournal::metricsPathFor(path);
-        journal->writeMetrics(metrics);
-        std::printf("journal: %s\nmetrics: %s\n", path.c_str(),
-                    metrics.c_str());
-    }
-
-  private:
-    std::string path;
-    std::unique_ptr<obs::RunJournal> journal;
-    Count cells = 0;
-};
+/** Write the --journal JSONL + metrics files and name them (no-op
+ * without a journal). */
+void
+writeJournal(const ArgParser &args, const obs::RunJournal *journal)
+{
+    if (journal == nullptr)
+        return;
+    const std::string metrics = journal->writeFiles(args.get("journal"));
+    std::printf("journal: %s\nmetrics: %s\n", args.get("journal").c_str(),
+                metrics.c_str());
+}
 
 ShiftPolicy
 shiftFromName(const std::string &name)
@@ -294,7 +211,31 @@ cmdRun(int argc, char **argv)
     const StaticScheme scheme =
         staticSchemeFromName(args.get("scheme"));
     bool csv_header = false;
-    CliJournal journal(args.get("journal"), "bpsim_cli run");
+    const auto journal = openJournal(args, "bpsim_cli run");
+    auto run = obs::Span::run(journal.get(), runBeginFields(1));
+    // The invocation's one simulation, journalled as cell 0 with the
+    // matrix runner's stat snapshot.
+    const auto runCell = [&](const std::string &label,
+                             const auto &simulate_cell) {
+        obs::note(journal.get(), obs::EventKind::CellBegin, label,
+                  {obs::Field::u64("cell", 0)});
+        ScopedTimer timer(obs::timersOf(journal.get()), "cli.run");
+        ExperimentResult result = simulate_cell();
+        obs::note(journal.get(), obs::EventKind::CellEnd, label,
+                  cellEndFields(0, timer.stop(), result.stats,
+                                result.hintCount));
+        return result;
+    };
+    // Close the run, then write and name the journal files.
+    const auto finish = [&] {
+        run.close({obs::Field::u64("cells", 1)});
+        writeJournal(args, journal.get());
+        return 0;
+    };
+    SimOptions options;
+    options.maxBranches = args.getUint("branches");
+    options.warmupBranches = args.getUint("warmup");
+    options.counters = obs::countersOf(journal.get());
 
     if (!args.get("trace").empty()) {
         // Trace replay: static schemes need a workload to re-run for
@@ -303,21 +244,16 @@ cmdRun(int argc, char **argv)
             bpsim_fatal("--trace replay supports --scheme none only");
         TraceReader reader(args.get("trace"));
         auto predictor = makePredictor(args.get("predictor"));
-        SimOptions options;
-        options.maxBranches = args.getUint("branches");
-        options.warmupBranches = args.getUint("warmup");
-        options.counters = journal.counters();
-        const std::string label =
-            args.get("trace") + "/" + predictor->name();
-        journal.beginCell(label);
-        ScopedTimer timer(journal.timers(), "cli.run");
-        const SimStats stats = simulate(*predictor, reader, options);
-        journal.endCell(label, timer.stop(), 0, stats);
+        const ExperimentResult result =
+            runCell(args.get("trace") + "/" + predictor->name(), [&] {
+                ExperimentResult plain;
+                plain.stats = simulate(*predictor, reader, options);
+                return plain;
+            });
         report(args, args.get("trace"), predictor->name(),
-               predictor->sizeBytes(), "none", "noshift", 0, stats,
-               csv_header);
-        journal.finish();
-        return 0;
+               predictor->sizeBytes(), "none", "noshift", 0,
+               result.stats, csv_header);
+        return finish();
     }
 
     SyntheticProgram program = makeProgram(args);
@@ -326,22 +262,17 @@ cmdRun(int argc, char **argv)
     const std::string kind_name = spec.substr(0, spec.find(':'));
 
     if (scheme == StaticScheme::None) {
-        SimOptions options;
-        options.maxBranches = args.getUint("branches");
-        options.warmupBranches = args.getUint("warmup");
-        options.counters = journal.counters();
         auto predictor = makePredictor(spec);
-        const std::string label =
-            program.name() + "/" + predictor->name() + "/none";
-        journal.beginCell(label);
-        ScopedTimer timer(journal.timers(), "cli.run");
-        const SimStats stats = simulate(*predictor, program, options);
-        journal.endCell(label, timer.stop(), 0, stats);
+        const ExperimentResult result = runCell(
+            program.name() + "/" + predictor->name() + "/none", [&] {
+                ExperimentResult plain;
+                plain.stats = simulate(*predictor, program, options);
+                return plain;
+            });
         report(args, program.name(), predictor->name(),
-               predictor->sizeBytes(), "none", "noshift", 0, stats,
-               csv_header);
-        journal.finish();
-        return 0;
+               predictor->sizeBytes(), "none", "noshift", 0,
+               result.stats, csv_header);
+        return finish();
     }
 
     // Two-phase experiment path (paper methodology) over the live
@@ -366,21 +297,16 @@ cmdRun(int argc, char **argv)
                                                     : InputSet::Ref);
     config.filterUnstable = args.getFlag("filter-unstable");
     config.evalWarmupBranches = args.getUint("warmup");
-    config.counters = journal.counters();
+    config.counters = options.counters;
 
-    const std::string label = program.name() + "/" + kind_name + ":" +
-                              std::to_string(config.sizeBytes) + "/" +
-                              args.get("scheme");
-    journal.beginCell(label);
-    ScopedTimer timer(journal.timers(), "cli.run");
-    const ExperimentResult result = runExperiment(program, config);
-    journal.endCell(label, timer.stop(), result.hintCount,
-                    result.stats);
+    const ExperimentResult result = runCell(
+        program.name() + "/" + kind_name + ":" +
+            std::to_string(config.sizeBytes) + "/" + args.get("scheme"),
+        [&] { return runExperiment(program, config); });
     report(args, program.name(), kind_name, config.sizeBytes,
            args.get("scheme"), args.get("shift"), result.hintCount,
            result.stats, csv_header);
-    journal.finish();
-    return 0;
+    return finish();
 }
 
 /**
@@ -480,13 +406,7 @@ cmdSweep(int argc, char **argv)
                   .withContext("see --help for usage"));
     }
 
-    const std::string journal_path = args.get("journal");
-    std::unique_ptr<obs::RunJournal> journal;
-    if (!journal_path.empty()) {
-        journal =
-            std::make_unique<obs::RunJournal>("bpsim_cli sweep");
-    }
-
+    const auto journal = openJournal(args, "bpsim_cli sweep");
     RunnerOptions options;
     options.threads = threadsFromArgs(args);
     options.journal = journal.get();
@@ -549,8 +469,6 @@ cmdSweep(int argc, char **argv)
         config.profileBranches = args.getUint("profile-branches");
         config.selection.cutoffBias = args.getDouble("cutoff");
         config.scenarioContexts = scenario_contexts;
-        config.counters =
-            journal != nullptr ? &journal->counters() : nullptr;
         runner.addCell(program_index, config,
                        program_name + "/" + args.get("predictor") +
                            ":" + std::to_string(bytes) + "/" +
@@ -578,14 +496,7 @@ cmdSweep(int argc, char **argv)
                cell.result.hintCount, cell.result.stats, csv_header);
     }
 
-    if (journal != nullptr) {
-        journal->writeJsonl(journal_path);
-        const std::string metrics =
-            obs::RunJournal::metricsPathFor(journal_path);
-        journal->writeMetrics(metrics);
-        std::printf("journal: %s\nmetrics: %s\n",
-                    journal_path.c_str(), metrics.c_str());
-    }
+    writeJournal(args, journal.get());
     return failed == 0 ? 0 : 1;
 }
 

@@ -153,6 +153,11 @@ EVENT_KINDS = {
     "service_state",
 }
 
+# How far a phase_end's seconds may exceed its bracket's t span: both
+# are rounded to microseconds, and a span reads its clock a moment
+# apart from its events' timestamps.
+PHASE_SECONDS_SLACK = 0.001
+
 EVENT_REQUIRED = {
     "seq": int,
     "t": (int, float),
@@ -619,22 +624,28 @@ def check_journal_file(path):
             fail(path, f"expected exactly one {marker}, found {count}")
 
     # Phases balance per label and never close more than they opened.
+    # A phase_end's seconds is its own bracket's wall time, so it may
+    # not exceed the time since its phase_begin (beyond rounding).
     open_phases = {}
     for index, event in enumerate(events):
+        label = event["label"]
         if event["event"] == "phase_begin":
-            open_phases[event["label"]] = \
-                open_phases.get(event["label"], 0) + 1
+            open_phases.setdefault(label, []).append(event["t"])
         elif event["event"] == "phase_end":
-            open_phases[event["label"]] = \
-                open_phases.get(event["label"], 0) - 1
-            if open_phases[event["label"]] < 0:
-                fail(path, f"line {index + 1}: phase_end "
-                           f"'{event['label']}' without a matching "
-                           f"phase_begin")
-    for label, net in open_phases.items():
-        if net != 0:
-            fail(path, f"phase '{label}' opened {net} more times than "
-                       f"it closed")
+            if not open_phases.get(label):
+                fail(path, f"line {index + 1}: phase_end '{label}' "
+                           f"without a matching phase_begin")
+            bracket = event["t"] - open_phases[label].pop()
+            seconds = event.get("seconds")
+            if isinstance(seconds, (int, float)) and \
+                    seconds > bracket + PHASE_SECONDS_SLACK:
+                fail(path, f"line {index + 1}: phase_end '{label}' "
+                           f"seconds {seconds} exceeds its bracket's "
+                           f"{bracket:.6f}s")
+    for label, begins in open_phases.items():
+        if begins:
+            fail(path, f"phase '{label}' opened {len(begins)} more "
+                       f"times than it closed")
 
     # Every cell_begin is closed by exactly one cell_end (success or
     # checkpoint restore) or cell_error (failure), and a cell_end
