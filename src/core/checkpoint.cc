@@ -29,12 +29,6 @@ fingerprintDouble(double value)
     return buf;
 }
 
-Count
-countField(const JsonValue &line, const char *key)
-{
-    return static_cast<Count>(line.at(key).asNumber());
-}
-
 /** Render the shard header line (no trailing newline). */
 std::string
 renderHeaderLine(const ShardStamp &stamp)
@@ -124,117 +118,42 @@ SweepCheckpoint::load()
                      "error reading checkpoint '" + filePath + "'");
     }
 
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t end = text.find('\n', pos);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string line = text.substr(pos, end - pos);
-        pos = end + 1;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
         if (line.empty())
             continue;
-        // A line that does not parse or carries another schema is
-        // skipped: the cell it would have restored simply re-runs.
+        // A line that does not parse, carries another schema or lacks
+        // a field is skipped: the cell it would have restored simply
+        // re-runs.
         const Result<JsonValue> parsed =
             JsonValue::tryParse(line, filePath);
         if (!parsed.ok() || !parsed.value().isObject())
             continue;
         const JsonValue &object = parsed.value();
         const JsonValue *schema = object.find("schema");
-        if (schema == nullptr || !schema->isString())
-            continue;
-        if (schema->asString() == checkpointHeaderSchema) {
+        if (schema != nullptr && schema->isString() &&
+            schema->asString() == checkpointHeaderSchema) {
             // A malformed header is skipped like any bad line; the
             // file then reads as a plain (stamp-less) checkpoint.
-            const JsonValue *index_v = object.find("shard_index");
-            const JsonValue *count_v = object.find("shard_count");
-            const JsonValue *matrix_v = object.find("matrix_cells");
-            const JsonValue *cells_v = object.find("shard_cells");
-            if (index_v != nullptr && index_v->isNumber() &&
-                count_v != nullptr && count_v->isNumber() &&
-                matrix_v != nullptr && matrix_v->isNumber() &&
-                cells_v != nullptr && cells_v->isNumber()) {
-                ShardStamp loaded;
-                loaded.shardIndex =
-                    static_cast<unsigned>(index_v->asNumber());
-                loaded.shardCount =
-                    static_cast<unsigned>(count_v->asNumber());
-                loaded.matrixCells =
-                    static_cast<Count>(matrix_v->asNumber());
-                loaded.shardCells =
-                    static_cast<Count>(cells_v->asNumber());
+            Count shard_index = 0;
+            Count shard_count = 0;
+            ShardStamp loaded;
+            ObjectReader header(object, filePath);
+            header.count("shard_index", shard_index, true);
+            header.count("shard_count", shard_count, true);
+            header.count("matrix_cells", loaded.matrixCells, true);
+            header.count("shard_cells", loaded.shardCells, true);
+            if (header.done().ok()) {
+                loaded.shardIndex = static_cast<unsigned>(shard_index);
+                loaded.shardCount = static_cast<unsigned>(shard_count);
                 stamp = loaded;
             }
             continue;
         }
-        if (schema->asString() != checkpointSchema)
+        Result<CheckpointRecord> parsed_record = parseRecord(object);
+        if (!parsed_record.ok())
             continue;
-
-        CheckpointRecord record;
-        record.fingerprint = object.at("fingerprint").asString();
-        record.label = object.at("label").asString();
-        SimStats &stats = record.result.stats;
-        stats.branches = countField(object, "branches");
-        stats.instructions = countField(object, "instructions");
-        stats.mispredictions = countField(object, "mispredictions");
-        stats.staticPredicted =
-            countField(object, "static_predicted");
-        stats.staticMispredictions =
-            countField(object, "static_mispredictions");
-        stats.collisions.lookups = countField(object, "lookups");
-        stats.collisions.collisions =
-            countField(object, "collisions");
-        stats.collisions.constructive =
-            countField(object, "constructive");
-        stats.collisions.destructive =
-            countField(object, "destructive");
-        record.result.hintCount = static_cast<std::size_t>(
-            object.at("hints").asNumber());
-        record.result.simulatedBranches =
-            countField(object, "simulated_branches");
-        record.usedKernel = object.at("kernel").asBool();
-        // Absent in checkpoints written before the batch kernels
-        // existed; treat those as "did not run them".
-        const JsonValue *simd = object.find("simd");
-        record.usedSimd =
-            simd != nullptr && simd->isBool() && simd->asBool();
-        record.phaseBranches = countField(object, "phase_branches");
-        // Optional scenario payload (absent on plain cells and on
-        // checkpoints that predate scenarios).
-        const JsonValue *contexts = object.find("contexts");
-        if (contexts != nullptr && contexts->isArray()) {
-            for (const JsonValue &entry : contexts->items()) {
-                if (!entry.isArray() || entry.items().size() != 5)
-                    continue;
-                const std::vector<JsonValue> &v = entry.items();
-                ContextStats ctx;
-                ctx.branches = static_cast<Count>(v[0].asNumber());
-                ctx.instructions =
-                    static_cast<Count>(v[1].asNumber());
-                ctx.mispredictions =
-                    static_cast<Count>(v[2].asNumber());
-                ctx.staticPredicted =
-                    static_cast<Count>(v[3].asNumber());
-                ctx.collisions = static_cast<Count>(v[4].asNumber());
-                record.result.contextStats.push_back(ctx);
-            }
-        }
-        const JsonValue *matrix = object.find("alias_matrix");
-        if (matrix != nullptr && matrix->isArray()) {
-            for (const JsonValue &entry : matrix->items()) {
-                if (!entry.isArray() || entry.items().size() != 3)
-                    continue;
-                const std::vector<JsonValue> &v = entry.items();
-                ContextAliasCell cell;
-                cell.collisions = static_cast<Count>(v[0].asNumber());
-                cell.constructive =
-                    static_cast<Count>(v[1].asNumber());
-                cell.destructive =
-                    static_cast<Count>(v[2].asNumber());
-                record.result.aliasMatrix.push_back(cell);
-            }
-        }
-
+        CheckpointRecord &record = parsed_record.value();
         const auto [it, inserted] =
             index.try_emplace(record.fingerprint, records.size());
         if (inserted)
@@ -298,6 +217,59 @@ SweepCheckpoint::renderLine(const CheckpointRecord &record)
     }
     os << "}";
     return os.str();
+}
+
+Result<CheckpointRecord>
+SweepCheckpoint::parseRecord(const JsonValue &object)
+{
+    if (!object.isObject()) {
+        return Error(ErrorCode::ConfigInvalid,
+                     "checkpoint record is not an object");
+    }
+    CheckpointRecord record;
+    std::string schema;
+    SimStats &stats = record.result.stats;
+    std::vector<std::vector<Count>> contexts;
+    std::vector<std::vector<Count>> matrix;
+    ObjectReader reader(object, "checkpoint record");
+    reader.str("schema", schema, true);
+    reader.str("fingerprint", record.fingerprint, true);
+    reader.str("label", record.label, true);
+    reader.count("branches", stats.branches, true);
+    reader.count("instructions", stats.instructions, true);
+    reader.count("mispredictions", stats.mispredictions, true);
+    reader.count("static_predicted", stats.staticPredicted, true);
+    reader.count("static_mispredictions", stats.staticMispredictions,
+                 true);
+    reader.count("lookups", stats.collisions.lookups, true);
+    reader.count("collisions", stats.collisions.collisions, true);
+    reader.count("constructive", stats.collisions.constructive, true);
+    reader.count("destructive", stats.collisions.destructive, true);
+    reader.size("hints", record.result.hintCount, true);
+    reader.count("simulated_branches", record.result.simulatedBranches,
+                 true);
+    reader.boolean("kernel", record.usedKernel, true);
+    // Absent in checkpoints written before the batch kernels existed;
+    // those read as "did not run them".
+    reader.boolean("simd", record.usedSimd);
+    reader.count("phase_branches", record.phaseBranches, true);
+    // The scenario payload, absent on plain cells and on checkpoints
+    // that predate scenarios.
+    reader.rows("contexts", 5, contexts);
+    reader.rows("alias_matrix", 3, matrix);
+    Result<void> read = reader.done();
+    if (!read.ok())
+        return std::move(read.error());
+    if (schema != checkpointSchema) {
+        return Error(ErrorCode::ConfigInvalid,
+                     "checkpoint record schema '" + schema +
+                         "' is not '" + checkpointSchema + "'");
+    }
+    for (const std::vector<Count> &v : contexts)
+        record.result.contextStats.push_back({v[0], v[1], v[2], v[3], v[4]});
+    for (const std::vector<Count> &v : matrix)
+        record.result.aliasMatrix.push_back({v[0], v[1], v[2]});
+    return record;
 }
 
 void

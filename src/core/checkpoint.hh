@@ -13,9 +13,10 @@
  *
  * Durability: the file is rewritten atomically (temp + rename) on
  * every record, so a crash at any instant leaves either the previous
- * or the new complete checkpoint, never a torn line. Unparseable or
- * wrong-schema lines found on load are skipped, not fatal: a stale
- * checkpoint only costs re-execution.
+ * or the new complete checkpoint, never a torn line. Lines found on
+ * load that do not parse, carry another schema, or lack a field are
+ * skipped, not fatal: a stale or damaged checkpoint only costs
+ * re-execution.
  */
 
 #ifndef BPSIM_CORE_CHECKPOINT_HH
@@ -34,6 +35,8 @@
 
 namespace bpsim
 {
+
+class JsonValue;
 
 /** Schema tag stamped on every checkpoint line. */
 inline constexpr const char *checkpointSchema = "bpsim-checkpoint-v1";
@@ -129,9 +132,9 @@ class SweepCheckpoint
 
     /**
      * Read existing records from the bound path. A missing file is an
-     * empty checkpoint (fresh run), not an error; unparseable and
-     * wrong-schema lines are skipped. io_failure only when the file
-     * exists but cannot be read.
+     * empty checkpoint (fresh run), not an error; a line parseRecord()
+     * rejects is skipped, so its cell re-runs. io_failure only when
+     * the file exists but cannot be read.
      */
     Result<void> load();
 
@@ -172,6 +175,14 @@ class SweepCheckpoint
 
     /** Render one record as its JSONL line (no trailing newline). */
     static std::string renderLine(const CheckpointRecord &record);
+
+    /**
+     * Read one rendered record back: the inverse of renderLine(), for
+     * checkpoint lines and service response cells alike.
+     * config_invalid on another schema, a missing or mistyped field,
+     * or a malformed scenario row; never fatal().
+     */
+    static Result<CheckpointRecord> parseRecord(const JsonValue &object);
 
   private:
     /** Rewrite the file from records; caller holds the lock. */

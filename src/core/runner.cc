@@ -85,13 +85,6 @@ attemptWithRetries(unsigned retries, unsigned &attempts,
     }
 }
 
-/** Short input-set name for fused-group labels. */
-const char *
-inputSetName(InputSet input)
-{
-    return input == InputSet::Train ? "train" : "ref";
-}
-
 /** Comma-joined index list ("3,4,7") for journal payloads. */
 template <typename Index>
 std::string

@@ -13,127 +13,6 @@ namespace bpsim::service
 namespace
 {
 
-/**
- * Tolerant field extraction over one untrusted JSON object: absent
- * optional fields keep the caller's default, the first type mismatch
- * or missing required field is remembered, and done() reports it as
- * a config_invalid Result. JsonValue's own accessors are fatal() on
- * mismatch — fine for files we generate, unacceptable for socket
- * input — so everything socket-borne goes through this reader.
- */
-class ObjectReader
-{
-  public:
-    ObjectReader(const JsonValue &object, std::string where)
-        : object(object), where(std::move(where))
-    {
-    }
-
-    void
-    str(const char *key, std::string &out, bool required = false)
-    {
-        const JsonValue *value = object.find(key);
-        if (value == nullptr) {
-            if (required)
-                fail(std::string("missing field '") + key + "'");
-            return;
-        }
-        if (!value->isString()) {
-            fail(std::string("field '") + key + "' must be a string");
-            return;
-        }
-        out = value->asString();
-    }
-
-    void
-    count(const char *key, Count &out, bool required = false)
-    {
-        const JsonValue *value = object.find(key);
-        if (value == nullptr) {
-            if (required)
-                fail(std::string("missing field '") + key + "'");
-            return;
-        }
-        if (!value->isNumber() || value->asNumber() < 0) {
-            fail(std::string("field '") + key +
-                 "' must be a non-negative number");
-            return;
-        }
-        out = static_cast<Count>(value->asNumber());
-    }
-
-    void
-    size(const char *key, std::size_t &out, bool required = false)
-    {
-        Count value = out;
-        count(key, value, required);
-        out = static_cast<std::size_t>(value);
-    }
-
-    void
-    number(const char *key, double &out)
-    {
-        const JsonValue *value = object.find(key);
-        if (value == nullptr)
-            return;
-        if (!value->isNumber()) {
-            fail(std::string("field '") + key + "' must be a number");
-            return;
-        }
-        out = value->asNumber();
-    }
-
-    void
-    boolean(const char *key, bool &out)
-    {
-        const JsonValue *value = object.find(key);
-        if (value == nullptr)
-            return;
-        if (!value->isBool()) {
-            fail(std::string("field '") + key + "' must be a bool");
-            return;
-        }
-        out = value->asBool();
-    }
-
-    void
-    fail(const std::string &what)
-    {
-        if (!problem) {
-            problem = Error(ErrorCode::ConfigInvalid,
-                            where + ": " + what);
-        }
-    }
-
-    Result<void>
-    done() const
-    {
-        if (problem)
-            return *problem;
-        return okResult();
-    }
-
-  private:
-    const JsonValue &object;
-    std::string where;
-    std::optional<Error> problem;
-};
-
-Result<ErrorCode>
-errorCodeFromName(const std::string &name)
-{
-    for (const ErrorCode code :
-         {ErrorCode::ConfigInvalid, ErrorCode::IoFailure,
-          ErrorCode::ResourceExhausted, ErrorCode::CellFailed,
-          ErrorCode::Internal, ErrorCode::Cancelled,
-          ErrorCode::DeadlineExceeded}) {
-        if (name == errorCodeName(code))
-            return code;
-    }
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown error code '" + name + "'");
-}
-
 /** Round-trip-safe double rendering (%.17g). */
 std::string
 renderDouble(double value)
@@ -153,83 +32,6 @@ hashHex(std::uint64_t hash)
     return buf;
 }
 
-/** Parse one response cell: the CheckpointRecord wire fields. */
-Result<CheckpointRecord>
-parseRecordObject(const JsonValue &object, std::size_t index)
-{
-    if (!object.isObject()) {
-        return Error(ErrorCode::ConfigInvalid,
-                     "response cell " + std::to_string(index) +
-                         " is not an object");
-    }
-    CheckpointRecord record;
-    ObjectReader reader(object,
-                        "response cell " + std::to_string(index));
-    reader.str("fingerprint", record.fingerprint, true);
-    reader.str("label", record.label, true);
-    SimStats &stats = record.result.stats;
-    reader.count("branches", stats.branches, true);
-    reader.count("instructions", stats.instructions, true);
-    reader.count("mispredictions", stats.mispredictions, true);
-    reader.count("static_predicted", stats.staticPredicted, true);
-    reader.count("static_mispredictions", stats.staticMispredictions,
-                 true);
-    reader.count("lookups", stats.collisions.lookups, true);
-    reader.count("collisions", stats.collisions.collisions, true);
-    reader.count("constructive", stats.collisions.constructive, true);
-    reader.count("destructive", stats.collisions.destructive, true);
-    reader.size("hints", record.result.hintCount, true);
-    reader.count("simulated_branches", record.result.simulatedBranches,
-                 true);
-    reader.boolean("kernel", record.usedKernel);
-    reader.boolean("simd", record.usedSimd);
-    reader.count("phase_branches", record.phaseBranches);
-    Result<void> parsed = reader.done();
-    if (!parsed.ok())
-        return std::move(parsed.error());
-    // Optional scenario payload (per-context stats + NxN matrix),
-    // same compact-array form the checkpoint file uses.
-    if (const JsonValue *contexts = object.find("contexts");
-        contexts != nullptr && contexts->isArray()) {
-        for (const JsonValue &entry : contexts->items()) {
-            if (!entry.isArray() || entry.items().size() != 5)
-                continue;
-            const std::vector<JsonValue> &v = entry.items();
-            bool numeric = true;
-            for (const JsonValue &element : v)
-                numeric = numeric && element.isNumber();
-            if (!numeric)
-                continue;
-            ContextStats ctx;
-            ctx.branches = static_cast<Count>(v[0].asNumber());
-            ctx.instructions = static_cast<Count>(v[1].asNumber());
-            ctx.mispredictions = static_cast<Count>(v[2].asNumber());
-            ctx.staticPredicted = static_cast<Count>(v[3].asNumber());
-            ctx.collisions = static_cast<Count>(v[4].asNumber());
-            record.result.contextStats.push_back(ctx);
-        }
-    }
-    if (const JsonValue *matrix = object.find("alias_matrix");
-        matrix != nullptr && matrix->isArray()) {
-        for (const JsonValue &entry : matrix->items()) {
-            if (!entry.isArray() || entry.items().size() != 3)
-                continue;
-            const std::vector<JsonValue> &v = entry.items();
-            bool numeric = true;
-            for (const JsonValue &element : v)
-                numeric = numeric && element.isNumber();
-            if (!numeric)
-                continue;
-            ContextAliasCell cell;
-            cell.collisions = static_cast<Count>(v[0].asNumber());
-            cell.constructive = static_cast<Count>(v[1].asNumber());
-            cell.destructive = static_cast<Count>(v[2].asNumber());
-            record.result.aliasMatrix.push_back(cell);
-        }
-    }
-    return record;
-}
-
 void
 appendErrorJson(std::ostringstream &os, const Error &error)
 {
@@ -240,6 +42,64 @@ appendErrorJson(std::ostringstream &os, const Error &error)
         os << (i > 0 ? ", " : "") << jsonQuote(error.context()[i]);
     }
     os << "]}";
+}
+
+// Name lookups of a SweepSpec's fields (config_invalid on an unknown
+// name), for compileSweep().
+
+Result<SpecProgram>
+parseProgramName(const std::string &name)
+{
+    for (const SpecProgram program : allSpecPrograms()) {
+        if (name == specProgramName(program))
+            return program;
+    }
+    return Error(ErrorCode::ConfigInvalid,
+                 "unknown program '" + name +
+                     "' (expected go/gcc/perl/m88ksim/compress/"
+                     "ijpeg)");
+}
+
+Result<InputSet>
+parseInputName(const std::string &name)
+{
+    for (const InputSet input : {InputSet::Train, InputSet::Ref}) {
+        if (name == inputSetName(input))
+            return input;
+    }
+    return Error(ErrorCode::ConfigInvalid,
+                 "unknown input set '" + name +
+                     "' (expected train or ref)");
+}
+
+Result<StaticScheme>
+parseSchemeName(const std::string &name)
+{
+    for (const StaticScheme scheme :
+         {StaticScheme::None, StaticScheme::Static95,
+          StaticScheme::StaticAcc, StaticScheme::StaticFac,
+          StaticScheme::StaticAlias}) {
+        if (name == staticSchemeName(scheme))
+            return scheme;
+    }
+    return Error(ErrorCode::ConfigInvalid,
+                 "unknown scheme '" + name +
+                     "' (expected none/static_95/static_acc/"
+                     "static_fac/static_alias)");
+}
+
+Result<ShiftPolicy>
+parseShiftName(const std::string &name)
+{
+    for (const ShiftPolicy policy :
+         {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
+          ShiftPolicy::ShiftPrediction}) {
+        if (name == shiftPolicyName(policy))
+            return policy;
+    }
+    return Error(ErrorCode::ConfigInvalid,
+                 "unknown shift policy '" + name +
+                     "' (expected noshift/shift/shiftpred)");
 }
 
 } // namespace
@@ -278,61 +138,6 @@ requestKindFromName(const std::string &name)
                  "unknown op '" + name +
                      "' (expected run/sweep/status/cancel/"
                      "shutdown/subscribe)");
-}
-
-Result<SpecProgram>
-parseProgramName(const std::string &name)
-{
-    for (const SpecProgram program : allSpecPrograms()) {
-        if (name == specProgramName(program))
-            return program;
-    }
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown program '" + name +
-                     "' (expected go/gcc/perl/m88ksim/compress/"
-                     "ijpeg)");
-}
-
-Result<InputSet>
-parseInputName(const std::string &name)
-{
-    if (name == "ref")
-        return InputSet::Ref;
-    if (name == "train")
-        return InputSet::Train;
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown input set '" + name +
-                     "' (expected train or ref)");
-}
-
-Result<StaticScheme>
-parseSchemeName(const std::string &name)
-{
-    for (const StaticScheme scheme :
-         {StaticScheme::None, StaticScheme::Static95,
-          StaticScheme::StaticAcc, StaticScheme::StaticFac,
-          StaticScheme::StaticAlias}) {
-        if (name == staticSchemeName(scheme))
-            return scheme;
-    }
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown scheme '" + name +
-                     "' (expected none/static_95/static_acc/"
-                     "static_fac/static_alias)");
-}
-
-Result<ShiftPolicy>
-parseShiftName(const std::string &name)
-{
-    if (name == "noshift")
-        return ShiftPolicy::NoShift;
-    if (name == "shift")
-        return ShiftPolicy::ShiftOutcome;
-    if (name == "shiftpred")
-        return ShiftPolicy::ShiftPrediction;
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown shift policy '" + name +
-                     "' (expected noshift/shift/shiftpred)");
 }
 
 std::string
@@ -622,9 +427,12 @@ parseResponse(const std::string &line)
         cells != nullptr && cells->isArray()) {
         for (std::size_t i = 0; i < cells->items().size(); ++i) {
             Result<CheckpointRecord> record =
-                parseRecordObject(cells->items()[i], i);
-            if (!record.ok())
-                return std::move(record.error());
+                SweepCheckpoint::parseRecord(cells->items()[i]);
+            if (!record.ok()) {
+                return std::move(record.error())
+                    .withContext("in response cell " +
+                                 std::to_string(i));
+            }
             response.cells.push_back(std::move(record.value()));
         }
     }
@@ -669,13 +477,10 @@ compileSweep(const SweepSpec &spec)
         parsePredictorSpec(spec.predictor);
     if (!predictor.ok())
         return std::move(predictor.error());
-    InputSet profile_input = input.value();
-    if (!spec.profileInput.empty()) {
-        Result<InputSet> parsed = parseInputName(spec.profileInput);
-        if (!parsed.ok())
-            return std::move(parsed.error());
-        profile_input = parsed.value();
-    }
+    Result<InputSet> profile_input = parseInputName(
+        spec.profileInput.empty() ? spec.input : spec.profileInput);
+    if (!profile_input.ok())
+        return std::move(profile_input.error());
     if (spec.sizes.empty()) {
         return Error(ErrorCode::ConfigInvalid,
                      "sweep needs at least one size");
@@ -725,7 +530,7 @@ compileSweep(const SweepSpec &spec)
         config.profileBranches = spec.profileBranches;
         config.selection.cutoffBias = spec.cutoff;
         config.evalInput = input.value();
-        config.profileInput = profile_input;
+        config.profileInput = profile_input.value();
         config.filterUnstable = spec.filterUnstable;
         config.scenarioContexts = scenario_contexts;
 

@@ -9,17 +9,20 @@
  * client` subcommand; CI drives it from python).
  *
  * The parser is the daemon's trust boundary: everything arriving on
- * the socket is untrusted, so every lookup that is fatal() in the CLI
- * (program/scheme/shift names) has a Result-returning counterpart
- * here and malformed input becomes a structured config_invalid
- * response, never a daemon crash.
+ * the socket is untrusted, so every name lookup (program, input,
+ * scheme, shift) returns a Result and malformed input becomes a
+ * structured config_invalid response, never a daemon crash.
  *
- * A sweep request's cells reuse the checkpoint machinery verbatim:
- * compileSweep() derives the same ExperimentConfig, canonical label
- * and cellFingerprint() a `bpsim_cli sweep` of the same parameters
- * would, the response's cells are CheckpointRecord lines, and the
- * request fingerprint (FNV-1a over the ordered cell fingerprints) is
- * the idempotency key the daemon caches responses under.
+ * compileSweep() is the one compiler from sweep parameters to cells.
+ * The daemon, `bpsim_cli run`/`sweep`/`client` and the benchmark's
+ * batch reference all build a SweepSpec and call it, so the same
+ * parameters give the same ExperimentConfig, canonical label and
+ * cellFingerprint() everywhere. A sweep request's cells reuse the
+ * checkpoint machinery verbatim: the response's cells are
+ * CheckpointRecord lines, read back by SweepCheckpoint::parseRecord(),
+ * and the request fingerprint (FNV-1a over the ordered cell
+ * fingerprints) is the idempotency key the daemon caches responses
+ * under.
  */
 
 #ifndef BPSIM_SERVICE_PROTOCOL_HH
@@ -63,9 +66,9 @@ const char *requestKindName(RequestKind kind);
 Result<RequestKind> requestKindFromName(const std::string &name);
 
 /**
- * Sweep parameters, mirroring `bpsim_cli sweep`'s options field for
- * field so the daemon and the CLI derive identical experiment
- * configs (the differential tests depend on it).
+ * Sweep parameters: a request's `sweep` object, and what `bpsim_cli
+ * run`, `sweep` and `client` build from their options. Names are
+ * checked by compileSweep(), not here.
  */
 struct SweepSpec
 {
@@ -188,12 +191,6 @@ Result<ServiceRequest> parseRequest(const std::string &line);
 /** Parse one response line; config_invalid on anything malformed. */
 Result<ServiceResponse> parseResponse(const std::string &line);
 
-/** Non-fatal counterparts of the CLI's name lookups. */
-Result<SpecProgram> parseProgramName(const std::string &name);
-Result<InputSet> parseInputName(const std::string &name);
-Result<StaticScheme> parseSchemeName(const std::string &name);
-Result<ShiftPolicy> parseShiftName(const std::string &name);
-
 /** A validated sweep, ready to hand to the matrix runner. */
 struct CompiledSweep
 {
@@ -216,12 +213,11 @@ struct CompiledSweep
 };
 
 /**
- * Validate @p spec and compile it into runnable cells. Derives
- * exactly what `bpsim_cli sweep` would from the same parameters —
- * same program construction, same ExperimentConfig fields, same
- * labels — so daemon results are bit-identical to batch results.
+ * Validate @p spec and compile it into runnable cells. The only
+ * compiler of sweep parameters, shared by the daemon and `bpsim_cli`,
+ * so daemon results are bit-identical to batch results.
  * config_invalid on unknown names, empty sizes, or a config that
- * fails ExperimentConfig::validate().
+ * fails ExperimentConfig::validate(); nothing runs before then.
  */
 Result<CompiledSweep> compileSweep(const SweepSpec &spec);
 

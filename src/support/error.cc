@@ -27,6 +27,21 @@ errorCodeName(ErrorCode code)
     return "?";
 }
 
+Result<ErrorCode>
+errorCodeFromName(const std::string &name)
+{
+    for (const ErrorCode code :
+         {ErrorCode::ConfigInvalid, ErrorCode::IoFailure,
+          ErrorCode::ResourceExhausted, ErrorCode::CellFailed,
+          ErrorCode::Internal, ErrorCode::Cancelled,
+          ErrorCode::DeadlineExceeded}) {
+        if (name == errorCodeName(code))
+            return code;
+    }
+    return Error(ErrorCode::ConfigInvalid,
+                 "unknown error code '" + name + "'");
+}
+
 std::string
 Error::describe() const
 {

@@ -40,8 +40,14 @@ enum class ErrorCode
     DeadlineExceeded,  ///< work skipped: its deadline expired
 };
 
+template <typename T> class Result;
+
 /** Wire name of @p code ("config_invalid", "io_failure", ...). */
 const char *errorCodeName(ErrorCode code);
+
+/** Parse a wire name back into its code; config_invalid on an
+ * unknown name. */
+Result<ErrorCode> errorCodeFromName(const std::string &name);
 
 /**
  * One structured error: a code, a message, and a chain of context

@@ -11,21 +11,6 @@ namespace bpsim
 namespace
 {
 
-Result<ErrorCode>
-errorCodeFromName(const std::string &name)
-{
-    for (const ErrorCode code :
-         {ErrorCode::ConfigInvalid, ErrorCode::IoFailure,
-          ErrorCode::ResourceExhausted, ErrorCode::CellFailed,
-          ErrorCode::Internal, ErrorCode::Cancelled,
-          ErrorCode::DeadlineExceeded}) {
-        if (name == errorCodeName(code))
-            return code;
-    }
-    return Error(ErrorCode::ConfigInvalid,
-                 "unknown error code '" + name + "'");
-}
-
 Result<Count>
 parseCount(const std::string &text, const char *what)
 {

@@ -397,4 +397,121 @@ jsonQuote(const std::string &text)
     return "\"" + jsonEscape(text) + "\"";
 }
 
+ObjectReader::ObjectReader(const JsonValue &object, std::string where)
+    : object(object), where(std::move(where))
+{
+}
+
+void
+ObjectReader::str(const char *key, std::string &out, bool required)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr) {
+        if (required)
+            fail(std::string("missing field '") + key + "'");
+        return;
+    }
+    if (!value->isString()) {
+        fail(std::string("field '") + key + "' must be a string");
+        return;
+    }
+    out = value->asString();
+}
+
+void
+ObjectReader::count(const char *key, Count &out, bool required)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr) {
+        if (required)
+            fail(std::string("missing field '") + key + "'");
+        return;
+    }
+    if (!value->isNumber() || value->asNumber() < 0) {
+        fail(std::string("field '") + key +
+             "' must be a non-negative number");
+        return;
+    }
+    out = static_cast<Count>(value->asNumber());
+}
+
+void
+ObjectReader::size(const char *key, std::size_t &out, bool required)
+{
+    Count value = out;
+    count(key, value, required);
+    out = static_cast<std::size_t>(value);
+}
+
+void
+ObjectReader::number(const char *key, double &out)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr)
+        return;
+    if (!value->isNumber()) {
+        fail(std::string("field '") + key + "' must be a number");
+        return;
+    }
+    out = value->asNumber();
+}
+
+void
+ObjectReader::boolean(const char *key, bool &out, bool required)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr) {
+        if (required)
+            fail(std::string("missing field '") + key + "'");
+        return;
+    }
+    if (!value->isBool()) {
+        fail(std::string("field '") + key + "' must be a bool");
+        return;
+    }
+    out = value->asBool();
+}
+
+void
+ObjectReader::rows(const char *key, std::size_t width,
+                   std::vector<std::vector<Count>> &out)
+{
+    const JsonValue *value = object.find(key);
+    if (value == nullptr)
+        return;
+    bool valid = value->isArray();
+    for (std::size_t r = 0; valid && r < value->items().size(); ++r) {
+        const JsonValue &row = value->items()[r];
+        valid = row.isArray() && row.items().size() == width;
+        std::vector<Count> numbers;
+        for (std::size_t i = 0; valid && i < width; ++i) {
+            const JsonValue &element = row.items()[i];
+            valid = element.isNumber() && element.asNumber() >= 0;
+            if (valid)
+                numbers.push_back(static_cast<Count>(element.asNumber()));
+        }
+        if (valid)
+            out.push_back(std::move(numbers));
+    }
+    if (!valid) {
+        fail(std::string("field '") + key + "' must be an array of " +
+             std::to_string(width) + "-number rows");
+    }
+}
+
+void
+ObjectReader::fail(const std::string &what)
+{
+    if (!problem)
+        problem = Error(ErrorCode::ConfigInvalid, where + ": " + what);
+}
+
+Result<void>
+ObjectReader::done() const
+{
+    if (problem)
+        return *problem;
+    return okResult();
+}
+
 } // namespace bpsim

@@ -13,11 +13,14 @@
 #ifndef BPSIM_SUPPORT_JSON_HH
 #define BPSIM_SUPPORT_JSON_HH
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "support/error.hh"
+#include "support/types.hh"
 
 namespace bpsim
 {
@@ -93,6 +96,50 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> objectMembers;
 
     friend class JsonParser;
+};
+
+/**
+ * Tolerant field extraction over one untrusted JSON object: absent
+ * optional fields keep the caller's default, the first type mismatch
+ * or missing required field is remembered, and done() reports it as
+ * a config_invalid Result. JsonValue's own accessors are fatal() on
+ * mismatch — fine for files we generate, unacceptable for socket
+ * input or a checkpoint that survived a crash — so every reader of
+ * such bytes goes through this class.
+ */
+class ObjectReader
+{
+  public:
+    /** Read @p object; @p where prefixes every error message. */
+    ObjectReader(const JsonValue &object, std::string where);
+
+    void str(const char *key, std::string &out, bool required = false);
+
+    /** A non-negative number. */
+    void count(const char *key, Count &out, bool required = false);
+
+    void size(const char *key, std::size_t &out, bool required = false);
+
+    void number(const char *key, double &out);
+
+    void boolean(const char *key, bool &out, bool required = false);
+
+    /** An optional array of rows, each exactly @p width non-negative
+     * numbers (a checkpoint record's compact tables); a malformed row
+     * fails the whole read. */
+    void rows(const char *key, std::size_t width,
+              std::vector<std::vector<Count>> &out);
+
+    /** The first problem met, as config_invalid; ok when none. */
+    Result<void> done() const;
+
+  private:
+    /** Remember @p what unless an earlier problem is held. */
+    void fail(const std::string &what);
+
+    const JsonValue &object;
+    std::string where;
+    std::optional<Error> problem;
 };
 
 /** Escape @p text for embedding inside a JSON string literal. */

@@ -6,6 +6,12 @@
 namespace bpsim
 {
 
+const char *
+inputSetName(InputSet input)
+{
+    return input == InputSet::Train ? "train" : "ref";
+}
+
 bool
 LoopBehavior::outcome(const BehaviorContext &ctx)
 {

@@ -35,6 +35,9 @@ enum class InputSet : unsigned
 /** Number of distinct input sets. */
 constexpr unsigned numInputSets = 2;
 
+/** Input-set name ("train" or "ref"). */
+const char *inputSetName(InputSet input);
+
 /** Execution-time information a behaviour may consult. */
 struct BehaviorContext
 {

@@ -439,9 +439,52 @@ TEST(CheckpointTest, RecordAndLoadRoundTrip)
     std::remove(path.c_str());
 }
 
+/** Render a parsed record value back to JSON text (numbers are the
+ * record's integer counts). */
+std::string
+renderJson(const JsonValue &value)
+{
+    if (value.isString())
+        return jsonQuote(value.asString());
+    if (value.isBool())
+        return value.asBool() ? "true" : "false";
+    if (value.isNumber())
+        return std::to_string(static_cast<Count>(value.asNumber()));
+    std::string out = "[";
+    for (std::size_t i = 0; i < value.items().size(); ++i)
+        out += (i > 0 ? ", " : "") + renderJson(value.items()[i]);
+    return out + "]";
+}
+
 TEST(CheckpointTest, CorruptLinesAreSkippedNotFatal)
 {
     const std::string path = tempPath("checkpoint_corrupt.jsonl");
+    CheckpointRecord scenario = sampleRecord("v1|scenario", 800);
+    scenario.result.contextStats = {{400, 2800, 40, 10, 100},
+                                    {400, 2800, 40, 10, 100}};
+    scenario.result.aliasMatrix = {{1, 0, 1}, {2, 1, 1}, {3, 2, 1},
+                                   {4, 3, 1}};
+    const JsonValue rendered =
+        JsonValue::parse(SweepCheckpoint::renderLine(scenario));
+    // The scenario record under @p fingerprint with @p key's value
+    // replaced by @p text, or dropped when @p text is null.
+    const auto damage = [&](const std::string &fingerprint,
+                            const std::string &key, const char *text) {
+        std::string line;
+        for (const auto &[name, value] : rendered.members()) {
+            std::string field = name == "fingerprint"
+                                    ? jsonQuote(fingerprint)
+                                    : renderJson(value);
+            if (name == key) {
+                if (text == nullptr)
+                    continue;
+                field = text;
+            }
+            line += line.empty() ? "{" : ", ";
+            line += jsonQuote(name) + ": " + field;
+        }
+        return line + "}\n";
+    };
     {
         SweepCheckpoint checkpoint(path);
         ASSERT_TRUE(
@@ -451,12 +494,36 @@ TEST(CheckpointTest, CorruptLinesAreSkippedNotFatal)
         std::ofstream out(path, std::ios::app);
         out << "this is not json\n";
         out << "{\"schema\": \"other-schema\", \"x\": 1}\n";
+        out << damage("v1|intact", "", nullptr);
+        // Each rendered key dropped, then given a wrong-typed value.
+        for (const auto &[key, value] : rendered.members()) {
+            out << damage("v1|" + key + "-dropped", key, nullptr);
+            out << damage("v1|" + key + "-retyped", key,
+                          value.isString() ? "7" : "\"7\"");
+        }
+        // A malformed scenario row rejects the whole record.
+        out << damage("v1|short-row", "contexts", "[[1, 2, 3, 4]]");
+        out << damage("v1|text-row", "alias_matrix", "[[1, \"2\", 3]]");
+        out << damage("v1|negative-row", "alias_matrix", "[[1, -2, 3]]");
     }
 
     SweepCheckpoint reloaded(path);
     ASSERT_TRUE(reloaded.load().ok());
-    EXPECT_EQ(reloaded.size(), 1u);
+    // Only keys that older checkpoints lack may be absent: "simd"
+    // predates the batch kernels, and a plain cell has no scenario
+    // tables.
+    EXPECT_EQ(reloaded.size(), 5u);
     EXPECT_NE(reloaded.find("v1|keep"), nullptr);
+    for (const char *optional :
+         {"v1|simd-dropped", "v1|contexts-dropped",
+          "v1|alias_matrix-dropped"}) {
+        EXPECT_NE(reloaded.find(optional), nullptr) << optional;
+    }
+    const CheckpointRecord *intact = reloaded.find("v1|intact");
+    ASSERT_NE(intact, nullptr);
+    EXPECT_EQ(intact->result.contextStats.size(), 2u);
+    EXPECT_EQ(intact->result.aliasMatrix.size(), 4u);
+    EXPECT_EQ(intact->result.aliasMatrix[3].collisions, 4u);
     std::remove(path.c_str());
 }
 

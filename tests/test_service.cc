@@ -266,6 +266,29 @@ TEST_F(ServiceTest, MalformedRequestsAreStructuredErrors)
     EXPECT_EQ(compiled.error().code(), ErrorCode::ConfigInvalid);
 }
 
+TEST_F(ServiceTest, MalformedResponseCellsAreStructuredErrors)
+{
+    // Response cells go through the checkpoint's record parser: a
+    // cell that lacks a field fails the response, never the process.
+    service::ServiceResponse response;
+    response.id = "r";
+    response.fingerprint = "f";
+    CheckpointRecord cell;
+    cell.fingerprint = "v1|x";
+    cell.label = "x";
+    response.cells.push_back(cell);
+    const std::string line = service::renderResponse(response);
+    ASSERT_TRUE(service::parseResponse(line).ok());
+    std::string damaged = line;
+    const std::string field = "\"mispredictions\": 0, ";
+    ASSERT_NE(damaged.find(field), std::string::npos);
+    damaged.erase(damaged.find(field), field.size());
+    Result<service::ServiceResponse> parsed =
+        service::parseResponse(damaged);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code(), ErrorCode::ConfigInvalid);
+}
+
 TEST_F(ServiceTest, DaemonResultsMatchBatchModeBitIdentically)
 {
     const MatrixResult direct = runDirect(smallSweep());

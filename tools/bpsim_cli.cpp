@@ -12,6 +12,16 @@
  *   bpsim_cli client [options]  submit a request to a bpsim_serve
  *   bpsim_cli list              available programs/predictors/schemes
  *
+ * run, sweep and client declare the sweep parameters once and build
+ * one service::SweepSpec from them. run and sweep compile it with
+ * service::compileSweep(), the daemon's own compiler, and run the
+ * cells on an ExperimentRunner, so an unknown name or invalid size
+ * fails as config_invalid (exit 2) before any cell runs, exactly as
+ * bpsim_serve rejects it. client sends the spec to a daemon and
+ * prints the reply through the same rows. Only `run --trace` takes
+ * another path: a trace file has no workload source, so it is
+ * replayed with simulate().
+ *
  * Examples:
  *   bpsim_cli run --program gcc --predictor 2bcgskew:8192 \
  *       --scheme static_acc --shift shift
@@ -23,6 +33,7 @@
  *   bpsim_cli merge --out merged.jsonl s1.jsonl s2.jsonl
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +49,6 @@
 #include "core/runner.hh"
 #include "obs/run_journal.hh"
 #include "predictor/registry.hh"
-#include "scenario/scenario.hh"
 #include "service/client.hh"
 #include "service/protocol.hh"
 #include "support/args.hh"
@@ -51,6 +61,16 @@ using namespace bpsim;
 
 namespace
 {
+
+/** Declare --journal (run and sweep). */
+void
+addJournalOption(ArgParser &args)
+{
+    args.addOption("journal", "",
+                   "write the structured run journal (JSONL) to this "
+                   "path; the metrics summary lands next to it "
+                   "(empty = disabled)");
+}
 
 /** The --journal run journal under @p label; null when the option
  * is empty. */
@@ -74,32 +94,15 @@ writeJournal(const ArgParser &args, const obs::RunJournal *journal)
                 metrics.c_str());
 }
 
-ShiftPolicy
-shiftFromName(const std::string &name)
-{
-    if (name == "noshift")
-        return ShiftPolicy::NoShift;
-    if (name == "shift")
-        return ShiftPolicy::ShiftOutcome;
-    if (name == "shiftpred")
-        return ShiftPolicy::ShiftPrediction;
-    bpsim_fatal("unknown shift policy '", name,
-                "' (expected noshift/shift/shiftpred)");
-}
-
+/** Declare the SweepSpec options of one cell (run, sweep and
+ * client), plus --csv. */
 void
-addCommonOptions(ArgParser &args)
+addSpecOptions(ArgParser &args)
 {
     args.addOption("program", "gcc",
                    "synthetic workload to run "
                    "(go/gcc/perl/m88ksim/compress/ijpeg)");
-    args.addOption("trace", "",
-                   "binary trace file to replay instead of a "
-                   "synthetic program (run only)");
     args.addOption("input", "ref", "input set: train or ref");
-    args.addOption("branches", "2000000",
-                   "branches in the measured window");
-    args.addOption("warmup", "0", "unmeasured warmup branches");
     args.addOption("seed", "2000", "workload seed");
     args.addOption("scheme", "none",
                    "static selection scheme: none/static_95/"
@@ -107,73 +110,149 @@ addCommonOptions(ArgParser &args)
     args.addOption("shift", "noshift",
                    "history policy for static branches: "
                    "noshift/shift/shiftpred");
+    args.addOption("branches", "2000000",
+                   "branches in the measured window");
+    args.addOption("warmup", "0", "unmeasured warmup branches");
+    args.addOption("profile-branches", "1000000",
+                   "branches simulated in the profiling phase");
     args.addOption("profile-input", "",
                    "input profiled in phase 1 (default: same as "
                    "--input, i.e. self-trained)");
-    args.addOption("profile-branches", "1000000",
-                   "branches simulated in the profiling phase");
     args.addOption("cutoff", "0.95", "Static_95 bias cutoff");
     args.addFlag("filter-unstable",
                  "apply the cross-training merge filter (5% rule)");
-    args.addFlag("csv", "emit one machine-readable CSV row per run");
-    args.addOption("journal", "",
-                   "write the structured run journal (JSONL) to this "
-                   "path; the metrics summary lands next to it "
-                   "(empty = disabled)");
+    args.addFlag("csv", "emit one machine-readable CSV row per cell");
 }
 
-/** Split a comma-separated name list ("go,gcc,perl"). */
+/** Declare the SweepSpec's matrix axes (sweep and client); @p sizes
+ * is the --sizes default. */
+void
+addMatrixOptions(ArgParser &args, const char *sizes)
+{
+    args.addOption("predictor", "gshare",
+                   "predictor kind (no size suffix)");
+    args.addOption("sizes", sizes, "comma-separated byte sizes");
+    args.addOption("scenario", "",
+                   "interleave several programs into one shared "
+                   "predictor: smt/ctxsw/server (empty = plain "
+                   "single-program sweep)");
+    args.addOption("programs", "",
+                   "comma-separated member programs for --scenario, "
+                   "context id = position (default: --program alone)");
+    args.addOption("quantum", "20000",
+                   "branches per scheduling quantum "
+                   "(--scenario ctxsw)");
+    args.addOption("zipf", "1.2",
+                   "Zipf exponent of the tenant popularity skew "
+                   "(--scenario server)");
+}
+
+/** Split a comma-separated name list ("go,gcc,perl"); every comma
+ * ends a name, empty ones included. */
 std::vector<std::string>
 splitNames(const std::string &list)
 {
     std::vector<std::string> names;
     std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const auto comma = list.find(',', pos);
-        names.push_back(list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos));
-        if (comma == std::string::npos)
-            break;
+    std::size_t comma;
+    while ((comma = list.find(',', pos)) != std::string::npos) {
+        names.push_back(list.substr(pos, comma - pos));
         pos = comma + 1;
     }
+    names.push_back(list.substr(pos));
     return names;
 }
 
-SyntheticProgram
-makeProgram(const ArgParser &args)
+/** Parse the comma-separated --sizes list; config_invalid on an
+ * empty, non-numeric or zero token. */
+std::vector<std::size_t>
+parseSizes(const std::string &list)
 {
-    const InputSet input = args.get("input") == "train"
-                               ? InputSet::Train
-                               : InputSet::Ref;
-    return makeSpecProgram(specProgramFromName(args.get("program")),
-                           input, args.getUint("seed"));
+    std::vector<std::size_t> sizes;
+    for (const std::string &token : splitNames(list)) {
+        errno = 0;
+        char *end = nullptr;
+        const unsigned long long value =
+            std::strtoull(token.c_str(), &end, 10);
+        if (token.empty() || end != token.c_str() + token.size() ||
+            errno == ERANGE || value == 0) {
+            raise(Error(ErrorCode::ConfigInvalid,
+                        "--sizes expects comma-separated positive "
+                        "byte counts, got '" +
+                            token + "'")
+                      .withContext("see --help for usage"));
+        }
+        sizes.push_back(static_cast<std::size_t>(value));
+    }
+    return sizes;
 }
 
-void
-printCsvHeaderOnce(bool &done)
+/**
+ * The SweepSpec the declared options describe. With @p matrix, the
+ * addMatrixOptions() axes are read too; without (run), the one cell's
+ * predictor and size come from the name[:bytes] --predictor spec,
+ * the one-size sweep the daemon's `op: run` is. Names are checked by
+ * compileSweep(), not here.
+ */
+service::SweepSpec
+specFromArgs(const ArgParser &args, bool matrix)
 {
-    if (done)
-        return;
-    std::printf("workload,predictor,size_bytes,scheme,shift,hints,"
-                "branches,instructions,mispredictions,misp_ki,"
-                "accuracy_pct,static_share_pct,collisions,"
-                "destructive,cpi\n");
-    done = true;
+    service::SweepSpec spec;
+    spec.program = args.get("program");
+    spec.input = args.get("input");
+    spec.seed = args.getUint("seed");
+    spec.scheme = args.get("scheme");
+    spec.shift = args.get("shift");
+    spec.evalBranches = args.getUint("branches");
+    spec.warmupBranches = args.getUint("warmup");
+    spec.profileBranches = args.getUint("profile-branches");
+    spec.profileInput = args.get("profile-input");
+    spec.cutoff = args.getDouble("cutoff");
+    spec.filterUnstable = args.getFlag("filter-unstable");
+    if (!matrix) {
+        Result<ParsedPredictorSpec> parsed =
+            parsePredictorSpec(args.get("predictor"));
+        if (!parsed.ok())
+            raise(std::move(parsed.error()));
+        spec.predictor = parsed.value().info->name;
+        spec.sizes = {parsed.value().bytes};
+        return spec;
+    }
+    spec.predictor = args.get("predictor");
+    spec.sizes = parseSizes(args.get("sizes"));
+    spec.scenario = args.get("scenario");
+    if (!spec.scenario.empty()) {
+        spec.programs = splitNames(args.get("programs").empty()
+                                       ? spec.program
+                                       : args.get("programs"));
+        spec.quantum = args.getUint("quantum");
+        spec.zipf = args.getDouble("zipf");
+    }
+    return spec;
 }
 
+/** Print one cell's row of @p spec: a CSV row (the header before the
+ * first) with --csv, else the human-readable line. */
 void
-report(const ArgParser &args, const std::string &workload,
-       const std::string &predictor_name, std::size_t size_bytes,
-       const std::string &scheme, const std::string &shift,
-       std::size_t hints, const SimStats &stats, bool &csv_header)
+report(const ArgParser &args, const service::SweepSpec &spec,
+       const std::string &workload, std::size_t size_bytes,
+       const ExperimentResult &result)
 {
+    const SimStats &stats = result.stats;
     if (args.getFlag("csv")) {
-        printCsvHeaderOnce(csv_header);
+        static bool header_printed = false;
+        if (!header_printed) {
+            std::printf("workload,predictor,size_bytes,scheme,shift,"
+                        "hints,branches,instructions,mispredictions,"
+                        "misp_ki,accuracy_pct,static_share_pct,"
+                        "collisions,destructive,cpi\n");
+            header_printed = true;
+        }
         std::printf("%s,%s,%zu,%s,%s,%zu,%llu,%llu,%llu,%.4f,%.4f,"
                     "%.4f,%llu,%llu,%.4f\n",
-                    workload.c_str(), predictor_name.c_str(),
-                    size_bytes, scheme.c_str(), shift.c_str(), hints,
+                    workload.c_str(), spec.predictor.c_str(),
+                    size_bytes, spec.scheme.c_str(), spec.shift.c_str(),
+                    result.hintCount,
                     static_cast<unsigned long long>(stats.branches),
                     static_cast<unsigned long long>(
                         stats.instructions),
@@ -191,169 +270,123 @@ report(const ArgParser &args, const std::string &workload,
     std::printf("%-10s %-16s %8zuB %-12s %-8s hints=%-6zu "
                 "MISP/KI=%7.2f acc=%6.2f%% static=%5.1f%% "
                 "coll=%llu cpi=%.3f\n",
-                workload.c_str(), predictor_name.c_str(), size_bytes,
-                scheme.c_str(), shift.c_str(), hints, stats.mispKi(),
+                workload.c_str(), spec.predictor.c_str(), size_bytes,
+                spec.scheme.c_str(), spec.shift.c_str(),
+                result.hintCount, stats.mispKi(),
                 stats.accuracyPercent(), stats.staticShare(),
                 static_cast<unsigned long long>(
                     stats.collisions.collisions),
                 estimateCpi(stats));
 }
 
+/**
+ * Compile @p spec with the daemon's compiler, run its cells on an
+ * ExperimentRunner under @p options (journalled as @p command), and
+ * print one row per cell. Exit status 1 when a cell failed.
+ */
 int
-cmdRun(int argc, char **argv)
+runSpec(const ArgParser &args, const service::SweepSpec &spec,
+        const char *command, RunnerOptions options)
 {
-    ArgParser args("bpsim_cli run");
-    addCommonOptions(args);
-    args.addOption("predictor", "gshare:8192",
-                   "predictor spec name[:bytes]");
-    args.parse(argc, argv, 2);
+    Result<service::CompiledSweep> compiled = service::compileSweep(spec);
+    if (!compiled.ok())
+        raise(std::move(compiled.error()));
+    service::CompiledSweep &sweep = compiled.value();
+    const auto journal = openJournal(args, command);
+    options.journal = journal.get();
+    ExperimentRunner runner(options);
+    const std::size_t workload =
+        runner.addWorkload(std::move(sweep.program));
+    for (std::size_t i = 0; i < sweep.configs.size(); ++i)
+        runner.addCell(workload, sweep.configs[i], sweep.labels[i]);
+    const MatrixResult matrix = runner.run();
 
-    const StaticScheme scheme =
-        staticSchemeFromName(args.get("scheme"));
-    bool csv_header = false;
+    Count failed = 0;
+    for (std::size_t i = 0; i < matrix.cells.size(); ++i) {
+        const CellResult &cell = matrix.cells[i];
+        if (cell.shardSkipped)
+            continue;
+        if (!cell.ok()) {
+            ++failed;
+            std::fprintf(stderr, "%s: cell '%s' failed: %s\n", command,
+                         runner.cell(i).label.c_str(),
+                         cell.error->describe().c_str());
+            continue;
+        }
+        report(args, spec, runner.program(workload).name(),
+               runner.cell(i).config.sizeBytes, cell.result);
+    }
+    writeJournal(args, journal.get());
+    return failed == 0 ? 0 : 1;
+}
+
+/**
+ * `run --trace`: replay a binary trace through simulate(). Static
+ * schemes need a workload to re-run for phase 1, so only plain
+ * dynamic prediction is offered, and the one cell is journalled by
+ * hand with the runner's stat snapshot.
+ */
+int
+runTrace(const ArgParser &args)
+{
+    if (args.get("scheme") != "none") {
+        raise(Error(ErrorCode::ConfigInvalid,
+                    "--trace replay supports --scheme none only"));
+    }
+    TraceReader reader(args.get("trace"));
+    auto predictor = makePredictor(args.get("predictor"));
     const auto journal = openJournal(args, "bpsim_cli run");
     auto run = obs::Span::run(journal.get(), runBeginFields(1));
-    // The invocation's one simulation, journalled as cell 0 with the
-    // matrix runner's stat snapshot.
-    const auto runCell = [&](const std::string &label,
-                             const auto &simulate_cell) {
-        obs::note(journal.get(), obs::EventKind::CellBegin, label,
-                  {obs::Field::u64("cell", 0)});
-        ScopedTimer timer(obs::timersOf(journal.get()), "cli.run");
-        ExperimentResult result = simulate_cell();
-        obs::note(journal.get(), obs::EventKind::CellEnd, label,
-                  cellEndFields(0, timer.stop(), result.stats,
-                                result.hintCount));
-        return result;
-    };
-    // Close the run, then write and name the journal files.
-    const auto finish = [&] {
-        run.close({obs::Field::u64("cells", 1)});
-        writeJournal(args, journal.get());
-        return 0;
-    };
     SimOptions options;
     options.maxBranches = args.getUint("branches");
     options.warmupBranches = args.getUint("warmup");
     options.counters = obs::countersOf(journal.get());
 
-    if (!args.get("trace").empty()) {
-        // Trace replay: static schemes need a workload to re-run for
-        // phase 1, so only plain dynamic prediction is offered here.
-        if (scheme != StaticScheme::None)
-            bpsim_fatal("--trace replay supports --scheme none only");
-        TraceReader reader(args.get("trace"));
-        auto predictor = makePredictor(args.get("predictor"));
-        const ExperimentResult result =
-            runCell(args.get("trace") + "/" + predictor->name(), [&] {
-                ExperimentResult plain;
-                plain.stats = simulate(*predictor, reader, options);
-                return plain;
-            });
-        report(args, args.get("trace"), predictor->name(),
-               predictor->sizeBytes(), "none", "noshift", 0,
-               result.stats, csv_header);
-        return finish();
-    }
+    const std::string label = args.get("trace") + "/" + predictor->name();
+    obs::note(journal.get(), obs::EventKind::CellBegin, label,
+              {obs::Field::u64("cell", 0)});
+    ScopedTimer timer(obs::timersOf(journal.get()), "cli.run");
+    ExperimentResult result;
+    result.stats = simulate(*predictor, reader, options);
+    obs::note(journal.get(), obs::EventKind::CellEnd, label,
+              cellEndFields(0, timer.stop(), result.stats, 0));
 
-    SyntheticProgram program = makeProgram(args);
-    auto probe = makePredictor(args.get("predictor"));
-    const std::string spec = args.get("predictor");
-    const std::string kind_name = spec.substr(0, spec.find(':'));
-
-    if (scheme == StaticScheme::None) {
-        auto predictor = makePredictor(spec);
-        const ExperimentResult result = runCell(
-            program.name() + "/" + predictor->name() + "/none", [&] {
-                ExperimentResult plain;
-                plain.stats = simulate(*predictor, program, options);
-                return plain;
-            });
-        report(args, program.name(), predictor->name(),
-               predictor->sizeBytes(), "none", "noshift", 0,
-               result.stats, csv_header);
-        return finish();
-    }
-
-    // Two-phase experiment path (paper methodology) over the live
-    // program's streams; any registered predictor works.
-    Result<ParsedPredictorSpec> parsed = parsePredictorSpec(spec);
-    if (!parsed.ok())
-        raise(std::move(parsed.error()));
-    ExperimentConfig config;
-    config.predictor = parsed.value().info->name;
-    config.sizeBytes = parsed.value().bytes;
-    config.scheme = scheme;
-    config.shift = shiftFromName(args.get("shift"));
-    config.evalBranches = args.getUint("branches");
-    config.profileBranches = args.getUint("profile-branches");
-    config.selection.cutoffBias = args.getDouble("cutoff");
-    config.evalInput = args.get("input") == "train" ? InputSet::Train
-                                                    : InputSet::Ref;
-    config.profileInput =
-        args.get("profile-input").empty()
-            ? config.evalInput
-            : (args.get("profile-input") == "train" ? InputSet::Train
-                                                    : InputSet::Ref);
-    config.filterUnstable = args.getFlag("filter-unstable");
-    config.evalWarmupBranches = args.getUint("warmup");
-    config.counters = options.counters;
-
-    const ExperimentResult result = runCell(
-        program.name() + "/" + kind_name + ":" +
-            std::to_string(config.sizeBytes) + "/" + args.get("scheme"),
-        [&] { return runExperiment(program, config); });
-    report(args, program.name(), kind_name, config.sizeBytes,
-           args.get("scheme"), args.get("shift"), result.hintCount,
-           result.stats, csv_header);
-    return finish();
+    service::SweepSpec plain;
+    plain.predictor = predictor->name();
+    report(args, plain, args.get("trace"), predictor->sizeBytes(),
+           result);
+    run.close({obs::Field::u64("cells", 1)});
+    writeJournal(args, journal.get());
+    return 0;
 }
 
-/**
- * Parse the comma-separated --sizes list. Rejects empty, non-numeric
- * and zero tokens with a structured config_invalid error instead of
- * the unhandled std::stoul exception the original parser threw.
- */
-std::vector<std::size_t>
-parseSizes(const std::string &list)
+int
+cmdRun(int argc, char **argv)
 {
-    std::vector<std::size_t> sizes;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const auto comma = list.find(',', pos);
-        const std::string token =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long value =
-            std::strtoull(token.c_str(), &end, 10);
-        if (token.empty() || end != token.c_str() + token.size() ||
-            errno == ERANGE || value == 0) {
-            raise(Error(ErrorCode::ConfigInvalid,
-                        "--sizes expects comma-separated positive "
-                        "byte counts, got '" +
-                            token + "'")
-                      .withContext("see --help for usage"));
-        }
-        sizes.push_back(static_cast<std::size_t>(value));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return sizes;
+    ArgParser args("bpsim_cli run");
+    addSpecOptions(args);
+    args.addOption("predictor", "gshare:8192",
+                   "predictor spec name[:bytes]");
+    args.addOption("trace", "",
+                   "binary trace file to replay instead of a "
+                   "synthetic program (--scheme none only)");
+    addJournalOption(args);
+    args.parse(argc, argv, 2);
+
+    if (!args.get("trace").empty())
+        return runTrace(args);
+    RunnerOptions options;
+    options.threads = 1;
+    return runSpec(args, specFromArgs(args, false), "bpsim_cli run",
+                   options);
 }
 
 int
 cmdSweep(int argc, char **argv)
 {
     ArgParser args("bpsim_cli sweep");
-    addCommonOptions(args);
-    args.addOption("predictor", "gshare",
-                   "predictor kind (no size suffix)");
-    args.addOption("sizes", "1024,2048,4096,8192,16384,32768,65536",
-                   "comma-separated byte sizes");
+    addSpecOptions(args);
+    addMatrixOptions(args, "1024,2048,4096,8192,16384,32768,65536");
     addThreadsOption(args);
     args.addOption("checkpoint", "",
                    "persist each finished cell to this JSONL "
@@ -376,40 +409,17 @@ cmdSweep(int argc, char **argv)
                    "replay buffers and profiling phases are persisted "
                    "there and mmap'd back on later (or concurrent) "
                    "runs (empty = disabled)");
-    args.addOption("scenario", "",
-                   "interleave several programs into one shared "
-                   "predictor: smt/ctxsw/server (empty = plain "
-                   "single-program sweep)");
-    args.addOption("programs", "",
-                   "comma-separated member programs for --scenario, "
-                   "context id = position (default: --program alone)");
-    args.addOption("quantum", "20000",
-                   "branches per scheduling quantum "
-                   "(--scenario ctxsw)");
-    args.addOption("zipf", "1.2",
-                   "Zipf exponent of the tenant popularity skew "
-                   "(--scenario server)");
+    addJournalOption(args);
     args.parse(argc, argv, 2);
 
-    Result<ParsedPredictorSpec> parsed =
-        parsePredictorSpec(args.get("predictor"));
-    if (!parsed.ok())
-        raise(std::move(parsed.error()));
-    const std::string predictor_name = parsed.value().info->name;
-    const StaticScheme scheme =
-        staticSchemeFromName(args.get("scheme"));
-    const std::vector<std::size_t> sizes =
-        parseSizes(args.get("sizes"));
+    const service::SweepSpec spec = specFromArgs(args, true);
     if (args.getFlag("resume") && args.get("checkpoint").empty()) {
         raise(Error(ErrorCode::ConfigInvalid,
                     "--resume needs --checkpoint")
                   .withContext("see --help for usage"));
     }
-
-    const auto journal = openJournal(args, "bpsim_cli sweep");
     RunnerOptions options;
     options.threads = threadsFromArgs(args);
-    options.journal = journal.get();
     options.retries = static_cast<unsigned>(args.getUint("retries"));
     options.failFast = args.getFlag("fail-fast");
     options.checkpointPath = args.get("checkpoint");
@@ -423,81 +433,7 @@ cmdSweep(int argc, char **argv)
         options.shardIndex = shard.value().first;
         options.shardCount = shard.value().second;
     }
-
-    ExperimentRunner runner(options);
-    std::size_t scenario_contexts = 0;
-    std::size_t program_index = 0;
-    if (!args.get("scenario").empty()) {
-        Result<ScenarioKind> kind =
-            parseScenarioKind(args.get("scenario"));
-        if (!kind.ok())
-            raise(std::move(kind.error()));
-        const InputSet input = args.get("input") == "train"
-                                   ? InputSet::Train
-                                   : InputSet::Ref;
-        const std::string member_list = args.get("programs").empty()
-                                            ? args.get("program")
-                                            : args.get("programs");
-        std::vector<SyntheticProgram> members;
-        for (const std::string &name : splitNames(member_list)) {
-            members.push_back(
-                makeSpecProgram(specProgramFromName(name), input,
-                                args.getUint("seed")));
-        }
-        ScenarioSpec scenario_spec;
-        scenario_spec.kind = kind.value();
-        scenario_spec.quantum = args.getUint("quantum");
-        scenario_spec.zipfExponent = args.getDouble("zipf");
-        scenario_contexts = members.size();
-        program_index =
-            runner.addWorkload(std::make_unique<ScenarioWorkload>(
-                scenario_spec, std::move(members)));
-    } else {
-        program_index = runner.addProgram(makeProgram(args));
-    }
-    const std::string program_name =
-        runner.program(program_index).name();
-
-    for (const std::size_t bytes : sizes) {
-        ExperimentConfig config;
-        config.predictor = predictor_name;
-        config.sizeBytes = bytes;
-        config.scheme = scheme;
-        config.shift = shiftFromName(args.get("shift"));
-        config.evalBranches = args.getUint("branches");
-        config.evalWarmupBranches = args.getUint("warmup");
-        config.profileBranches = args.getUint("profile-branches");
-        config.selection.cutoffBias = args.getDouble("cutoff");
-        config.scenarioContexts = scenario_contexts;
-        runner.addCell(program_index, config,
-                       program_name + "/" + args.get("predictor") +
-                           ":" + std::to_string(bytes) + "/" +
-                           args.get("scheme"));
-    }
-
-    const MatrixResult matrix = runner.run();
-
-    bool csv_header = false;
-    Count failed = 0;
-    for (std::size_t i = 0; i < matrix.cells.size(); ++i) {
-        const CellResult &cell = matrix.cells[i];
-        if (cell.shardSkipped)
-            continue;
-        if (!cell.ok()) {
-            ++failed;
-            std::fprintf(stderr,
-                         "bpsim_cli sweep: cell '%s' failed: %s\n",
-                         runner.cell(i).label.c_str(),
-                         cell.error->describe().c_str());
-            continue;
-        }
-        report(args, program_name, args.get("predictor"), sizes[i],
-               args.get("scheme"), args.get("shift"),
-               cell.result.hintCount, cell.result.stats, csv_header);
-    }
-
-    writeJournal(args, journal.get());
-    return failed == 0 ? 0 : 1;
+    return runSpec(args, spec, "bpsim_cli sweep", options);
 }
 
 /**
@@ -554,21 +490,6 @@ cmdMerge(int argc, char **argv)
     return 0;
 }
 
-/**
- * The label a compiled cell carries is
- * "program/predictor:bytes/scheme"; recover the byte size for
- * reporting (a response cell does not store it as its own field).
- */
-std::size_t
-bytesFromLabel(const std::string &label)
-{
-    const std::size_t colon = label.rfind(':');
-    if (colon == std::string::npos)
-        return 0;
-    return static_cast<std::size_t>(
-        std::strtoull(label.c_str() + colon + 1, nullptr, 10));
-}
-
 /** Append protocol lines to the --save transcript (JSONL). */
 void
 appendTranscript(const std::string &path,
@@ -615,45 +536,8 @@ cmdClient(int argc, char **argv)
     args.addOption("save", "",
                    "append the request and response JSONL lines to "
                    "this transcript (empty = disabled)");
-    args.addOption("program", "gcc",
-                   "synthetic workload to run "
-                   "(go/gcc/perl/m88ksim/compress/ijpeg)");
-    args.addOption("input", "ref", "input set: train or ref");
-    args.addOption("seed", "2000", "workload seed");
-    args.addOption("predictor", "gshare",
-                   "predictor kind (no size suffix)");
-    args.addOption("sizes", "8192", "comma-separated byte sizes");
-    args.addOption("scheme", "none",
-                   "static selection scheme: none/static_95/"
-                   "static_acc/static_fac/static_alias");
-    args.addOption("shift", "noshift",
-                   "history policy for static branches: "
-                   "noshift/shift/shiftpred");
-    args.addOption("branches", "2000000",
-                   "branches in the measured window");
-    args.addOption("warmup", "0", "unmeasured warmup branches");
-    args.addOption("profile-branches", "1000000",
-                   "branches simulated in the profiling phase");
-    args.addOption("profile-input", "",
-                   "input profiled in phase 1 (default: same as "
-                   "--input, i.e. self-trained)");
-    args.addOption("cutoff", "0.95", "Static_95 bias cutoff");
-    args.addFlag("filter-unstable",
-                 "apply the cross-training merge filter (5% rule)");
-    args.addOption("scenario", "",
-                   "interleave several programs into one shared "
-                   "predictor: smt/ctxsw/server (empty = plain "
-                   "single-program sweep)");
-    args.addOption("programs", "",
-                   "comma-separated member programs for --scenario, "
-                   "context id = position (default: --program alone)");
-    args.addOption("quantum", "20000",
-                   "branches per scheduling quantum "
-                   "(--scenario ctxsw)");
-    args.addOption("zipf", "1.2",
-                   "Zipf exponent of the tenant popularity skew "
-                   "(--scenario server)");
-    args.addFlag("csv", "emit one machine-readable CSV row per cell");
+    addSpecOptions(args);
+    addMatrixOptions(args, "8192");
     args.parse(argc, argv, 2);
 
     service::ServiceRequest request;
@@ -665,28 +549,7 @@ cmdClient(int argc, char **argv)
     request.deadlineMs = args.getUint("deadline-ms");
     request.faultSpec = args.get("fault");
     request.targetId = args.get("target");
-    request.sweep.program = args.get("program");
-    request.sweep.input = args.get("input");
-    request.sweep.seed = args.getUint("seed");
-    request.sweep.predictor = args.get("predictor");
-    request.sweep.sizes = parseSizes(args.get("sizes"));
-    request.sweep.scheme = args.get("scheme");
-    request.sweep.shift = args.get("shift");
-    request.sweep.evalBranches = args.getUint("branches");
-    request.sweep.warmupBranches = args.getUint("warmup");
-    request.sweep.profileBranches = args.getUint("profile-branches");
-    request.sweep.profileInput = args.get("profile-input");
-    request.sweep.cutoff = args.getDouble("cutoff");
-    request.sweep.filterUnstable = args.getFlag("filter-unstable");
-    request.sweep.scenario = args.get("scenario");
-    if (!request.sweep.scenario.empty()) {
-        request.sweep.programs =
-            splitNames(args.get("programs").empty()
-                           ? args.get("program")
-                           : args.get("programs"));
-        request.sweep.quantum = args.getUint("quantum");
-        request.sweep.zipf = args.getDouble("zipf");
-    }
+    request.sweep = specFromArgs(args, true);
     request.id = args.get("id");
     if (request.id.empty()) {
         // Deterministic default so resubmitting the same command
@@ -756,12 +619,28 @@ cmdClient(int argc, char **argv)
         return 0;
     }
 
-    bool csv_header = false;
-    for (const CheckpointRecord &cell : response.cells) {
-        report(args, request.sweep.program, request.sweep.predictor,
-               bytesFromLabel(cell.label), request.sweep.scheme,
-               request.sweep.shift, cell.result.hintCount,
-               cell.result.stats, csv_header);
+    if (!response.cells.empty()) {
+        // Rows come from a local compile of the spec sent, so they
+        // name the workload and size exactly as `sweep` does.
+        Result<service::CompiledSweep> compiled =
+            service::compileSweep(request.sweep);
+        if (!compiled.ok())
+            raise(std::move(compiled.error()));
+        const service::CompiledSweep &sent = compiled.value();
+        for (const CheckpointRecord &cell : response.cells) {
+            const auto match =
+                std::find(sent.fingerprints.begin(),
+                          sent.fingerprints.end(), cell.fingerprint);
+            if (match == sent.fingerprints.end()) {
+                raise(Error(ErrorCode::Internal,
+                            "response cell '" + cell.label +
+                                "' matches no requested cell"));
+            }
+            report(args, request.sweep, sent.program->name(),
+                   sent.configs[match - sent.fingerprints.begin()]
+                       .sizeBytes,
+                   cell.result);
+        }
     }
     for (const service::CellFailure &failed : response.cellErrors) {
         std::fprintf(stderr,
