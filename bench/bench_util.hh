@@ -38,11 +38,11 @@ constexpr double seedBaselineSeconds = 3.5;
 
 /**
  * One-thread wall time of the fig_multicontext matrix on the
- * reference container. Scenario cells run the batch kernels with
- * per-branch attribution compiled in (the sink-reporting solo shape),
- * except agree's, which run the virtual loop.
+ * reference container (median of three runs). Every scenario cell,
+ * agree's included, runs the batch kernels with per-branch
+ * attribution compiled in (the sink-reporting solo shape).
  */
-constexpr double multicontextBaselineSeconds = 15.2;
+constexpr double multicontextBaselineSeconds = 11.3;
 
 /** Shared experiment defaults. */
 inline ExperimentConfig

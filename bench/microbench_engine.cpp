@@ -2,14 +2,16 @@
  * @file
  * google-benchmark microbenchmarks for the simulation engine itself:
  * the virtual-dispatch loop (the oracle) vs the batch kernels, per
- * kernel-visited predictor (the paper's five kinds, TAGE and the
- * hashed perceptron, each named by its spec string), over one
+ * kernel-visited predictor (the paper's five kinds, TAGE, the hashed
+ * perceptron and agree, each named by its spec string), over one
  * materialized trace. Items processed are simulated branches, so the
  * reported rate is branches/second.
  *
  * Plain-shape variants per predictor (no hints/profile):
  *  - virtual: simulate() over a replay cursor
- *  - batch:   simulateReplay(), the batch kernels
+ *  - batch:   simulateReplay(), the batch kernels (for agree, which
+ *             keeps per-site bias bits, this includes building the
+ *             trace's site index)
  *
  * Fused-shape variants per predictor (simulateReplayFused over a site
  * index, the experiment runner's hot path):
@@ -254,10 +256,12 @@ fusedAttributedThroughput(benchmark::State &state, const char *name)
 
 /**
  * The gate's predictor groups, each held to the tolerance on its own
- * per-shape aggregate: the five paper schemes together, then TAGE and
- * the hashed perceptron each alone. Their virtual loops cost several
- * times the paper schemes' per branch, so in a shared total they
- * would hide a paper-scheme regression, and one could hide the other.
+ * per-shape aggregate: the five paper schemes together, then TAGE,
+ * the hashed perceptron and agree each alone. Their virtual loops
+ * cost differently from the paper schemes' per branch (TAGE's and the
+ * perceptron's several times more, agree's bias-bit map lookup on top
+ * of gshare's), so in a shared total they would hide a paper-scheme
+ * regression, and one could hide another.
  */
 struct GateGroup
 {
@@ -269,6 +273,7 @@ const GateGroup gateGroups[] = {
     {"paper", {"bimodal", "ghist", "gshare", "bimode", "2bcgskew"}},
     {"tage", {"tage"}},
     {"perceptron", {"perceptron"}},
+    {"agree", {"agree"}},
 };
 
 /** Seconds of wall time for one full pass of @p body. */
@@ -401,6 +406,7 @@ BPSIM_ENGINE_BENCH(bimode, "bimode");
 BPSIM_ENGINE_BENCH(gskew2bc, "2bcgskew");
 BPSIM_ENGINE_BENCH(tage, "tage");
 BPSIM_ENGINE_BENCH(perceptron, "perceptron");
+BPSIM_ENGINE_BENCH(agree, "agree");
 
 int
 main(int argc, char **argv)

@@ -34,11 +34,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "core/combined_predictor.hh"
 #include "core/sim_stats.hh"
 #include "core/simd.hh"
+#include "predictor/agree.hh"
 #include "predictor/bimodal.hh"
 #include "predictor/bimode.hh"
 #include "predictor/ghist.hh"
@@ -161,6 +163,19 @@ template <> struct BatchTraits<HashedPerceptron>
     }
 };
 
+template <> struct BatchTraits<Agree>
+{
+    static CounterTable &table(Agree &p) { return p.table; }
+    static GlobalHistory &history(Agree &p) { return p.history; }
+
+    /** The PC-keyed bias bits, authoritative between passes. */
+    static std::unordered_map<Addr, bool> &
+    biasBits(Agree &p)
+    {
+        return p.biasBits;
+    }
+};
+
 namespace batch
 {
 
@@ -168,18 +183,32 @@ namespace batch
 inline constexpr std::uint8_t hintPresentBit = 2;
 inline constexpr std::uint8_t hintTakenBit = 1;
 
+/** Dense agree bias-bit codes (0 = the site has not executed yet). */
+inline constexpr std::uint8_t biasLatchedBit = 2;
+inline constexpr std::uint8_t biasTakenBit = 1;
+
+/**
+ * Whether kernel type @p P keeps per-site state of its own (agree's
+ * bias bits), so every pass of it runs over a site index: the engine
+ * builds one when the caller passes none and runs a lone unhinted sim
+ * as a one-member gang with zero hint codes. runPlainBatch never sees
+ * such a type.
+ */
+template <typename P> inline constexpr bool needsSiteIndex = false;
+template <> inline constexpr bool needsSiteIndex<Agree> = true;
+
 /**
  * Per-site index material hoisted out of the record loop, built once
  * per stepper: every pure-PC quantity a predictor's index functions
- * need (masked PC indices and PC folds at the relevant widths). What
- * each vector holds depends on the predictor kind; unused vectors
- * stay empty.
+ * need (masked PC indices and PC folds at the relevant widths), plus
+ * agree's per-site bias bits. What each vector holds depends on the
+ * predictor kind; unused vectors stay empty.
  */
 struct SiteTables
 {
-    /** Bimodal/gshare PC index or fold; bi-mode choice index; gskew
-     * bimodal-bank index; TAGE base index; perceptron table-width PC
-     * fold. */
+    /** Bimodal/gshare/agree PC index or fold; bi-mode choice index;
+     * gskew bimodal-bank index; TAGE base index; perceptron
+     * table-width PC fold. */
     std::vector<std::uint32_t> primary;
 
     /** Bi-mode direction-table PC fold; gskew bank-0 PC skew chain
@@ -192,6 +221,12 @@ struct SiteTables
 
     /** Gskew meta-bank PC fold. */
     std::vector<std::uint32_t> quaternary;
+
+    /** Agree's bias bits, one biasLatchedBit | biasTakenBit code per
+     * site, built from the predictor's map. Unlike the index vectors
+     * above, the kernels write it: apply latches a first execution
+     * into both it and the map, so the map stays authoritative. */
+    std::vector<std::uint8_t> bias;
 };
 
 /** Build the per-site tables for @p predictor over @p sites. */
@@ -211,12 +246,24 @@ buildSiteTables(P &predictor, const SiteIndex &sites)
         for (std::uint32_t s = 0; s < count; ++s)
             tables.primary[s] = static_cast<std::uint32_t>(
                 table.indexFor(pcIndexOf(s)));
-    } else if constexpr (std::is_same_v<P, Gshare>) {
+    } else if constexpr (std::is_same_v<P, Gshare> ||
+                         std::is_same_v<P, Agree>) {
         CounterTable &table = BatchTraits<P>::table(predictor);
         tables.primary.resize(count);
         for (std::uint32_t s = 0; s < count; ++s)
             tables.primary[s] = static_cast<std::uint32_t>(
                 foldBits(pcIndexOf(s), table.indexBits()));
+        if constexpr (std::is_same_v<P, Agree>) {
+            const std::unordered_map<Addr, bool> &bits =
+                BatchTraits<P>::biasBits(predictor);
+            tables.bias.assign(count, 0);
+            for (std::uint32_t s = 0; s < count; ++s) {
+                const auto it = bits.find(sites.sitePc(s));
+                if (it != bits.end())
+                    tables.bias[s] =
+                        biasLatchedBit | (it->second ? biasTakenBit : 0);
+            }
+        }
     } else if constexpr (std::is_same_v<P, BiMode>) {
         CounterTable &choice = BatchTraits<P>::choice(predictor);
         CounterTable &dir = BatchTraits<P>::takenTable(predictor);
@@ -289,7 +336,7 @@ template <typename P>
 struct GangArgs
 {
     P *const *predictors = nullptr;
-    const SiteTables *const *siteTables = nullptr;
+    SiteTables *const *siteTables = nullptr;
     const std::uint8_t *const *hintCodes = nullptr;
     SimStats *const *stats = nullptr;
     std::size_t n = 0;
@@ -313,7 +360,7 @@ template <typename P>
 struct SoloArgs
 {
     P *predictor = nullptr;
-    const SiteTables *siteTables = nullptr;
+    SiteTables *siteTables = nullptr;
     const std::uint8_t *hintCodes = nullptr;
     ShiftPolicy policy = ShiftPolicy::NoShift;
     BranchProfile *profiles = nullptr;
@@ -327,7 +374,8 @@ struct SoloArgs
 
 /**
  * One plain segment: a single dynamic sim, no sites, no hints, no
- * profile (the microbench / CLI / warmup shape).
+ * profile (the microbench / CLI / warmup shape), of a type without
+ * per-site state (needsSiteIndex).
  */
 template <typename P>
 struct PlainArgs

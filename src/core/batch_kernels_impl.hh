@@ -25,7 +25,10 @@
  * tag update with the carried indices; its per-record operation
  * sequence is exactly the one the virtual simulate() loop performs, so
  * every SimStats field, collision statistic, profile count, alias-sink
- * cell and table byte is bit-identical to the oracle's.
+ * cell and table byte is bit-identical to the oracle's. Collision
+ * accounting is one tally increment per applied record (see
+ * CollisionTally), from which each table's statistics are derived at
+ * segment end.
  */
 
 #include "core/batch_kernels.hh"
@@ -123,66 +126,93 @@ struct LaneTable
 };
 
 /**
- * Register-resident collision accumulators for one table, flushed
- * into the table's CollisionStats once per segment. The per-record
- * tag protocol matches CounterTable::lookup exactly; the
- * classification happens inline (the overall correctness is already
- * known at apply time), so the table's pending counter stays zero —
- * the same state update() leaves behind.
+ * A batch state's collision accounting, one increment per applied
+ * record. The record's key has one bit per table access that
+ * collided (bi-mode's also records which direction table it chose);
+ * the record increments the bucket of its key and its classification
+ * bit, the bit the virtual loop classifies its collisions with (the
+ * prediction's correctness, or agree's latched bias outcome). flush()
+ * derives each CounterTable's lookups, collisions, constructive and
+ * destructive counts from the buckets. These are integer sums of the
+ * increments CounterTable::lookup and classify() make per access, so
+ * the result is bit-identical, and the table's pending counter stays
+ * zero, as after update().
  */
-struct LaneStats
+template <unsigned KeyBits>
+class CollisionTally
 {
-    Count lookups = 0;
-    Count collisions = 0;
-    Count constructive = 0;
-    Count destructive = 0;
+  public:
+    static constexpr std::uint32_t keys = 1u << KeyBits;
 
     void
-    flush(CounterTable &table)
+    add(std::uint32_t key, bool correct)
+    {
+        ++buckets[(key << 1) | (correct ? 1u : 0u)];
+    }
+
+    /**
+     * Credit @p table, whose collisions are key bit @p bit, with the
+     * records whose key matches @p match under @p select (by default
+     * every record: a table every apply looks up).
+     */
+    void
+    flush(CounterTable &table, unsigned bit, std::uint32_t select = 0,
+          std::uint32_t match = 0) const
     {
         CollisionStats &stats = table.statsRef();
-        stats.lookups += lookups;
-        stats.collisions += collisions;
-        stats.constructive += constructive;
-        stats.destructive += destructive;
-        *this = LaneStats{};
+        for (std::uint32_t key = 0; key < keys; ++key) {
+            if ((key & select) != match)
+                continue;
+            const Count wrong = buckets[key << 1];
+            const Count right = buckets[(key << 1) | 1];
+            stats.lookups += wrong + right;
+            if (((key >> bit) & 1) != 0) {
+                stats.collisions += wrong + right;
+                stats.constructive += right;
+                stats.destructive += wrong;
+            }
+        }
     }
+
+  private:
+    Count buckets[2 * keys] = {};
 };
 
 /**
- * One instrumented table access: tag check, tag write and classified
- * collision accounting. @p WithSink instantiations also note a
- * colliding access to the table's ContextAliasSink, as
- * CounterTable::lookup does (the driver classifies the record's notes
- * once it is applied); the check is compiled out of every other loop.
+ * One table access's tag check and tag write, as CounterTable::lookup
+ * makes them. @p WithSink instantiations also report a colliding
+ * access to the table's ContextAliasSink, already classified with
+ * @p correct (the record's classification bit, known at apply time);
+ * the check is compiled out of every other loop.
  *
  * @return 1 when the access collided, else 0
  */
 template <bool WithSink>
 inline std::uint32_t
-touchLane(const LaneTable &table, LaneStats &stats, std::size_t index,
-          Addr pc, bool correct)
+touchLane(const LaneTable &table, std::size_t index, Addr pc,
+          bool correct)
 {
-    ++stats.lookups;
     const Addr tag = table.tags[index];
     const std::uint32_t collided =
         static_cast<std::uint32_t>(tag != CounterTable::invalidTag) &
         static_cast<std::uint32_t>(tag != pc);
     if constexpr (WithSink) {
         if (collided != 0)
-            table.sink->note(pc, tag);
+            table.sink->noteClassified(pc, tag, correct);
+    } else {
+        (void)correct;
     }
     table.tags[index] = pc;
-    stats.collisions += collided;
-    stats.constructive += collided & static_cast<std::uint32_t>(correct);
-    stats.destructive += collided & static_cast<std::uint32_t>(!correct);
     return collided;
 }
 
 /** What one applied record reports back to the driver. */
 struct ApplyResult
 {
+    /** The prediction was correct. */
     bool correct;
+
+    /** Table accesses that collided (the profile's count). */
     std::uint32_t collided;
 };
 
@@ -263,7 +293,7 @@ class TableState
     prepare(unsigned slot, std::size_t count,
             const std::uint64_t *pc_index, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
-            const batch::SiteTables *tables)
+            batch::SiteTables *tables)
     {
         std::size_t *out = idx[slot];
         const std::size_t msk = table.mask;
@@ -333,7 +363,8 @@ class TableState
         const bool prediction = satCounterTaken(counter, table.msb);
         const bool correct = prediction == taken;
         const std::uint32_t collided =
-            touchLane<WithSink>(table, stats, k, pc, correct);
+            touchLane<WithSink>(table, k, pc, correct);
+        tally.add(collided, correct);
         table.cnt[k] = satCounterTrain(counter, taken, table.maxv);
         return {correct, collided};
     }
@@ -341,7 +372,7 @@ class TableState
     void
     flushSegment(P &predictor)
     {
-        stats.flush(*table.src);
+        tally.flush(*table.src, 0);
         if constexpr (Kind != IndexKind::Pc) {
             BatchTraits<P>::history(predictor).set(
                 shadow.front().hist);
@@ -350,7 +381,7 @@ class TableState
 
   private:
     LaneTable table;
-    LaneStats stats;
+    CollisionTally<1> tally;
     // Kept in a 0/1-sized vector so the Pc kind (bimodal, no history
     // member to read) never touches BatchTraits<P>::history.
     std::vector<HistoryShadow> shadow;
@@ -377,7 +408,7 @@ class BiModeState
     prepare(unsigned slot, std::size_t count,
             const std::uint64_t *pc_index, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
-            const batch::SiteTables *tables)
+            batch::SiteTables *tables)
     {
         std::uint64_t hist[batchRecords];
         std::uint64_t fold[batchRecords];
@@ -422,16 +453,20 @@ class BiModeState
         const bool choseTaken =
             satCounterTaken(choiceCounter, choice.msb);
         LaneTable &selected = choseTaken ? takenTable : notTakenTable;
-        LaneStats &selectedStats =
-            choseTaken ? takenStats : notTakenStats;
 
         const std::uint8_t dirCounter = selected.cnt[kd];
         const bool prediction = satCounterTaken(dirCounter, selected.msb);
         const bool correct = prediction == taken;
 
-        const std::uint32_t collided =
-            touchLane<WithSink>(choice, choiceStats, kc, pc, correct) +
-            touchLane<WithSink>(selected, selectedStats, kd, pc, correct);
+        // Key bits: 0 the choice access, 1 the direction access, and
+        // choseTakenKey when that went to the taken table.
+        const std::uint32_t choiceCollided =
+            touchLane<WithSink>(choice, kc, pc, correct);
+        const std::uint32_t dirCollided =
+            touchLane<WithSink>(selected, kd, pc, correct);
+        tally.add(choiceCollided | (dirCollided << 1) |
+                      (choseTaken ? choseTakenKey : 0),
+                  correct);
 
         // Partial update: only the selected direction table trains.
         selected.cnt[kd] = satCounterTrain(dirCounter, taken,
@@ -445,25 +480,25 @@ class BiModeState
         choice.cnt[kc] =
             (choiceOpposes && correct) ? choiceCounter : trained;
 
-        return {correct, collided};
+        return {correct, choiceCollided + dirCollided};
     }
 
     void
     flushSegment(BiMode &predictor)
     {
-        choiceStats.flush(*choice.src);
-        takenStats.flush(*takenTable.src);
-        notTakenStats.flush(*notTakenTable.src);
+        tally.flush(*choice.src, 0);
+        tally.flush(*takenTable.src, 1, choseTakenKey, choseTakenKey);
+        tally.flush(*notTakenTable.src, 1, choseTakenKey, 0);
         BatchTraits<BiMode>::history(predictor).set(shadow.hist);
     }
 
   private:
+    static constexpr std::uint32_t choseTakenKey = 4;
+
     LaneTable choice;
     LaneTable takenTable;
     LaneTable notTakenTable;
-    LaneStats choiceStats;
-    LaneStats takenStats;
-    LaneStats notTakenStats;
+    CollisionTally<3> tally;
     HistoryShadow shadow;
     BitCount dirBits;
     std::size_t choiceIdx[pipelineSlots][batchRecords];
@@ -495,7 +530,7 @@ class GskewState
     prepare(unsigned slot, std::size_t count,
             const std::uint64_t *pc_index, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
-            const batch::SiteTables *tables)
+            batch::SiteTables *tables)
     {
         std::uint64_t a0[batchRecords];  // H(v1): bank-0 PC chain
         std::uint64_t a1x[batchRecords]; // H(H(v1)) ^ v1: bank-1 mix
@@ -598,11 +633,13 @@ class GskewState
         const bool prediction = useMajority ? majority : bimPred;
         const bool correct = prediction == taken;
 
-        const std::uint32_t collided =
-            touchLane<WithSink>(bim, bimStats, kb, pc, correct) +
-            touchLane<WithSink>(g0, g0Stats, k0, pc, correct) +
-            touchLane<WithSink>(g1, g1Stats, k1, pc, correct) +
-            touchLane<WithSink>(meta, metaStats, km, pc, correct);
+        // Key bits 0..3: the bim, g0, g1 and meta accesses.
+        const std::uint32_t key =
+            touchLane<WithSink>(bim, kb, pc, correct) |
+            (touchLane<WithSink>(g0, k0, pc, correct) << 1) |
+            (touchLane<WithSink>(g1, k1, pc, correct) << 2) |
+            (touchLane<WithSink>(meta, km, pc, correct) << 3);
+        tally.add(key, correct);
 
         // Partial update as branchless masks: on a wrong overall
         // prediction all voting banks train; on a correct one only
@@ -625,16 +662,16 @@ class GskewState
             satCounterTrain(cm, majority == taken, meta.maxv);
         meta.cnt[km] = (majority != bimPred) ? metaTrained : cm;
 
-        return {correct, collided};
+        return {correct, static_cast<std::uint32_t>(std::popcount(key))};
     }
 
     void
     flushSegment(TwoBcGskew &predictor)
     {
-        bimStats.flush(*bim.src);
-        g0Stats.flush(*g0.src);
-        g1Stats.flush(*g1.src);
-        metaStats.flush(*meta.src);
+        tally.flush(*bim.src, 0);
+        tally.flush(*g0.src, 1);
+        tally.flush(*g1.src, 2);
+        tally.flush(*meta.src, 3);
         BatchTraits<TwoBcGskew>::history(predictor).set(shadow.hist);
     }
 
@@ -643,10 +680,7 @@ class GskewState
     LaneTable g0;
     LaneTable g1;
     LaneTable meta;
-    LaneStats bimStats;
-    LaneStats g0Stats;
-    LaneStats g1Stats;
-    LaneStats metaStats;
+    CollisionTally<4> tally;
     HistoryShadow shadow;
     BitCount bankBits;
     BitCount metaBits;
@@ -812,7 +846,7 @@ class TageState
     prepare(unsigned slot, std::size_t count,
             const std::uint64_t *pc_index, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
-            const batch::SiteTables *tables)
+            batch::SiteTables *tables)
     {
         std::uint64_t pc_fold[batchRecords];
         std::uint64_t tag_pc_fold[batchRecords];
@@ -905,10 +939,11 @@ class TageState
         const bool alt_prediction = ((preds >> alternate) & 1) != 0;
         const bool correct = prediction == taken;
 
-        std::uint32_t collided = 0;
+        // Key bit s: slot s's access.
+        std::uint32_t key = 0;
         for (unsigned s = 0; s <= banks; ++s)
-            collided +=
-                touchLane<WithSink>(lanes[s], stats[s], k[s], pc, correct);
+            key |= touchLane<WithSink>(lanes[s], k[s], pc, correct) << s;
+        tally.add(key, correct);
 
         // The useful counter moves only when provider and alternate
         // disagreed, toward whichever was right.
@@ -928,14 +963,14 @@ class TageState
             allocate(provider, k, tag[slot], i, taken);
 
         BatchTraits<Tage>::countUpdate(owner);
-        return {correct, collided};
+        return {correct, static_cast<std::uint32_t>(std::popcount(key))};
     }
 
     void
     flushSegment(Tage &predictor)
     {
         for (unsigned s = 0; s <= banks; ++s)
-            stats[s].flush(*lanes[s].src);
+            tally.flush(*lanes[s].src, s);
         shadow.flush(predictor);
     }
 
@@ -964,7 +999,7 @@ class TageState
     }
 
     LaneTable lanes[1 + banks];
-    LaneStats stats[1 + banks];
+    CollisionTally<1 + banks> tally;
     std::uint8_t *tags[banks] = {};
     std::uint8_t *useful[banks] = {};
     Tage &owner;
@@ -1016,7 +1051,7 @@ class PerceptronState
     prepare(unsigned slot, std::size_t count,
             const std::uint64_t *pc_index, const std::uint8_t *taken,
             const std::uint32_t *site, const std::uint8_t *codes,
-            const batch::SiteTables *tables)
+            batch::SiteTables *tables)
     {
         // Zero past count: the elementwise loops below run the full
         // batch width, a compile-time trip count they vectorize at.
@@ -1074,10 +1109,13 @@ class PerceptronState
         }
         const bool correct = (sum >= 0) == taken;
 
-        std::uint32_t collided = 0;
+        // Key bit t: table t's access.
+        std::uint32_t key = 0;
         for (unsigned t = 0; t < tableCount; ++t)
-            collided += touchLane<WithSink>(lanes[t], stats[t],
-                                            idx[slot][t][i], pc, correct);
+            key |= touchLane<WithSink>(lanes[t], idx[slot][t][i], pc,
+                                       correct)
+                   << t;
+        tally.add(key, correct);
 
         const int magnitude = sum < 0 ? -sum : sum;
         const bool train = !correct || magnitude <= threshold;
@@ -1086,20 +1124,20 @@ class PerceptronState
                 train ? satCounterTrain(weight[t], taken, lanes[t].maxv)
                       : weight[t];
         }
-        return {correct, collided};
+        return {correct, static_cast<std::uint32_t>(std::popcount(key))};
     }
 
     void
     flushSegment(HashedPerceptron &predictor)
     {
         for (unsigned t = 0; t < tableCount; ++t)
-            stats[t].flush(*lanes[t].src);
+            tally.flush(*lanes[t].src, t);
         BatchTraits<HashedPerceptron>::history(predictor).set(shadow.hist);
     }
 
   private:
     LaneTable lanes[tableCount];
-    LaneStats stats[tableCount];
+    CollisionTally<tableCount> tally;
     HistoryShadow shadow;
     BitCount bits;
     int threshold;
@@ -1107,6 +1145,101 @@ class PerceptronState
     unsigned historySlices[tableCount] = {};
     std::uint64_t salt[tableCount] = {};
     std::size_t idx[pipelineSlots][tableCount][batchRecords];
+};
+
+/**
+ * Batch state for the agree predictor. Prepare is gshare's (the
+ * per-site PC fold XORed with the history shadow) and also carries
+ * each record's site, whose slot of the pass's bias array apply reads
+ * at apply time: a first execution earlier in the same batch may have
+ * latched it. Apply replays Agree::predict and update: the prediction
+ * uses bias "not taken" before the first execution; the table's
+ * collisions, like update()'s classify(), are classified with the
+ * freshly latched bias bit; the counter trains toward "the outcome
+ * agreed with the latched bit".
+ */
+class AgreeState
+{
+  public:
+    explicit AgreeState(Agree &predictor)
+        : owner(predictor), table(BatchTraits<Agree>::table(predictor)),
+          shadow(predictor)
+    {
+    }
+
+    template <ShiftPolicy Policy, bool WithHints, bool WithSites>
+    void
+    prepare(unsigned slot, std::size_t count,
+            const std::uint64_t * /*pc_index*/, const std::uint8_t *taken,
+            const std::uint32_t *site, const std::uint8_t *codes,
+            batch::SiteTables *tables)
+    {
+        static_assert(WithSites, "agree's bias bits are site-indexed");
+        bias = tables->bias.data();
+        std::uint64_t hist[batchRecords];
+        std::uint64_t fold[batchRecords];
+        HistoryShadow sh = shadow;
+        for (std::size_t i = 0; i < count; ++i) {
+            hist[i] = sh.hist;
+            fold[i] = tables->primary[site[i]];
+            siteOf[slot][i] = site[i];
+            sh.template advance<Policy, WithHints>(
+                taken[i], WithHints ? codes[site[i]] : 0);
+        }
+        shadow = sh;
+        for (std::size_t i = 0; i < count; ++i)
+            idx[slot][i] = (fold[i] ^ hist[i]) & table.mask;
+        if (table.prefetch) {
+            for (std::size_t i = 0; i < count; ++i) {
+                BPSIM_BATCH_PREFETCH(&table.cnt[idx[slot][i]]);
+                BPSIM_BATCH_PREFETCH(&table.tags[idx[slot][i]]);
+            }
+        }
+    }
+
+    template <bool WithSink>
+    ApplyResult
+    apply(unsigned slot, std::size_t i, Addr pc,
+          std::uint64_t /*pc_index*/, bool taken)
+    {
+        const std::size_t k = idx[slot][i];
+        const std::uint8_t counter = table.cnt[k];
+        const bool agrees = satCounterTaken(counter, table.msb);
+        std::uint8_t &code = bias[siteOf[slot][i]];
+        const bool assigned = code != 0;
+        const bool bit = (code & batch::biasTakenBit) != 0;
+        const bool correct = (agrees == bit) == taken;
+        if (!assigned) {
+            // First execution: latch the outcome into both homes.
+            code = batch::biasLatchedBit |
+                   (taken ? batch::biasTakenBit : 0);
+            BatchTraits<Agree>::biasBits(owner).emplace(pc, taken);
+        }
+        const bool latched = assigned ? bit : taken;
+        const bool classified = (agrees == latched) == taken;
+        const std::uint32_t collided =
+            touchLane<WithSink>(table, k, pc, classified);
+        tally.add(collided, classified);
+        table.cnt[k] =
+            satCounterTrain(counter, taken == latched, table.maxv);
+        return {correct, collided};
+    }
+
+    void
+    flushSegment(Agree &predictor)
+    {
+        tally.flush(*table.src, 0);
+        BatchTraits<Agree>::history(predictor).set(shadow.hist);
+    }
+
+  private:
+    Agree &owner;
+    LaneTable table;
+    CollisionTally<1> tally;
+    HistoryShadow shadow;
+    std::uint8_t *bias = nullptr;
+    std::size_t idx[pipelineSlots][batchRecords];
+    std::uint32_t siteOf[pipelineSlots][batchRecords];
 };
 
 /** The batch state class handling predictor type @p P. */
@@ -1148,6 +1281,11 @@ template <> struct StateFor<HashedPerceptron>
     using type = PerceptronState;
 };
 
+template <> struct StateFor<Agree>
+{
+    using type = AgreeState;
+};
+
 /**
  * The batch driver: walk records [start, end) in batches, one batch
  * of lookahead deep. Each batch is decoded once and prepared for
@@ -1164,18 +1302,17 @@ template <> struct StateFor<HashedPerceptron>
  * grouping); per member the record order is the buffer order, so the
  * table and history evolution is identical. A lone member may also
  * accumulate its site-indexed @p profiles (@p WithDense) and report
- * its colliding lookups to @p sink (@p WithSink), both as simulate()
- * records them.
+ * its colliding lookups, classified, to its tables' ContextAliasSink
+ * (@p WithSink), both as simulate() records them.
  */
 template <typename P, ShiftPolicy Policy, bool WithHints,
           bool WithSites, bool WithDense, bool WithSink, std::size_t N>
 void
-runBatchLoop(P *const *predictors,
-             const batch::SiteTables *const *site_tables,
+runBatchLoop(P *const *predictors, batch::SiteTables *const *site_tables,
              const std::uint8_t *const *hint_codes,
              SimStats *const *stats, const ReplayBuffer &buffer,
              const std::uint32_t *site_of, BranchProfile *profiles,
-             ContextAliasSink *sink, Count start, Count end)
+             Count start, Count end)
 {
     static_assert(N == 1 || !(WithDense || WithSink),
                   "a profiling or attributed sim runs alone");
@@ -1271,8 +1408,6 @@ runBatchLoop(P *const *predictors,
                 const ApplyResult result =
                     st[m].template apply<WithSink>(cur, i, recPc,
                                                    recPcIndex, recTaken);
-                if constexpr (WithSink)
-                    sink->classify(result.correct);
                 mispredictions[m] += !result.correct;
                 if constexpr (WithDense) {
                     BranchProfile &profile = profiles[site[cur][i]];
@@ -1328,7 +1463,7 @@ dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
                      false, N>(
             args.predictors + offset, args.siteTables + offset,
             args.hintCodes + offset, args.stats + offset, *args.buffer,
-            args.siteOf, nullptr, nullptr, args.from, args.to);
+            args.siteOf, nullptr, args.from, args.to);
     });
 }
 
@@ -1342,7 +1477,7 @@ void
 dispatchSolo(const batch::SoloArgs<P> &args)
 {
     P *predictor = args.predictor;
-    const batch::SiteTables *tables = args.siteTables;
+    batch::SiteTables *tables = args.siteTables;
     const std::uint8_t *codes = args.hintCodes;
     SimStats *stats = args.stats;
     const auto run = [&](auto dense_tag, auto sink_tag) {
@@ -1350,7 +1485,7 @@ dispatchSolo(const batch::SoloArgs<P> &args)
                      decltype(dense_tag)::value, decltype(sink_tag)::value,
                      1>(
             &predictor, &tables, &codes, &stats, *args.buffer,
-            args.siteOf, args.profiles, args.sink, args.from, args.to);
+            args.siteOf, args.profiles, args.from, args.to);
     };
     if (args.sink == nullptr)
         run(std::true_type{}, std::false_type{});
@@ -1413,11 +1548,17 @@ template <typename P>
 void
 runPlainBatch(const batch::PlainArgs<P> &args)
 {
-    P *predictor = args.predictor;
-    SimStats *stats = args.stats;
-    runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, false, 1>(
-        &predictor, nullptr, nullptr, &stats, *args.buffer, nullptr,
-        nullptr, nullptr, args.from, args.to);
+    if constexpr (batch::needsSiteIndex<P>) {
+        (void)args;
+        bpsim_panic("a type with per-site state runs over a site index");
+    } else {
+        P *predictor = args.predictor;
+        SimStats *stats = args.stats;
+        runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, false,
+                     1>(&predictor, nullptr, nullptr, &stats,
+                        *args.buffer, nullptr, nullptr, args.from,
+                        args.to);
+    }
 }
 
 // Every kernel-visited type: a type the engine visits without a

@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <type_traits>
 #include <typeindex>
@@ -110,9 +111,9 @@ hintCodesFor(const HintDb *hints, const SiteIndex &sites)
 
 /**
  * One participant of a fused pass's shared block walk: one sim, or a
- * gang of sims sharing one replay window. Owns the window and
- * forwards each visited span, split at the warmup boundary, to the
- * subclass's loop.
+ * gang of sims sharing one replay window. Owns the window, forwards
+ * each visited span, split at the warmup boundary, to the subclass's
+ * loop, and times each span (two clock reads per exec per block).
  */
 class FusedExec
 {
@@ -149,6 +150,7 @@ class FusedExec
     void
     step(Count from, Count to)
     {
+        const auto begin = std::chrono::steady_clock::now();
         if (from < warmupEnd) {
             const Count warm_to = std::min(to, warmupEnd);
             runSegment(from, warm_to, false);
@@ -163,10 +165,23 @@ class FusedExec
         }
         if (from < to)
             runSegment(from, to, true);
+        stepped += std::chrono::steady_clock::now() - begin;
     }
 
     /** Finalize stats and run-level counters after the pass. */
     virtual void finish() = 0;
+
+    /** Report the measured step time on the sims. Gang members step
+     * the same records, so the split by records is an even one. */
+    void
+    shareSeconds()
+    {
+        const double seconds =
+            std::chrono::duration<double>(stepped).count() /
+            static_cast<double>(sims.size());
+        for (FusedSim *sim : sims)
+            sim->seconds = seconds;
+    }
 
   protected:
     /** Replay [from, to); @p measured picks warmup vs measurement. */
@@ -188,6 +203,7 @@ class FusedExec
     std::vector<SimStats> warmupStats; // discarded, like simulate()'s
     std::vector<SimStats *> measuredPtrs;
     std::vector<SimStats *> warmupPtrs;
+    std::chrono::steady_clock::duration stepped{};
 };
 
 /**
@@ -218,10 +234,11 @@ class KernelExec final : public FusedExec
             predictors.push_back(member.concrete);
             hinted = hinted || member.hints != nullptr;
         }
-        // Gangs and hinted sims read per-member hint codes (all zero
-        // for unhinted members); the pass has a site index whenever a
-        // sim has hints, a profile or a sink, or sims are ganged.
-        if (hinted || members.size() > 1) {
+        // Gangs, hinted sims and types with per-site state read
+        // per-member hint codes (all zero for unhinted members); the
+        // pass has a site index whenever a sim has hints, a profile or
+        // a sink, sims are ganged, or the type needs one.
+        if (hinted || members.size() > 1 || batch::needsSiteIndex<P>) {
             for (const Member &member : members)
                 hintCodes.push_back(hintCodesFor(member.hints, *sites));
             for (const std::vector<std::uint8_t> &codes : hintCodes)
@@ -240,7 +257,7 @@ class KernelExec final : public FusedExec
                 siteTables.push_back(
                     batch::buildSiteTables(*member.concrete, *sites));
             }
-            for (const batch::SiteTables &tables : siteTables)
+            for (batch::SiteTables &tables : siteTables)
                 tablePtrs.push_back(&tables);
         }
     }
@@ -337,7 +354,7 @@ class KernelExec final : public FusedExec
     std::vector<const std::uint8_t *> codePtrs;
     std::vector<BranchProfile> profileCounts;
     std::vector<batch::SiteTables> siteTables;
-    std::vector<const batch::SiteTables *> tablePtrs;
+    std::vector<batch::SiteTables *> tablePtrs;
 };
 
 /**
@@ -529,6 +546,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         bpsim_assert(sim.predictor != nullptr,
                      "fused sim needs a predictor");
         sim.stats = SimStats{};
+        sim.seconds = 0.0;
         sim.usedFastPath = false;
         sim.usedSimd = false;
 
@@ -544,18 +562,22 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                               : sim.predictor;
         resolved[s].solo = sim.options.profile != nullptr ||
                            resolved[s].dyn->aliasSink() != nullptr;
+        bool sited = false;
         const bool kernel =
-            visitPredictor(*resolved[s].dyn, [](auto &) {});
-        needs_sites =
-            needs_sites || (kernel && (hinted || resolved[s].solo));
+            visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
+                sited = batch::needsSiteIndex<
+                    std::decay_t<decltype(concrete)>>;
+            });
+        needs_sites = needs_sites ||
+                      (kernel && (hinted || resolved[s].solo || sited));
 
         if (sim.options.resetPredictor)
             sim.predictor->reset();
         sim.predictor->clearCollisionStats();
     }
 
-    // Hints and profile counts live on dense site arrays, and every
-    // solo sim runs over the site index.
+    // Hints, profile counts and per-site predictor state live on
+    // dense site arrays, and every solo sim runs over the site index.
     SiteIndex built;
     if (sites == nullptr && needs_sites) {
         built = SiteIndex::build(buffer);
@@ -650,8 +672,10 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         }
     }
 
-    for (auto &stepper : execs)
+    for (auto &stepper : execs) {
         stepper->finish();
+        stepper->shareSeconds();
+    }
 }
 
 } // namespace bpsim

@@ -114,6 +114,12 @@ struct FusedSim
     /** Output: the run's statistics. */
     SimStats stats;
 
+    /** Output: wall seconds spent stepping this sim through the pass,
+     * timed per exec and block (a gang's time split evenly over its
+     * members, which step the same records); the pass's setup and
+     * finish are not included. */
+    double seconds = 0.0;
+
     /** Output: whether this sim ran the batch kernels. */
     bool usedFastPath = false;
 
@@ -145,9 +151,10 @@ struct FusedSim
  *    gang when the pass has a site index, else each alone.
  *
  * @p sites optionally carries the buffer's site enumeration, onto
- * whose dense site-indexed arrays the pass flattens static hints and
- * per-branch profile counts. When it is null and a visited sim has
- * hints, a profile or a sink, the pass builds one. When given it must
+ * whose dense site-indexed arrays the pass flattens static hints,
+ * per-branch profile counts and per-site predictor state (agree's
+ * bias bits). When it is null and a visited sim has hints, a profile,
+ * a sink or per-site state, the pass builds one. When given it must
  * have been built from @p buffer.
  */
 void simulateReplayFused(std::vector<FusedSim> &sims,

@@ -398,6 +398,7 @@ runProfilePhasesFusedReplay(
         outcomes[i].phase.simulatedBranches = sims[i].stats.branches;
         outcomes[i].usedFastPath = sims[i].usedFastPath;
         outcomes[i].usedSimd = sims[i].usedSimd;
+        outcomes[i].seconds = sims[i].seconds;
     }
     return outcomes;
 }

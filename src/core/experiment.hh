@@ -190,6 +190,9 @@ struct FusedProfileOutcome
     /** Whether this phase's sim ran the batch kernels (always false
      * when usedFastPath is false). */
     bool usedSimd = false;
+
+    /** Measured seconds this phase's sim stepped (FusedSim::seconds). */
+    double seconds = 0.0;
 };
 
 /**

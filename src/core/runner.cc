@@ -1215,11 +1215,7 @@ class ExperimentRunner::Sweep
             slot.branches = slot.phase.simulatedBranches;
             slot.kernel = outcomes[k].usedFastPath;
             slot.simd = outcomes[k].usedSimd;
-            // Prorate the pass wall over members by branch share.
-            slot.wall = total_branches > 0
-                            ? wall * static_cast<double>(slot.branches) /
-                                  static_cast<double>(total_branches)
-                            : wall / static_cast<double>(live.size());
+            slot.wall = outcomes[k].seconds;
             notePhase(live[k], false);
         }
         noteFusedGroup(chunk, "profile", live, wall, total_branches);
@@ -1399,17 +1395,6 @@ class ExperimentRunner::Sweep
             return;
         }
 
-        // Each member's share of the pass wall, prorated by its
-        // records: measured branches plus its warmup slice.
-        double total_records = 0.0;
-        std::vector<double> member_records(live.size(), 0.0);
-        for (std::size_t k = 0; k < live.size(); ++k) {
-            member_records[k] =
-                static_cast<double>(sims[k].stats.branches) +
-                static_cast<double>(std::min<Count>(
-                    sims[k].options.warmupBranches, eval_buffer.size()));
-            total_records += member_records[k];
-        }
         std::vector<std::size_t> member_cells;
         std::vector<Count> member_branches;
         std::vector<Count> member_misps;
@@ -1431,11 +1416,7 @@ class ExperimentRunner::Sweep
             out.usedSimd = live[k].prepared.preEvalSimd &&
                            sims[k].usedSimd &&
                            (shared == nullptr || shared->simd);
-            out.wallSeconds =
-                live[k].prepareSeconds +
-                (total_records > 0.0
-                     ? pass_wall * member_records[k] / total_records
-                     : pass_wall / static_cast<double>(live.size()));
+            out.wallSeconds = live[k].prepareSeconds + sims[k].seconds;
             writeCheckpoint(i);
             noteCellEnd(i);
             finishCell(i);

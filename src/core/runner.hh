@@ -19,7 +19,8 @@
  *     thread pool, and
  *  4. records per-cell wall time and branches/sec, emitted as JSON so
  *     the perf trajectory is tracked across PRs. A cell's share of its
- *     group's pass is prorated by the records it stepped.
+ *     group's pass is the time its own exec measured stepping
+ *     (FusedSim::seconds).
  *
  * run() is a fixed sequence of stages: plan (checkpoint, shards,
  * validation, restored cells, the profile-phase plan), materialize,
@@ -258,8 +259,10 @@ struct CellResult
     /** The cell's experiment outcome. */
     ExperimentResult result;
 
-    /** Wall time of the cell's own simulation work (excludes any
-     * shared profiling phase the cell consumed). */
+    /** Wall time of the cell's own simulation work: its preparation
+     * plus the measured time its sim stepped in the fused pass
+     * (excludes any shared profiling phase the cell consumed and the
+     * pass's shared setup). */
     double wallSeconds = 0.0;
 
     /** Every simulation of the cell ran the devirtualized kernels. */

@@ -100,7 +100,7 @@ BPSIM_REGISTER_PREDICTOR(
                 return std::make_unique<Agree>(bytes);
             },
         .paperKind = false,
-        .kernelCapable = false,
+        .kernelCapable = true,
     })
 
 } // namespace bpsim

@@ -16,7 +16,8 @@
  * Implemented here as an extension for comparison against the
  * paper's static scheme; it is not part of allPredictorKinds() (the
  * paper's five simulated schemes) but is constructible through the
- * factory as "agree".
+ * factory as "agree", and the batch replay kernels run it (its bias
+ * bits mirrored onto a per-site array for each pass).
  */
 
 #ifndef BPSIM_PREDICTOR_AGREE_HH
@@ -65,6 +66,8 @@ class Agree : public BranchPredictor
     std::size_t biasBitCount() const { return biasBits.size(); }
 
   private:
+    template <typename> friend struct BatchTraits;
+
     std::size_t index(Addr pc) const;
 
     CounterTable table;

@@ -19,8 +19,11 @@
  * round with the same correctness bit, so the pooled flush buckets
  * each pair exactly as the owning table's own CollisionStats does;
  * later classify() calls in the same round see an empty pending list
- * and are no-ops. clear() mirrors CounterTable::clearStats() so the
- * warmup boundary resets attribution alongside the aggregate split.
+ * and are no-ops. The batch kernels know that bit when they touch a
+ * table, so they record each pair in one step with noteClassified()
+ * and leave the pending list empty. clear() mirrors
+ * CounterTable::clearStats() so the warmup boundary resets
+ * attribution alongside the aggregate split.
  */
 
 #ifndef BPSIM_PREDICTOR_CONTEXT_ALIAS_HH
@@ -93,13 +96,25 @@ class ContextAliasSink
     void
     note(Addr pc, Addr tag)
     {
-        const std::size_t victim = contextOfPc(pc);
-        const std::size_t aggressor = contextOfPc(tag);
-        if (victim >= n || aggressor >= n)
+        const std::size_t cell = cellOf(pc, tag);
+        if (cell == noCell)
             return;
-        const std::size_t cell = victim * n + aggressor;
         ++matrix[cell].collisions;
         pending.push_back(static_cast<std::uint32_t>(cell));
+    }
+
+    /** note() and classify() of one collision in one step, for a
+     * caller that already knows the round's outcome. */
+    void
+    noteClassified(Addr pc, Addr tag, bool correct)
+    {
+        const std::size_t cell = cellOf(pc, tag);
+        if (cell == noCell)
+            return;
+        ContextAliasCell &entry = matrix[cell];
+        ++entry.collisions;
+        entry.constructive += correct ? 1 : 0;
+        entry.destructive += correct ? 0 : 1;
     }
 
     /** Bucket every pending collision by this round's outcome. */
@@ -138,6 +153,19 @@ class ContextAliasSink
     }
 
   private:
+    static constexpr std::size_t noCell = ~std::size_t{0};
+
+    /** The matrix cell of (@p pc's, @p tag's) contexts, or noCell. */
+    std::size_t
+    cellOf(Addr pc, Addr tag) const
+    {
+        const std::size_t victim = contextOfPc(pc);
+        const std::size_t aggressor = contextOfPc(tag);
+        if (victim >= n || aggressor >= n)
+            return noCell;
+        return victim * n + aggressor;
+    }
+
     std::size_t n;
     std::vector<ContextAliasCell> matrix;
 

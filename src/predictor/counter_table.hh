@@ -215,10 +215,12 @@ class CounterTable
 
     /**
      * @name Raw structure-of-arrays access for the batch kernels
-     * The kernels gather counters/tags directly and accumulate
-     * collision statistics in registers, flushing into statsRef() at
-     * segment boundaries; their sink-reporting instantiation notes
-     * colliding lookups into attachedSink(), as lookup() does.
+     * The kernels gather counters/tags directly and tally collisions
+     * per record, flushing each table's share into statsRef() at
+     * segment boundaries; their sink-reporting instantiation reports
+     * colliding lookups to attachedSink() already classified
+     * (ContextAliasSink::noteClassified), where lookup() notes them
+     * for classify().
      */
     ///@{
     std::uint8_t *counterData() { return counters.data(); }

@@ -19,6 +19,7 @@
 #include <typeinfo>
 #include <vector>
 
+#include "predictor/agree.hh"
 #include "predictor/bimodal.hh"
 #include "predictor/bimode.hh"
 #include "predictor/ghist.hh"
@@ -74,7 +75,9 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
  * (core/batch_kernels.hh) and a batch state (StateFor in
  * core/batch_kernels_impl.hh). The batch kernels cover every shape
  * of a listed type: hints, a profile and an attached
- * ContextAliasSink, alone or together.
+ * ContextAliasSink, alone or together. A type that keeps per-site
+ * state of its own (agree's bias bits; batch::needsSiteIndex) runs
+ * every pass over a site index.
  */
 #define BPSIM_KERNEL_PREDICTORS(X)                                     \
     X(Bimodal)                                                         \
@@ -83,7 +86,8 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
     X(BiMode)                                                          \
     X(TwoBcGskew)                                                      \
     X(Tage)                                                            \
-    X(HashedPerceptron)
+    X(HashedPerceptron)                                                \
+    X(Agree)
 
 /**
  * Dispatch on the concrete type of @p predictor: invoke @p visitor
@@ -99,9 +103,9 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
  * tables, would silently bypass.
  *
  * @return true if the concrete type was listed and the visitor ran;
- *         false (visitor untouched) for anything else, e.g. the
- *         extension predictors or a custom makeDynamic factory,
- *         which then take the virtual fallback path.
+ *         false (visitor untouched) for anything else, e.g. yags,
+ *         gselect, tournament, ideal or a custom makeDynamic
+ *         factory, which then take the virtual fallback path.
  */
 template <typename Visitor>
 bool

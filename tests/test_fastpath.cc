@@ -4,19 +4,23 @@
  * (core/engine simulateReplayFused, the engine's only replay path):
  * for every kernel-visited predictor, scheme, shift policy and
  * attached alias sink the kernels must produce exactly the SimStats,
- * profile contents, hint counts and interference-matrix cells of the
- * virtual simulate() loop, the oracle; predictors outside the visitor
- * must run the virtual loop transparently.
+ * profile contents, hint counts, interference-matrix cells and
+ * per-table collision statistics of the virtual simulate() loop, the
+ * oracle; predictors outside the visitor must run the virtual loop
+ * transparently.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "core/batch_kernels.hh"
 #include "core/engine.hh"
 #include "core/experiment.hh"
 #include "oracle.hh"
@@ -38,8 +42,11 @@ constexpr Count testEvalBranches = 120'000;
 
 /**
  * The registered names of the kernel-visited predictors: the paper's
- * kinds first, in PredictorKind order, then every other
- * kernel-capable registration (tage, perceptron).
+ * kinds first, in PredictorKind order, then the other kernel-capable
+ * registrations in the order they gained batch kernels, so a new one
+ * appends and no existing test id moves.
+ * FastPathTest.KernelListCoversTheRegistry holds the list to the
+ * registry.
  */
 const std::vector<std::string> &
 kernelPredictorNames()
@@ -48,11 +55,8 @@ kernelPredictorNames()
         std::vector<std::string> out;
         for (const PredictorKind kind : allPredictorKinds())
             out.push_back(predictorKindName(kind));
-        for (const PredictorInfo *info :
-             PredictorRegistry::instance().all()) {
-            if (info->kernelCapable && !info->paperKind)
-                out.push_back(info->name);
-        }
+        for (const char *name : {"perceptron", "tage", "agree"})
+            out.push_back(name);
         return out;
     }();
     return names;
@@ -208,6 +212,19 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathProfile,
                          [](const auto &info) {
                              return info.param.name();
                          });
+
+TEST(FastPathTest, KernelListCoversTheRegistry)
+{
+    std::vector<std::string> capable;
+    for (const PredictorInfo *info : PredictorRegistry::instance().all()) {
+        if (info->kernelCapable)
+            capable.push_back(info->name);
+    }
+    std::vector<std::string> listed = kernelPredictorNames();
+    std::sort(capable.begin(), capable.end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(capable, listed);
+}
 
 TEST(FastPathTest, ShiftPoliciesIdenticalToVirtualPath)
 {
@@ -468,6 +485,213 @@ TEST_P(FastPathAttributed, SoloShapesMatchTheVirtualLoop)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathAttributed,
+                         ::testing::ValuesIn(allKernelPredictors()),
+                         [](const auto &info) {
+                             return info.param.name();
+                         });
+
+/** Every CounterTable of kernel-visited @p predictor, in a fixed
+ * order (bi-mode: choice, taken, not-taken). */
+std::vector<const CounterTable *>
+tablesOf(BranchPredictor &predictor)
+{
+    std::vector<const CounterTable *> out;
+    const bool visited = visitPredictor(predictor, [&](auto &p) {
+        using P = std::decay_t<decltype(p)>;
+        using Traits = BatchTraits<P>;
+        if constexpr (std::is_same_v<P, BiMode>) {
+            out = {&Traits::choice(p), &Traits::takenTable(p),
+                   &Traits::notTakenTable(p)};
+        } else if constexpr (std::is_same_v<P, TwoBcGskew>) {
+            out = {&Traits::bim(p), &Traits::g0(p), &Traits::g1(p),
+                   &Traits::meta(p)};
+        } else if constexpr (std::is_same_v<P, Tage>) {
+            out.push_back(&Traits::base(p));
+            for (unsigned b = 0; b < Tage::numBanks; ++b)
+                out.push_back(&Traits::bank(p, b));
+        } else if constexpr (std::is_same_v<P, HashedPerceptron>) {
+            for (unsigned t = 0; t < HashedPerceptron::numTables; ++t)
+                out.push_back(&Traits::table(p, t));
+        } else {
+            out.push_back(&Traits::table(p));
+        }
+    });
+    EXPECT_TRUE(visited) << predictor.name();
+    return out;
+}
+
+/** The dynamic component the kernels run for @p predictor. */
+BranchPredictor &
+dynamicOf(BranchPredictor &predictor)
+{
+    auto *combined = dynamic_cast<CombinedPredictor *>(&predictor);
+    return combined != nullptr ? combined->dynamicComponent()
+                               : predictor;
+}
+
+/**
+ * Each table's own collision statistics equal the oracle's, table by
+ * table, and so do agree's bias bits (map and count).
+ */
+void
+expectSameTables(BranchPredictor &expected, BranchPredictor &got)
+{
+    const std::vector<const CounterTable *> want =
+        tablesOf(dynamicOf(expected));
+    const std::vector<const CounterTable *> have =
+        tablesOf(dynamicOf(got));
+    ASSERT_EQ(want.size(), have.size());
+    for (std::size_t t = 0; t < want.size(); ++t) {
+        SCOPED_TRACE("table " + std::to_string(t));
+        const CollisionStats &a = want[t]->stats();
+        const CollisionStats &b = have[t]->stats();
+        EXPECT_EQ(a.lookups, b.lookups);
+        EXPECT_EQ(a.collisions, b.collisions);
+        EXPECT_EQ(a.constructive, b.constructive);
+        EXPECT_EQ(a.destructive, b.destructive);
+        EXPECT_EQ(want[t]->pending(), have[t]->pending());
+    }
+    auto *agree_want = dynamic_cast<Agree *>(&dynamicOf(expected));
+    auto *agree_got = dynamic_cast<Agree *>(&dynamicOf(got));
+    ASSERT_EQ(agree_want == nullptr, agree_got == nullptr);
+    if (agree_want != nullptr) {
+        EXPECT_EQ(agree_want->biasBitCount(), agree_got->biasBitCount());
+        EXPECT_EQ(BatchTraits<Agree>::biasBits(*agree_want),
+                  BatchTraits<Agree>::biasBits(*agree_got));
+    }
+}
+
+/** Static_95 hints over the test buffer. */
+const HintDb &
+testHints()
+{
+    static const HintDb hints = [] {
+        ReplayBuffer::Cursor cursor = testBuffer().cursor();
+        return selectStatic95(
+            ProfileDb::collect(cursor, testProfileBranches));
+    }();
+    return hints;
+}
+
+/** Ends before some of the test buffer's sites first execute. */
+constexpr Count tableWarmup = 3'000;
+
+class FastPathTables : public ::testing::TestWithParam<KernelPredictor>
+{};
+
+TEST_P(FastPathTables, EveryTableMatchesTheVirtualLoop)
+{
+    // SimStats.collisions sums a predictor's tables, so a kernel that
+    // credited one table's collisions to another would keep every
+    // total equal; compare each table's own statistics in the plain,
+    // gang and solo shapes, with a warmup that ends before some sites
+    // first execute (agree latches their bias bits while measured).
+    const std::string spec = GetParam().name() + ":2048";
+    const ReplayBuffer &buffer = testBuffer();
+    const SiteIndex sites = SiteIndex::build(buffer);
+    SimOptions options;
+    options.warmupBranches = tableWarmup;
+    options.maxBranches = testEvalBranches - tableWarmup;
+
+    std::set<Addr> warm_sites;
+    BranchRecord record;
+    for (Count i = 0; i < tableWarmup; ++i) {
+        buffer.get(i, record);
+        warm_sites.insert(record.pc);
+    }
+    ASSERT_LT(warm_sites.size(), sites.siteCount());
+
+    const auto oracle = [&](BranchPredictor &predictor,
+                            ProfileDb *profile) {
+        SimOptions with = options;
+        with.profile = profile;
+        ReplayBuffer::Cursor cursor = buffer.cursor();
+        simulate(predictor, cursor, with);
+    };
+
+    {
+        SCOPED_TRACE("plain");
+        auto expected = makePredictor(spec);
+        oracle(*expected, nullptr);
+        auto got = makePredictor(spec);
+        bool used_simd = false;
+        simulateReplay(*got, buffer, options, nullptr, &used_simd);
+        EXPECT_TRUE(used_simd);
+        expectSameTables(*expected, *got);
+        if (auto *agree = dynamic_cast<Agree *>(got.get())) {
+            EXPECT_GT(agree->biasBitCount(), warm_sites.size());
+        }
+    }
+
+    {
+        // One unhinted and two Static_95 members under different
+        // policies: two gangs, the unhinted member with zero codes.
+        SCOPED_TRACE("gang");
+        const HintDb no_hints;
+        const std::vector<std::pair<const HintDb *, ShiftPolicy>> shapes =
+            {{&no_hints, ShiftPolicy::NoShift},
+             {&testHints(), ShiftPolicy::NoShift},
+             {&testHints(), ShiftPolicy::ShiftOutcome}};
+        std::vector<std::unique_ptr<CombinedPredictor>> members;
+        std::vector<FusedSim> sims(shapes.size());
+        for (std::size_t m = 0; m < shapes.size(); ++m) {
+            members.push_back(std::make_unique<CombinedPredictor>(
+                makePredictor(spec), *shapes[m].first, shapes[m].second));
+            sims[m].predictor = members.back().get();
+            sims[m].options = options;
+        }
+        simulateReplayFused(sims, buffer, &sites);
+        for (std::size_t m = 0; m < shapes.size(); ++m) {
+            SCOPED_TRACE("member " + std::to_string(m));
+            CombinedPredictor expected(makePredictor(spec),
+                                       *shapes[m].first, shapes[m].second);
+            oracle(expected, nullptr);
+            EXPECT_TRUE(sims[m].usedSimd);
+            expectSameTables(expected, *members[m]);
+        }
+    }
+
+    {
+        // A hinted sim with a profile and an alias sink runs alone.
+        SCOPED_TRACE("solo");
+        CombinedPredictor expected(makePredictor(spec), testHints(),
+                                   ShiftPolicy::ShiftPrediction);
+        ContextAliasSink expected_sink(1);
+        expected.attachAliasSink(&expected_sink);
+        ProfileDb expected_profile;
+        oracle(expected, &expected_profile);
+
+        CombinedPredictor got(makePredictor(spec), testHints(),
+                              ShiftPolicy::ShiftPrediction);
+        ContextAliasSink got_sink(1);
+        got.attachAliasSink(&got_sink);
+        ProfileDb got_profile;
+        std::vector<FusedSim> sims(1);
+        sims[0].predictor = &got;
+        sims[0].options = options;
+        sims[0].options.profile = &got_profile;
+        simulateReplayFused(sims, buffer, &sites);
+        EXPECT_TRUE(sims[0].usedSimd);
+        expectSameTables(expected, got);
+        expectSameProfile(expected_profile, got_profile);
+        expectSameAliasMatrix(expected_sink.cells(), got_sink.cells());
+    }
+
+    if (GetParam().name() == "bimode") {
+        // The direction tables' lookups follow the choice counter.
+        auto predictor = makePredictor(spec);
+        simulateReplay(*predictor, buffer, options);
+        const std::vector<const CounterTable *> tables =
+            tablesOf(*predictor);
+        EXPECT_GT(tables[1]->stats().lookups, 0u);
+        EXPECT_GT(tables[2]->stats().lookups, 0u);
+        EXPECT_NE(tables[1]->stats().lookups, tables[2]->stats().lookups);
+        EXPECT_EQ(tables[1]->stats().lookups + tables[2]->stats().lookups,
+                  tables[0]->stats().lookups);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathTables,
                          ::testing::ValuesIn(allKernelPredictors()),
                          [](const auto &info) {
                              return info.param.name();

@@ -5,7 +5,8 @@
  * oracle — the cell simulated alone by the virtual simulate() loop
  * (tests/oracle.hh) — at any thread count, with the journal on or
  * off, when resuming from a mid-sweep checkpoint, and when a fault
- * kills one member of a fused group.
+ * kills one member of a fused group; and each member's time in a pass
+ * is its own, measured.
  *
  * Like test_fault.cc, tests that arm the process-wide FaultInjector
  * use a fixture whose TearDown disarms it.
@@ -13,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "core/engine.hh"
 #include "core/runner.hh"
 #include "obs/run_journal.hh"
 #include "oracle.hh"
@@ -332,6 +335,32 @@ TEST(FusedTest, TaggedFamilyBitIdenticalToPerCellAtAnyThreadCount)
         addShortTaggedMatrix(runner);
         expectSameMatrix(runner.run(), ref);
     }
+}
+
+TEST(FusedTest, MemberSecondsAreMeasuredPerExec)
+{
+    // A bimodal and a TAGE sim in one pass: each exec's steps are
+    // timed, so TAGE, several times dearer per branch, gets the larger
+    // share, where a split by records would give both the same.
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+    const ReplayBuffer buffer =
+        ReplayBuffer::materialize(program, 200'000);
+    auto bimodal = makePredictor("bimodal:8192");
+    auto tage = makePredictor("tage:8192");
+    std::vector<FusedSim> sims(2);
+    sims[0].predictor = bimodal.get();
+    sims[1].predictor = tage.get();
+
+    const auto begin = std::chrono::steady_clock::now();
+    simulateReplayFused(sims, buffer);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+
+    EXPECT_GT(sims[0].seconds, 0.0);
+    EXPECT_GT(sims[1].seconds, sims[0].seconds);
+    EXPECT_LE(sims[0].seconds + sims[1].seconds, wall + 1e-3);
 }
 
 class FusedFaultTest : public ::testing::Test
