@@ -77,7 +77,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "ablation_alias_selection",
-                        runner, result, options.baselineSeconds);
+                        runner, result);
     }
     writeJournal(options, journal.get());
     return 0;

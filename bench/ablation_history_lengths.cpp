@@ -89,7 +89,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "ablation_history_lengths",
-                        runner, result, options.baselineSeconds);
+                        runner, result);
     }
     writeJournal(options, journal.get());
     return 0;

@@ -117,7 +117,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "ablation_iterative",
-                        runner, result, options.baselineSeconds);
+                        runner, result);
     }
     writeJournal(options, journal.get());
     return 0;

@@ -26,24 +26,6 @@ constexpr Count evalBranches = 2'000'000;
 /** Branches simulated per profiling (selection-phase) run. */
 constexpr Count profileBranches = 1'000'000;
 
-/**
- * One-thread wall time of the fig7_12 matrix on the current code,
- * measured on the reference container (kept in sync with the
- * committed BENCH_runner.json). The default --baseline-seconds, so
- * speedup_vs_baseline honestly tracks "vs a current serial run"
- * rather than a long-retired regenerating path, unless a run
- * overrides it with a freshly measured value.
- */
-constexpr double seedBaselineSeconds = 3.5;
-
-/**
- * One-thread wall time of the fig_multicontext matrix on the
- * reference container (median of three runs). Every scenario cell,
- * agree's included, runs the batch kernels with per-branch
- * attribution compiled in (the sink-reporting solo shape).
- */
-constexpr double multicontextBaselineSeconds = 11.3;
-
 /** Shared experiment defaults. */
 inline ExperimentConfig
 baseConfig(PredictorKind kind, std::size_t size_bytes,
@@ -66,9 +48,6 @@ struct BenchOptions
 
     /** Per-cell timing JSON output path; empty = disabled. */
     std::string jsonPath;
-
-    /** Externally measured serial-path wall time (0 = unknown). */
-    double baselineSeconds = 0.0;
 
     /** Run-journal JSONL output path; empty = journaling disabled.
      * The metrics summary lands next to it (see
@@ -108,30 +87,19 @@ struct BenchOptions
 };
 
 /**
- * Parse the shared bench options (--threads / --json /
- * --baseline-seconds). @p default_json names the JSON file written
+ * Parse the shared bench options (--threads, --json, --journal and
+ * the sweep controls). @p default_json names the JSON file written
  * when --json is not given; pass "" to disable by default.
- * @p default_baseline seeds --baseline-seconds (benches tracking the
- * committed baseline pass seedBaselineSeconds; 0 leaves the JSON's
- * speedup_vs_baseline off unless the flag is given).
  */
 inline BenchOptions
 parseBenchOptions(int argc, char **argv, const char *tool,
-                  const char *default_json = "",
-                  double default_baseline = 0.0)
+                  const char *default_json = "")
 {
-    char default_baseline_str[32];
-    std::snprintf(default_baseline_str, sizeof(default_baseline_str),
-                  "%g", default_baseline);
-
     ArgParser args(tool);
     addThreadsOption(args);
     args.addOption("json", default_json,
                    "write per-cell timing JSON to this path "
                    "(empty = disabled)");
-    args.addOption("baseline-seconds", default_baseline_str,
-                   "serial-path wall time measured externally; "
-                   "recorded in the JSON for speedup tracking");
     args.addOption("journal", "",
                    "write the structured run journal (JSONL) to this "
                    "path; its metrics summary lands next to it "
@@ -162,7 +130,6 @@ parseBenchOptions(int argc, char **argv, const char *tool,
     BenchOptions options;
     options.threads = threadsFromArgs(args);
     options.jsonPath = args.get("json");
-    options.baselineSeconds = args.getDouble("baseline-seconds");
     options.journalPath = args.get("journal");
     options.warmupBranches = args.getUint("warmup");
     options.checkpointPath = args.get("checkpoint");

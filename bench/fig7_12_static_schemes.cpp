@@ -30,8 +30,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions options = parseBenchOptions(
-        argc, argv, "fig7_12_static_schemes", "BENCH_runner.json",
-        seedBaselineSeconds);
+        argc, argv, "fig7_12_static_schemes", "BENCH_runner.json");
     const std::size_t size_bytes = 8192;
     const StaticScheme schemes[] = {StaticScheme::None,
                                     StaticScheme::Static95,
@@ -118,7 +117,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "fig7_12_static_schemes",
-                        runner, result, options.baselineSeconds);
+                        runner, result);
     }
     writeJournal(options, journal.get());
     return 0;

@@ -86,8 +86,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions options = parseBenchOptions(
-        argc, argv, "fig_multicontext", "BENCH_multicontext.json",
-        multicontextBaselineSeconds);
+        argc, argv, "fig_multicontext", "BENCH_multicontext.json");
     const std::size_t size_bytes = 8192;
 
     const auto journal = makeJournal(options, "fig_multicontext");
@@ -206,7 +205,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "fig_multicontext", runner,
-                        result, options.baselineSeconds);
+                        result);
     }
     writeJournal(options, journal.get());
     return 0;

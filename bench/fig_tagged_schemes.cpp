@@ -83,8 +83,7 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions options = parseBenchOptions(
-        argc, argv, "fig_tagged_schemes", "BENCH_runner.json",
-        seedBaselineSeconds);
+        argc, argv, "fig_tagged_schemes", "BENCH_runner.json");
     const std::size_t size_bytes = 8192;
 
     const auto journal = makeJournal(options, "fig_tagged_schemes");
@@ -193,7 +192,7 @@ main(int argc, char **argv)
 
     if (!options.jsonPath.empty()) {
         writeRunnerJson(options.jsonPath, "fig_tagged_schemes",
-                        runner, result, options.baselineSeconds);
+                        runner, result);
     }
     writeJournal(options, journal.get());
     return 0;

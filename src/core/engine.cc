@@ -109,11 +109,20 @@ hintCodesFor(const HintDb *hints, const SiteIndex &sites)
     return codes;
 }
 
+/** Which part of a sim's window a segment of the walk lies in. */
+enum class Segment
+{
+    Warmup,   // trains the predictor, records nothing
+    Prefix,   // measured, and recorded into the prefix profile too
+    Measured, // measured
+};
+
 /**
  * One participant of a fused pass's shared block walk: one sim, or a
  * gang of sims sharing one replay window. Owns the window, forwards
- * each visited span, split at the warmup boundary, to the subclass's
- * loop, and times each span (two clock reads per exec per block).
+ * each visited span, split at the warmup and prefix boundaries, to
+ * the subclass's loop, and times each span (two clock reads per exec
+ * per block, and one more at the prefix boundary).
  */
 class FusedExec
 {
@@ -123,18 +132,26 @@ class FusedExec
         : sims(std::move(window_sims)), buffer(buffer),
           warmupStats(sims.size())
     {
-        const SimOptions &first = sims.front()->options;
+        const FusedSim &lead = *sims.front();
+        const SimOptions &first = lead.options;
         const Count total = buffer.size();
         warmupEnd = std::min(first.warmupBranches, total);
         const Count limit =
             first.maxBranches == 0 ? ~Count{0} : first.maxBranches;
         lastRecord = warmupEnd + std::min(limit, total - warmupEnd);
+        prefixOpen = lead.prefixProfile != nullptr;
+        prefixEnd = prefixOpen
+                        ? warmupEnd + std::min(lead.prefixBranches,
+                                               lastRecord - warmupEnd)
+                        : warmupEnd;
         for (FusedSim *sim : sims) {
             bpsim_assert(sim->options.warmupBranches ==
                                  first.warmupBranches &&
                              sim->options.maxBranches ==
                                  first.maxBranches,
                          "gang members must share one replay window");
+            bpsim_assert(sim == &lead || sim->prefixProfile == nullptr,
+                         "a sim with a prefix profile runs alone");
             measuredPtrs.push_back(&sim->stats);
         }
         for (SimStats &stats : warmupStats)
@@ -153,7 +170,7 @@ class FusedExec
         const auto begin = std::chrono::steady_clock::now();
         if (from < warmupEnd) {
             const Count warm_to = std::min(to, warmupEnd);
-            runSegment(from, warm_to, false);
+            runSegment(from, warm_to, Segment::Warmup);
             // Collision state accumulated during warmup is discarded
             // exactly once, at the warmup/measurement boundary — the
             // same schedule simulate() follows.
@@ -163,35 +180,57 @@ class FusedExec
             }
             from = warm_to;
         }
+        if (from < to && from < prefixEnd) {
+            const Count prefix_to = std::min(to, prefixEnd);
+            runSegment(from, prefix_to, Segment::Prefix);
+            from = prefix_to;
+        }
+        if (prefixOpen && from == prefixEnd) {
+            flushPrefix();
+            prefixOpen = false;
+            prefixStepped =
+                stepped + (std::chrono::steady_clock::now() - begin);
+        }
         if (from < to)
-            runSegment(from, to, true);
+            runSegment(from, to, Segment::Measured);
         stepped += std::chrono::steady_clock::now() - begin;
     }
 
     /** Finalize stats and run-level counters after the pass. */
     virtual void finish() = 0;
 
-    /** Report the measured step time on the sims. Gang members step
+    /** Report the measured step times on the sims. Gang members step
      * the same records, so the split by records is an even one. */
     void
     shareSeconds()
     {
-        const double seconds =
-            std::chrono::duration<double>(stepped).count() /
-            static_cast<double>(sims.size());
-        for (FusedSim *sim : sims)
-            sim->seconds = seconds;
+        const double members = static_cast<double>(sims.size());
+        for (FusedSim *sim : sims) {
+            sim->seconds =
+                std::chrono::duration<double>(stepped).count() / members;
+            sim->prefixSeconds =
+                std::chrono::duration<double>(prefixStepped).count() /
+                members;
+        }
     }
 
   protected:
-    /** Replay [from, to); @p measured picks warmup vs measurement. */
-    virtual void runSegment(Count from, Count to, bool measured) = 0;
+    /** Replay [from, to) of @p segment. */
+    virtual void runSegment(Count from, Count to, Segment segment) = 0;
+
+    /** Complete the lead sim's prefix profile; the walk has stepped
+     * exactly its prefix. */
+    virtual void
+    flushPrefix()
+    {
+    }
 
     /** Per-member stats slots of a measured or warmup segment. */
     SimStats *const *
-    statsFor(bool measured) const
+    statsFor(Segment segment) const
     {
-        return measured ? measuredPtrs.data() : warmupPtrs.data();
+        return segment == Segment::Warmup ? warmupPtrs.data()
+                                          : measuredPtrs.data();
     }
 
     std::vector<FusedSim *> sims;
@@ -200,17 +239,21 @@ class FusedExec
     Count lastRecord = 0;
 
   private:
+    Count prefixEnd = 0;
+    bool prefixOpen = false;
     std::vector<SimStats> warmupStats; // discarded, like simulate()'s
     std::vector<SimStats *> measuredPtrs;
     std::vector<SimStats *> warmupPtrs;
     std::chrono::steady_clock::duration stepped{};
+    std::chrono::steady_clock::duration prefixStepped{};
 };
 
 /**
  * Fused exec running the batch kernels for sims whose dynamic
  * components share the concrete type @p P and one effective shift
- * policy. A sim with a profile or an alias sink runs alone. Hints
- * and profile counts live on the pass's dense site arrays.
+ * policy. A sim with a profile, a prefix profile or an alias sink
+ * runs alone. Hints and profile counts live on the pass's dense site
+ * arrays.
  */
 template <typename P>
 class KernelExec final : public FusedExec
@@ -245,7 +288,8 @@ class KernelExec final : public FusedExec
                 codePtrs.push_back(codes.data());
         }
         sink = predictors.front()->aliasSink();
-        const bool profiling = sims.front()->options.profile != nullptr;
+        const bool profiling = sims.front()->options.profile != nullptr ||
+                               sims.front()->prefixProfile != nullptr;
         if (profiling || sink != nullptr) {
             bpsim_assert(members.size() == 1,
                          "a profiling or attributed sim runs alone");
@@ -262,14 +306,23 @@ class KernelExec final : public FusedExec
         }
     }
 
+  protected:
+    void
+    flushPrefix() override
+    {
+        FusedSim &sim = *sims.front();
+        addProfileCounts(*sim.prefixProfile);
+        // Counts past the prefix feed only the sim's own profile;
+        // without one, the rest of the window runs unprofiled.
+        if (sim.options.profile == nullptr)
+            std::vector<BranchProfile>().swap(profileCounts);
+    }
+
     void
     finish() override
     {
-        for (std::uint32_t s = 0; s < profileCounts.size(); ++s) {
-            if (profileCounts[s].executed > 0)
-                sims.front()->options.profile->addCounts(
-                    sites->sitePc(s), profileCounts[s]);
-        }
+        if (ProfileDb *profile = sims.front()->options.profile)
+            addProfileCounts(*profile);
         for (FusedSim *sim : sims) {
             sim->stats.collisions = sim->predictor->collisionStats();
             sim->usedFastPath = true;
@@ -285,15 +338,16 @@ class KernelExec final : public FusedExec
         }
     }
 
-  protected:
     void
-    runSegment(Count from, Count to, bool measured) override
+    runSegment(Count from, Count to, Segment segment) override
     {
-        SimStats *const *stats = statsFor(measured);
+        SimStats *const *stats = statsFor(segment);
         // Profile counts and alias attribution cover the measured
         // window only (the warmup boundary clears the sink), so a
-        // solo sim's warmup takes the gang or plain shape.
-        if (measured && (!profileCounts.empty() || sink != nullptr)) {
+        // solo sim's warmup takes the gang or plain shape, as does the
+        // rest of a prefix sim's window once its counts are flushed.
+        if (segment != Segment::Warmup &&
+            (!profileCounts.empty() || sink != nullptr)) {
             batch::SoloArgs<P> args;
             args.predictor = predictors.front();
             args.siteTables = tablePtrs.front();
@@ -345,6 +399,16 @@ class KernelExec final : public FusedExec
         return out;
     }
 
+    /** Add the dense per-site counts so far to @p profile. */
+    void
+    addProfileCounts(ProfileDb &profile) const
+    {
+        for (std::uint32_t s = 0; s < profileCounts.size(); ++s) {
+            if (profileCounts[s].executed > 0)
+                profile.addCounts(sites->sitePc(s), profileCounts[s]);
+        }
+    }
+
     const SiteIndex *sites;
     ShiftPolicy policy;
     BatchKernelSet<P> kernels;
@@ -388,11 +452,11 @@ class VirtualStepper final : public FusedExec
 
   protected:
     void
-    runSegment(Count from, Count to, bool measured) override
+    runSegment(Count from, Count to, Segment segment) override
     {
         BranchPredictor &predictor = *sim.predictor;
         BranchRecord record;
-        if (!measured) {
+        if (segment == Segment::Warmup) {
             for (Count i = from; i < to; ++i) {
                 buffer.get(i, record);
                 predictor.predict(record.pc);
@@ -402,8 +466,11 @@ class VirtualStepper final : public FusedExec
             return;
         }
 
-        ProfileDb *profile = sim.options.profile;
-        const bool with_profile = profile != nullptr;
+        ProfileDb *const profiles[] = {
+            sim.options.profile,
+            segment == Segment::Prefix ? sim.prefixProfile : nullptr};
+        const bool with_profile =
+            profiles[0] != nullptr || profiles[1] != nullptr;
         SimStats &stats = sim.stats;
         for (Count i = from; i < to; ++i) {
             buffer.get(i, record);
@@ -433,7 +500,11 @@ class VirtualStepper final : public FusedExec
                 }
             }
 
-            if (with_profile) {
+            if (!with_profile)
+                continue;
+            for (ProfileDb *profile : profiles) {
+                if (profile == nullptr)
+                    continue;
                 profile->recordOutcome(record.pc, record.taken);
                 // Accuracy counts describe the *dynamic* predictor,
                 // so statically resolved branches do not contribute.
@@ -537,7 +608,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         const HintDb *hints = nullptr;
         ShiftPolicy policy = ShiftPolicy::NoShift;
         BranchPredictor *dyn = nullptr;
-        bool solo = false; // a profile or an alias sink: runs alone
+        bool solo = false; // a (prefix) profile or a sink: runs alone
     };
     std::vector<Resolved> resolved(sims.size());
     bool needs_sites = false;
@@ -561,6 +632,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                               ? &combined->dynamicComponent()
                               : sim.predictor;
         resolved[s].solo = sim.options.profile != nullptr ||
+                           sim.prefixProfile != nullptr ||
                            resolved[s].dyn->aliasSink() != nullptr;
         bool sited = false;
         const bool kernel =
@@ -585,10 +657,10 @@ simulateReplayFused(std::vector<FusedSim> &sims,
     }
 
     // Devirtualized sims are grouped into kernel execs: evaluation
-    // sims (no profile, no alias sink) sharing a concrete type, replay
-    // window and effective shift policy form one gang; a profiling or
-    // attributed sim, or any sim of a pass without a site index, runs
-    // alone. Everything else runs the virtual loop.
+    // sims (no profile of either kind, no alias sink) sharing a
+    // concrete type, replay window and effective shift policy form one
+    // gang; a profiling or attributed sim, or any sim of a pass without
+    // a site index, runs alone. Everything else runs the virtual loop.
     const SimdLevel level = resolveSimdLevel();
     struct Group
     {

@@ -111,6 +111,20 @@ struct FusedSim
      * immutable). */
     SimOptions options;
 
+    /**
+     * Optional profile of the sim's first prefixBranches measured
+     * records (all of them when it measures fewer), recorded beside
+     * options.profile, which covers the whole measured window. An
+     * input like options.profile: the contents equal a profiling run
+     * of the same predictor over that prefix alone, which is how a
+     * cold evaluation sim can stand in for its profiling phase. A sim
+     * carrying one runs alone.
+     */
+    ProfileDb *prefixProfile = nullptr;
+
+    /** Measured records prefixProfile covers. */
+    Count prefixBranches = 0;
+
     /** Output: the run's statistics. */
     SimStats stats;
 
@@ -119,6 +133,10 @@ struct FusedSim
      * members, which step the same records); the pass's setup and
      * finish are not included. */
     double seconds = 0.0;
+
+    /** Output: the part of seconds stepped up to the prefix boundary
+     * (0 without a prefixProfile). */
+    double prefixSeconds = 0.0;
 
     /** Output: whether this sim ran the batch kernels. */
     bool usedFastPath = false;
@@ -145,10 +163,16 @@ struct FusedSim
  *  - a predictor (or a CombinedPredictor's dynamic component) whose
  *    concrete type the kernels visit (visitPredictor) runs the batch
  *    kernels; anything else runs the virtual loop;
- *  - a visited sim with a profile or a ContextAliasSink runs alone
- *    (the solo shape, with its hints if it has any); other visited
- *    sims sharing a type, replay window and shift policy run as one
- *    gang when the pass has a site index, else each alone.
+ *  - a visited sim with a profile, a prefix profile or a
+ *    ContextAliasSink runs alone (the solo shape, with its hints if it
+ *    has any); other visited sims sharing a type, replay window and
+ *    shift policy run as one gang when the pass has a site index, else
+ *    each alone;
+ *  - a sim's segments split at its prefix boundary as they split at
+ *    the warmup boundary: the prefix profile is complete there, and a
+ *    sim with no profile or sink of its own steps the rest without
+ *    profile counts (the plain shape, or a one-member gang for a type
+ *    with per-site state).
  *
  * @p sites optionally carries the buffer's site enumeration, onto
  * whose dense site-indexed arrays the pass flattens static hints,

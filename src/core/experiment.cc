@@ -1,5 +1,7 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
+
 #include "core/engine.hh"
 #include "predictor/registry.hh"
 #include "support/logging.hh"
@@ -291,11 +293,44 @@ prepareEvaluationReplay(const ReplayBuffer *profile_buffer,
     return prepared;
 }
 
+std::vector<ContextStats>
+contextSplitOf(const ReplayBuffer &buffer, Count begin, Count end,
+               std::size_t contexts)
+{
+    std::vector<ContextStats> split(contexts);
+    BranchRecord record;
+    for (Count i = begin; i < end; ++i) {
+        buffer.get(i, record);
+        const std::size_t ctx = contextOfPc(record.pc);
+        if (ctx >= contexts)
+            continue;
+        ++split[ctx].branches;
+        split[ctx].instructions += record.instGap;
+    }
+    return split;
+}
+
 ExperimentResult
 finishPreparedEvaluation(const PreparedEvaluation &prepared,
                          const ExperimentConfig &config,
                          const SimStats &eval_stats,
                          const ReplayBuffer *eval_buffer)
+{
+    std::vector<ContextStats> split;
+    if (config.scenarioContexts > 0 && eval_buffer != nullptr) {
+        const Count begin = config.evalWarmupBranches;
+        split = contextSplitOf(*eval_buffer, begin,
+                               begin + eval_stats.branches,
+                               config.scenarioContexts);
+    }
+    return finishPreparedEvaluation(prepared, config, eval_stats, split);
+}
+
+ExperimentResult
+finishPreparedEvaluation(const PreparedEvaluation &prepared,
+                         const ExperimentConfig &config,
+                         const SimStats &eval_stats,
+                         const std::vector<ContextStats> &context_split)
 {
     ExperimentResult result;
     result.stats = eval_stats;
@@ -311,24 +346,11 @@ finishPreparedEvaluation(const PreparedEvaluation &prepared,
     if (config.scenarioContexts > 0 &&
         prepared.evalProfile != nullptr) {
         const std::size_t n = config.scenarioContexts;
-        result.contextStats.assign(n, ContextStats{});
-
-        // Branch/instruction ownership: the context id rides in the
-        // PC's high bits, so a single pass over the measured window
-        // attributes both exactly.
-        if (eval_buffer != nullptr) {
-            const Count begin = config.evalWarmupBranches;
-            const Count end = begin + eval_stats.branches;
-            BranchRecord record;
-            for (Count i = begin; i < end; ++i) {
-                eval_buffer->get(i, record);
-                const std::size_t ctx = contextOfPc(record.pc);
-                if (ctx >= n)
-                    continue;
-                ++result.contextStats[ctx].branches;
-                result.contextStats[ctx].instructions += record.instGap;
-            }
-        }
+        result.contextStats = context_split;
+        if (result.contextStats.empty())
+            result.contextStats.assign(n, ContextStats{});
+        bpsim_assert(result.contextStats.size() == n,
+                     "context split does not match the cell's contexts");
 
         // Misprediction/collision ownership from the per-branch
         // profile: hinted branches mispredict exactly when the
@@ -379,13 +401,26 @@ std::vector<FusedProfileOutcome>
 runProfilePhasesFusedReplay(
     const ReplayBuffer &profile_buffer,
     const std::vector<const ExperimentConfig *> &configs,
-    const SiteIndex *sites)
+    const SiteIndex *sites, const std::vector<FusedSim *> &carriers)
 {
+    bpsim_assert(carriers.empty() || carriers.size() == configs.size(),
+                 "one carrier entry per profiling phase");
+    const auto carrierOf = [&](std::size_t i) {
+        return carriers.empty() ? nullptr : carriers[i];
+    };
     std::vector<FusedProfileOutcome> outcomes(configs.size());
     std::vector<std::unique_ptr<BranchPredictor>> predictors;
     predictors.reserve(configs.size());
     std::vector<FusedSim> sims(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
+        if (const FusedSim *carrier = carrierOf(i)) {
+            bpsim_assert(carrier->options.warmupBranches == 0,
+                         "a carrier measures from its first record");
+            sims[i] = *carrier;
+            sims[i].prefixProfile = &outcomes[i].phase.profile;
+            sims[i].prefixBranches = configs[i]->profileBranches;
+            continue;
+        }
         predictors.push_back(makeDynamicComponent(*configs[i]));
         sims[i].predictor = predictors.back().get();
         sims[i].options =
@@ -395,10 +430,17 @@ runProfilePhasesFusedReplay(
     simulateReplayFused(sims, profile_buffer, sites);
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        outcomes[i].phase.simulatedBranches = sims[i].stats.branches;
+        FusedSim *carrier = carrierOf(i);
+        outcomes[i].phase.simulatedBranches =
+            std::min(configs[i]->profileBranches, sims[i].stats.branches);
         outcomes[i].usedFastPath = sims[i].usedFastPath;
         outcomes[i].usedSimd = sims[i].usedSimd;
-        outcomes[i].seconds = sims[i].seconds;
+        outcomes[i].seconds =
+            carrier != nullptr ? sims[i].prefixSeconds : sims[i].seconds;
+        if (carrier != nullptr) {
+            sims[i].prefixProfile = nullptr;
+            *carrier = sims[i];
+        }
     }
     return outcomes;
 }

@@ -201,11 +201,22 @@ struct FusedProfileOutcome
  * bit-identical to runProfilePhase() of the matching config over a
  * cursor of @p profile_buffer; @p sites is the buffer's site index
  * (built by the pass when null).
+ *
+ * @p carriers, when given, holds one entry per config. A non-null
+ * entry is that phase's carrier: an evaluation sim of a cold, unhinted
+ * predictor of the phase's identity over the same buffer, with no
+ * warmup and a window at least profileBranches long. It runs in place
+ * of the phase's own sim, and its first profileBranches measured
+ * records make the phase's profile (FusedSim::prefixProfile), so the
+ * pass steps those records once for both. The carrier's stats, path
+ * flags and seconds are written back to it; the phase's seconds is the
+ * part stepped up to the prefix boundary.
  */
 std::vector<FusedProfileOutcome> runProfilePhasesFusedReplay(
     const ReplayBuffer &profile_buffer,
     const std::vector<const ExperimentConfig *> &configs,
-    const SiteIndex *sites = nullptr);
+    const SiteIndex *sites = nullptr,
+    const std::vector<FusedSim *> &carriers = {});
 
 /**
  * Evaluation-window statistics of one context of a multi-context
@@ -367,6 +378,29 @@ SimOptions evalSimOptions(const ExperimentConfig &config,
 ExperimentResult finishPreparedEvaluation(
     const PreparedEvaluation &prepared, const ExperimentConfig &config,
     const SimStats &eval_stats, const ReplayBuffer *eval_buffer = nullptr);
+
+/**
+ * finishPreparedEvaluation() with the measured window's context split
+ * already computed: @p context_split is contextSplitOf() the
+ * evaluation buffer over [evalWarmupBranches, evalWarmupBranches +
+ * eval_stats.branches). Read only for scenario cells; empty leaves
+ * their branch and instruction counts at zero.
+ */
+ExperimentResult finishPreparedEvaluation(
+    const PreparedEvaluation &prepared, const ExperimentConfig &config,
+    const SimStats &eval_stats,
+    const std::vector<ContextStats> &context_split);
+
+/**
+ * The branches and instructions each of @p contexts contexts owns in
+ * records [@p begin, @p end) of @p buffer (the context id rides in the
+ * PC's high bits; records of other contexts are skipped), every other
+ * field zero. It depends on the buffer window alone, so scenario cells
+ * measuring the same window can share one split.
+ */
+std::vector<ContextStats> contextSplitOf(const ReplayBuffer &buffer,
+                                         Count begin, Count end,
+                                         std::size_t contexts);
 
 /**
  * Convenience: pure dynamic baseline of @p kind / @p size_bytes over

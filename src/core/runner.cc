@@ -7,9 +7,11 @@
 #include <cstdlib>
 #include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -38,6 +40,9 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 /** Sentinel for "cell has no shared profiling phase". */
 constexpr std::size_t noPhase = std::numeric_limits<std::size_t>::max();
+
+/** Sentinel for "no cell carries the profiling phase". */
+constexpr std::size_t noCell = std::numeric_limits<std::size_t>::max();
 
 /**
  * Cache identity of a cell's profiling run: everything that affects
@@ -708,6 +713,10 @@ class ExperimentRunner::Sweep
         std::optional<Error> invalid;
         std::optional<CheckpointRecord> restored;
         std::size_t phase = noPhase;
+
+        /** The cell ran in its profiling twin's pass, which left its
+         * result or its failure in the cell's result slot. */
+        bool carried = false;
     };
 
     /** One unique shared profiling phase and its outcome, written by
@@ -724,6 +733,10 @@ class ExperimentRunner::Sweep
         bool kernel = false;
         bool simd = false;
         std::optional<Error> error;
+
+        /** The cell chosen to carry the phase, then the cell that rode
+         * its pass (noCell when none did). */
+        std::size_t carrier = noCell;
     };
 
     /** A fused-chunk member that passed its gates and was prepared. */
@@ -742,6 +755,18 @@ class ExperimentRunner::Sweep
         std::once_flag once;
         std::unique_ptr<SiteIndex> index;
     };
+
+    /** A lazily computed context split of one buffer window, shared
+     * read-only by every scenario cell measuring that window. */
+    struct SplitSlot
+    {
+        std::once_flag once;
+        std::vector<ContextStats> split;
+    };
+
+    /** (program, input, window begin, window end, contexts). */
+    using SplitKey =
+        std::tuple<std::size_t, unsigned, Count, Count, std::size_t>;
 
   public:
     explicit Sweep(ExperimentRunner &runner)
@@ -857,7 +882,8 @@ class ExperimentRunner::Sweep
     }
 
     /** Run the needed profiling phases: artifact-cache hits, then
-     * one fused pass per chunk of phases sharing a buffer. */
+     * one fused pass per chunk of phases sharing a buffer, each
+     * phase's carrier riding along. */
     void
     profile()
     {
@@ -866,6 +892,7 @@ class ExperimentRunner::Sweep
             return;
         obs::Span span = obs::Span::phase(journal, "profile");
         loadCachedPhases();
+        pickCarriers();
         const std::vector<FusedGroupPlan> chunks = chunkGroups(
             groupForFusion(phaseExec,
                            [&](std::size_t j) {
@@ -892,7 +919,7 @@ class ExperimentRunner::Sweep
             if (!plan.inShard)
                 result.cells[i].shardSkipped = true; // no events
             else if (plan.invalid.has_value() ||
-                     plan.restored.has_value())
+                     plan.restored.has_value() || plan.carried)
                 openCell(i);
             else
                 pending.push_back(i);
@@ -1132,6 +1159,52 @@ class ExperimentRunner::Sweep
         phaseExec = std::move(still_exec);
     }
 
+    /**
+     * Give each phase left to run at most one carrier: a cell whose
+     * evaluation repeats the phase's profiling run over its first
+     * profileBranches records, so one sim steps them for both. That is
+     * an unhinted cell of the phase's program, input and predictor
+     * identity, measured from a cold start (no warmup) over at least
+     * the phase's window, that this process runs. The first such cell
+     * in plan order not carrying another phase yet is chosen, so the
+     * choice is independent of the thread count. A phase served from
+     * the artifact cache runs nothing and gets none.
+     */
+    void
+    pickCarriers()
+    {
+        std::vector<std::pair<std::size_t, std::string>> candidates;
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const CellPlan &plan = plans[i];
+            const ExperimentConfig &config = cells[i].config;
+            if (!plan.inShard || plan.invalid.has_value() ||
+                plan.restored.has_value() ||
+                config.scheme != StaticScheme::None ||
+                config.evalWarmupBranches != 0)
+                continue;
+            std::string identity = predictorIdentityOf(config);
+            if (!identity.empty())
+                candidates.emplace_back(i, std::move(identity));
+        }
+        std::vector<char> taken(cells.size(), 0);
+        for (const std::size_t j : phaseExec) {
+            PhaseSlot &slot = phases[j];
+            const std::string identity = predictorIdentityOf(*slot.config);
+            for (const auto &[i, cell_identity] : candidates) {
+                const ExperimentConfig &config = cells[i].config;
+                if (taken[i] ||
+                    cells[i].programIndex != slot.programIndex ||
+                    config.evalInput != slot.input ||
+                    config.evalBranches < slot.config->profileBranches ||
+                    cell_identity != identity)
+                    continue;
+                slot.carrier = i;
+                taken[i] = 1;
+                break;
+            }
+        }
+    }
+
     /** Persist fresh phases for the next process or shard; a store
      * failure only costs a future regeneration. */
     void
@@ -1162,15 +1235,19 @@ class ExperimentRunner::Sweep
     }
 
     /** Gate each member on its own (a fault fails exactly that
-     * member), then profile the survivors in one pass. */
+     * member) and then its carrier, then profile the survivors in one
+     * pass that also runs the carriers to the end of their windows. */
     void
     runProfileChunk(const FusedGroupPlan &chunk)
     {
         std::vector<std::size_t> live;
+        std::vector<std::optional<LiveCell>> riders;
         for (const std::size_t j : chunk.members) {
+            PhaseSlot &slot = phases[j];
+            const std::size_t carrier = std::exchange(slot.carrier, noCell);
             if (std::optional<Error> skipped =
                     gate("the profiling phase")) {
-                phases[j].error = std::move(skipped);
+                slot.error = std::move(skipped);
                 continue;
             }
             unsigned attempts = 0;
@@ -1183,32 +1260,74 @@ class ExperimentRunner::Sweep
                 continue;
             }
             live.push_back(j);
+            riders.emplace_back();
+            if (carrier == noCell)
+                continue;
+            // Past its phase's gate the carrier is this pass's to
+            // settle: it rides, or it fails here and its phase runs
+            // alone.
+            plans[carrier].carried = true;
+            LiveCell entry;
+            std::optional<Error> failure = gate("the cell");
+            if (!failure.has_value())
+                failure = prepare(carrier, entry);
+            if (failure.has_value()) {
+                result.cells[carrier].wallSeconds = entry.prepareSeconds;
+                recordFailure(carrier, std::move(*failure),
+                              entry.attempts);
+                continue;
+            }
+            slot.carrier = carrier;
+            riders.back() = std::move(entry);
         }
         if (live.empty())
             return;
 
-        ScopedTimer timer(timers, "runner.profile_phase");
+        const ReplayBuffer &buffer =
+            runner.buffer(chunk.programIndex, chunk.input);
         std::vector<const ExperimentConfig *> configs;
-        for (const std::size_t j : live)
-            configs.push_back(phases[j].config);
+        std::vector<FusedSim> rider_sims(live.size());
+        std::vector<FusedSim *> carriers(live.size(), nullptr);
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            configs.push_back(phases[live[k]].config);
+            if (!riders[k].has_value())
+                continue;
+            const LiveCell &entry = *riders[k];
+            rider_sims[k].predictor = entry.prepared.combined.get();
+            rider_sims[k].options = evalSimOptions(
+                cells[entry.index].config, entry.prepared);
+            carriers[k] = &rider_sims[k];
+        }
+        ScopedTimer timer(timers, "runner.profile_phase");
         std::vector<FusedProfileOutcome> outcomes;
         unsigned pass_attempts = 0;
         std::optional<Error> pass_failure = attemptWithRetries(
             options.retries, pass_attempts, [&] {
                 outcomes = runProfilePhasesFusedReplay(
-                    runner.buffer(chunk.programIndex, chunk.input),
-                    configs, siteFor(chunk.programIndex, chunk.input));
+                    buffer, configs,
+                    siteFor(chunk.programIndex, chunk.input), carriers);
             });
         const double wall = timer.stop();
         if (pass_failure.has_value()) {
-            for (const std::size_t j : live)
-                failPhase(j, *pass_failure);
+            for (std::size_t k = 0; k < live.size(); ++k) {
+                failPhase(live[k], *pass_failure);
+                if (!riders[k].has_value())
+                    continue;
+                const LiveCell &entry = *riders[k];
+                result.cells[entry.index].wallSeconds =
+                    entry.prepareSeconds;
+                recordFailure(entry.index,
+                              Error(*pass_failure)
+                                  .withContext("while running cell " +
+                                               cells[entry.index].label),
+                              entry.attempts + pass_attempts - 1);
+            }
             return;
         }
 
-        Count total_branches = 0;
-        for (const FusedProfileOutcome &outcome : outcomes)
-            total_branches += outcome.phase.simulatedBranches;
+        // The pass stepped each carrier's whole window, its phase's
+        // records among them.
+        Count stepped = 0;
         for (std::size_t k = 0; k < live.size(); ++k) {
             PhaseSlot &slot = phases[live[k]];
             slot.phase = std::move(outcomes[k].phase);
@@ -1217,8 +1336,27 @@ class ExperimentRunner::Sweep
             slot.simd = outcomes[k].usedSimd;
             slot.wall = outcomes[k].seconds;
             notePhase(live[k], false);
+            if (!riders[k].has_value()) {
+                stepped += slot.branches;
+                continue;
+            }
+            // Settle the carrier's result now and free its predictor;
+            // the cells stage journals it.
+            const FusedSim &sim = rider_sims[k];
+            const LiveCell &entry = *riders[k];
+            CellResult &out = result.cells[entry.index];
+            out.result = evaluationResult(entry.index, entry.prepared,
+                                          sim.stats);
+            out.attempts = entry.attempts + pass_attempts - 1;
+            out.usedKernel =
+                entry.prepared.preEvalFastPath && sim.usedFastPath;
+            out.usedSimd = entry.prepared.preEvalSimd && sim.usedSimd;
+            out.wallSeconds = entry.prepareSeconds +
+                              (sim.seconds - sim.prefixSeconds);
+            stepped += sim.stats.branches;
+            riders[k].reset();
         }
-        noteFusedGroup(chunk, "profile", live, wall, total_branches);
+        noteFusedGroup(chunk, "profile", live, wall, stepped);
     }
 
     void
@@ -1244,6 +1382,8 @@ class ExperimentRunner::Sweep
             obs::Field::u64("branches", slot.branches)};
         if (disk)
             fields.push_back(obs::Field::str("cache", "disk"));
+        if (slot.carrier != noCell)
+            fields.push_back(obs::Field::u64("carrier", slot.carrier));
         obs::note(journal, obs::EventKind::ProfilePhase,
                   programName(slot.programIndex), std::move(fields));
     }
@@ -1266,8 +1406,9 @@ class ExperimentRunner::Sweep
     }
 
     /** Open cell @p i's journal bracket and settle it when it needs
-     * no simulation: invalid, restored, gated off, or left without its
-     * shared phase. Returns whether it still has to run. */
+     * no simulation: invalid, restored, carried by its profiling twin,
+     * gated off, or left without its shared phase. Returns whether it
+     * still has to run. */
     bool
     openCell(std::size_t i)
     {
@@ -1276,6 +1417,18 @@ class ExperimentRunner::Sweep
                   {obs::Field::u64("cell", i)});
         if (plan.invalid.has_value()) {
             failCell(i, *plan.invalid, 0);
+            return false;
+        }
+        if (plan.carried) {
+            // The profile stage ran it (or failed it); its events
+            // follow here, inside the cells span, like every cell's.
+            if (!result.cells[i].ok()) {
+                noteCellError(i);
+                return false;
+            }
+            writeCheckpoint(i);
+            noteCellEnd(i);
+            finishCell(i);
             return false;
         }
         if (plan.restored.has_value()) {
@@ -1310,14 +1463,29 @@ class ExperimentRunner::Sweep
         return true;
     }
 
-    /** Open cell @p i and run its pre-evaluation work (profiling
-     * unless a shared phase stands in, filter, selection, predictor);
-     * nullopt when it was settled instead. */
+    /** Open cell @p i and run its pre-evaluation work; nullopt when
+     * it was settled instead. */
     std::optional<LiveCell>
     prepareCell(std::size_t i)
     {
         if (!openCell(i))
             return std::nullopt;
+        LiveCell entry;
+        if (std::optional<Error> failure = prepare(i, entry)) {
+            result.cells[i].wallSeconds = entry.prepareSeconds;
+            failCell(i, std::move(*failure), entry.attempts);
+            return std::nullopt;
+        }
+        return entry;
+    }
+
+    /** Run cell @p i's pre-evaluation work into @p entry (profiling
+     * unless a shared phase stands in, filter, selection, predictor)
+     * behind the cell fault point, with retries; the failure that
+     * ended it, if any. */
+    std::optional<Error>
+    prepare(std::size_t i, LiveCell &entry)
+    {
         const MatrixCell &cell = cells[i];
         const ExperimentConfig &config = cell.config;
         const ProfilePhase *cached =
@@ -1329,7 +1497,6 @@ class ExperimentRunner::Sweep
                 : nullptr;
 
         ScopedTimer timer(timers, "runner.cell");
-        LiveCell entry;
         entry.index = i;
         std::optional<Error> failure = attemptWithRetries(
             options.retries, entry.attempts, [&] {
@@ -1340,15 +1507,10 @@ class ExperimentRunner::Sweep
                     config, cached);
             });
         entry.prepareSeconds = timer.stop();
-        if (failure.has_value()) {
-            result.cells[i].wallSeconds = entry.prepareSeconds;
-            failCell(i,
-                     std::move(*failure).withContext(
-                         "while running cell " + cell.label),
-                     entry.attempts);
-            return std::nullopt;
-        }
-        return entry;
+        if (failure.has_value())
+            return std::move(*failure).withContext("while running cell " +
+                                                   cell.label);
+        return std::nullopt;
     }
 
     /** Prepare each member, then step every prepared predictor
@@ -1405,9 +1567,8 @@ class ExperimentRunner::Sweep
                 plans[i].phase != noPhase ? &phases[plans[i].phase]
                                           : nullptr;
             CellResult &out = result.cells[i];
-            out.result = finishPreparedEvaluation(
-                live[k].prepared, cells[i].config, sims[k].stats,
-                &eval_buffer);
+            out.result =
+                evaluationResult(i, live[k].prepared, sims[k].stats);
             out.attempts = live[k].attempts + pass_attempts - 1;
             out.profileCached = shared != nullptr;
             out.usedKernel = live[k].prepared.preEvalFastPath &&
@@ -1433,11 +1594,19 @@ class ExperimentRunner::Sweep
                              joinIndexList(member_misps))});
     }
 
-    /** Close cell @p i's bracket with a cell_error; with failFast,
-     * wave the rest of the sweep off (not on cancellation, which
-     * would repaint the remaining cells' errors as cell_failed). */
+    /** Fail cell @p i and close its bracket. */
     void
     failCell(std::size_t i, Error error, unsigned attempts)
+    {
+        recordFailure(i, std::move(error), attempts);
+        noteCellError(i);
+    }
+
+    /** Record cell @p i's failure; with failFast, wave the rest of the
+     * sweep off (not on cancellation, which would repaint the
+     * remaining cells' errors as cell_failed). */
+    void
+    recordFailure(std::size_t i, Error error, unsigned attempts)
     {
         CellResult &out = result.cells[i];
         out.error = std::move(error);
@@ -1445,12 +1614,19 @@ class ExperimentRunner::Sweep
         if (options.failFast &&
             out.error->code() != ErrorCode::Cancelled)
             abortRun.store(true, std::memory_order_relaxed);
+    }
+
+    /** Close cell @p i's bracket with its recorded failure. */
+    void
+    noteCellError(std::size_t i)
+    {
+        const CellResult &out = result.cells[i];
         obs::note(
             journal, obs::EventKind::CellError, cells[i].label,
             {obs::Field::u64("cell", i),
              obs::Field::str("code", errorCodeName(out.error->code())),
              obs::Field::str("message", out.error->message()),
-             obs::Field::u64("attempts", attempts)});
+             obs::Field::u64("attempts", out.attempts)});
         finishCell(i);
     }
 
@@ -1587,6 +1763,40 @@ class ExperimentRunner::Sweep
         return slot.index.get();
     }
 
+    /** The ExperimentResult of cell @p i's executed evaluation, its
+     * context split shared with every cell measuring the same
+     * window. */
+    ExperimentResult
+    evaluationResult(std::size_t i, const PreparedEvaluation &prepared,
+                     const SimStats &stats)
+    {
+        const MatrixCell &cell = cells[i];
+        const ExperimentConfig &config = cell.config;
+        if (config.scenarioContexts == 0)
+            return finishPreparedEvaluation(prepared, config, stats);
+        const Count begin = config.evalWarmupBranches;
+        const SplitKey key{cell.programIndex,
+                           static_cast<unsigned>(config.evalInput), begin,
+                           begin + stats.branches,
+                           config.scenarioContexts};
+        SplitSlot *slot = nullptr;
+        {
+            std::lock_guard<std::mutex> guard(splitLock);
+            std::unique_ptr<SplitSlot> &held = splitSlots[key];
+            if (held == nullptr)
+                held = std::make_unique<SplitSlot>();
+            slot = held.get();
+        }
+        std::call_once(slot->once, [&] {
+            ScopedTimer timer(timers, "runner.context_split");
+            slot->split = contextSplitOf(
+                runner.buffer(cell.programIndex, config.evalInput),
+                std::get<2>(key), std::get<3>(key), std::get<4>(key));
+        });
+        return finishPreparedEvaluation(prepared, config, stats,
+                                        slot->split);
+    }
+
     const std::string &
     programName(std::size_t program_index) const
     {
@@ -1605,6 +1815,8 @@ class ExperimentRunner::Sweep
     /** Phases left to run, in plan order. */
     std::vector<std::size_t> phaseExec;
     std::vector<std::array<SiteSlot, numInputSets>> siteSlots;
+    std::mutex splitLock;
+    std::map<SplitKey, std::unique_ptr<SplitSlot>> splitSlots;
     std::atomic<bool> abortRun{false};
     std::atomic<Count> fusedGroupCount{0};
     std::chrono::steady_clock::time_point runStart;
@@ -1626,7 +1838,7 @@ ExperimentRunner::run()
 void
 writeRunnerJson(const std::string &path, const std::string &bench,
                 const ExperimentRunner &runner,
-                const MatrixResult &result, double baseline_seconds)
+                const MatrixResult &result)
 {
     AtomicFile writer(path);
     if (!writer.ok())
@@ -1775,13 +1987,6 @@ writeRunnerJson(const std::string &path, const std::string &bench,
             : 0.0);
     count("replay_buffer_bytes", result.replayBytes);
     seconds("serial_estimate_seconds", result.serialEstimateSeconds());
-    if (baseline_seconds > 0.0) {
-        seconds("baseline_seconds", baseline_seconds);
-        std::fprintf(file, "  \"speedup_vs_baseline\": %.3f,\n",
-                     result.wallSeconds > 0.0
-                         ? baseline_seconds / result.wallSeconds
-                         : 0.0);
-    }
     std::fprintf(file, "  \"speedup_vs_serial_estimate\": %.3f\n",
                  result.speedupVsSerialEstimate());
     std::fprintf(file, "}\n");

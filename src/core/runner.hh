@@ -11,7 +11,9 @@
  *     generation for every cell),
  *  2. runs each unique profiling phase once and shares it read-only
  *     with every cell that needs it (cells whose makeDynamic factory
- *     has no dynamicKey profile privately),
+ *     has no dynamicKey profile privately); a phase whose unhinted
+ *     twin cell evaluates the same records from a cold start rides in
+ *     that cell's sim, which the profile stage runs to the end,
  *  3. steps the cells sharing an evaluation buffer — and the
  *     profiling phases sharing a profile buffer — through one fused
  *     pass per group (simulateReplayFused); a lone cell is a
@@ -261,7 +263,8 @@ struct CellResult
 
     /** Wall time of the cell's own simulation work: its preparation
      * plus the measured time its sim stepped in the fused pass
-     * (excludes any shared profiling phase the cell consumed and the
+     * (excludes any shared profiling phase the cell consumed, a
+     * carrier's steps up to its phase's prefix boundary, and the
      * pass's shared setup). */
     double wallSeconds = 0.0;
 
@@ -540,14 +543,11 @@ std::vector<obs::Field> cellEndFields(Count cell, double seconds,
 
 /**
  * Write a matrix result as the BENCH_runner.json format (see
- * tools/check_bench_json.py for the schema). @p baseline_seconds, when
- * positive, records an externally measured serial-path wall time and
- * yields a speedup_vs_baseline field.
+ * tools/check_bench_json.py for the schema).
  */
 void writeRunnerJson(const std::string &path, const std::string &bench,
                      const ExperimentRunner &runner,
-                     const MatrixResult &result,
-                     double baseline_seconds = 0.0);
+                     const MatrixResult &result);
 
 } // namespace bpsim
 

@@ -183,6 +183,69 @@ INSTANTIATE_TEST_SUITE_P(
                staticSchemeName(std::get<1>(info.param));
     });
 
+void expectSameTables(BranchPredictor &expected, BranchPredictor &got);
+
+/**
+ * @p got is left in @p expected's state: from there, a further
+ * stretch of the buffer predicts the same. Covers what table statistics
+ * cannot see (counters, histories, tags), for every predictor type.
+ */
+void
+expectSameContinuation(BranchPredictor &expected, BranchPredictor &got,
+                       const ReplayBuffer &buffer)
+{
+    SimOptions options;
+    options.resetPredictor = false;
+    options.maxBranches = 20'000;
+    ReplayBuffer::Cursor want_cursor = buffer.cursor();
+    ReplayBuffer::Cursor got_cursor = buffer.cursor();
+    expectSameStats(simulate(expected, want_cursor, options),
+                    simulate(got, got_cursor, options));
+}
+
+/**
+ * A phase of @p config carried over @p buffer by an unhinted
+ * evaluation sim of @p spec over @p eval records, as the runner
+ * carries a phase with its `none` twin. The phase must equal
+ * runProfilePhase() over its own records (no more than the carrier
+ * steps), and the carrier a plain run over its window, in stats and
+ * in final predictor state.
+ */
+void
+expectCarriedMatches(const std::string &spec,
+                     const ExperimentConfig &config,
+                     const ReplayBuffer &buffer, Count eval, bool kernel)
+{
+    ExperimentConfig stepped = config;
+    stepped.profileBranches = std::min(config.profileBranches, eval);
+    ReplayBuffer::Cursor stream = buffer.cursor();
+    const ProfilePhase expected_phase = runProfilePhase(stream, stepped);
+    SimOptions options;
+    options.maxBranches = eval;
+    CombinedPredictor expected(makePredictor(spec), HintDb{});
+    ReplayBuffer::Cursor cursor = buffer.cursor();
+    const SimStats expected_stats = simulate(expected, cursor, options);
+
+    CombinedPredictor carrier(makePredictor(spec), HintDb{});
+    FusedSim sim;
+    sim.predictor = &carrier;
+    sim.options = options;
+    const FusedProfileOutcome outcome =
+        runProfilePhasesFusedReplay(buffer, {&config}, nullptr, {&sim})
+            .front();
+
+    EXPECT_EQ(outcome.usedFastPath, kernel);
+    EXPECT_EQ(sim.usedFastPath, kernel);
+    EXPECT_EQ(expected_phase.simulatedBranches,
+              outcome.phase.simulatedBranches);
+    expectSameProfile(expected_phase.profile, outcome.phase.profile);
+    expectSameStats(expected_stats, sim.stats);
+    EXPECT_EQ(sim.prefixProfile, nullptr);
+    if (kernel)
+        expectSameTables(expected, carrier);
+    expectSameContinuation(expected, carrier, buffer);
+}
+
 class FastPathProfile
     : public ::testing::TestWithParam<KernelPredictor>
 {};
@@ -205,6 +268,49 @@ TEST_P(FastPathProfile, ProfilePhaseIdenticalToVirtualPath)
     EXPECT_EQ(virtual_phase.simulatedBranches,
               kernel.phase.simulatedBranches);
     expectSameProfile(virtual_phase.profile, kernel.phase.profile);
+
+    // Carried: the evaluation of the unhinted twin runs in the phase's
+    // place, and its first profileBranches records make the profile.
+    SCOPED_TRACE("carried");
+    expectCarriedMatches(GetParam().name() + ":2048", config, buffer,
+                         testEvalBranches, true);
+}
+
+TEST(FastPathTest, CarriedPrefixEndsAnywhere)
+{
+    // The prefix boundary splits a 16-record batch and a 64Ki-record
+    // block, falls on a block edge, or lies at or past the end of the
+    // carrier's window (the prefix is then the whole window); the
+    // virtual-loop predictors honour it too.
+    const ReplayBuffer &buffer = testBuffer();
+    const Count block = 65'536;
+    const std::vector<std::pair<Count, Count>> kernel_cases = {
+        {1, testEvalBranches},
+        {block + 1, testEvalBranches},
+        {70'001, testEvalBranches},
+        {block, testEvalBranches},
+        {testEvalBranches, testEvalBranches},
+        {testEvalBranches + 5'000, testEvalBranches},
+        {testEvalBranches, 100'003}};
+    const std::vector<std::pair<Count, Count>> virtual_cases = {
+        {70'001, testEvalBranches}, {testEvalBranches, 100'003}};
+    std::vector<std::pair<std::string, bool>> predictors;
+    for (const std::string &name : kernelPredictorNames())
+        predictors.emplace_back(name, true);
+    for (const char *name : {"yags", "gselect", "tournament", "ideal"})
+        predictors.emplace_back(name, false);
+    for (const auto &[name, kernel] : predictors) {
+        for (const auto &[prefix, eval] :
+             kernel ? kernel_cases : virtual_cases) {
+            SCOPED_TRACE(name + " prefix " + std::to_string(prefix) +
+                         " of " + std::to_string(eval));
+            ExperimentConfig config =
+                fastConfig(name, StaticScheme::StaticAcc);
+            config.profileBranches = prefix;
+            expectCarriedMatches(name + ":2048", config, buffer, eval,
+                                 kernel);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, FastPathProfile,
@@ -468,6 +574,40 @@ TEST_P(FastPathAttributed, SoloShapesMatchTheVirtualLoop)
                 }
             }
         }
+    }
+
+    {
+        // Carried: an unhinted scenario evaluation whose first records
+        // also make a profiling phase's profile keeps its own
+        // whole-window profile and sink.
+        SCOPED_TRACE("carried");
+        const Count prefix = 20'005;
+        const AttributedRun expected = attributedRun(
+            spec, no_hints, ShiftPolicy::NoShift, true, 0, false);
+        AttributedRun got;
+        CombinedPredictor predictor(makePredictor(spec), no_hints);
+        predictor.attachAliasSink(&got.sink);
+        ProfileDb prefix_profile;
+        std::vector<FusedSim> sims(1);
+        sims[0].predictor = &predictor;
+        sims[0].options.profile = &got.profile;
+        sims[0].prefixProfile = &prefix_profile;
+        sims[0].prefixBranches = prefix;
+        simulateReplayFused(sims, scenarioBuffer());
+
+        EXPECT_TRUE(sims[0].usedSimd);
+        expectSameStats(expected.stats, sims[0].stats);
+        expectSameProfile(expected.profile, got.profile);
+        expectSameAliasMatrix(expected.sink.cells(), got.sink.cells());
+
+        auto profiler = makePredictor(spec);
+        ProfileDb want;
+        SimOptions options;
+        options.maxBranches = prefix;
+        options.profile = &want;
+        ReplayBuffer::Cursor cursor = scenarioBuffer().cursor();
+        simulate(*profiler, cursor, options);
+        expectSameProfile(want, prefix_profile);
     }
 
     // Detached again, the same predictor runs the unattributed

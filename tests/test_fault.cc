@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -371,6 +372,103 @@ TEST_F(FaultTest, ProfilePhaseFailureFailsItsConsumersOnly)
          {std::size_t{0}, std::size_t{3}, std::size_t{4},
           std::size_t{5}})
         EXPECT_TRUE(result.cells[i].ok()) << "cell " << i;
+}
+
+/** Label of cell 0, the gshare none cell: the unhinted twin that
+ * carries the gshare profiling phase (cell 3 carries bimodal's). */
+constexpr const char *carrierLabel = "compress/gshare:2048/none";
+
+/** Cells named by the journal's profile_phase carrier fields, in
+ * index order (workers journal them in any order). */
+std::vector<Count>
+carriersOf(const obs::RunJournal &journal)
+{
+    std::vector<Count> carriers;
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind == obs::EventKind::ProfilePhase &&
+            event.find("carrier") != nullptr)
+            carriers.push_back(event.u64("carrier"));
+    }
+    std::sort(carriers.begin(), carriers.end());
+    return carriers;
+}
+
+TEST_F(FaultTest, CarrierFaultFailsOnlyTheCarrier)
+{
+    // The carrier takes its cell fault in the profile stage; its phase
+    // runs alone, so the phase's scheme cells still succeed.
+    FaultInjector::instance().arm(fault_points::cell, 1,
+                                  ErrorCode::Internal, 1, carrierLabel);
+    obs::RunJournal journal("carrier fault");
+    RunnerOptions options = threadOptions(2);
+    options.journal = &journal;
+    const MatrixResult result = runMatrix(options);
+
+    EXPECT_EQ(result.failedCells, 1u);
+    ASSERT_FALSE(result.cells[0].ok());
+    EXPECT_EQ(result.cells[0].error->code(), ErrorCode::Internal);
+    EXPECT_NE(result.cells[0].error->message().find("injected fault"),
+              std::string::npos);
+    EXPECT_EQ(result.cells[0].attempts, 1u);
+    const MatrixResult &clean = cleanReference();
+    for (std::size_t i = 1; i < result.cells.size(); ++i) {
+        ASSERT_TRUE(result.cells[i].ok()) << "cell " << i;
+        expectSameDeterministicFields(result.cells[i], clean.cells[i]);
+    }
+    EXPECT_EQ(carriersOf(journal), std::vector<Count>{3});
+    const obs::JournalSummary summary = journal.summary();
+    EXPECT_EQ(summary.cellsBegun, summary.cellsEnded + summary.cellsFailed);
+    EXPECT_TRUE(summary.phasesBalanced);
+}
+
+TEST_F(FaultTest, TransientCarrierFaultRetriesAndStillCarries)
+{
+    FaultInjector::instance().arm(fault_points::cell, 1,
+                                  ErrorCode::ResourceExhausted, 1,
+                                  carrierLabel);
+    obs::RunJournal journal("carrier retry");
+    RunnerOptions options = threadOptions(2);
+    options.retries = 1;
+    options.journal = &journal;
+    const MatrixResult result = runMatrix(options);
+
+    EXPECT_EQ(result.failedCells, 0u);
+    EXPECT_EQ(result.cells[0].attempts, 2u);
+    EXPECT_EQ(carriersOf(journal), (std::vector<Count>{0, 3}));
+    const MatrixResult &clean = cleanReference();
+    for (std::size_t i = 0; i < result.cells.size(); ++i)
+        expectSameDeterministicFields(result.cells[i], clean.cells[i]);
+}
+
+TEST_F(FaultTest, PhaseFaultLeavesItsTwinToTheCellsStage)
+{
+    // A phase that fails its fault point gets no carrier: its scheme
+    // cells fail, and its none twin runs in the cells stage instead.
+    FaultInjector::instance().arm(fault_points::profilePhase, 1,
+                                  ErrorCode::Internal, 1);
+    obs::RunJournal journal("phase fault");
+    RunnerOptions options = threadOptions(1);
+    options.journal = &journal;
+    const MatrixResult result = runMatrix(options);
+
+    EXPECT_EQ(result.failedCells, 2u);
+    EXPECT_FALSE(result.cells[1].ok());
+    EXPECT_FALSE(result.cells[2].ok());
+    ASSERT_TRUE(result.cells[0].ok());
+    expectSameDeterministicFields(result.cells[0],
+                                  cleanReference().cells[0]);
+    EXPECT_EQ(carriersOf(journal), std::vector<Count>{3});
+    bool ran_in_cells_stage = false;
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind != obs::EventKind::FusedGroup ||
+            event.find("phase")->strValue() != "cells")
+            continue;
+        const std::string members =
+            "," + event.find("cells")->strValue() + ",";
+        ran_in_cells_stage =
+            ran_in_cells_stage || members.find(",0,") != std::string::npos;
+    }
+    EXPECT_TRUE(ran_in_cells_stage);
 }
 
 TEST_F(FaultTest, MaterializeFailureAbortsTheRun)

@@ -190,8 +190,10 @@ TEST(FusedTest, JournalDoesNotPerturbResultsAndRecordsGroups)
 
     const obs::JournalSummary summary = journal.summary();
     EXPECT_EQ(summary.fusedGroups, fused.fusedGroups);
-    // 4 profile members (2 kinds x 2 programs) + 12 cell members.
-    EXPECT_EQ(summary.fusedMembers, 16u);
+    // 4 profile members (2 kinds x 2 programs) + 8 cell members: each
+    // phase's none cell carries it, running in the profile pass, so
+    // the 4 none cells are in no cells-stage group.
+    EXPECT_EQ(summary.fusedMembers, 12u);
     EXPECT_EQ(summary.cellsBegun, fused.cells.size());
     EXPECT_EQ(summary.cellsEnded, fused.cells.size());
     EXPECT_TRUE(summary.phasesBalanced);
@@ -361,6 +363,39 @@ TEST(FusedTest, MemberSecondsAreMeasuredPerExec)
     EXPECT_GT(sims[0].seconds, 0.0);
     EXPECT_GT(sims[1].seconds, sims[0].seconds);
     EXPECT_LE(sims[0].seconds + sims[1].seconds, wall + 1e-3);
+}
+
+TEST(FusedTest, CarriedPassSplitsItsTimeAtThePrefixBoundary)
+{
+    // A phase carried by an evaluation sim is timed up to the prefix
+    // boundary and the carrier after it, so the two never count a
+    // record's time twice.
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+    const ReplayBuffer buffer =
+        ReplayBuffer::materialize(program, 200'000);
+    ExperimentConfig config =
+        testConfig(PredictorKind::Gshare, StaticScheme::Static95);
+    config.profileBranches = 100'000;
+    CombinedPredictor carrier(makePredictor(PredictorKind::Gshare, 2048),
+                              HintDb{});
+    FusedSim sim;
+    sim.predictor = &carrier;
+    sim.options.maxBranches = 200'000;
+
+    const auto begin = std::chrono::steady_clock::now();
+    const FusedProfileOutcome outcome =
+        runProfilePhasesFusedReplay(buffer, {&config}, nullptr, {&sim})
+            .front();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+
+    const double carrier_seconds = sim.seconds - sim.prefixSeconds;
+    EXPECT_EQ(outcome.seconds, sim.prefixSeconds);
+    EXPECT_GT(outcome.seconds, 0.0);
+    EXPECT_GT(carrier_seconds, 0.0);
+    EXPECT_LE(outcome.seconds + carrier_seconds, wall + 1e-3);
 }
 
 class FusedFaultTest : public ::testing::Test

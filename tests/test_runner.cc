@@ -9,10 +9,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/runner.hh"
+#include "obs/run_journal.hh"
 #include "oracle.hh"
 #include "trace/memory_trace.hh"
 #include "trace/replay_buffer.hh"
@@ -288,6 +293,181 @@ TEST(RunnerTest, CellMetadataAndTiming)
     EXPECT_GT(result.totalBranches, 0u);
     EXPECT_GT(result.replayBytes, 0u);
     EXPECT_GE(result.wallSeconds, result.runSeconds);
+}
+
+/** A run of the carrier matrix, its journal's carriers and the
+ * oracle of each cell. */
+struct CarrierRun
+{
+    MatrixResult result;
+    std::vector<ExperimentResult> oracle;
+
+    /** Cells named by a profile_phase's carrier field, in event
+     * order. */
+    std::vector<Count> carriers;
+};
+
+/**
+ * gcc with a gshare none, static_95 and static_acc cell: one profiling
+ * phase, whose unhinted twin is the none cell. @p tweak_none edits the
+ * none cell's config, so a test can break one carrier condition.
+ */
+CarrierRun
+runCarrierMatrix(RunnerOptions options,
+                 const std::function<void(ExperimentConfig &)> &tweak_none =
+                     [](ExperimentConfig &) {})
+{
+    obs::RunJournal journal("carriers");
+    options.journal = &journal;
+    ExperimentRunner runner(options);
+    const std::size_t program =
+        runner.addProgram(makeSpecProgram(SpecProgram::Gcc, InputSet::Ref));
+    for (const auto scheme :
+         {StaticScheme::None, StaticScheme::Static95,
+          StaticScheme::StaticAcc}) {
+        ExperimentConfig config = testConfig(PredictorKind::Gshare, scheme);
+        if (scheme == StaticScheme::None)
+            tweak_none(config);
+        runner.addCell(program, config);
+    }
+    CarrierRun run;
+    run.result = runner.run();
+    run.oracle = oracle::resultsOf(runner);
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind == obs::EventKind::ProfilePhase &&
+            event.find("carrier") != nullptr)
+            run.carriers.push_back(event.u64("carrier"));
+    }
+    return run;
+}
+
+TEST(CarrierTest, TheNoneTwinCarriesItsPhase)
+{
+    for (const unsigned threads : {1u, 2u}) {
+        const CarrierRun run = runCarrierMatrix(threadOptions(threads));
+        oracle::expectMatrixMatches(run.result, run.oracle);
+        EXPECT_EQ(run.carriers, std::vector<Count>{0});
+        EXPECT_FALSE(run.result.cells[0].profileCached);
+        EXPECT_GT(run.result.cells[0].wallSeconds, 0.0);
+        EXPECT_GT(run.result.profileSeconds, 0.0);
+        // The carried phase still counts once in the work done.
+        EXPECT_EQ(run.result.profileCacheMisses, 1u);
+        EXPECT_EQ(run.result.profileCacheHits, 1u);
+        EXPECT_EQ(run.result.actualBranches,
+                  run.result.totalBranches - testProfileBranches);
+    }
+}
+
+TEST(CarrierTest, EachBrokenConditionLeavesThePhaseUncarried)
+{
+    const std::vector<
+        std::pair<const char *, std::function<void(ExperimentConfig &)>>>
+        breaks = {
+            {"warmup",
+             [](ExperimentConfig &c) { c.evalWarmupBranches = 5'000; }},
+            {"short window",
+             [](ExperimentConfig &c) {
+                 c.evalBranches = testProfileBranches - 1;
+             }},
+            {"cross-input",
+             [](ExperimentConfig &c) { c.evalInput = InputSet::Train; }},
+            {"other size", [](ExperimentConfig &c) { c.sizeBytes = 4096; }},
+            {"keyless factory", [](ExperimentConfig &c) {
+                 c.makeDynamic = [] {
+                     return makePredictor(PredictorKind::Gshare, 2048);
+                 };
+             }}};
+    for (const auto &[name, tweak] : breaks) {
+        SCOPED_TRACE(name);
+        const CarrierRun run = runCarrierMatrix(threadOptions(2), tweak);
+        oracle::expectMatrixMatches(run.result, run.oracle);
+        EXPECT_TRUE(run.carriers.empty());
+    }
+}
+
+TEST(CarrierTest, OneTwinCarriesOnePhase)
+{
+    // Two phases differing only in profileBranches share one twin; it
+    // carries the first, and the second runs alone.
+    obs::RunJournal journal("one twin");
+    RunnerOptions options = threadOptions(1);
+    options.journal = &journal;
+    ExperimentRunner runner(options);
+    const std::size_t program =
+        runner.addProgram(makeSpecProgram(SpecProgram::Gcc, InputSet::Ref));
+    runner.addCell(program,
+                   testConfig(PredictorKind::Gshare, StaticScheme::None));
+    for (const Count profile : {testProfileBranches, Count{30'001}}) {
+        ExperimentConfig config =
+            testConfig(PredictorKind::Gshare, StaticScheme::Static95);
+        config.profileBranches = profile;
+        runner.addCell(program, config);
+    }
+    const MatrixResult result = runner.run();
+    oracle::expectMatrixMatches(result, oracle::resultsOf(runner));
+    std::vector<Count> carriers;
+    Count phases = 0;
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind != obs::EventKind::ProfilePhase)
+            continue;
+        ++phases;
+        if (event.find("carrier") != nullptr)
+            carriers.push_back(event.u64("carrier"));
+    }
+    EXPECT_EQ(phases, 2u);
+    EXPECT_EQ(carriers, std::vector<Count>{0});
+}
+
+TEST(CarrierTest, WarmCacheRunsNoCarrierAndMatchesTheColdRun)
+{
+    const std::string dir = ::testing::TempDir() + "carrier_cache";
+    std::filesystem::remove_all(dir);
+    RunnerOptions options = threadOptions(2);
+    options.cacheDir = dir;
+    const CarrierRun cold = runCarrierMatrix(options);
+    const CarrierRun warm = runCarrierMatrix(options);
+    EXPECT_EQ(cold.carriers, std::vector<Count>{0});
+    EXPECT_TRUE(warm.carriers.empty());
+    EXPECT_EQ(warm.result.cacheProfileHits, 1u);
+    oracle::expectMatrixMatches(cold.result, cold.oracle);
+    oracle::expectMatrixMatches(warm.result, cold.oracle);
+    EXPECT_EQ(warm.result.actualBranches, cold.result.actualBranches);
+    EXPECT_EQ(warm.result.totalBranches, cold.result.totalBranches);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CarrierTest, ResumeAfterTheProfileStageMatchesTheOracle)
+{
+    // Cancel the sweep once its first cell settles: in one thread that
+    // is the carrier, so the checkpoint holds only what the profile
+    // stage ran. Resuming restores the carrier; its phase then runs
+    // alone, without a twin to carry it.
+    const std::string path = ::testing::TempDir() + "carrier_resume.jsonl";
+    std::remove(path.c_str());
+    std::atomic<bool> cancelled{false};
+    RunnerOptions first = threadOptions(1);
+    first.checkpointPath = path;
+    first.cancel = [&cancelled] { return cancelled.load(); };
+    first.onCellFinished = [&cancelled](std::size_t, const CellResult &) {
+        cancelled.store(true);
+    };
+    const CarrierRun interrupted = runCarrierMatrix(first);
+    EXPECT_EQ(interrupted.carriers, std::vector<Count>{0});
+    ASSERT_TRUE(interrupted.result.cells[0].ok());
+    EXPECT_EQ(interrupted.result.failedCells, 2u);
+
+    RunnerOptions resume = threadOptions(2);
+    resume.checkpointPath = path;
+    resume.resume = true;
+    const CarrierRun resumed = runCarrierMatrix(resume);
+    EXPECT_EQ(resumed.result.restoredCells, 1u);
+    EXPECT_TRUE(resumed.result.cells[0].restored);
+    EXPECT_TRUE(resumed.carriers.empty());
+    oracle::expectMatrixMatches(resumed.result, resumed.oracle);
+    const CarrierRun clean = runCarrierMatrix(threadOptions(1));
+    EXPECT_EQ(resumed.result.actualBranches, clean.result.actualBranches);
+    EXPECT_EQ(resumed.result.totalBranches, clean.result.totalBranches);
+    std::remove(path.c_str());
 }
 
 TEST(TaskPoolTest, RunsEveryTaskExactlyOnce)

@@ -449,9 +449,6 @@ def check_runner_file(path, warm_cache=False):
         fail(path, f"restored_cells {data['restored_cells']} != "
                    f"count of restored cells {restored_cells}")
 
-    if "baseline_seconds" in data and "speedup_vs_baseline" not in data:
-        fail(path, "baseline_seconds without speedup_vs_baseline")
-
     # Shard accounting: the declared slice must be well formed and
     # every cell is either owned by this shard or marked skipped.
     if not 1 <= data["shard_index"] <= data["shard_count"]:
@@ -735,6 +732,35 @@ def check_journal_file(path):
                    f"closed by cell_end/cell_error")
     restored = sum(1 for e in cell_ends
                    if e.get("restored") is True)
+
+    # A profile_phase's 'carrier' is the cell that rode the phase's
+    # pass (its unhinted twin): exactly one cell_end or cell_error
+    # closes it, no other phase names it, and a carried cell_end
+    # consumed no shared profile.
+    closers = {}
+    for event in cell_ends + cell_errors:
+        closers.setdefault(event.get("cell"), []).append(event)
+    carried = {}
+    for index, event in enumerate(events):
+        if event["event"] != "profile_phase" or "carrier" not in event:
+            continue
+        where = f"line {index + 1}"
+        carrier = event["carrier"]
+        if not isinstance(carrier, int) or isinstance(carrier, bool):
+            fail(path, f"{where}: 'carrier' must be a cell index")
+        if carrier in carried:
+            fail(path, f"{where}: cell {carrier} carries two phases "
+                       f"(also line {carried[carrier]})")
+        carried[carrier] = index + 1
+        closing = closers.get(carrier, [])
+        if len(closing) != 1:
+            fail(path, f"{where}: carrier cell {carrier} is closed by "
+                       f"{len(closing)} cell_end/cell_error events, "
+                       f"expected 1")
+        if closing[0]["event"] == "cell_end" and \
+                closing[0].get("profile_cached") is not False:
+            fail(path, f"{where}: carrier cell {carrier}'s cell_end "
+                       f"must have profile_cached false")
 
     # Aggregate cross-checks against run_end, for the fields the
     # emitter chose to include (the matrix runner includes them all;
