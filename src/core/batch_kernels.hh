@@ -2,13 +2,19 @@
  * @file
  * Batched replay kernels: public interface.
  *
- * The batch kernels process each fused-walk block in batches of 16
- * records with a two-pass, carry-the-index discipline:
+ * The batch kernels step each member of a fused-walk block segment
+ * over its own record stream: the records its predictor sees, from
+ * the member's own cursor, in full batches of 16. Under NoShift a
+ * statically hinted record touches neither the dynamic tables nor the
+ * history, so a hinted member's fill drops it and it never reaches
+ * prepare or apply; the engine settles hinted sites from the window's
+ * per-site outcome totals (SiteIndex::outcomesOver). Each batch then
+ * takes a two-pass, carry-the-index discipline:
  *
- *  1. a precompute pass decodes the batch once, evolves the global
- *     history shadow record by record (the only true serial
- *     dependence), computes every table index for the batch, and
- *     issues software prefetches for the gathered counter/tag lines;
+ *  1. a prepare pass evolves the global history shadow record by
+ *     record (the only true serial dependence), computes every table
+ *     index for the batch, and issues software prefetches for the
+ *     gathered counter/tag lines;
  *  2. an apply pass walks the records in order and performs the
  *     branchless counter load / predict / train / tag bookkeeping
  *     with the carried indices — the index is hashed exactly once per
@@ -19,9 +25,10 @@
  * 8-record windows share a bimodal index on the SPEC-like workloads),
  * so lane-parallel counter updates would be a conflict-fallback path
  * that almost always falls back. Vector parallelism instead comes
- * from the hash/decode precompute loops (auto-vectorized; the AVX2
- * translation unit compiles them with -mavx2) and from gang members
- * sharing one stream.
+ * from the hash precompute loops (auto-vectorized; the AVX2
+ * translation unit compiles them with -mavx2), and gang members apply
+ * their batches in lockstep, record-major, so their independent
+ * dependency chains overlap.
  *
  * Every kernel is integer-exact and bit-identical across translation
  * units and to the virtual simulate() loop, the engine's oracle;
@@ -191,7 +198,7 @@ inline constexpr std::uint8_t biasTakenBit = 1;
  * Whether kernel type @p P keeps per-site state of its own (agree's
  * bias bits), so every pass of it runs over a site index: the engine
  * builds one when the caller passes none and runs a lone unhinted sim
- * as a one-member gang with zero hint codes. runPlainBatch never sees
+ * as a one-member gang without hint codes. runPlainBatch never sees
  * such a type.
  */
 template <typename P> inline constexpr bool needsSiteIndex = false;
@@ -329,8 +336,12 @@ buildSiteTables(P &predictor, const SiteIndex &sites)
 
 /**
  * One gang segment: @p n same-type members stepping through records
- * [from, to) of the shared walk. Hint codes are per member (all-zero
- * arrays for members without hints); stats flush per member.
+ * [from, to) of the shared walk. Hint codes are per member (null for
+ * a member without hints); stats flush per member. Under NoShift a
+ * member's hinted records are dropped at fill; under a shifting policy
+ * every member has codes, and its hinted records advance the history
+ * but are not applied. Either way the kernels count no statistic for
+ * them.
  */
 template <typename P>
 struct GangArgs
@@ -345,6 +356,10 @@ struct GangArgs
     Count from = 0;
     Count to = 0;
     ShiftPolicy policy = ShiftPolicy::NoShift;
+
+    /** Optional output: n counters, each increased by the records its
+     * member applied (its share of the gang's work). */
+    Count *applied = nullptr;
 };
 
 /**
@@ -352,9 +367,10 @@ struct GangArgs
  * it accumulates per-site BranchProfile counts (site-indexed array,
  * flushed to the ProfileDb when the pass finishes), reports colliding
  * lookups to a ContextAliasSink, or both; at least one of @p profiles
- * and @p sink is set. Optional dense hint codes apply under @p policy;
- * a hinted record adds only its outcome to the profile, as
- * simulate() records it.
+ * and @p sink is set. Optional dense hint codes apply under @p policy
+ * as in a gang; the profile counts cover the records the sim applies,
+ * and the engine adds the hinted sites' outcomes, as simulate()
+ * records them, from the window's totals.
  */
 template <typename P>
 struct SoloArgs

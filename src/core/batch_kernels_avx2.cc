@@ -3,7 +3,7 @@
  * AVX2-target instantiation of the batch replay kernels (x86-64
  * only; compiled with -mavx2 via a CMake source property). The code
  * is the same portable implementation — the vector speedup comes
- * from the compiler vectorizing the decode/precompute loops with the
+ * from the compiler vectorizing the precompute loops with the
  * wider ISA; results are bit-identical to the baseline translation
  * unit by integer semantics.
  *

@@ -11,24 +11,26 @@
  * though they are compiled with different instruction-set flags.
  *
  * Kernel shape (see core/batch_kernels.hh for the rationale): each
- * segment is walked in batches of batchRecords records, software
- * pipelined one batch deep. While batch b is applied, batch b+1 is
- * already decoded and prepared: the trace columns are read once, each
- * member's table indices are computed — evolving a register-resident
- * shadow of the global history, the one true serial dependence — and
- * the counter/tag lines are prefetched, so their latency overlaps
- * batch b's work. The prepare passes split into a serial loop
- * (history shadow, site-table loads, history folds) and a pure
- * elementwise loop (XOR/shift/mask index math) the compiler can
- * vectorize across records. The apply pass walks the records in
- * order, performing the branchless counter load / predict / train /
- * tag update with the carried indices; its per-record operation
- * sequence is exactly the one the virtual simulate() loop performs, so
- * every SimStats field, collision statistic, profile count, alias-sink
- * cell and table byte is bit-identical to the oracle's. Collision
- * accounting is one tally increment per applied record (see
- * CollisionTally), from which each table's statistics are derived at
- * segment end.
+ * member of a segment steps its own record stream — the records its
+ * predictor sees, with a NoShift member's hinted records dropped at
+ * fill — in full batches of batchRecords records, software pipelined
+ * one batch deep. While batch b is applied, every member's batch b+1
+ * is already filled and prepared: its table indices are computed —
+ * evolving a register-resident shadow of the global history, the one
+ * true serial dependence — and the counter/tag lines are prefetched,
+ * so their latency overlaps batch b's work. The prepare passes split
+ * into a serial loop (history shadow, site-table loads, history folds)
+ * and a pure elementwise loop (XOR/shift/mask index math) the compiler
+ * can vectorize across records. The apply pass walks each member's
+ * records in order, performing the branchless counter load / predict
+ * / train / tag update with the carried indices; its per-record
+ * operation sequence is exactly the one the virtual simulate() loop
+ * performs for a dynamically predicted record, so every SimStats
+ * field, collision statistic, profile count, alias-sink cell and
+ * table byte is bit-identical to the oracle's once the engine has
+ * settled the hinted sites. Collision accounting is one tally
+ * increment per applied record (see CollisionTally), from which each
+ * table's statistics are derived at segment end.
  */
 
 #include "core/batch_kernels.hh"
@@ -50,9 +52,11 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define BPSIM_BATCH_PREFETCH(addr) __builtin_prefetch(addr)
 #define BPSIM_BATCH_INLINE inline __attribute__((always_inline))
+#define BPSIM_BATCH_NOINLINE __attribute__((noinline))
 #else
 #define BPSIM_BATCH_PREFETCH(addr) ((void)0)
 #define BPSIM_BATCH_INLINE inline
+#define BPSIM_BATCH_NOINLINE
 #endif
 
 namespace bpsim
@@ -100,6 +104,37 @@ skewHinvFast(std::uint64_t x, BitCount bits, std::uint64_t table_mask)
     const std::uint64_t old_msb = (x >> (bits - 2)) & 1;
     return ((x << 1) & table_mask) | (msb ^ old_msb);
 }
+
+static_assert(ReplayBuffer::packedTakenBit == 0x8000'0000u,
+              "takenOf reads the outcome from the packed word's top bit");
+
+/** The outcome (0 or 1) of a packed gap/taken word. */
+inline std::uint8_t
+takenOf(std::uint32_t packed)
+{
+    return static_cast<std::uint8_t>(packed >> 31);
+}
+
+/** The PC index the predictors hash (the PC in instructions). */
+inline std::uint64_t
+pcIndexOf(Addr pc)
+{
+    return pc / instructionBytes;
+}
+
+/**
+ * The columns of the batch one member prepares and applies next: up
+ * to batchRecords records of its stream, in buffer order. A stream
+ * that keeps every record points into the buffer's own columns; one
+ * that drops records points at the copies its fill gathered.
+ */
+struct BatchColumns
+{
+    const Addr *pc = nullptr;
+    const std::uint32_t *packed = nullptr; ///< gap | outcome words
+    const std::uint32_t *site = nullptr;   ///< null without sites
+    std::size_t count = 0;
+};
 
 /** Raw structure-of-arrays view of one CounterTable. */
 struct LaneTable
@@ -290,18 +325,17 @@ class TableState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         std::size_t *out = idx[slot];
         const std::size_t msk = table.mask;
         if constexpr (Kind == IndexKind::Pc) {
-            (void)taken;
             (void)codes;
             // The masked PC index is cheap enough that apply()
-            // recomputes it inline from the decoded column; prepare
+            // recomputes it inline from the PC; prepare
             // only materializes indices when a big table wants its
             // lines prefetched.
             if (table.prefetch) {
@@ -309,7 +343,7 @@ class TableState
                     if constexpr (WithSites)
                         out[i] = tables->primary[site[i]] & msk;
                     else
-                        out[i] = pc_index[i] & msk;
+                        out[i] = pcIndexOf(in.pc[i]) & msk;
                 }
             }
         } else if constexpr (Kind == IndexKind::PcXorHist) {
@@ -326,9 +360,9 @@ class TableState
                 if constexpr (WithSites)
                     fold[i] = tables->primary[site[i]];
                 else
-                    fold[i] = foldBits(pc_index[i], idxBits);
+                    fold[i] = foldBits(pcIndexOf(in.pc[i]), idxBits);
                 sh.template advance<Policy, WithHints>(
-                    taken[i], WithHints ? codes[site[i]] : 0);
+                    takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
             }
             shadow.front() = sh;
             // Elementwise pass: vectorizable across records.
@@ -339,7 +373,7 @@ class TableState
             for (std::size_t i = 0; i < count; ++i) {
                 out[i] = sh.hist & msk;
                 sh.template advance<Policy, WithHints>(
-                    taken[i], WithHints ? codes[site[i]] : 0);
+                    takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
             }
             shadow.front() = sh;
         }
@@ -353,11 +387,10 @@ class TableState
 
     template <bool WithSink>
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t pc_index, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t k = Kind == IndexKind::Pc
-                                  ? (pc_index & table.mask)
+                                  ? (pcIndexOf(pc) & table.mask)
                                   : idx[slot][i];
         const std::uint8_t counter = table.cnt[k];
         const bool prediction = satCounterTaken(counter, table.msb);
@@ -405,11 +438,11 @@ class BiModeState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         std::uint64_t hist[batchRecords];
         std::uint64_t fold[batchRecords];
         HistoryShadow sh = shadow;
@@ -420,11 +453,11 @@ class BiModeState
                     tables->primary[site[i]] & choice.mask;
                 fold[i] = tables->secondary[site[i]];
             } else {
-                choiceIdx[slot][i] = pc_index[i] & choice.mask;
-                fold[i] = foldBits(pc_index[i], dirBits);
+                choiceIdx[slot][i] = pcIndexOf(in.pc[i]) & choice.mask;
+                fold[i] = foldBits(pcIndexOf(in.pc[i]), dirBits);
             }
             sh.template advance<Policy, WithHints>(
-                taken[i], WithHints ? codes[site[i]] : 0);
+                takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
         }
         shadow = sh;
         for (std::size_t i = 0; i < count; ++i)
@@ -443,8 +476,7 @@ class BiModeState
 
     template <bool WithSink>
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t kc = choiceIdx[slot][i];
         const std::size_t kd = dirIdx[slot][i];
@@ -527,11 +559,11 @@ class GskewState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         std::uint64_t a0[batchRecords];  // H(v1): bank-0 PC chain
         std::uint64_t a1x[batchRecords]; // H(H(v1)) ^ v1: bank-1 mix
         std::uint64_t v2a[batchRecords]; // folded history, g0 window
@@ -550,18 +582,18 @@ class GskewState
                 a1x[i] = tables->tertiary[site[i]];
                 mf[i] = tables->quaternary[site[i]];
             } else {
-                bimIdx[slot][i] = pc_index[i] & bim.mask;
+                bimIdx[slot][i] = pcIndexOf(in.pc[i]) & bim.mask;
                 const std::uint64_t v1 =
-                    foldBits(pc_index[i], bankBits);
+                    foldBits(pcIndexOf(in.pc[i]), bankBits);
                 a0[i] = skewH(v1, bankBits);
                 a1x[i] = skewH(a0[i], bankBits) ^ v1;
-                mf[i] = foldBits(pc_index[i], metaBits);
+                mf[i] = foldBits(pcIndexOf(in.pc[i]), metaBits);
             }
             v2a[i] = foldBits(hist & maskG0, bankBits);
             v2b[i] = foldBits(hist & maskG1, bankBits);
             mf[i] ^= foldBits(hist & maskMeta, metaBits);
             sh.template advance<Policy, WithHints>(
-                taken[i], WithHints ? codes[site[i]] : 0);
+                takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
         }
         shadow = sh;
         // Elementwise pass: vectorizable across records.
@@ -611,8 +643,7 @@ class GskewState
 
     template <bool WithSink>
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t kb = bimIdx[slot][i];
         const std::size_t k0 = g0Idx[slot][i];
@@ -843,11 +874,11 @@ class TageState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         std::uint64_t pc_fold[batchRecords];
         std::uint64_t tag_pc_fold[batchRecords];
         std::uint64_t index_fold[banks][batchRecords];
@@ -868,15 +899,15 @@ class TageState
                 tag_fold[b][i] = sh.tagFold(b);
             }
             sh.template advance<Policy, WithHints>(
-                taken[i], WithHints ? codes[site[i]] : 0);
+                takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
         }
         shadow = sh;
         // Elementwise passes: vectorizable across records.
         if constexpr (!WithSites) {
             for (std::size_t i = 0; i < count; ++i) {
-                base_out[i] = pc_index[i] & lanes[0].mask;
-                pc_fold[i] = foldBits(pc_index[i], bankBits);
-                tag_pc_fold[i] = foldBits(pc_index[i], Tage::tagBits);
+                base_out[i] = pcIndexOf(in.pc[i]) & lanes[0].mask;
+                pc_fold[i] = foldBits(pcIndexOf(in.pc[i]), bankBits);
+                tag_pc_fold[i] = foldBits(pcIndexOf(in.pc[i]), Tage::tagBits);
             }
         }
         for (unsigned b = 0; b < banks; ++b) {
@@ -907,14 +938,16 @@ class TageState
 
     template <bool WithSink>
     BPSIM_BATCH_INLINE ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         // Bit s of hits/preds describes slot s; the base always hits.
+        // The slot loops are unrolled, so each bit's shift is a
+        // constant rather than a loop counter held in a register.
         std::size_t k[1 + banks];
         std::uint8_t c[1 + banks];
         unsigned hits = 1;
         unsigned preds = 0;
+#pragma GCC unroll 5
         for (unsigned s = 0; s <= banks; ++s) {
             k[s] = idx[slot][s][i];
             c[s] = lanes[s].cnt[k[s]];
@@ -922,6 +955,7 @@ class TageState
                          satCounterTaken(c[s], lanes[s].msb))
                      << s;
         }
+#pragma GCC unroll 4
         for (unsigned b = 0; b < banks; ++b) {
             hits |= static_cast<unsigned>(tags[b][k[1 + b]] ==
                                           tag[slot][b][i])
@@ -941,6 +975,7 @@ class TageState
 
         // Key bit s: slot s's access.
         std::uint32_t key = 0;
+#pragma GCC unroll 5
         for (unsigned s = 0; s <= banks; ++s)
             key |= touchLane<WithSink>(lanes[s], k[s], pc, correct) << s;
         tally.add(key, correct);
@@ -1048,11 +1083,11 @@ class PerceptronState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t *pc_index, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         // Zero past count: the elementwise loops below run the full
         // batch width, a compile-time trip count they vectorize at.
         std::uint64_t hist[batchRecords] = {};
@@ -1063,12 +1098,12 @@ class PerceptronState
             if constexpr (WithSites)
                 pc_fold[i] = tables->primary[site[i]];
             sh.template advance<Policy, WithHints>(
-                taken[i], WithHints ? codes[site[i]] : 0);
+                takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
         }
         shadow = sh;
         if constexpr (!WithSites) {
             for (std::size_t i = 0; i < count; ++i)
-                pc_fold[i] = foldBits(pc_index[i], bits);
+                pc_fold[i] = foldBits(pcIndexOf(in.pc[i]), bits);
         }
         // Elementwise, slice-major so each inner loop vectorizes
         // across records.
@@ -1097,8 +1132,7 @@ class PerceptronState
 
     template <bool WithSink>
     BPSIM_BATCH_INLINE ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         std::uint8_t weight[tableCount];
         int sum = 0;
@@ -1109,8 +1143,10 @@ class PerceptronState
         }
         const bool correct = (sum >= 0) == taken;
 
-        // Key bit t: table t's access.
+        // Key bit t: table t's access. Unrolled, so each bit's shift
+        // is a constant rather than a loop counter held in a register.
         std::uint32_t key = 0;
+#pragma GCC unroll 8
         for (unsigned t = 0; t < tableCount; ++t)
             key |= touchLane<WithSink>(lanes[t], idx[slot][t][i], pc,
                                        correct)
@@ -1169,11 +1205,11 @@ class AgreeState
 
     template <ShiftPolicy Policy, bool WithHints, bool WithSites>
     void
-    prepare(unsigned slot, std::size_t count,
-            const std::uint64_t * /*pc_index*/, const std::uint8_t *taken,
-            const std::uint32_t *site, const std::uint8_t *codes,
-            batch::SiteTables *tables)
+    prepare(unsigned slot, const BatchColumns &in,
+            const std::uint8_t *codes, batch::SiteTables *tables)
     {
+        const std::size_t count = in.count;
+        [[maybe_unused]] const std::uint32_t *site = in.site;
         static_assert(WithSites, "agree's bias bits are site-indexed");
         bias = tables->bias.data();
         std::uint64_t hist[batchRecords];
@@ -1184,7 +1220,7 @@ class AgreeState
             fold[i] = tables->primary[site[i]];
             siteOf[slot][i] = site[i];
             sh.template advance<Policy, WithHints>(
-                taken[i], WithHints ? codes[site[i]] : 0);
+                takenOf(in.packed[i]), WithHints ? codes[site[i]] : 0);
         }
         shadow = sh;
         for (std::size_t i = 0; i < count; ++i)
@@ -1199,8 +1235,7 @@ class AgreeState
 
     template <bool WithSink>
     ApplyResult
-    apply(unsigned slot, std::size_t i, Addr pc,
-          std::uint64_t /*pc_index*/, bool taken)
+    apply(unsigned slot, std::size_t i, Addr pc, bool taken)
     {
         const std::size_t k = idx[slot][i];
         const std::uint8_t counter = table.cnt[k];
@@ -1287,148 +1322,225 @@ template <> struct StateFor<Agree>
 };
 
 /**
- * The batch driver: walk records [start, end) in batches, one batch
- * of lookahead deep. Each batch is decoded once and prepared for
- * every member while the previous batch is still unapplied, so the
- * prepare pass's work (and any prefetches) overlaps the previous
- * batch's apply work. The apply pass is record-major: every member
- * steps through a record before the pass moves to the next one, so
+ * One member's record stream over a segment [start, end): the records
+ * its predictor sees, in buffer order, handed out a full batch at a
+ * time from the member's own cursor. Given @p drop_codes (the hint
+ * codes of a member under NoShift, whose hinted records touch neither
+ * its tables nor its history) the fill skips every record of a hinted
+ * site and gathers the kept records' columns; otherwise the stream
+ * keeps every record and its batches view the buffer's columns in
+ * place.
+ */
+class RecordStream
+{
+  public:
+    RecordStream(const ReplayBuffer &buffer, const std::uint32_t *site_of,
+                 const std::uint8_t *drop_codes, Count start, Count end)
+        : pcs(buffer.pcData()), packed(buffer.packedData()),
+          siteOf(site_of), dropCodes(drop_codes), cursor(start), end(end)
+    {
+    }
+
+    /** Fill slot @p slot with the next batch (empty once dry). */
+    const BatchColumns &
+    fill(unsigned slot)
+    {
+        if (dropCodes != nullptr)
+            return fillDropping(slot);
+        BatchColumns &out = slots[slot];
+        const std::size_t count = static_cast<std::size_t>(
+            std::min<Count>(batchRecords, end - cursor));
+        out.pc = pcs + cursor;
+        out.packed = packed + cursor;
+        out.site = siteOf != nullptr ? siteOf + cursor : nullptr;
+        out.count = count;
+        cursor += count;
+        return out;
+    }
+
+    /** The batch last filled into slot @p slot. */
+    const BatchColumns &columns(unsigned slot) const { return slots[slot]; }
+
+  private:
+    /**
+     * fill() for a stream that drops the hinted sites' records. Kept
+     * out of line: inlined into the driver, it crowds the apply
+     * loop's registers.
+     */
+    BPSIM_BATCH_NOINLINE const BatchColumns &
+    fillDropping(unsigned slot)
+    {
+        // Branch-free scan: each record's index is written, and the
+        // write position moves past it only when its site is unhinted.
+        // The kept records' columns are gathered afterwards, so a
+        // dropped record costs two loads and a store.
+        std::size_t kept = 0;
+        Count r = cursor;
+        while (r < end) {
+            record[kept] = r;
+            kept += (dropCodes[siteOf[r]] & batch::hintPresentBit) == 0
+                        ? 1
+                        : 0;
+            ++r;
+            if (kept == batchRecords)
+                break;
+        }
+        cursor = r;
+        for (std::size_t i = 0; i < kept; ++i) {
+            const Count at = record[i];
+            pcCopy[slot][i] = pcs[at];
+            packedCopy[slot][i] = packed[at];
+            siteCopy[slot][i] = siteOf[at];
+        }
+        BatchColumns &out = slots[slot];
+        out.pc = pcCopy[slot];
+        out.packed = packedCopy[slot];
+        out.site = siteCopy[slot];
+        out.count = kept;
+        return out;
+    }
+
+    const Addr *pcs;
+    const std::uint32_t *packed;
+    const std::uint32_t *siteOf;
+    const std::uint8_t *dropCodes;
+    Count cursor;
+    Count end;
+    BatchColumns slots[pipelineSlots];
+    Count record[batchRecords];
+    Addr pcCopy[pipelineSlots][batchRecords];
+    std::uint32_t packedCopy[pipelineSlots][batchRecords];
+    std::uint32_t siteCopy[pipelineSlots][batchRecords];
+};
+
+/**
+ * The batch driver: step @p N same-type members through records
+ * [start, end), each over its own RecordStream, software pipelined one
+ * batch deep. While batch b is applied, every member's batch b+1 is
+ * already filled and prepared, so the prepare pass's work (and any
+ * prefetches) overlaps batch b's apply work. A member fills full
+ * batches of the records it applies, so prepare runs at full width
+ * however many records the member drops. The apply pass is
+ * record-major over the members' batches, position by position, so
  * the members' mutually independent dependent chains (counter load ->
  * predict -> train -> store) overlap in the out-of-order window. @p N
  * is the compile-time member count (callers chunk larger gangs), so
  * the member loops fully unroll and the per-member accumulators are
- * register-resident fixed arrays. Stat totals equal the per-record
- * increments of simulate() exactly (integer sums in a different
- * grouping); per member the record order is the buffer order, so the
- * table and history evolution is identical. A lone member may also
- * accumulate its site-indexed @p profiles (@p WithDense) and report
- * its colliding lookups, classified, to its tables' ContextAliasSink
- * (@p WithSink), both as simulate() records them.
+ * register-resident fixed arrays.
+ *
+ * A statically hinted record neither consults nor trains the dynamic
+ * predictor. Under NoShift it leaves the history alone too, so a
+ * hinted member's stream drops it at fill; under the shifting
+ * policies it still advances the history shadow in prepare, and
+ * apply skips it. The kernels count nothing for it: the exec settles
+ * hinted sites from the window's per-site outcome totals. Every other
+ * stat equals the per-record increments of simulate() exactly
+ * (integer sums in a different grouping), and per member the applied
+ * records are the oracle's dynamic ones in buffer order, so the table
+ * and history evolution is identical. A lone member may also
+ * accumulate its site-indexed @p profiles for the records it applies
+ * (@p WithDense) and report its colliding lookups, classified, to its
+ * tables' ContextAliasSink (@p WithSink), both as simulate() records
+ * them. @p applied_out, when given, accumulates each member's applied
+ * records.
  */
-template <typename P, ShiftPolicy Policy, bool WithHints,
-          bool WithSites, bool WithDense, bool WithSink, std::size_t N>
+template <typename P, ShiftPolicy Policy, bool WithSites, bool WithDense,
+          bool WithSink, std::size_t N>
 void
-runBatchLoop(P *const *predictors, batch::SiteTables *const *site_tables,
-             const std::uint8_t *const *hint_codes,
-             SimStats *const *stats, const ReplayBuffer &buffer,
-             const std::uint32_t *site_of, BranchProfile *profiles,
-             Count start, Count end)
+runStreamLoop(P *const *predictors, batch::SiteTables *const *site_tables,
+              const std::uint8_t *const *hint_codes,
+              SimStats *const *stats, Count *applied_out,
+              const ReplayBuffer &buffer, const std::uint32_t *site_of,
+              BranchProfile *profiles, Count start, Count end)
 {
     static_assert(N == 1 || !(WithDense || WithSink),
                   "a profiling or attributed sim runs alone");
+    constexpr bool Shifting = Policy != ShiftPolicy::NoShift;
+    static_assert(WithSites || !Shifting, "hint codes are per site");
     using State = typename StateFor<P>::type;
-    constexpr std::size_t B = batchRecords;
 
-    const Addr *pcs = buffer.pcData();
-    const std::uint32_t *packed = buffer.packedData();
-
+    const std::uint8_t *codes[N];
     std::vector<State> states;
+    std::vector<RecordStream> streams;
     states.reserve(N);
-    for (std::size_t m = 0; m < N; ++m)
+    streams.reserve(N);
+    for (std::size_t m = 0; m < N; ++m) {
+        codes[m] = hint_codes != nullptr ? hint_codes[m] : nullptr;
         states.emplace_back(*predictors[m]);
+        streams.emplace_back(buffer, site_of,
+                             Shifting ? nullptr : codes[m], start, end);
+    }
     State *const st = states.data();
+    RecordStream *const rs = streams.data();
 
     Count mispredictions[N]{};
-    Count staticPredicted[N]{};
-    Count staticMispredicted[N]{};
-    Count branches = 0;
-    Count instructions = 0;
+    Count applied[N]{};
 
-    Addr pc[pipelineSlots][B];
-    std::uint64_t pcIndex[pipelineSlots][B];
-    std::uint8_t taken[pipelineSlots][B];
-    std::uint32_t site[pipelineSlots][B];
-    std::size_t counts[pipelineSlots] = {};
-
-    // Decode one batch's trace columns (lane-parallel: pure
-    // elementwise integer ops over contiguous arrays), then run every
-    // member's prepare pass over it. Static-hint codes are read
-    // straight from the members' site-indexed code arrays — both here
-    // and at apply time — so no per-batch staging buffer is needed.
-    const auto decodeAndPrepare = [&](Count base, unsigned slot) {
-        const std::size_t count =
-            static_cast<std::size_t>(std::min<Count>(B, end - base));
-        counts[slot] = count;
-        for (std::size_t i = 0; i < count; ++i) {
-            pc[slot][i] = pcs[base + i];
-            pcIndex[slot][i] = pc[slot][i] / instructionBytes;
-            const std::uint32_t word = packed[base + i];
-            taken[slot][i] =
-                (word & ReplayBuffer::packedTakenBit) != 0 ? 1 : 0;
-            instructions += word & ~ReplayBuffer::packedTakenBit;
-        }
-        branches += count;
-        if constexpr (WithSites) {
-            for (std::size_t i = 0; i < count; ++i)
-                site[slot][i] = site_of[base + i];
-        }
-        for (std::size_t m = 0; m < N; ++m) {
-            st[m].template prepare<Policy, WithHints, WithSites>(
-                slot, count, pcIndex[slot], taken[slot],
-                WithSites ? site[slot] : nullptr,
-                WithHints ? hint_codes[m] : nullptr,
+    const auto fillAndPrepare = [&](std::size_t m, unsigned slot) {
+        const BatchColumns &in = rs[m].fill(slot);
+        if (in.count > 0) {
+            st[m].template prepare<Policy, Shifting, WithSites>(
+                slot, in, codes[m],
                 WithSites ? site_tables[m] : nullptr);
         }
     };
 
-    if (start < end)
-        decodeAndPrepare(start, 0);
-    unsigned cur = 0;
-    for (Count base = start; base < end; base += B) {
-        if (base + B < end)
-            decodeAndPrepare(base + B, cur ^ 1);
-        const std::size_t count = counts[cur];
-        for (std::size_t i = 0; i < count; ++i) {
-            const Addr recPc = pc[cur][i];
-            const std::uint64_t recPcIndex = pcIndex[cur][i];
-            const bool recTaken = taken[cur][i] != 0;
+    for (std::size_t m = 0; m < N; ++m)
+        fillAndPrepare(m, 0);
+    for (unsigned cur = 0;; cur ^= 1) {
+        // Register copies of the batch views: apply's byte stores may
+        // alias anything, which would reload them per record.
+        BatchColumns in[N];
+        std::size_t longest = 0;
+        for (std::size_t m = 0; m < N; ++m) {
+            in[m] = rs[m].columns(cur);
+            longest = std::max(longest, in[m].count);
+            applied[m] += in[m].count;
+        }
+        if (longest == 0)
+            break;
+        for (std::size_t m = 0; m < N; ++m)
+            fillAndPrepare(m, cur ^ 1);
+        for (std::size_t i = 0; i < longest; ++i) {
             for (std::size_t m = 0; m < N; ++m) {
-                if constexpr (WithHints) {
-                    const std::uint8_t code =
-                        hint_codes[m][site[cur][i]];
-                    if ((code & batch::hintPresentBit) != 0) {
-                        const bool direction =
-                            (code & batch::hintTakenBit) != 0;
-                        const bool miss = direction != recTaken;
-                        mispredictions[m] += miss;
-                        ++staticPredicted[m];
-                        staticMispredicted[m] += miss;
-                        // Accuracy counts describe the *dynamic*
-                        // predictor, so a hinted record adds only its
-                        // outcome to the profile.
-                        if constexpr (WithDense) {
-                            BranchProfile &profile =
-                                profiles[site[cur][i]];
-                            ++profile.executed;
-                            profile.taken += recTaken ? 1 : 0;
-                        }
+                if (i >= in[m].count)
+                    continue;
+                if constexpr (Shifting) {
+                    if ((codes[m][in[m].site[i]] &
+                         batch::hintPresentBit) != 0) {
+                        --applied[m];
                         continue;
                     }
                 }
+                const bool taken = takenOf(in[m].packed[i]) != 0;
                 const ApplyResult result =
-                    st[m].template apply<WithSink>(cur, i, recPc,
-                                                   recPcIndex, recTaken);
+                    st[m].template apply<WithSink>(cur, i, in[m].pc[i],
+                                                   taken);
                 mispredictions[m] += !result.correct;
                 if constexpr (WithDense) {
-                    BranchProfile &profile = profiles[site[cur][i]];
+                    BranchProfile &profile = profiles[in[m].site[i]];
                     ++profile.executed;
-                    profile.taken += recTaken ? 1 : 0;
+                    profile.taken += taken ? 1 : 0;
                     ++profile.predicted;
                     profile.correct += result.correct ? 1 : 0;
                     profile.collisions += result.collided;
                 }
             }
         }
-        cur ^= 1;
     }
 
+    // Every member measures the whole segment, hinted records included.
+    const std::uint32_t *packed = buffer.packedData();
+    Count instructions = 0;
+    for (Count r = start; r < end; ++r)
+        instructions += packed[r] & ~ReplayBuffer::packedTakenBit;
     for (std::size_t m = 0; m < N; ++m) {
         SimStats &out = *stats[m];
-        out.branches += branches;
+        out.branches += end - start;
         out.instructions += instructions;
         out.mispredictions += mispredictions[m];
-        out.staticPredicted += staticPredicted[m];
-        out.staticMispredictions += staticMispredicted[m];
+        if (applied_out != nullptr)
+            applied_out[m] += applied[m];
         st[m].flushSegment(*predictors[m]);
     }
 }
@@ -1453,26 +1565,27 @@ withPolicy(ShiftPolicy policy, const Fn &fn)
     }
 }
 
-/** Run one gang chunk of compile-time size through the batch loop. */
+/** Run one gang chunk of compile-time size through the stream loop. */
 template <typename P, std::size_t N>
 void
 dispatchGangChunk(const batch::GangArgs<P> &args, std::size_t offset)
 {
     withPolicy(args.policy, [&](auto policy_tag) {
-        runBatchLoop<P, decltype(policy_tag)::value, true, true, false,
-                     false, N>(
+        runStreamLoop<P, decltype(policy_tag)::value, true, false, false,
+                      N>(
             args.predictors + offset, args.siteTables + offset,
-            args.hintCodes + offset, args.stats + offset, *args.buffer,
-            args.siteOf, nullptr, args.from, args.to);
+            args.hintCodes + offset, args.stats + offset,
+            args.applied != nullptr ? args.applied + offset : nullptr,
+            *args.buffer, args.siteOf, nullptr, args.from, args.to);
     });
 }
 
 /**
- * Run one solo segment under a compile-time hint shape. Only the
+ * Run one solo segment under a compile-time shift policy. Only the
  * three profile/sink combinations a solo sim can have are stamped
  * out: a profile, a sink, or both (a scenario evaluation).
  */
-template <typename P, bool WithHints, ShiftPolicy Policy>
+template <typename P, ShiftPolicy Policy>
 void
 dispatchSolo(const batch::SoloArgs<P> &args)
 {
@@ -1481,10 +1594,9 @@ dispatchSolo(const batch::SoloArgs<P> &args)
     const std::uint8_t *codes = args.hintCodes;
     SimStats *stats = args.stats;
     const auto run = [&](auto dense_tag, auto sink_tag) {
-        runBatchLoop<P, Policy, WithHints, true,
-                     decltype(dense_tag)::value, decltype(sink_tag)::value,
-                     1>(
-            &predictor, &tables, &codes, &stats, *args.buffer,
+        runStreamLoop<P, Policy, true, decltype(dense_tag)::value,
+                      decltype(sink_tag)::value, 1>(
+            &predictor, &tables, &codes, &stats, nullptr, *args.buffer,
             args.siteOf, args.profiles, args.from, args.to);
     };
     if (args.sink == nullptr)
@@ -1535,12 +1647,11 @@ runSoloBatch(const batch::SoloArgs<P> &args)
 {
     bpsim_assert(args.profiles != nullptr || args.sink != nullptr,
                  "a solo segment needs a profile or a sink");
-    if (args.hintCodes == nullptr) {
-        dispatchSolo<P, false, ShiftPolicy::NoShift>(args);
-        return;
-    }
+    bpsim_assert(args.hintCodes != nullptr ||
+                     args.policy == ShiftPolicy::NoShift,
+                 "a shifting policy needs hints");
     withPolicy(args.policy, [&](auto policy_tag) {
-        dispatchSolo<P, true, decltype(policy_tag)::value>(args);
+        dispatchSolo<P, decltype(policy_tag)::value>(args);
     });
 }
 
@@ -1554,10 +1665,9 @@ runPlainBatch(const batch::PlainArgs<P> &args)
     } else {
         P *predictor = args.predictor;
         SimStats *stats = args.stats;
-        runBatchLoop<P, ShiftPolicy::NoShift, false, false, false, false,
-                     1>(&predictor, nullptr, nullptr, &stats,
-                        *args.buffer, nullptr, nullptr, args.from,
-                        args.to);
+        runStreamLoop<P, ShiftPolicy::NoShift, false, false, false, 1>(
+            &predictor, nullptr, nullptr, &stats, nullptr, *args.buffer,
+            nullptr, nullptr, args.from, args.to);
     }
 }
 
@@ -1575,3 +1685,4 @@ BPSIM_KERNEL_PREDICTORS(BPSIM_INSTANTIATE_BATCH_KERNELS)
 
 #undef BPSIM_BATCH_PREFETCH
 #undef BPSIM_BATCH_INLINE
+#undef BPSIM_BATCH_NOINLINE

@@ -94,16 +94,14 @@ constexpr Count fusedBlock = 65536;
 using batch::hintPresentBit;
 using batch::hintTakenBit;
 
-/** Dense per-site hint codes of @p hints (all zero when null). */
+/** Dense per-site hint codes of @p hints (0 for an unhinted site). */
 std::vector<std::uint8_t>
-hintCodesFor(const HintDb *hints, const SiteIndex &sites)
+hintCodesFor(const HintDb &hints, const SiteIndex &sites)
 {
     std::vector<std::uint8_t> codes(sites.siteCount(), 0);
-    if (hints == nullptr)
-        return codes;
     for (std::uint32_t s = 0; s < sites.siteCount(); ++s) {
         bool taken = false;
-        if (hints->lookup(sites.sitePc(s), taken))
+        if (hints.lookup(sites.sitePc(s), taken))
             codes[s] = hintPresentBit | (taken ? hintTakenBit : 0);
     }
     return codes;
@@ -130,7 +128,7 @@ class FusedExec
     FusedExec(std::vector<FusedSim *> window_sims,
               const ReplayBuffer &buffer)
         : sims(std::move(window_sims)), buffer(buffer),
-          warmupStats(sims.size())
+          applied(sims.size(), 0), warmupStats(sims.size())
     {
         const FusedSim &lead = *sims.front();
         const SimOptions &first = lead.options;
@@ -199,18 +197,28 @@ class FusedExec
     /** Finalize stats and run-level counters after the pass. */
     virtual void finish() = 0;
 
-    /** Report the measured step times on the sims. Gang members step
-     * the same records, so the split by records is an even one. */
+    /**
+     * Report the measured step times on the sims: a gang's time is
+     * apportioned by the records each member applied (members drop
+     * different shares of hinted records), evenly when none applied
+     * any, so the members' times sum to the exec's.
+     */
     void
     shareSeconds()
     {
-        const double members = static_cast<double>(sims.size());
-        for (FusedSim *sim : sims) {
-            sim->seconds =
-                std::chrono::duration<double>(stepped).count() / members;
-            sim->prefixSeconds =
-                std::chrono::duration<double>(prefixStepped).count() /
-                members;
+        Count total = 0;
+        for (const Count records : applied)
+            total += records;
+        const double step = std::chrono::duration<double>(stepped).count();
+        const double prefix =
+            std::chrono::duration<double>(prefixStepped).count();
+        for (std::size_t m = 0; m < sims.size(); ++m) {
+            const double share =
+                total == 0 ? 1.0 / static_cast<double>(sims.size())
+                           : static_cast<double>(applied[m]) /
+                                 static_cast<double>(total);
+            sims[m]->seconds = step * share;
+            sims[m]->prefixSeconds = prefix * share;
         }
     }
 
@@ -236,10 +244,15 @@ class FusedExec
     std::vector<FusedSim *> sims;
     const ReplayBuffer &buffer;
     Count warmupEnd = 0;
+    Count prefixEnd = 0;
     Count lastRecord = 0;
 
+    /** Records each member applied, for shareSeconds(); the gang
+     * kernels count them, and the other shapes, which step one sim,
+     * leave them zero. */
+    std::vector<Count> applied;
+
   private:
-    Count prefixEnd = 0;
     bool prefixOpen = false;
     std::vector<SimStats> warmupStats; // discarded, like simulate()'s
     std::vector<SimStats *> measuredPtrs;
@@ -253,7 +266,9 @@ class FusedExec
  * components share the concrete type @p P and one effective shift
  * policy. A sim with a profile, a prefix profile or an alias sink
  * runs alone. Hints and profile counts live on the pass's dense site
- * arrays.
+ * arrays. The kernels count nothing for a hinted record; finish()
+ * settles the hinted sites from the window's per-site outcome totals,
+ * which the pass's site index counts once per window.
  */
 template <typename P>
 class KernelExec final : public FusedExec
@@ -272,21 +287,21 @@ class KernelExec final : public FusedExec
         : FusedExec(simsOf(members), buffer), sites(sites),
           policy(policy), kernels(kernels)
     {
-        bool hinted = false;
-        for (const Member &member : members) {
-            predictors.push_back(member.concrete);
-            hinted = hinted || member.hints != nullptr;
+        hintCodes.resize(members.size());
+        for (std::size_t m = 0; m < members.size(); ++m) {
+            predictors.push_back(members[m].concrete);
+            if (members[m].hints != nullptr) {
+                hintCodes[m] = hintCodesFor(*members[m].hints, *sites);
+                hinted = true;
+            }
+            codePtrs.push_back(members[m].hints != nullptr
+                                   ? hintCodes[m].data()
+                                   : nullptr);
         }
-        // Gangs, hinted sims and types with per-site state read
-        // per-member hint codes (all zero for unhinted members); the
-        // pass has a site index whenever a sim has hints, a profile or
-        // a sink, sims are ganged, or the type needs one.
-        if (hinted || members.size() > 1 || batch::needsSiteIndex<P>) {
-            for (const Member &member : members)
-                hintCodes.push_back(hintCodesFor(member.hints, *sites));
-            for (const std::vector<std::uint8_t> &codes : hintCodes)
-                codePtrs.push_back(codes.data());
-        }
+        // Gangs, hinted sims and types with per-site state run over
+        // the site index; the pass has one whenever a sim has hints, a
+        // profile or a sink, sims are ganged, or the type needs one.
+        sited = hinted || members.size() > 1 || batch::needsSiteIndex<P>;
         sink = predictors.front()->aliasSink();
         const bool profiling = sims.front()->options.profile != nullptr ||
                                sims.front()->prefixProfile != nullptr;
@@ -296,7 +311,7 @@ class KernelExec final : public FusedExec
         }
         if (profiling)
             profileCounts.assign(sites->siteCount(), BranchProfile{});
-        if (!codePtrs.empty() || profiling || sink != nullptr) {
+        if (sited || profiling || sink != nullptr) {
             for (const Member &member : members) {
                 siteTables.push_back(
                     batch::buildSiteTables(*member.concrete, *sites));
@@ -311,7 +326,7 @@ class KernelExec final : public FusedExec
     flushPrefix() override
     {
         FusedSim &sim = *sims.front();
-        addProfileCounts(*sim.prefixProfile);
+        addProfileCounts(*sim.prefixProfile, prefixEnd);
         // Counts past the prefix feed only the sim's own profile;
         // without one, the rest of the window runs unprofiled.
         if (sim.options.profile == nullptr)
@@ -321,8 +336,9 @@ class KernelExec final : public FusedExec
     void
     finish() override
     {
+        settleHinted();
         if (ProfileDb *profile = sims.front()->options.profile)
-            addProfileCounts(*profile);
+            addProfileCounts(*profile, lastRecord);
         for (FusedSim *sim : sims) {
             sim->stats.collisions = sim->predictor->collisionStats();
             sim->usedFastPath = true;
@@ -351,7 +367,7 @@ class KernelExec final : public FusedExec
             batch::SoloArgs<P> args;
             args.predictor = predictors.front();
             args.siteTables = tablePtrs.front();
-            args.hintCodes = codePtrs.empty() ? nullptr : codePtrs.front();
+            args.hintCodes = codePtrs.front();
             args.policy = policy;
             args.profiles =
                 profileCounts.empty() ? nullptr : profileCounts.data();
@@ -362,10 +378,9 @@ class KernelExec final : public FusedExec
             args.from = from;
             args.to = to;
             kernels.solo(args);
-        } else if (!codePtrs.empty()) {
+        } else if (sited) {
             // One kernel call advances every member through the
-            // segment (the batch driver walks members per batch, so
-            // the trace columns decode once regardless of gang size).
+            // segment, each over its own record stream.
             batch::GangArgs<P> args;
             args.predictors = predictors.data();
             args.siteTables = tablePtrs.data();
@@ -377,6 +392,7 @@ class KernelExec final : public FusedExec
             args.from = from;
             args.to = to;
             args.policy = policy;
+            args.applied = applied.data();
             kernels.gang(args);
         } else {
             batch::PlainArgs<P> args;
@@ -399,13 +415,64 @@ class KernelExec final : public FusedExec
         return out;
     }
 
-    /** Add the dense per-site counts so far to @p profile. */
-    void
-    addProfileCounts(ProfileDb &profile) const
+    /** The measured window's per-site outcome totals up to @p end. */
+    const std::vector<SiteOutcome> &
+    outcomesUpTo(Count end) const
     {
+        return sites->outcomesOver(buffer, warmupEnd, end);
+    }
+
+    /**
+     * Count each hinted member's measured hinted records, which the
+     * kernels skip: a hinted record is statically predicted, and
+     * mispredicts exactly when its outcome opposes its site's hint.
+     */
+    void
+    settleHinted()
+    {
+        if (!hinted || lastRecord == warmupEnd)
+            return;
+        const std::vector<SiteOutcome> &totals = outcomesUpTo(lastRecord);
+        for (std::size_t m = 0; m < sims.size(); ++m) {
+            const std::uint8_t *codes = codePtrs[m];
+            if (codes == nullptr)
+                continue;
+            SimStats &stats = sims[m]->stats;
+            for (std::uint32_t s = 0; s < totals.size(); ++s) {
+                if ((codes[s] & hintPresentBit) == 0)
+                    continue;
+                const Count misses = (codes[s] & hintTakenBit) != 0
+                                         ? totals[s].executed -
+                                               totals[s].taken
+                                         : totals[s].taken;
+                stats.staticPredicted += totals[s].executed;
+                stats.staticMispredictions += misses;
+                stats.mispredictions += misses;
+            }
+        }
+    }
+
+    /**
+     * Add the dense per-site counts so far, which cover the records
+     * the sim applied, to @p profile, with each hinted site's outcomes
+     * over the measured window up to @p end: simulate() records only
+     * the outcome of a hinted record.
+     */
+    void
+    addProfileCounts(ProfileDb &profile, Count end) const
+    {
+        const std::uint8_t *codes = codePtrs.front();
+        const std::vector<SiteOutcome> *totals =
+            codes != nullptr && end > warmupEnd ? &outcomesUpTo(end)
+                                                : nullptr;
         for (std::uint32_t s = 0; s < profileCounts.size(); ++s) {
-            if (profileCounts[s].executed > 0)
-                profile.addCounts(sites->sitePc(s), profileCounts[s]);
+            BranchProfile counts = profileCounts[s];
+            if (totals != nullptr && (codes[s] & hintPresentBit) != 0) {
+                counts.executed += (*totals)[s].executed;
+                counts.taken += (*totals)[s].taken;
+            }
+            if (counts.executed > 0)
+                profile.addCounts(sites->sitePc(s), counts);
         }
     }
 
@@ -413,6 +480,8 @@ class KernelExec final : public FusedExec
     ShiftPolicy policy;
     BatchKernelSet<P> kernels;
     ContextAliasSink *sink = nullptr;
+    bool hinted = false;
+    bool sited = false;
     std::vector<P *> predictors;
     std::vector<std::vector<std::uint8_t>> hintCodes;
     std::vector<const std::uint8_t *> codePtrs;
@@ -726,9 +795,9 @@ simulateReplayFused(std::vector<FusedSim> &sims,
     }
 
     // The fused walk: every sim steps through each block before the
-    // pass moves to the next one, so the trace columns are decoded
-    // from cache-resident memory once per block instead of once per
-    // sim. Block boundaries are semantically invisible — each sim's
+    // pass moves to the next one, so the trace columns are read from
+    // cache-resident memory once per block instead of once per sim.
+    // Block boundaries are semantically invisible — each sim's
     // predictor state advances through the same record sequence it
     // would see in a private pass.
     Count max_end = 0;

@@ -129,9 +129,10 @@ struct FusedSim
     SimStats stats;
 
     /** Output: wall seconds spent stepping this sim through the pass,
-     * timed per exec and block (a gang's time split evenly over its
-     * members, which step the same records); the pass's setup and
-     * finish are not included. */
+     * timed per exec and block; a gang's time is apportioned by the
+     * records each member applied, since each steps only the records
+     * its predictor sees. The pass's setup and finish are not
+     * included. */
     double seconds = 0.0;
 
     /** Output: the part of seconds stepped up to the prefix boundary
@@ -168,6 +169,13 @@ struct FusedSim
  *    has any); other visited sims sharing a type, replay window and
  *    shift policy run as one gang when the pass has a site index, else
  *    each alone;
+ *  - each member of a kernel exec steps its own stream of the records
+ *    its predictor sees: under NoShift a hinted record touches neither
+ *    the dynamic tables nor the history, so it never reaches the
+ *    kernels, and gang members apply their streams in lockstep. The
+ *    hinted records' statistics and profile outcomes are settled when
+ *    the pass finishes, from the window's per-site outcome totals
+ *    (SiteIndex::outcomesOver, counted once per window and index);
  *  - a sim's segments split at its prefix boundary as they split at
  *    the warmup boundary: the prefix profile is complete there, and a
  *    sim with no profile or sink of its own steps the rest without

@@ -1,8 +1,12 @@
 #include "profile/profile_db.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -61,24 +65,83 @@ ProfileDb::save(const std::string &path) const
     std::fclose(out);
 }
 
-ProfileDb
+namespace
+{
+
+/**
+ * Parse the unsigned field at @p cursor (skipping blanks before it;
+ * base 16 with an optional 0x for the PC) and move past it. Rejects a
+ * sign, an overflow and a field not followed by a blank or the end.
+ */
+bool
+parseField(const char *&cursor, int base, std::uint64_t &out)
+{
+    while (*cursor == ' ' || *cursor == '\t')
+        ++cursor;
+    if (!std::isdigit(static_cast<unsigned char>(*cursor)))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(cursor, &end, base);
+    if (errno == ERANGE ||
+        (*end != '\0' && *end != ' ' && *end != '\t' && *end != '\r'))
+        return false;
+    cursor = end;
+    return true;
+}
+
+/** Why @p line is not a profile record, or null when it is one. */
+const char *
+parseRecord(const std::string &line, Addr &pc, BranchProfile &profile)
+{
+    const char *cursor = line.c_str();
+    if (!parseField(cursor, 16, pc) ||
+        !parseField(cursor, 10, profile.executed) ||
+        !parseField(cursor, 10, profile.taken) ||
+        !parseField(cursor, 10, profile.predicted) ||
+        !parseField(cursor, 10, profile.correct) ||
+        !parseField(cursor, 10, profile.collisions))
+        return "expected 'pc executed taken predicted correct "
+               "collisions'";
+    while (*cursor == ' ' || *cursor == '\t' || *cursor == '\r')
+        ++cursor;
+    if (*cursor != '\0')
+        return "trailing characters after the collisions count";
+    if (profile.taken > profile.executed)
+        return "taken exceeds executed";
+    if (profile.predicted > profile.executed)
+        return "predicted exceeds executed";
+    if (profile.correct > profile.predicted)
+        return "correct exceeds predicted";
+    return nullptr;
+}
+
+} // namespace
+
+Result<ProfileDb>
 ProfileDb::load(const std::string &path)
 {
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    if (in == nullptr)
-        bpsim_fatal("cannot open profile '", path, "'");
+    std::ifstream in(path);
+    if (!in)
+        return Error(ErrorCode::IoFailure, "cannot open profile")
+            .withContext("path " + path);
     ProfileDb db;
-    std::uint64_t pc;
-    BranchProfile profile;
-    while (std::fscanf(in,
-                       "%" SCNx64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                       " %" SCNu64 " %" SCNu64,
-                       &pc, &profile.executed, &profile.taken,
-                       &profile.predicted, &profile.correct,
-                       &profile.collisions) == 6) {
-        db.profiles[pc] = profile;
+    std::string line;
+    for (Count number = 1; std::getline(in, line); ++number) {
+        Addr pc = 0;
+        BranchProfile profile;
+        const char *problem = parseRecord(line, pc, profile);
+        if (problem == nullptr && !db.profiles.emplace(pc, profile).second)
+            problem = "the pc appears on an earlier line";
+        if (problem != nullptr) {
+            return Error(ErrorCode::IoFailure,
+                         std::string("malformed profile line: ") + problem)
+                .withContext(path + ":" + std::to_string(number));
+        }
     }
-    std::fclose(in);
+    if (in.bad())
+        return Error(ErrorCode::IoFailure, "cannot read profile")
+            .withContext("path " + path);
     return db;
 }
 

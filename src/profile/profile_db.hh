@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "profile/branch_profile.hh"
+#include "support/error.hh"
 #include "support/types.hh"
 #include "trace/branch_stream.hh"
 
@@ -91,8 +92,14 @@ class ProfileDb
     /** Save as text ("pc executed taken predicted correct" lines). */
     void save(const std::string &path) const;
 
-    /** Load a database saved by save(). */
-    static ProfileDb load(const std::string &path);
+    /**
+     * Load a database saved by save(). A file that cannot be opened, a
+     * malformed line, a repeated PC or impossible counts (taken or
+     * predicted above executed, correct above predicted) fail as
+     * io_failure naming the file and line; nothing is returned in
+     * part.
+     */
+    static Result<ProfileDb> load(const std::string &path);
 
     /**
      * Collect a bias-only profile by running @p stream for at most

@@ -47,35 +47,46 @@ ProfileRepository::addRun(const std::string &program,
     return run;
 }
 
-ProfileDb
+Result<ProfileDb>
 ProfileRepository::loadRun(const std::string &program,
                            unsigned run) const
 {
-    if (!fs::exists(runPath(program, run)))
-        bpsim_fatal("no run ", run, " for program '", program,
-                    "' in '", directory, "'");
+    if (!fs::exists(runPath(program, run))) {
+        return Error(ErrorCode::IoFailure,
+                     "no run " + std::to_string(run) + " for program '" +
+                         program + "'")
+            .withContext("repository " + directory);
+    }
     return ProfileDb::load(runPath(program, run));
 }
 
-ProfileDb
+Result<ProfileDb>
 ProfileRepository::merged(const std::string &program) const
 {
     ProfileDb merged_db;
     const unsigned runs = runCount(program);
-    for (unsigned run = 0; run < runs; ++run)
-        merged_db.mergeAdd(loadRun(program, run));
+    for (unsigned run = 0; run < runs; ++run) {
+        Result<ProfileDb> loaded = loadRun(program, run);
+        if (!loaded.ok())
+            return std::move(loaded.error());
+        merged_db.mergeAdd(loaded.value());
+    }
     return merged_db;
 }
 
-ProfileDb
+Result<ProfileDb>
 ProfileRepository::stableMerged(const std::string &program,
                                 double max_bias_spread) const
 {
     const unsigned runs = runCount(program);
     std::vector<ProfileDb> run_dbs;
     run_dbs.reserve(runs);
-    for (unsigned run = 0; run < runs; ++run)
-        run_dbs.push_back(loadRun(program, run));
+    for (unsigned run = 0; run < runs; ++run) {
+        Result<ProfileDb> loaded = loadRun(program, run);
+        if (!loaded.ok())
+            return std::move(loaded.error());
+        run_dbs.push_back(std::move(loaded.value()));
+    }
 
     ProfileDb merged_db;
     for (const auto &db : run_dbs)

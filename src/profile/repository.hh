@@ -33,14 +33,17 @@ class ProfileRepository
     /** Number of stored runs for @p program. */
     unsigned runCount(const std::string &program) const;
 
-    /** Load one stored run (0-based). */
-    ProfileDb loadRun(const std::string &program, unsigned run) const;
+    /** Load one stored run (0-based); io_failure when it is missing
+     * or does not load (ProfileDb::load). */
+    Result<ProfileDb> loadRun(const std::string &program,
+                              unsigned run) const;
 
     /**
      * All runs merged by summed counts — the profile a Spike-style
-     * optimizer would consume when it trusts every run equally.
+     * optimizer would consume when it trusts every run equally. Fails
+     * with the first run that does not load.
      */
-    ProfileDb merged(const std::string &program) const;
+    Result<ProfileDb> merged(const std::string &program) const;
 
     /**
      * Merge restricted to branches whose taken-rate varies by at most
@@ -48,9 +51,10 @@ class ProfileRepository
      * which appear in every run that could have executed them is NOT
      * required — coverage holes are fine, instability is not). This
      * is the §5.1 anomaly filter generalised from two runs to many.
+     * Fails with the first run that does not load.
      */
-    ProfileDb stableMerged(const std::string &program,
-                           double max_bias_spread) const;
+    Result<ProfileDb> stableMerged(const std::string &program,
+                                   double max_bias_spread) const;
 
   private:
     std::string runPath(const std::string &program,

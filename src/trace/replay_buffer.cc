@@ -1,6 +1,9 @@
 #include "trace/replay_buffer.hh"
 
+#include <map>
+#include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -51,6 +54,21 @@ ReplayBuffer::fromColumns(const Addr *pc_column,
     return buffer;
 }
 
+/** The window totals an index has counted, one slot per window. */
+struct SiteIndex::WindowOutcomes
+{
+    struct Slot
+    {
+        std::once_flag once;
+        std::vector<SiteOutcome> totals;
+    };
+
+    std::mutex lock;
+    std::map<std::pair<Count, Count>, std::unique_ptr<Slot>> slots;
+};
+
+SiteIndex::SiteIndex() : windows(std::make_shared<WindowOutcomes>()) {}
+
 SiteIndex
 SiteIndex::build(const ReplayBuffer &buffer)
 {
@@ -68,6 +86,34 @@ SiteIndex::build(const ReplayBuffer &buffer)
         index.siteOf[i] = it->second;
     }
     return index;
+}
+
+const std::vector<SiteOutcome> &
+SiteIndex::outcomesOver(const ReplayBuffer &buffer, Count from,
+                        Count to) const
+{
+    bpsim_assert(buffer.size() == size() && from <= to && to <= size(),
+                 "outcome window outside the indexed buffer");
+    WindowOutcomes::Slot *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> guard(windows->lock);
+        std::unique_ptr<WindowOutcomes::Slot> &held =
+            windows->slots[{from, to}];
+        if (held == nullptr)
+            held = std::make_unique<WindowOutcomes::Slot>();
+        slot = held.get();
+    }
+    std::call_once(slot->once, [&] {
+        std::vector<SiteOutcome> totals(siteCount());
+        const std::uint32_t *packed = buffer.packedData();
+        for (Count i = from; i < to; ++i) {
+            SiteOutcome &site = totals[siteOf[i]];
+            ++site.executed;
+            site.taken += (packed[i] & ReplayBuffer::packedTakenBit) != 0;
+        }
+        slot->totals = std::move(totals);
+    });
+    return slot->totals;
 }
 
 } // namespace bpsim

@@ -157,6 +157,13 @@ class ReplayBuffer
     std::shared_ptr<const void> backing;
 };
 
+/** One site's outcome counts over a window of records. */
+struct SiteOutcome
+{
+    Count executed = 0;
+    Count taken = 0;
+};
+
 /**
  * Dense enumeration of a buffer's distinct branch sites (static
  * branches). Site ids are assigned in first-occurrence order, so
@@ -168,12 +175,12 @@ class ReplayBuffer
  * fused sweep executor's static-hint lookups and per-branch profile
  * accumulation — replace the hash with an L1-resident array load.
  * The index is pure acceleration: it carries no information beyond
- * the PC column itself, so results never depend on it.
+ * the buffer's columns, so results never depend on it.
  */
 class SiteIndex
 {
   public:
-    SiteIndex() = default;
+    SiteIndex();
 
     /** Enumerate the sites of @p buffer (one pass over its records). */
     static SiteIndex build(const ReplayBuffer &buffer);
@@ -194,7 +201,7 @@ class SiteIndex
     /** Records the index covers (the buffer's size at build time). */
     Count size() const { return siteOf.size(); }
 
-    /** Bytes held by the index. */
+    /** Bytes held by the index, window totals aside. */
     std::size_t
     memoryBytes() const
     {
@@ -202,9 +209,23 @@ class SiteIndex
                pcs.size() * sizeof(Addr);
     }
 
+    /**
+     * Each site's executed and taken counts over records [@p from,
+     * @p to) of @p buffer, the buffer the index was built from. A
+     * window is counted once and kept with the index (copies share
+     * them), so every pass over the index — every cell of one runner
+     * buffer — shares one count per window. Safe to call from
+     * concurrent passes.
+     */
+    const std::vector<SiteOutcome> &
+    outcomesOver(const ReplayBuffer &buffer, Count from, Count to) const;
+
   private:
+    struct WindowOutcomes;
+
     std::vector<std::uint32_t> siteOf;
     std::vector<Addr> pcs;
+    std::shared_ptr<WindowOutcomes> windows;
 };
 
 } // namespace bpsim

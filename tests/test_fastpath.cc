@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/batch_kernels.hh"
@@ -336,31 +338,49 @@ TEST(FastPathTest, ShiftPoliciesIdenticalToVirtualPath)
 {
     // The kernels own the history treatment of statically predicted
     // branches; every policy must match the wrapper for every kernel
-    // type.
+    // type, at two hint shares, over the full window, a window whose
+    // warmup and end fall inside a 16-record batch, and one shorter
+    // than a batch.
     const ReplayBuffer &buffer = testBuffer();
+    const std::vector<std::pair<Count, Count>> windows = {
+        {0, testEvalBranches},
+        {3'001, testEvalBranches - 3'006},
+        {3'001, 9}};
     for (const std::string &name : kernelPredictorNames()) {
         for (const auto shift :
              {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
               ShiftPolicy::ShiftPrediction}) {
-            SCOPED_TRACE(name + " " + shiftPolicyName(shift));
-            ExperimentConfig config =
-                fastConfig(name, StaticScheme::Static95);
-            config.shift = shift;
+            for (const auto scheme :
+                 {StaticScheme::Static95, StaticScheme::StaticAcc}) {
+                for (const auto &[warmup, eval] : windows) {
+                    SCOPED_TRACE(name + " " + shiftPolicyName(shift) +
+                                 " " + staticSchemeName(scheme) +
+                                 " warmup " + std::to_string(warmup) +
+                                 " eval " + std::to_string(eval));
+                    ExperimentConfig config = fastConfig(name, scheme);
+                    config.shift = shift;
+                    config.evalWarmupBranches = warmup;
+                    config.evalBranches = eval;
 
-            ReplayBuffer::Cursor profile_stream = buffer.cursor();
-            ReplayBuffer::Cursor eval_stream = buffer.cursor();
-            const ExperimentResult virtual_result =
-                runExperimentStreams(profile_stream, eval_stream, config);
+                    ReplayBuffer::Cursor profile_stream = buffer.cursor();
+                    ReplayBuffer::Cursor eval_stream = buffer.cursor();
+                    const ExperimentResult virtual_result =
+                        runExperimentStreams(profile_stream, eval_stream,
+                                             config);
 
-            bool used_fast = false;
-            bool used_simd = false;
-            const ExperimentResult kernel_result =
-                replayExperiment(buffer, config, &used_fast, &used_simd);
+                    bool used_fast = false;
+                    bool used_simd = false;
+                    const ExperimentResult kernel_result = replayExperiment(
+                        buffer, config, &used_fast, &used_simd);
 
-            EXPECT_TRUE(used_fast);
-            EXPECT_TRUE(used_simd);
-            expectSameStats(virtual_result.stats, kernel_result.stats);
-            EXPECT_EQ(virtual_result.hintCount, kernel_result.hintCount);
+                    EXPECT_TRUE(used_fast);
+                    EXPECT_TRUE(used_simd);
+                    expectSameStats(virtual_result.stats,
+                                    kernel_result.stats);
+                    EXPECT_EQ(virtual_result.hintCount,
+                              kernel_result.hintCount);
+                }
+            }
         }
     }
 }
@@ -498,6 +518,22 @@ scenarioHints()
     return hints;
 }
 
+/** A hint on every site of the scenario buffer. */
+const HintDb &
+scenarioEverySiteHints()
+{
+    static const HintDb hints = [] {
+        ReplayBuffer::Cursor cursor = scenarioBuffer().cursor();
+        const ProfileDb profile =
+            ProfileDb::collect(cursor, scenarioBranches);
+        HintDb out;
+        for (const auto &[pc, counts] : profile.entries())
+            out.insert(pc, counts.majorityTaken());
+        return out;
+    }();
+    return hints;
+}
+
 /** One run of a predictor with a ContextAliasSink attached. */
 struct AttributedRun
 {
@@ -515,13 +551,15 @@ struct AttributedRun
  */
 AttributedRun
 attributedRun(const std::string &spec, const HintDb &hints,
-              ShiftPolicy shift, bool profiled, Count warmup, bool replay)
+              ShiftPolicy shift, bool profiled, Count warmup, bool replay,
+              Count max = 0)
 {
     AttributedRun run;
     CombinedPredictor predictor(makePredictor(spec), hints, shift);
     predictor.attachAliasSink(&run.sink);
     SimOptions options;
     options.warmupBranches = warmup;
+    options.maxBranches = max;
     options.profile = profiled ? &run.profile : nullptr;
     if (replay) {
         run.stats = simulateReplay(predictor, scenarioBuffer(), options,
@@ -542,35 +580,44 @@ TEST_P(FastPathAttributed, SoloShapesMatchTheVirtualLoop)
     // A sim with a profile or a ContextAliasSink runs alone on the
     // batch kernels' solo shape, with its hints under its shift
     // policy. Every combination, warmup included, must match the
-    // virtual loop in stats, profile counts and every sink cell.
+    // virtual loop in stats, profile counts and every sink cell: no
+    // hints, Static_95, and a hint on every site (under NoShift no
+    // record reaches the predictor), over the whole buffer, a window
+    // whose warmup and end fall inside a 16-record batch, and one
+    // shorter than a batch.
     const std::string spec = GetParam().name() + ":2048";
     ASSERT_GT(scenarioHints().size(), 0u);
     const HintDb no_hints;
+    const std::vector<std::pair<Count, Count>> windows = {
+        {0, 0}, {7'000, 0}, {7'003, 50'001}, {7'003, 9}};
     for (const auto shift :
          {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome,
           ShiftPolicy::ShiftPrediction}) {
-        for (const bool hinted : {false, true}) {
+        for (const HintDb *hints :
+             {&no_hints, &scenarioHints(), &scenarioEverySiteHints()}) {
             for (const bool profiled : {false, true}) {
-                for (const Count warmup : {Count{0}, Count{7'000}}) {
-                    SCOPED_TRACE(shiftPolicyName(shift) +
-                                 (hinted ? " hinted" : " unhinted") +
+                for (const auto &[warmup, max] : windows) {
+                    SCOPED_TRACE(shiftPolicyName(shift) + " " +
+                                 std::to_string(hints->size()) +
+                                 " hints" +
                                  (profiled ? " profiled" : "") +
-                                 " warmup " + std::to_string(warmup));
-                    const HintDb &hints =
-                        hinted ? scenarioHints() : no_hints;
+                                 " warmup " + std::to_string(warmup) +
+                                 " max " + std::to_string(max));
                     const AttributedRun expected = attributedRun(
-                        spec, hints, shift, profiled, warmup, false);
+                        spec, *hints, shift, profiled, warmup, false, max);
                     const AttributedRun got = attributedRun(
-                        spec, hints, shift, profiled, warmup, true);
+                        spec, *hints, shift, profiled, warmup, true, max);
 
                     EXPECT_TRUE(got.usedSimd);
                     expectSameStats(expected.stats, got.stats);
                     expectSameProfile(expected.profile, got.profile);
                     expectSameAliasMatrix(expected.sink.cells(),
                                           got.sink.cells());
-                    EXPECT_GT(got.sink.cell(0, 1).collisions +
-                                  got.sink.cell(1, 0).collisions,
-                              0u);
+                    if (hints != &scenarioEverySiteHints() && max == 0) {
+                        EXPECT_GT(got.sink.cell(0, 1).collisions +
+                                      got.sink.cell(1, 0).collisions,
+                                  0u);
+                    }
                 }
             }
         }
@@ -713,6 +760,38 @@ testHints()
     return hints;
 }
 
+/** Static_Acc hints of @p spec, from its profile of the test
+ * buffer's profiling window. */
+HintDb
+testAccHints(const std::string &spec)
+{
+    auto profiler = makePredictor(spec);
+    ProfileDb profile;
+    SimOptions options;
+    options.maxBranches = testProfileBranches;
+    options.profile = &profile;
+    ReplayBuffer::Cursor cursor = testBuffer().cursor();
+    simulate(*profiler, cursor, options);
+    return selectStaticAcc(profile);
+}
+
+/** A hint on every site of the test buffer: under NoShift no record
+ * reaches the dynamic predictor. */
+const HintDb &
+everySiteHints()
+{
+    static const HintDb hints = [] {
+        ReplayBuffer::Cursor cursor = testBuffer().cursor();
+        const ProfileDb profile =
+            ProfileDb::collect(cursor, testBuffer().size());
+        HintDb out;
+        for (const auto &[pc, counts] : profile.entries())
+            out.insert(pc, counts.majorityTaken());
+        return out;
+    }();
+    return hints;
+}
+
 /** Ends before some of the test buffer's sites first execute. */
 constexpr Count tableWarmup = 3'000;
 
@@ -742,17 +821,18 @@ TEST_P(FastPathTables, EveryTableMatchesTheVirtualLoop)
     ASSERT_LT(warm_sites.size(), sites.siteCount());
 
     const auto oracle = [&](BranchPredictor &predictor,
-                            ProfileDb *profile) {
-        SimOptions with = options;
+                            ProfileDb *profile,
+                            const SimOptions &window) {
+        SimOptions with = window;
         with.profile = profile;
         ReplayBuffer::Cursor cursor = buffer.cursor();
-        simulate(predictor, cursor, with);
+        return simulate(predictor, cursor, with);
     };
 
     {
         SCOPED_TRACE("plain");
         auto expected = makePredictor(spec);
-        oracle(*expected, nullptr);
+        oracle(*expected, nullptr, options);
         auto got = makePredictor(spec);
         bool used_simd = false;
         simulateReplay(*got, buffer, options, nullptr, &used_simd);
@@ -763,58 +843,89 @@ TEST_P(FastPathTables, EveryTableMatchesTheVirtualLoop)
         }
     }
 
-    {
-        // One unhinted and two Static_95 members under different
-        // policies: two gangs, the unhinted member with zero codes.
-        SCOPED_TRACE("gang");
-        const HintDb no_hints;
-        const std::vector<std::pair<const HintDb *, ShiftPolicy>> shapes =
-            {{&no_hints, ShiftPolicy::NoShift},
-             {&testHints(), ShiftPolicy::NoShift},
-             {&testHints(), ShiftPolicy::ShiftOutcome}};
-        std::vector<std::unique_ptr<CombinedPredictor>> members;
-        std::vector<FusedSim> sims(shapes.size());
-        for (std::size_t m = 0; m < shapes.size(); ++m) {
-            members.push_back(std::make_unique<CombinedPredictor>(
-                makePredictor(spec), *shapes[m].first, shapes[m].second));
-            sims[m].predictor = members.back().get();
-            sims[m].options = options;
-        }
-        simulateReplayFused(sims, buffer, &sites);
-        for (std::size_t m = 0; m < shapes.size(); ++m) {
-            SCOPED_TRACE("member " + std::to_string(m));
-            CombinedPredictor expected(makePredictor(spec),
-                                       *shapes[m].first, shapes[m].second);
-            oracle(expected, nullptr);
-            EXPECT_TRUE(sims[m].usedSimd);
-            expectSameTables(expected, *members[m]);
+    // Each member steps its own record stream. Members whose hint
+    // shares differ — none, Static_95, Static_Acc and every site —
+    // run under each shift policy (the unhinted one in a gang of its
+    // own under a shifting policy), over a window whose warmup and end
+    // fall inside a 16-record batch and one shorter than a batch.
+    // Under NoShift the last member's stream is empty.
+    const HintDb no_hints;
+    const HintDb acc_hints = testAccHints(spec);
+    ASSERT_GT(acc_hints.size(), testHints().size());
+    const std::vector<const HintDb *> shares = {
+        &no_hints, &testHints(), &acc_hints, &everySiteHints()};
+    const std::vector<std::pair<Count, Count>> windows = {
+        {tableWarmup, testEvalBranches - tableWarmup - 5},
+        {tableWarmup + 1, 9}};
+    const ShiftPolicy policies[] = {ShiftPolicy::NoShift,
+                                    ShiftPolicy::ShiftOutcome,
+                                    ShiftPolicy::ShiftPrediction};
+    for (const auto &[warmup, max] : windows) {
+        SimOptions window = options;
+        window.warmupBranches = warmup;
+        window.maxBranches = max;
+        for (const ShiftPolicy shift : policies) {
+            SCOPED_TRACE("gang " + shiftPolicyName(shift) + " warmup " +
+                         std::to_string(warmup) + " max " +
+                         std::to_string(max));
+            std::vector<std::unique_ptr<CombinedPredictor>> members;
+            std::vector<FusedSim> sims(shares.size());
+            for (std::size_t m = 0; m < shares.size(); ++m) {
+                members.push_back(std::make_unique<CombinedPredictor>(
+                    makePredictor(spec), *shares[m], shift));
+                sims[m].predictor = members.back().get();
+                sims[m].options = window;
+            }
+            simulateReplayFused(sims, buffer, &sites);
+            for (std::size_t m = 0; m < shares.size(); ++m) {
+                SCOPED_TRACE("member " + std::to_string(m));
+                CombinedPredictor expected(makePredictor(spec),
+                                           *shares[m], shift);
+                const SimStats want = oracle(expected, nullptr, window);
+                EXPECT_TRUE(sims[m].usedSimd);
+                expectSameStats(want, sims[m].stats);
+                expectSameTables(expected, *members[m]);
+            }
         }
     }
 
-    {
-        // A hinted sim with a profile and an alias sink runs alone.
-        SCOPED_TRACE("solo");
-        CombinedPredictor expected(makePredictor(spec), testHints(),
-                                   ShiftPolicy::ShiftPrediction);
-        ContextAliasSink expected_sink(1);
-        expected.attachAliasSink(&expected_sink);
-        ProfileDb expected_profile;
-        oracle(expected, &expected_profile);
+    // A hinted sim with a profile and an alias sink runs alone; its
+    // hinted sites' profile outcomes come from the window's totals.
+    for (const auto &[warmup, max] : windows) {
+        SimOptions window = options;
+        window.warmupBranches = warmup;
+        window.maxBranches = max;
+        for (const ShiftPolicy shift : policies) {
+            for (const HintDb *hints : {&acc_hints, &everySiteHints()}) {
+                SCOPED_TRACE("solo " + shiftPolicyName(shift) + " " +
+                             std::to_string(hints->size()) +
+                             " hints, warmup " + std::to_string(warmup) +
+                             " max " + std::to_string(max));
+                CombinedPredictor expected(makePredictor(spec), *hints,
+                                           shift);
+                ContextAliasSink expected_sink(1);
+                expected.attachAliasSink(&expected_sink);
+                ProfileDb expected_profile;
+                const SimStats want =
+                    oracle(expected, &expected_profile, window);
 
-        CombinedPredictor got(makePredictor(spec), testHints(),
-                              ShiftPolicy::ShiftPrediction);
-        ContextAliasSink got_sink(1);
-        got.attachAliasSink(&got_sink);
-        ProfileDb got_profile;
-        std::vector<FusedSim> sims(1);
-        sims[0].predictor = &got;
-        sims[0].options = options;
-        sims[0].options.profile = &got_profile;
-        simulateReplayFused(sims, buffer, &sites);
-        EXPECT_TRUE(sims[0].usedSimd);
-        expectSameTables(expected, got);
-        expectSameProfile(expected_profile, got_profile);
-        expectSameAliasMatrix(expected_sink.cells(), got_sink.cells());
+                CombinedPredictor got(makePredictor(spec), *hints, shift);
+                ContextAliasSink got_sink(1);
+                got.attachAliasSink(&got_sink);
+                ProfileDb got_profile;
+                std::vector<FusedSim> sims(1);
+                sims[0].predictor = &got;
+                sims[0].options = window;
+                sims[0].options.profile = &got_profile;
+                simulateReplayFused(sims, buffer, &sites);
+                EXPECT_TRUE(sims[0].usedSimd);
+                expectSameStats(want, sims[0].stats);
+                expectSameTables(expected, got);
+                expectSameProfile(expected_profile, got_profile);
+                expectSameAliasMatrix(expected_sink.cells(),
+                                      got_sink.cells());
+            }
+        }
     }
 
     if (GetParam().name() == "bimode") {

@@ -20,10 +20,12 @@
 #include <sstream>
 #include <string>
 
+#include "core/combined_predictor.hh"
 #include "core/engine.hh"
 #include "core/runner.hh"
 #include "obs/run_journal.hh"
 #include "oracle.hh"
+#include "staticsel/selection.hh"
 #include "support/fault.hh"
 #include "workload/specint.hh"
 
@@ -363,6 +365,37 @@ TEST(FusedTest, MemberSecondsAreMeasuredPerExec)
     EXPECT_GT(sims[0].seconds, 0.0);
     EXPECT_GT(sims[1].seconds, sims[0].seconds);
     EXPECT_LE(sims[0].seconds + sims[1].seconds, wall + 1e-3);
+
+    // A gang of one gshare sim without hints and one with Static_Acc
+    // hints: each member steps only the records its predictor sees,
+    // so the gang's time is apportioned by the records each applied
+    // and the unhinted member, which applies every record, gets more.
+    auto profiler = makePredictor("gshare:8192");
+    ProfileDb profile;
+    SimOptions profiling;
+    profiling.maxBranches = 100'000;
+    profiling.profile = &profile;
+    ReplayBuffer::Cursor cursor = buffer.cursor();
+    simulate(*profiler, cursor, profiling);
+    const HintDb hints = selectStaticAcc(profile);
+    ASSERT_GT(hints.size(), 0u);
+    CombinedPredictor none(makePredictor("gshare:8192"), HintDb{});
+    CombinedPredictor acc(makePredictor("gshare:8192"), hints);
+    std::vector<FusedSim> gang(2);
+    gang[0].predictor = &none;
+    gang[1].predictor = &acc;
+
+    const auto gang_begin = std::chrono::steady_clock::now();
+    simulateReplayFused(gang, buffer);
+    const double gang_wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      gang_begin)
+            .count();
+
+    ASSERT_GT(gang[1].stats.staticPredicted, 0u);
+    EXPECT_GT(gang[1].seconds, 0.0);
+    EXPECT_GT(gang[0].seconds, gang[1].seconds);
+    EXPECT_LE(gang[0].seconds + gang[1].seconds, gang_wall + 1e-3);
 }
 
 TEST(FusedTest, CarriedPassSplitsItsTimeAtThePrefixBoundary)

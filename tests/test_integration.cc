@@ -81,7 +81,9 @@ TEST(Integration, PipelineThroughDiskArtifacts)
         profile.save(profile_path);
     }
     {
-        ProfileDb profile = ProfileDb::load(profile_path);
+        const Result<ProfileDb> loaded = ProfileDb::load(profile_path);
+        ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
+        const ProfileDb &profile = loaded.value();
         HintDb hints = selectStatic95(profile);
         EXPECT_GT(hints.size(), 20u);
         hints.save(hints_path);

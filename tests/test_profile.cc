@@ -101,7 +101,9 @@ TEST(ProfileDbTest, SaveLoadRoundTrip)
     }
     const std::string path = tempPath("roundtrip");
     db.save(path);
-    ProfileDb loaded = ProfileDb::load(path);
+    const Result<ProfileDb> result = ProfileDb::load(path);
+    ASSERT_TRUE(result.ok()) << result.error().describe();
+    const ProfileDb &loaded = result.value();
     ASSERT_EQ(loaded.size(), db.size());
     for (const auto &[pc, profile] : db.entries()) {
         const BranchProfile *other = loaded.find(pc);

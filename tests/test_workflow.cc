@@ -9,7 +9,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/cpi_model.hh"
 #include "core/engine.hh"
@@ -137,7 +140,7 @@ TEST_F(RepositoryTest, MergedSumsAcrossRuns)
     ProfileRepository repo(dir);
     repo.addRun("gcc", makeRun(0x100, 100, 0.9));
     repo.addRun("gcc", makeRun(0x100, 100, 0.7));
-    const ProfileDb merged = repo.merged("gcc");
+    const ProfileDb merged = repo.merged("gcc").value();
     ASSERT_NE(merged.find(0x100), nullptr);
     EXPECT_EQ(merged.find(0x100)->executed, 200u);
     EXPECT_EQ(merged.find(0x100)->taken, 160u);
@@ -154,7 +157,7 @@ TEST_F(RepositoryTest, StableMergeDropsUnstableBranches)
     repo.addRun("gcc", run0);
     repo.addRun("gcc", run1);
 
-    const ProfileDb stable = repo.stableMerged("gcc", 0.05);
+    const ProfileDb stable = repo.stableMerged("gcc", 0.05).value();
     EXPECT_NE(stable.find(0xa0), nullptr);
     EXPECT_EQ(stable.find(0xb0), nullptr);
     // The survivor carries the merged counts.
@@ -168,9 +171,85 @@ TEST_F(RepositoryTest, CoverageHolesAreNotInstability)
     ProfileDb run1 = makeRun(0xc0, 100, 0.5); // 0xa0 absent: fine
     repo.addRun("gcc", run0);
     repo.addRun("gcc", run1);
-    const ProfileDb stable = repo.stableMerged("gcc", 0.05);
+    const ProfileDb stable = repo.stableMerged("gcc", 0.05).value();
     EXPECT_NE(stable.find(0xa0), nullptr);
     EXPECT_NE(stable.find(0xc0), nullptr);
+}
+
+/** Store @p text as @p program's run @p run in @p dir, where a
+ * damaged or hand-edited run file would sit; returns its path. */
+std::string
+writeRunFile(const std::string &dir, const std::string &program,
+             unsigned run, const std::string &text)
+{
+    const std::string path =
+        dir + "/" + program + ".run" + std::to_string(run) + ".profile";
+    std::ofstream(path) << text;
+    return path;
+}
+
+/** @p result failed as io_failure, naming @p where. */
+void
+expectLoadFailure(const Result<ProfileDb> &result, const std::string &where)
+{
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), ErrorCode::IoFailure);
+    EXPECT_NE(result.error().describe().find(where), std::string::npos)
+        << result.error().describe();
+}
+
+TEST_F(RepositoryTest, TruncatedRunFailsAtItsBadLine)
+{
+    // A bad PC on the second of four lines fails the whole load, not
+    // just the lines after it.
+    ProfileRepository repo(dir);
+    const std::string path = writeRunFile(dir, "gcc", 0,
+                                          "0x100 10 9 10 8 0\n"
+                                          "0xzz 10 9 10 8 0\n"
+                                          "0x108 10 9 10 8 0\n"
+                                          "0x10c 10 9 10 8 0\n");
+    expectLoadFailure(ProfileDb::load(path), path + ":2");
+    expectLoadFailure(repo.loadRun("gcc", 0), path + ":2");
+    expectLoadFailure(repo.merged("gcc"), path + ":2");
+    expectLoadFailure(repo.stableMerged("gcc", 0.05), path + ":2");
+}
+
+TEST_F(RepositoryTest, ImpossibleOrMalformedCountsFail)
+{
+    ProfileRepository repo(dir);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"0x104 10 11 10 8 0", "taken exceeds executed"},
+        {"0x104 10 9 11 8 0", "predicted exceeds executed"},
+        {"0x104 10 9 8 9 0", "correct exceeds predicted"},
+        {"0x104 10 9 10 8", "expected"},
+        {"0x104 10 9 10 8 0 7", "trailing"},
+        {"0x104 -1 0 0 0 0", "expected"},
+        {"0x104 99999999999999999999 0 0 0 0", "expected"},
+        {"", "expected"},
+        {"0x100 1 1 1 1 0", "earlier line"}};
+    for (const auto &[line, problem] : cases) {
+        SCOPED_TRACE("line '" + line + "'");
+        const std::string path = writeRunFile(
+            dir, "gcc", 0, "0x100 10 9 10 8 0\n" + line + "\n");
+        expectLoadFailure(ProfileDb::load(path), path + ":2");
+        expectLoadFailure(ProfileDb::load(path), problem);
+        expectLoadFailure(repo.merged("gcc"), problem);
+    }
+    // The counts save() writes load back, PC 0 included.
+    const std::string path = writeRunFile(
+        dir, "gcc", 0, "0 3 3 2 2 5\n0x104 10 0 10 10 0\r\n");
+    const Result<ProfileDb> loaded = ProfileDb::load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
+    EXPECT_EQ(loaded.value().size(), 2u);
+    EXPECT_EQ(loaded.value().find(0)->collisions, 5u);
+}
+
+TEST_F(RepositoryTest, MissingFilesAreErrorsNotExits)
+{
+    ProfileRepository repo(dir);
+    expectLoadFailure(repo.loadRun("gcc", 3), "no run 3");
+    expectLoadFailure(ProfileDb::load(dir + "/absent.profile"),
+                      "cannot open profile");
 }
 
 TEST(GselectTest, SizingAndIndexSplit)
