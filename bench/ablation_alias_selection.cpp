@@ -56,29 +56,25 @@ main(int argc, char **argv)
     std::size_t cell = 0;
     for (std::size_t p = 0; p < runner.programCount(); ++p) {
         for (const std::size_t kb : sizes_kb) {
-            const double base =
-                result.cells[cell++].result.stats.mispKi();
-            const ExperimentResult &s95 =
-                result.cells[cell++].result;
-            const ExperimentResult &alias =
-                result.cells[cell++].result;
-
-            std::printf("%-8s %4zuKB %10.2f | %10.2f %8zu | %10.2f "
-                        "%8zu\n",
-                        runner.program(p).name().c_str(), kb, base,
-                        s95.stats.mispKi(), s95.hintCount,
-                        alias.stats.mispKi(), alias.hintCount);
+            const CellResult &base = result.cells[cell++];
+            const CellResult &s95 = result.cells[cell++];
+            const CellResult &alias = result.cells[cell++];
+            std::printf("%-8s %4zuKB %10s | %10s %8s | %10s %8s\n",
+                        runner.program(p).name().c_str(), kb,
+                        formatMispKi(base).c_str(),
+                        formatMispKi(s95).c_str(),
+                        formatEntry({s95}, "%zu", s95.result.hintCount)
+                            .c_str(),
+                        formatMispKi(alias).c_str(),
+                        formatEntry({alias}, "%zu",
+                                    alias.result.hintCount)
+                            .c_str());
         }
     }
 
     std::printf("\nExpected shape: static_alias selects fewer "
                 "branches (only the contested ones) while capturing "
                 "much of the same MISP/KI relief at small sizes.\n");
-
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "ablation_alias_selection",
-                        runner, result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "ablation_alias_selection", runner,
+                       result, journal.get());
 }

@@ -6,16 +6,14 @@
  * for its 2bcgskew simulations; this bench shows how sensitive the
  * result is to that choice on our workloads.
  *
- * The sweep runs as a parallel matrix: each cell carries a custom
- * 2bcgskew construction via ExperimentConfig::makeDynamic and replays
- * the shared per-program buffer.
+ * The sweep runs as a parallel matrix: each cell names its lengths
+ * in ExperimentConfig::historyLengths, which join its identity
+ * ("2bcgskew:8192:h3,8,6"), and replays the shared per-program buffer.
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_util.hh"
-#include "predictor/two_bc_gskew.hh"
 
 using namespace bpsim;
 using namespace bpsim::bench;
@@ -45,20 +43,12 @@ main(int argc, char **argv)
         for (const BitCount g1 : g1_options) {
             for (const BitCount meta : meta_options) {
                 for (const std::size_t program : program_index) {
-                    ExperimentConfig config;
-                    config.scheme = StaticScheme::None;
-                    config.evalBranches = evalBranches;
+                    ExperimentConfig config =
+                        baseConfig(PredictorKind::TwoBcGskew, size_bytes,
+                                   StaticScheme::None);
                     config.evalWarmupBranches = options.warmupBranches;
-                    config.makeDynamic = [=] {
-                        return std::make_unique<TwoBcGskew>(
-                            size_bytes, g0, g1, meta);
-                    };
-                    runner.addCell(
-                        program, config,
-                        runner.program(program).name() +
-                            "/2bcgskew:" + std::to_string(g0) + ":" +
-                            std::to_string(g1) + ":" +
-                            std::to_string(meta));
+                    config.historyLengths = {g0, g1, meta};
+                    runner.addCell(program, config);
                 }
             }
         }
@@ -75,22 +65,15 @@ main(int argc, char **argv)
         for (const BitCount g1 : g1_options) {
             for (const BitCount meta : meta_options) {
                 std::printf("%6u %6u %6u |", g0, g1, meta);
-                for (std::size_t p = 0; p < 2; ++p) {
-                    std::printf(
-                        " %10.2f",
-                        result.cells[cell++].result.stats.mispKi());
-                }
+                for (std::size_t p = 0; p < 2; ++p)
+                    std::printf(" %10s",
+                                formatMispKi(result.cells[cell++]).c_str());
                 std::printf("\n");
             }
         }
     }
 
     std::printf("\nAuto defaults at this size: hG0=6 hG1=13 hMeta=6.\n");
-
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "ablation_history_lengths",
-                        runner, result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "ablation_history_lengths", runner,
+                       result, journal.get());
 }

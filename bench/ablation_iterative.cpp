@@ -101,24 +101,20 @@ main(int argc, char **argv)
                 "rounds");
 
     for (std::size_t p = 0; p < runner.programCount(); ++p) {
-        const ExperimentResult &base = result.cells[2 * p].result;
-        const ExperimentResult &single =
-            result.cells[2 * p + 1].result;
-        std::printf("%-10s %8.2f | %10.2f %7zu | %10.2f %7zu %6u\n",
+        const CellResult &base = result.cells[2 * p];
+        const CellResult &single = result.cells[2 * p + 1];
+        std::printf("%-10s %8s | %10s %7s | %10.2f %7zu %6u\n",
                     runner.program(p).name().c_str(),
-                    base.stats.mispKi(), single.stats.mispKi(),
-                    single.hintCount, rows[p].stats.mispKi(),
-                    rows[p].hints, rows[p].rounds);
+                    formatMispKi(base).c_str(),
+                    formatMispKi(single).c_str(),
+                    formatEntry({single}, "%zu", single.result.hintCount)
+                        .c_str(),
+                    rows[p].stats.mispKi(), rows[p].hints, rows[p].rounds);
     }
 
     std::printf("\nExpected shape: iterating adds a modest second "
                 "tranche of hints and matches or beats the single "
                 "pass everywhere.\n");
-
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "ablation_iterative",
-                        runner, result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "ablation_iterative", runner, result,
+                       journal.get());
 }

@@ -7,6 +7,8 @@
 #define BPSIM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -160,9 +162,8 @@ parseBenchOptions(int argc, char **argv, const char *tool,
 
 /**
  * Journal for a bench run: constructed only when --journal was given
- * (obs spans, the runner and writeJournal() all accept null). Manual
- * benches open a run span and one "bench.<section>" phase span per
- * section; the runner records its own.
+ * (the runner and writeJournal() accept null). The runner records the
+ * run and its phases.
  */
 inline std::unique_ptr<obs::RunJournal>
 makeJournal(const BenchOptions &options, std::string label)
@@ -203,17 +204,85 @@ writeJournal(const BenchOptions &options,
                 options.journalPath.c_str(), metrics.c_str());
 }
 
-/** Percentage improvement (positive = better) formatted as "+x.x%". */
-inline std::string
-formatImprovement(double base_misp_ki, double with_misp_ki)
+/** Has @p cell a result in this process? Not when another shard owns
+ * it (--shard) and not when it failed. */
+inline bool
+hasResult(const CellResult &cell)
 {
+    return !cell.shardSkipped && cell.ok();
+}
+
+/**
+ * One table entry: @p value printed with the printf @p format when
+ * every cell in @p from has a result here, "-" otherwise. Print it
+ * with "%Ns" where the table used "%N<conversion>": the padding is
+ * the same.
+ */
+template <typename Value>
+std::string
+formatEntry(std::initializer_list<std::reference_wrapper<const CellResult>>
+                from,
+            const char *format, Value value)
+{
+    for (const CellResult &cell : from) {
+        if (!hasResult(cell))
+            return "-";
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, value);
+    return buf;
+}
+
+/** A cell's MISP/KI as "%.2f", or "-" without a result here. */
+inline std::string
+formatMispKi(const CellResult &cell)
+{
+    return formatEntry({cell}, "%.2f", cell.result.stats.mispKi());
+}
+
+/** MISP/KI improvement of @p with over @p base (positive = better) as
+ * "+x.x%", "n/a" when @p base has none to improve, or "-" when either
+ * cell has no result here. */
+inline std::string
+formatImprovement(const CellResult &base, const CellResult &with)
+{
+    if (!hasResult(base) || !hasResult(with))
+        return "-";
+    const double base_misp_ki = base.result.stats.mispKi();
     if (base_misp_ki == 0.0)
         return "  n/a";
     const double pct =
-        100.0 * (base_misp_ki - with_misp_ki) / base_misp_ki;
+        100.0 * (base_misp_ki - with.result.stats.mispKi()) / base_misp_ki;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%+5.1f%%", pct);
     return buf;
+}
+
+/**
+ * Finish a runner bench once its tables are printed: write the runner
+ * JSON (--json) and the journal (--journal), then name each failed
+ * cell and its error on stderr. Returns the exit status: 1 when a cell
+ * failed, as `bpsim_cli sweep` does, 0 otherwise.
+ */
+inline int
+finishBench(const BenchOptions &options, const char *bench,
+            const ExperimentRunner &runner, const MatrixResult &result,
+            const obs::RunJournal *journal)
+{
+    if (!options.jsonPath.empty())
+        writeRunnerJson(options.jsonPath, bench, runner, result);
+    writeJournal(options, journal);
+    int status = 0;
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        const CellResult &cell = result.cells[i];
+        if (cell.ok())
+            continue;
+        std::fprintf(stderr, "%s: cell '%s' failed: %s\n", bench,
+                     runner.cell(i).label.c_str(),
+                     cell.error->describe().c_str());
+        status = 1;
+    }
+    return status;
 }
 
 } // namespace bpsim::bench

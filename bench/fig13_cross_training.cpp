@@ -27,48 +27,52 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "fig13_cross_training");
-    const auto journal = makeJournal(options, "fig13_cross_training");
-    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t size_bytes = 16384;
+
+    const auto journal = makeJournal(options, "fig13_cross_training");
+    ExperimentRunner runner(runnerOptions(options, journal.get()));
+    for (const auto id : allSpecPrograms()) {
+        const std::size_t program =
+            runner.addProgram(makeSpecProgram(id, InputSet::Ref));
+        ExperimentConfig config = baseConfig(
+            PredictorKind::Gshare, size_bytes, StaticScheme::None);
+        config.evalWarmupBranches = options.warmupBranches;
+        runner.addCell(program, config);
+
+        config.scheme = StaticScheme::Static95;
+        config.profileInput = InputSet::Ref; // self-trained
+        runner.addCell(program, config);
+
+        config.profileInput = InputSet::Train; // naive cross
+        runner.addCell(program, config);
+
+        config.filterUnstable = true; // merged/filtered profile
+        runner.addCell(program, config);
+    }
+    const MatrixResult result = runner.run();
 
     std::printf("Figure 13: cross-training, gshare 16 KB + Static_95 "
                 "(MISP/KI)\n\n");
     std::printf("%-10s %10s %10s %12s %14s\n", "program", "none",
                 "self", "naive-cross", "filtered-cross");
 
-    for (const auto id : allSpecPrograms()) {
-        SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = obs::Span::phase(
-            journal.get(), program.name(), "bench." + program.name());
-
-        ExperimentConfig config = baseConfig(
-            PredictorKind::Gshare, size_bytes, StaticScheme::None);
-        config.counters = obs::countersOf(journal.get());
-        const double none =
-            runExperiment(program, config).stats.mispKi();
-
-        config.scheme = StaticScheme::Static95;
-        config.profileInput = InputSet::Ref; // self-trained
-        const double self_trained =
-            runExperiment(program, config).stats.mispKi();
-
-        config.profileInput = InputSet::Train; // naive cross
-        const double naive =
-            runExperiment(program, config).stats.mispKi();
-
-        config.filterUnstable = true; // merged/filtered profile
-        const double filtered =
-            runExperiment(program, config).stats.mispKi();
-
-        std::printf("%-10s %10.2f %10.2f %12.2f %14.2f\n",
-                    program.name().c_str(), none, self_trained, naive,
-                    filtered);
+    std::size_t cell = 0;
+    for (std::size_t p = 0; p < runner.programCount(); ++p) {
+        const CellResult &none = result.cells[cell++];
+        const CellResult &self_trained = result.cells[cell++];
+        const CellResult &naive = result.cells[cell++];
+        const CellResult &filtered = result.cells[cell++];
+        std::printf("%-10s %10s %10s %12s %14s\n",
+                    runner.program(p).name().c_str(),
+                    formatMispKi(none).c_str(),
+                    formatMispKi(self_trained).c_str(),
+                    formatMispKi(naive).c_str(),
+                    formatMispKi(filtered).c_str());
     }
 
     std::printf("\nPaper shape: naive cross-training degrades perl "
                 "and m88ksim sharply; the >5%% bias-change filter "
                 "recovers them.\n");
-    run.close();
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "fig13_cross_training", runner, result,
+                       journal.get());
 }

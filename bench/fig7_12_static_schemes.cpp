@@ -63,34 +63,16 @@ main(int argc, char **argv)
                     "none", "static_95", "static_acc", "impr95",
                     "imprAcc");
         for (const auto kind : allPredictorKinds()) {
-            // A sharded run (--shard i/N) owns only some cells; the
-            // others carry no results, so print "-" for them and
-            // compute improvements only when both operands ran here.
             const CellResult &c_none = result.cells[cell++];
             const CellResult &c_s95 = result.cells[cell++];
             const CellResult &c_acc = result.cells[cell++];
-            const auto misp = [](const CellResult &c) {
-                if (c.shardSkipped)
-                    return std::string("-");
-                char buf[32];
-                std::snprintf(buf, sizeof(buf), "%.2f",
-                              c.result.stats.mispKi());
-                return std::string(buf);
-            };
-            const auto impr = [](const CellResult &base,
-                                 const CellResult &with) {
-                if (base.shardSkipped || with.shardSkipped)
-                    return std::string("-");
-                return formatImprovement(
-                    base.result.stats.mispKi(),
-                    with.result.stats.mispKi());
-            };
             std::printf("%-10s %10s %12s %12s %10s %10s\n",
                         predictorKindName(kind).c_str(),
-                        misp(c_none).c_str(), misp(c_s95).c_str(),
-                        misp(c_acc).c_str(),
-                        impr(c_none, c_s95).c_str(),
-                        impr(c_none, c_acc).c_str());
+                        formatMispKi(c_none).c_str(),
+                        formatMispKi(c_s95).c_str(),
+                        formatMispKi(c_acc).c_str(),
+                        formatImprovement(c_none, c_s95).c_str(),
+                        formatImprovement(c_none, c_acc).c_str());
         }
     }
 
@@ -115,10 +97,6 @@ main(int argc, char **argv)
                 result.cells.size(),
                 result.kernelBranchesPerSecond() / 1e6);
 
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "fig7_12_static_schemes",
-                        runner, result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "fig7_12_static_schemes", runner, result,
+                       journal.get());
 }

@@ -125,20 +125,12 @@ main(int argc, char **argv)
             const CellResult *columns[schemeCount];
             for (std::size_t c = 0; c < schemeCount; ++c)
                 columns[c] = &result.cells[cell++];
-            const auto misp = [](const CellResult &c) {
-                if (c.shardSkipped || !c.ok())
-                    return std::string("-");
-                char buf[32];
-                std::snprintf(buf, sizeof(buf), "%.2f",
-                              c.result.stats.mispKi());
-                return std::string(buf);
-            };
             // Cross-context shares read off the no-scheme column:
             // that is the raw interference the schemes then attack.
             std::string xcoll = "-";
             std::string xdest = "-";
             const CellResult &base = *columns[0];
-            if (!base.shardSkipped && base.ok() &&
+            if (hasResult(base) &&
                 base.result.aliasMatrix.size() ==
                     contextCount * contextCount) {
                 char buf[32];
@@ -153,10 +145,10 @@ main(int argc, char **argv)
             }
             std::printf("%-10s %8s %11s %11s %13s %7s %7s\n",
                         predictors[k].c_str(),
-                        misp(*columns[0]).c_str(),
-                        misp(*columns[1]).c_str(),
-                        misp(*columns[2]).c_str(),
-                        misp(*columns[3]).c_str(), xcoll.c_str(),
+                        formatMispKi(*columns[0]).c_str(),
+                        formatMispKi(*columns[1]).c_str(),
+                        formatMispKi(*columns[2]).c_str(),
+                        formatMispKi(*columns[3]).c_str(), xcoll.c_str(),
                         xdest.c_str());
         }
 
@@ -165,7 +157,7 @@ main(int argc, char **argv)
         // anti-aliasing machinery, so it shows the interleave's raw
         // interference pattern most clearly.
         const CellResult &sample = result.cells[block];
-        if (!sample.shardSkipped && sample.ok() &&
+        if (hasResult(sample) &&
             sample.result.contextStats.size() == contextCount) {
             std::printf("  gshare/none per context:");
             for (std::size_t c = 0; c < contextCount; ++c) {
@@ -203,10 +195,6 @@ main(int argc, char **argv)
                 static_cast<double>(result.totalBranches) / 1e6 /
                     result.wallSeconds);
 
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "fig_multicontext", runner,
-                        result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "fig_multicontext", runner, result,
+                       journal.get());
 }

@@ -120,32 +120,18 @@ main(int argc, char **argv)
             const CellResult *row[schemeCount];
             for (std::size_t s = 0; s < schemeCount; ++s) {
                 row[s] = &result.cells[cell++];
-                if (!row[s]->shardSkipped && row[s]->ok())
+                if (hasResult(*row[s]))
                     aggregate[k][s].add(row[s]->result.stats);
             }
-            const auto misp = [](const CellResult &c) {
-                if (c.shardSkipped)
-                    return std::string("-");
-                char buf[32];
-                std::snprintf(buf, sizeof(buf), "%.2f",
-                              c.result.stats.mispKi());
-                return std::string(buf);
-            };
-            const auto impr = [](const CellResult &base,
-                                 const CellResult &with) {
-                if (base.shardSkipped || with.shardSkipped)
-                    return std::string("-");
-                return formatImprovement(
-                    base.result.stats.mispKi(),
-                    with.result.stats.mispKi());
-            };
             std::printf(
                 "%-10s %10s %12s %12s %12s %10s %10s %10s\n",
-                predictors[k].c_str(), misp(*row[0]).c_str(),
-                misp(*row[1]).c_str(), misp(*row[2]).c_str(),
-                misp(*row[3]).c_str(), impr(*row[0], *row[1]).c_str(),
-                impr(*row[0], *row[2]).c_str(),
-                impr(*row[0], *row[3]).c_str());
+                predictors[k].c_str(), formatMispKi(*row[0]).c_str(),
+                formatMispKi(*row[1]).c_str(),
+                formatMispKi(*row[2]).c_str(),
+                formatMispKi(*row[3]).c_str(),
+                formatImprovement(*row[0], *row[1]).c_str(),
+                formatImprovement(*row[0], *row[2]).c_str(),
+                formatImprovement(*row[0], *row[3]).c_str());
         }
     }
 
@@ -190,10 +176,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(result.kernelCells),
                 result.cells.size());
 
-    if (!options.jsonPath.empty()) {
-        writeRunnerJson(options.jsonPath, "fig_tagged_schemes",
-                        runner, result);
-    }
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "fig_tagged_schemes", runner, result,
+                       journal.get());
 }

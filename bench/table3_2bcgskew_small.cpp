@@ -21,10 +21,27 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table3_2bcgskew_small");
-    const auto journal = makeJournal(options, "table3_2bcgskew_small");
-    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t sizes_kb[] = {2, 4, 8, 16, 32};
     const SpecProgram programs[] = {SpecProgram::Go, SpecProgram::Gcc};
+    const StaticScheme schemes[] = {StaticScheme::None,
+                                    StaticScheme::Static95,
+                                    StaticScheme::StaticAcc};
+
+    const auto journal = makeJournal(options, "table3_2bcgskew_small");
+    ExperimentRunner runner(runnerOptions(options, journal.get()));
+    for (const auto id : programs)
+        runner.addProgram(makeSpecProgram(id, InputSet::Ref));
+    for (const std::size_t kb : sizes_kb) {
+        for (std::size_t p = 0; p < runner.programCount(); ++p) {
+            for (const auto scheme : schemes) {
+                ExperimentConfig config = baseConfig(
+                    PredictorKind::TwoBcGskew, kb * 1024, scheme);
+                config.evalWarmupBranches = options.warmupBranches;
+                runner.addCell(p, config);
+            }
+        }
+    }
+    const MatrixResult result = runner.run();
 
     std::printf("Table 3: 2bcgskew MISP/KI improvement with static "
                 "prediction (go & gcc)\n\n");
@@ -35,30 +52,13 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
+    std::size_t cell = 0;
     for (const std::size_t kb : sizes_kb) {
         std::printf("%6zuKB", kb);
-        const std::string size = std::to_string(kb) + "KB";
-        auto section =
-            obs::Span::phase(journal.get(), size, "bench." + size);
-        for (const auto id : programs) {
-            SyntheticProgram program =
-                makeSpecProgram(id, InputSet::Ref);
-
-            ExperimentConfig config =
-                baseConfig(PredictorKind::TwoBcGskew, kb * 1024,
-                           StaticScheme::None);
-            config.counters = obs::countersOf(journal.get());
-            const double none =
-                runExperiment(program, config).stats.mispKi();
-
-            config.scheme = StaticScheme::Static95;
-            const double s95 =
-                runExperiment(program, config).stats.mispKi();
-
-            config.scheme = StaticScheme::StaticAcc;
-            const double acc =
-                runExperiment(program, config).stats.mispKi();
-
+        for (std::size_t p = 0; p < runner.programCount(); ++p) {
+            const CellResult &none = result.cells[cell++];
+            const CellResult &s95 = result.cells[cell++];
+            const CellResult &acc = result.cells[cell++];
             std::printf(" | %12s %12s",
                         formatImprovement(none, s95).c_str(),
                         formatImprovement(none, acc).c_str());
@@ -68,7 +68,6 @@ main(int argc, char **argv)
 
     std::printf("\nPaper shape: gains shrink with size; gcc > go at "
                 "every size; go goes negative at 16-32 KB.\n");
-    run.close();
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "table3_2bcgskew_small", runner, result,
+                       journal.get());
 }

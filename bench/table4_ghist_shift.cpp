@@ -33,9 +33,33 @@ main(int argc, char **argv)
 {
     const BenchOptions options =
         parseBenchOptions(argc, argv, "table4_ghist_shift");
-    const auto journal = makeJournal(options, "table4_ghist_shift");
-    auto run = obs::Span::run(journal.get(), runBeginFields(options.threads));
     const std::size_t sizes_kb[] = {32, 64};
+    const StaticScheme schemes[] = {StaticScheme::Static95,
+                                    StaticScheme::StaticAcc};
+    const ShiftPolicy shifts[] = {ShiftPolicy::NoShift,
+                                  ShiftPolicy::ShiftOutcome};
+
+    const auto journal = makeJournal(options, "table4_ghist_shift");
+    ExperimentRunner runner(runnerOptions(options, journal.get()));
+    for (const auto id : allSpecPrograms()) {
+        const std::size_t program =
+            runner.addProgram(makeSpecProgram(id, InputSet::Ref));
+        for (const std::size_t kb : sizes_kb) {
+            ExperimentConfig config =
+                baseConfig(PredictorKind::TwoBcGskew, kb * 1024,
+                           StaticScheme::None);
+            config.evalWarmupBranches = options.warmupBranches;
+            runner.addCell(program, config);
+            for (const auto scheme : schemes) {
+                for (const auto shift : shifts) {
+                    config.scheme = scheme;
+                    config.shift = shift;
+                    runner.addCell(program, config);
+                }
+            }
+        }
+    }
+    const MatrixResult result = runner.run();
 
     std::printf("Table 4: 2bcgskew, %% MISP/KI improvement over the "
                 "pure dynamic baseline\n\n");
@@ -43,42 +67,27 @@ main(int argc, char **argv)
                 "static95", "static95+sh", "staticAcc",
                 "staticAcc+sh");
 
-    for (const auto id : allSpecPrograms()) {
-        SyntheticProgram program = makeSpecProgram(id, InputSet::Ref);
-        auto section = obs::Span::phase(
-            journal.get(), program.name(), "bench." + program.name());
+    std::size_t cell = 0;
+    for (std::size_t p = 0; p < runner.programCount(); ++p) {
         for (const std::size_t kb : sizes_kb) {
-            ExperimentConfig config =
-                baseConfig(PredictorKind::TwoBcGskew, kb * 1024,
-                           StaticScheme::None);
-            config.counters = obs::countersOf(journal.get());
-            const double none =
-                runExperiment(program, config).stats.mispKi();
-
-            double results[4];
-            int i = 0;
-            for (const auto scheme :
-                 {StaticScheme::Static95, StaticScheme::StaticAcc}) {
-                for (const auto shift :
-                     {ShiftPolicy::NoShift, ShiftPolicy::ShiftOutcome}) {
-                    config.scheme = scheme;
-                    config.shift = shift;
-                    results[i++] = improvementPct(
-                        none,
-                        runExperiment(program, config).stats.mispKi());
-                }
+            const CellResult &none = result.cells[cell++];
+            std::string columns[4];
+            for (std::string &column : columns) {
+                const CellResult &with = result.cells[cell++];
+                column = formatEntry(
+                    {none, with}, "%+.1f%%",
+                    improvementPct(none.result.stats.mispKi(),
+                                   with.result.stats.mispKi()));
             }
-
-            std::printf("%-10s %4zuKB %+9.1f%% %+11.1f%% %+9.1f%% "
-                        "%+11.1f%%\n",
-                        program.name().c_str(), kb, results[0],
-                        results[1], results[2], results[3]);
+            std::printf("%-10s %4zuKB %10s %12s %10s %12s\n",
+                        runner.program(p).name().c_str(), kb,
+                        columns[0].c_str(), columns[1].c_str(),
+                        columns[2].c_str(), columns[3].c_str());
         }
     }
 
     std::printf("\nPaper shape: where a plain scheme degrades "
                 "(negative), its +shift column recovers.\n");
-    run.close();
-    writeJournal(options, journal.get());
-    return 0;
+    return finishBench(options, "table4_ghist_shift", runner, result,
+                       journal.get());
 }

@@ -79,8 +79,14 @@ main(int argc, char **argv)
     auto baseline_predictor = makePredictor(kind, size_bytes);
     const SimStats base = simulate(*baseline_predictor, program, eval);
 
+    Result<HintDb> loaded = HintDb::load(hints_path);
+    if (!loaded.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     loaded.error().describe().c_str());
+        return 1;
+    }
     CombinedPredictor combined(makePredictor(kind, size_bytes),
-                               HintDb::load(hints_path));
+                               std::move(loaded.value()));
     const SimStats with = simulate(combined, program, eval);
 
     std::printf("\n%-28s %10s %10s\n", "", "baseline", "combined");

@@ -65,8 +65,9 @@ std::string replayArtifactKey(const std::string &program_name,
 
 /**
  * Key of a profile phase: program identity, profile input set and
- * branch budget, and the predictor identity string ("kind:bytes" for
- * factory predictors, "custom:<key>" for keyed custom ones).
+ * branch budget, and the predictor identity string
+ * (predictorIdentityOf(): "name:bytes", plus ":h<lengths>" when the
+ * cell sets history lengths).
  */
 std::string profileArtifactKey(const std::string &program_name,
                                std::uint64_t program_seed,

@@ -57,13 +57,10 @@ std::string
 cellFingerprint(const WorkloadSource &program,
                 const ExperimentConfig &config)
 {
-    const std::string predictor = predictorIdentityOf(config);
-    if (predictor.empty())
-        return {};
-
     std::ostringstream os;
     os << "v1|" << program.name() << "|" << program.seedValue() << "|"
-       << predictor << "|" << staticSchemeName(config.scheme) << "|"
+       << predictorIdentityOf(config) << "|"
+       << staticSchemeName(config.scheme) << "|"
        << shiftPolicyName(config.shift) << "|"
        << config.profileBranches << "|" << config.evalBranches << "|"
        << config.evalWarmupBranches << "|"
@@ -325,8 +322,8 @@ SweepCheckpoint::record(CheckpointRecord record)
 {
     if (record.fingerprint.empty()) {
         return Error(ErrorCode::Internal,
-                     "cannot checkpoint an unfingerprintable cell '" +
-                         record.label + "'");
+                     "cannot checkpoint a record without a fingerprint "
+                     "('" + record.label + "')");
     }
     std::lock_guard<std::mutex> guard(lock);
     const auto [it, inserted] =
@@ -341,8 +338,6 @@ SweepCheckpoint::record(CheckpointRecord record)
 const CheckpointRecord *
 SweepCheckpoint::find(const std::string &fingerprint) const
 {
-    if (fingerprint.empty())
-        return nullptr;
     std::lock_guard<std::mutex> guard(lock);
     const auto it = index.find(fingerprint);
     return it != index.end() ? &records[it->second] : nullptr;

@@ -111,10 +111,8 @@ struct CheckpointRecord
 
 /**
  * Deterministic identity of one matrix cell: the program's name and
- * seed plus every config field that affects the result. Cells with a
- * makeDynamic factory use the dynamicKey as the predictor identity;
- * with no key the cell is unfingerprintable and returns "" (the
- * runner then runs it unconditionally and never checkpoints it).
+ * seed plus every config field that affects the result, the
+ * predictor's among them through predictorIdentityOf().
  */
 std::string cellFingerprint(const WorkloadSource &program,
                             const ExperimentConfig &config);
@@ -141,8 +139,7 @@ class SweepCheckpoint
     /** Record @p record and atomically rewrite the file. */
     Result<void> record(CheckpointRecord record);
 
-    /** Loaded/recorded record for @p fingerprint; null when absent
-     * (or when @p fingerprint is empty — unfingerprintable cell). */
+    /** Loaded/recorded record for @p fingerprint; null when absent. */
     const CheckpointRecord *find(const std::string &fingerprint) const;
 
     /** Records held (loaded + recorded this run). */

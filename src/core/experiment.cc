@@ -14,22 +14,29 @@ namespace bpsim
 namespace
 {
 
-/** Build the dynamic component a config describes: makeDynamic
- * factory first, then a registered name, then the paper kind. */
-std::unique_ptr<BranchPredictor>
-makeDynamicComponent(const ExperimentConfig &config)
+/** The registered name of a config's predictor: config.predictor
+ * when set, the paper kind's name otherwise. */
+std::string
+predictorNameOf(const ExperimentConfig &config)
 {
-    if (config.makeDynamic)
-        return config.makeDynamic();
-    if (!config.predictor.empty()) {
-        const PredictorInfo *info =
-            PredictorRegistry::instance().find(config.predictor);
-        // validate() rejects unregistered names before any phase runs.
-        bpsim_assert(info != nullptr, "unregistered predictor '",
-                     config.predictor, "' reached construction");
+    return config.predictor.empty() ? predictorKindName(config.kind)
+                                    : config.predictor;
+}
+
+/** Build the dynamic component a config describes, with its history
+ * lengths when it sets them. */
+std::unique_ptr<BranchPredictor>
+buildDynamicPredictor(const ExperimentConfig &config)
+{
+    const std::string name = predictorNameOf(config);
+    const PredictorInfo *info = PredictorRegistry::instance().find(name);
+    // validate() rejects unregistered names and history lengths the
+    // predictor does not take before any phase runs.
+    bpsim_assert(info != nullptr, "unregistered predictor '", name,
+                 "' reached construction");
+    if (config.historyLengths.empty())
         return info->make(config.sizeBytes);
-    }
-    return makePredictor(config.kind, config.sizeBytes);
+    return info->makeWithHistory(config.sizeBytes, config.historyLengths);
 }
 
 /** Options of the selection phase's profiling simulation. */
@@ -42,32 +49,6 @@ profileOptions(const ExperimentConfig &config, ProfileDb &profile)
     options.counters = config.counters;
     return options;
 }
-
-/**
- * Adapter pinning a SyntheticProgram to one input set: reset()
- * re-binds the input (which also rewinds execution), so the
- * stream-based experiment core can treat the two phases of a live
- * program exactly like two independent replay cursors.
- */
-class InputBoundStream : public BranchStream
-{
-  public:
-    InputBoundStream(SyntheticProgram &program, InputSet input)
-        : program(program), input(input)
-    {}
-
-    bool
-    next(BranchRecord &record) override
-    {
-        return program.next(record);
-    }
-
-    void reset() override { program.setInput(input); }
-
-  private:
-    SyntheticProgram &program;
-    InputSet input;
-};
 
 /**
  * The selection phase downstream of profiling: the §5.1 merge filter,
@@ -128,15 +109,12 @@ evalSimOptions(const ExperimentConfig &config,
 std::string
 predictorIdentityOf(const ExperimentConfig &config)
 {
-    if (config.makeDynamic) {
-        if (config.dynamicKey.empty())
-            return {};
-        return "custom:" + config.dynamicKey;
-    }
-    const std::string name = config.predictor.empty()
-                                 ? predictorKindName(config.kind)
-                                 : config.predictor;
-    return name + ":" + std::to_string(config.sizeBytes);
+    std::string identity =
+        predictorNameOf(config) + ":" + std::to_string(config.sizeBytes);
+    for (std::size_t i = 0; i < config.historyLengths.size(); ++i)
+        identity += (i == 0 ? ":h" : ",") +
+                    std::to_string(config.historyLengths[i]);
+    return identity;
 }
 
 Result<void>
@@ -145,21 +123,41 @@ ExperimentConfig::validate() const
     // The table factory carves sizeBytes into power-of-two entry
     // counts (halved or quartered by the multi-table schemes), so
     // the budget itself must be a power of two with room for the
-    // smallest split. makeDynamic bypasses the factory entirely.
-    if (!makeDynamic &&
-        (sizeBytes < 16 || (sizeBytes & (sizeBytes - 1)) != 0)) {
+    // smallest split.
+    if (sizeBytes < 16 || (sizeBytes & (sizeBytes - 1)) != 0) {
         return Error(ErrorCode::ConfigInvalid,
                      "predictor sizeBytes must be a power of two "
                      ">= 16, got " +
                          std::to_string(sizeBytes));
     }
-    if (!makeDynamic && !predictor.empty() &&
-        PredictorRegistry::instance().find(predictor) == nullptr) {
+    const std::string name = predictorNameOf(*this);
+    const PredictorInfo *info = PredictorRegistry::instance().find(name);
+    if (info == nullptr) {
         return Error(ErrorCode::ConfigInvalid,
-                     "unknown predictor '" + predictor +
-                         "' (registered: " +
+                     "unknown predictor '" + name + "' (registered: " +
                          PredictorRegistry::instance().namesJoined() +
                          ")");
+    }
+    if (!historyLengths.empty()) {
+        if (!info->makeWithHistory) {
+            return Error(ErrorCode::ConfigInvalid,
+                         "predictor '" + name +
+                             "' takes no history lengths");
+        }
+        if (historyLengths.size() != info->historyLengthCount) {
+            return Error(ErrorCode::ConfigInvalid,
+                         "predictor '" + name + "' takes " +
+                             std::to_string(info->historyLengthCount) +
+                             " history lengths, got " +
+                             std::to_string(historyLengths.size()));
+        }
+        for (const BitCount length : historyLengths) {
+            if (length < 1 || length > 64) {
+                return Error(ErrorCode::ConfigInvalid,
+                             "history lengths must be in [1, 64], got " +
+                                 std::to_string(length));
+            }
+        }
     }
     if (evalBranches == 0) {
         return Error(ErrorCode::ConfigInvalid,
@@ -212,7 +210,7 @@ runProfilePhase(BranchStream &profile_stream,
     // Profile the program, simulating the target dynamic predictor
     // so the profile carries per-branch accuracy (only
     // Static_Acc/Static_Fac read it; Static_95 just uses bias).
-    auto profiling_predictor = makeDynamicComponent(config);
+    auto profiling_predictor = buildDynamicPredictor(config);
     ProfilePhase phase;
     const SimStats stats =
         simulate(*profiling_predictor, profile_stream,
@@ -239,7 +237,7 @@ runEvaluationStreams(BranchStream &eval_stream,
     // Phase 2: evaluate the combined predictor from a cold start.
     ExperimentResult result;
     result.hintCount = hints.size();
-    CombinedPredictor combined(makeDynamicComponent(config),
+    CombinedPredictor combined(buildDynamicPredictor(config),
                                std::move(hints), config.shift);
     result.stats = simulate(combined, eval_stream, evalSimOptions(config));
     // Warmup branches are simulated work even though they are outside
@@ -282,7 +280,7 @@ prepareEvaluationReplay(const ReplayBuffer *profile_buffer,
 
     prepared.hintCount = hints.size();
     prepared.combined = std::make_unique<CombinedPredictor>(
-        makeDynamicComponent(config), std::move(hints), config.shift);
+        buildDynamicPredictor(config), std::move(hints), config.shift);
 
     if (config.scenarioContexts > 0) {
         prepared.evalProfile = std::make_unique<ProfileDb>();
@@ -421,7 +419,7 @@ runProfilePhasesFusedReplay(
             sims[i].prefixBranches = configs[i]->profileBranches;
             continue;
         }
-        predictors.push_back(makeDynamicComponent(*configs[i]));
+        predictors.push_back(buildDynamicPredictor(*configs[i]));
         sims[i].predictor = predictors.back().get();
         sims[i].options =
             profileOptions(*configs[i], outcomes[i].phase.profile);
@@ -443,27 +441,6 @@ runProfilePhasesFusedReplay(
         }
     }
     return outcomes;
-}
-
-ExperimentResult
-runExperiment(SyntheticProgram &program, const ExperimentConfig &config)
-{
-    InputBoundStream profile_stream(program, config.profileInput);
-    InputBoundStream eval_stream(program, config.evalInput);
-    return runExperimentStreams(profile_stream, eval_stream, config);
-}
-
-SimStats
-runBaseline(SyntheticProgram &program, PredictorKind kind,
-            std::size_t size_bytes, Count eval_branches, InputSet input)
-{
-    ExperimentConfig config;
-    config.kind = kind;
-    config.sizeBytes = size_bytes;
-    config.scheme = StaticScheme::None;
-    config.evalBranches = eval_branches;
-    config.evalInput = input;
-    return runExperiment(program, config).stats;
 }
 
 } // namespace bpsim

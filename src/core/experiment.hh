@@ -11,7 +11,6 @@
 #define BPSIM_CORE_EXPERIMENT_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,7 +24,7 @@
 #include "staticsel/selection.hh"
 #include "support/error.hh"
 #include "support/observe.hh"
-#include "workload/synthetic_program.hh"
+#include "workload/behavior.hh"
 
 namespace bpsim
 {
@@ -44,12 +43,20 @@ struct ExperimentConfig
      * non-empty it overrides kind: the dynamic component is built as
      * registry.find(predictor)->make(sizeBytes), which is how cells
      * address the predictors outside the paper's five-kind enum
-     * (tage, perceptron, the extensions). makeDynamic still takes
-     * precedence over both. The name joins sizeBytes in the cell's
-     * identity (profile-cache key, checkpoint fingerprint, default
-     * label) exactly like a kind does.
+     * (tage, perceptron, the extensions). The name joins sizeBytes in
+     * the cell's identity (profile-cache key, checkpoint fingerprint,
+     * default label) exactly like a kind does.
      */
     std::string predictor;
+
+    /**
+     * Per-bank history lengths of the dynamic predictor, in the order
+     * its PredictorInfo::makeWithHistory takes them (2bcgskew: G0, G1,
+     * meta). Empty means the predictor's own defaults for its size.
+     * Only a predictor with makeWithHistory accepts them, and they
+     * join its identity ("2bcgskew:8192:h3,8,6").
+     */
+    std::vector<BitCount> historyLengths;
 
     /** Dynamic predictor budget in bytes. */
     std::size_t sizeBytes = 8192;
@@ -96,25 +103,6 @@ struct ExperimentConfig
     double stabilityThreshold = 0.05;
 
     /**
-     * Optional factory for the dynamic component. When set it
-     * overrides kind/sizeBytes, letting matrix cells carry custom
-     * predictor constructions (e.g. history-length sweeps) that the
-     * kind enum cannot express. Called once per phase.
-     */
-    std::function<std::unique_ptr<BranchPredictor>()> makeDynamic;
-
-    /**
-     * Cache identity of a makeDynamic factory. The runner's
-     * profile-phase cache cannot see through a std::function, so
-     * cells carrying one are uncacheable unless they also set a key
-     * that uniquely names the constructed predictor (e.g.
-     * "gshare:h12:8192"). Cells with equal keys must construct
-     * behaviourally identical predictors. Ignored when makeDynamic
-     * is empty; kind/sizeBytes identify the predictor then.
-     */
-    std::string dynamicKey;
-
-    /**
      * Optional counter registry the engine reports run-level counters
      * into (see SimOptions::counters). Pure observability: not part
      * of the experiment's identity, ignored by the runner's
@@ -137,7 +125,8 @@ struct ExperimentConfig
     /**
      * Fail-fast validation: returns a config_invalid Error naming the
      * offending field when the config cannot run (non-power-of-two
-     * table budget, zero-length streams, out-of-range tunables).
+     * table budget, unknown predictor, history lengths the predictor
+     * does not take, zero-length streams, out-of-range tunables).
      * Experiment entry points raise() it; the matrix runner turns it
      * into a failed cell instead of simulating garbage.
      */
@@ -147,12 +136,11 @@ struct ExperimentConfig
 /**
  * The predictor-identity component shared by the runner's
  * profile-cache key, the profile artifact key, the checkpoint
- * fingerprint and the default cell label: "custom:<dynamicKey>" for
- * keyed makeDynamic cells, "<name>:<sizeBytes>" otherwise (the
+ * fingerprint and the default cell label: "<name>:<sizeBytes>" (the
  * registered name when config.predictor is set, the paper kind name
- * when not). Empty for keyless makeDynamic cells — such cells are
- * uncacheable and unfingerprintable. Centralized here so a new
- * predictor needs zero identity-site edits.
+ * when not), followed by ":h<l0>,<l1>,..." only when historyLengths
+ * is set. Centralized here so a new predictor needs zero
+ * identity-site edits.
  */
 std::string predictorIdentityOf(const ExperimentConfig &config);
 
@@ -269,21 +257,14 @@ struct ExperimentResult
 };
 
 /**
- * Run the two-phase experiment on @p program. The program's input
- * set is switched as the config requires; it is left on
- * config.evalInput afterwards.
- */
-ExperimentResult runExperiment(SyntheticProgram &program,
-                               const ExperimentConfig &config);
-
-/**
- * Stream-based experiment core: @p profile_stream must replay
- * config.profileInput and @p eval_stream config.evalInput; both are
- * reset before each use, so replay-buffer cursors and live programs
- * work alike. The streams must hold at least profileBranches /
- * evalBranches records respectively (and the eval stream at least
- * profileBranches when filterUnstable applies) for results to be
- * identical to the regenerating path.
+ * Run the two-phase experiment on the virtual simulate() loop, one
+ * phase after the other: the reference oracle every runner path must
+ * reproduce. @p profile_stream must replay config.profileInput and
+ * @p eval_stream config.evalInput; both are reset before each use, so
+ * replay-buffer cursors and live programs work alike (one program may
+ * serve as both when the inputs agree). The streams must hold at least
+ * profileBranches / evalBranches records respectively (and the eval
+ * stream at least profileBranches when filterUnstable applies).
  */
 ExperimentResult runExperimentStreams(BranchStream &profile_stream,
                                       BranchStream &eval_stream,
@@ -401,14 +382,6 @@ ExperimentResult finishPreparedEvaluation(
 std::vector<ContextStats> contextSplitOf(const ReplayBuffer &buffer,
                                          Count begin, Count end,
                                          std::size_t contexts);
-
-/**
- * Convenience: pure dynamic baseline of @p kind / @p size_bytes over
- * @p eval_branches branches of @p program under @p input.
- */
-SimStats runBaseline(SyntheticProgram &program, PredictorKind kind,
-                     std::size_t size_bytes, Count eval_branches,
-                     InputSet input = InputSet::Ref);
 
 } // namespace bpsim
 

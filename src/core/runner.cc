@@ -48,21 +48,17 @@ constexpr std::size_t noCell = std::numeric_limits<std::size_t>::max();
  * Cache identity of a cell's profiling run: everything that affects
  * the ProfilePhase and nothing that doesn't (the selection scheme and
  * its tunables apply downstream, which is what makes the phase
- * shareable across scheme cells). Empty when the phase is uncacheable
- * (a makeDynamic factory with no dynamicKey).
+ * shareable across scheme cells).
  */
 std::string
 profileCacheKey(const MatrixCell &cell)
 {
     const ExperimentConfig &config = cell.config;
-    const std::string identity = predictorIdentityOf(config);
-    if (identity.empty())
-        return {};
     return std::to_string(cell.programIndex) + "|" +
            std::to_string(
                static_cast<unsigned>(config.profileInput)) +
            "|" + std::to_string(config.profileBranches) + "|" +
-           identity;
+           predictorIdentityOf(config);
 }
 
 /**
@@ -476,13 +472,7 @@ ExperimentRunner::cellInShard(std::size_t index)
 {
     if (options.shardCount <= 1)
         return true;
-    // Unfingerprintable cells (keyless makeDynamic factories) hash
-    // their label instead, so every cell lands in exactly one shard
-    // and a merged shard set still covers the whole matrix.
-    const std::string &fingerprint = fingerprintOf(index);
-    const std::string &identity =
-        fingerprint.empty() ? cells[index].label : fingerprint;
-    return shardOfFingerprint(identity, options.shardCount) ==
+    return shardOfFingerprint(fingerprintOf(index), options.shardCount) ==
            options.shardIndex - 1;
 }
 
@@ -527,13 +517,9 @@ ExperimentRunner::addCell(std::size_t program_index,
     if (CounterRegistry *counters = obs::countersOf(options.journal))
         cell.config.counters = counters;
     if (label.empty()) {
-        const std::string identity = predictorIdentityOf(config);
         label = programs[program_index]->name() + "/" +
-                (identity.empty()
-                     ? predictorKindName(config.kind) + ":" +
-                           std::to_string(config.sizeBytes)
-                     : identity) +
-                "/" + staticSchemeName(config.scheme);
+                predictorIdentityOf(config) + "/" +
+                staticSchemeName(config.scheme);
     }
     cell.label = std::move(label);
     // Demands are folded in at materialize() time (not here) so a
@@ -1030,7 +1016,7 @@ class ExperimentRunner::Sweep
         stamp.shardCount = options.shardCount;
         stamp.matrixCells = cells.size();
         for (const CellPlan &plan : plans) {
-            if (plan.inShard && !plan.fingerprint.empty())
+            if (plan.inShard)
                 ++stamp.shardCells;
         }
         const std::optional<ShardStamp> existing = checkpoint->shard();
@@ -1080,11 +1066,8 @@ class ExperimentRunner::Sweep
             if (!plan.inShard || plan.invalid.has_value() ||
                 config.scheme == StaticScheme::None)
                 continue;
-            const std::string key = profileCacheKey(cells[i]);
-            if (key.empty())
-                continue;
-            const auto [it, inserted] =
-                phase_of_key.try_emplace(key, phases.size());
+            const auto [it, inserted] = phase_of_key.try_emplace(
+                profileCacheKey(cells[i]), phases.size());
             if (inserted) {
                 phases.emplace_back();
                 phases.back().programIndex = cells[i].programIndex;
@@ -1182,9 +1165,7 @@ class ExperimentRunner::Sweep
                 config.scheme != StaticScheme::None ||
                 config.evalWarmupBranches != 0)
                 continue;
-            std::string identity = predictorIdentityOf(config);
-            if (!identity.empty())
-                candidates.emplace_back(i, std::move(identity));
+            candidates.emplace_back(i, predictorIdentityOf(config));
         }
         std::vector<char> taken(cells.size(), 0);
         for (const std::size_t j : phaseExec) {
@@ -1348,9 +1329,8 @@ class ExperimentRunner::Sweep
             out.result = evaluationResult(entry.index, entry.prepared,
                                           sim.stats);
             out.attempts = entry.attempts + pass_attempts - 1;
-            out.usedKernel =
-                entry.prepared.preEvalFastPath && sim.usedFastPath;
-            out.usedSimd = entry.prepared.preEvalSimd && sim.usedSimd;
+            out.usedKernel = sim.usedFastPath;
+            out.usedSimd = sim.usedSimd;
             out.wallSeconds = entry.prepareSeconds +
                               (sim.seconds - sim.prefixSeconds);
             stepped += sim.stats.branches;
@@ -1479,22 +1459,18 @@ class ExperimentRunner::Sweep
         return entry;
     }
 
-    /** Run cell @p i's pre-evaluation work into @p entry (profiling
-     * unless a shared phase stands in, filter, selection, predictor)
-     * behind the cell fault point, with retries; the failure that
-     * ended it, if any. */
+    /** Run cell @p i's pre-evaluation work into @p entry (filter,
+     * selection over its shared phase, predictor) behind the cell
+     * fault point, with retries; the failure that ended it, if any. */
     std::optional<Error>
     prepare(std::size_t i, LiveCell &entry)
     {
         const MatrixCell &cell = cells[i];
         const ExperimentConfig &config = cell.config;
-        const ProfilePhase *cached =
+        // Every scheme cell consumes its program's shared phase.
+        const ProfilePhase *shared =
             plans[i].phase != noPhase ? &phases[plans[i].phase].phase
                                       : nullptr;
-        const ReplayBuffer *profile_buffer =
-            config.scheme != StaticScheme::None && cached == nullptr
-                ? &runner.buffer(cell.programIndex, config.profileInput)
-                : nullptr;
 
         ScopedTimer timer(timers, "runner.cell");
         entry.index = i;
@@ -1502,9 +1478,9 @@ class ExperimentRunner::Sweep
             options.retries, entry.attempts, [&] {
                 faultPoint(fault_points::cell, cell.label);
                 entry.prepared = prepareEvaluationReplay(
-                    profile_buffer,
+                    nullptr,
                     runner.buffer(cell.programIndex, config.evalInput),
-                    config, cached);
+                    config, shared);
             });
         entry.prepareSeconds = timer.stop();
         if (failure.has_value())
@@ -1571,12 +1547,10 @@ class ExperimentRunner::Sweep
                 evaluationResult(i, live[k].prepared, sims[k].stats);
             out.attempts = live[k].attempts + pass_attempts - 1;
             out.profileCached = shared != nullptr;
-            out.usedKernel = live[k].prepared.preEvalFastPath &&
-                             sims[k].usedFastPath &&
+            out.usedKernel = sims[k].usedFastPath &&
                              (shared == nullptr || shared->kernel);
-            out.usedSimd = live[k].prepared.preEvalSimd &&
-                           sims[k].usedSimd &&
-                           (shared == nullptr || shared->simd);
+            out.usedSimd =
+                sims[k].usedSimd && (shared == nullptr || shared->simd);
             out.wallSeconds = live[k].prepareSeconds + sims[k].seconds;
             writeCheckpoint(i);
             noteCellEnd(i);
@@ -1697,7 +1671,7 @@ class ExperimentRunner::Sweep
     void
     writeCheckpoint(std::size_t i)
     {
-        if (checkpoint == nullptr || plans[i].fingerprint.empty())
+        if (checkpoint == nullptr)
             return;
         const CellResult &out = result.cells[i];
         try {

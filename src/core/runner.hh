@@ -10,10 +10,9 @@
  *     into a ReplayBuffer (instead of re-running CFG/behaviour
  *     generation for every cell),
  *  2. runs each unique profiling phase once and shares it read-only
- *     with every cell that needs it (cells whose makeDynamic factory
- *     has no dynamicKey profile privately); a phase whose unhinted
- *     twin cell evaluates the same records from a cold start rides in
- *     that cell's sim, which the profile stage runs to the end,
+ *     with every cell that needs it; a phase whose unhinted twin cell
+ *     evaluates the same records from a cold start rides in that
+ *     cell's sim, which the profile stage runs to the end,
  *  3. steps the cells sharing an evaluation buffer — and the
  *     profiling phases sharing a profile buffer — through one fused
  *     pass per group (simulateReplayFused); a lone cell is a
@@ -507,13 +506,10 @@ class ExperimentRunner
     /** Reject malformed shard options (config_invalid). */
     void validateShardOptions() const;
 
-    /** Memoized cellFingerprint() of cell @p index ("" when the cell
-     * is unfingerprintable). */
+    /** Memoized cellFingerprint() of cell @p index. */
     const std::string &fingerprintOf(std::size_t index);
 
-    /** Does cell @p index belong to this process's shard?
-     * Unfingerprintable cells hash their label so they too land in
-     * exactly one shard. */
+    /** Does cell @p index belong to this process's shard? */
     bool cellInShard(std::size_t index);
 
     RunnerOptions options;

@@ -104,8 +104,8 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string &spec);
  *
  * @return true if the concrete type was listed and the visitor ran;
  *         false (visitor untouched) for anything else, e.g. yags,
- *         gselect, tournament, ideal or a custom makeDynamic
- *         factory, which then take the virtual fallback path.
+ *         gselect, tournament or ideal, which then take the virtual
+ *         fallback path.
  */
 template <typename Visitor>
 bool

@@ -42,6 +42,19 @@ struct PredictorInfo
     /** Build an instance with a byte budget. */
     std::function<std::unique_ptr<BranchPredictor>(std::size_t)> make;
 
+    /**
+     * Build an instance with a byte budget and explicit per-bank
+     * history lengths: historyLengthCount of them, each in [1, 64]
+     * (ExperimentConfig::validate() checks both). Null for a
+     * predictor whose history lengths are fixed by its size.
+     */
+    std::function<std::unique_ptr<BranchPredictor>(
+        std::size_t, const std::vector<BitCount> &)>
+        makeWithHistory;
+
+    /** Number of history lengths makeWithHistory takes. */
+    std::size_t historyLengthCount = 0;
+
     /** One of the paper's five simulated schemes (PredictorKind). */
     bool paperKind = false;
 

@@ -156,6 +156,12 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<TwoBcGskew>(bytes);
             },
+        .makeWithHistory =
+            [](std::size_t bytes, const std::vector<BitCount> &lengths) {
+                return std::make_unique<TwoBcGskew>(bytes, lengths[0],
+                                                    lengths[1], lengths[2]);
+            },
+        .historyLengthCount = 3,
         .paperKind = true,
         .kernelCapable = true,
     })

@@ -1,7 +1,11 @@
 #include "staticsel/static_hint.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 #include "support/logging.hh"
 
@@ -19,23 +23,63 @@ HintDb::save(const std::string &path) const
     std::fclose(out);
 }
 
-HintDb
+namespace
+{
+
+/** Why @p line is not a hint record ("pc T|N"), or null when it is
+ * one. The PC is hexadecimal with an optional 0x. */
+const char *
+parseHint(const std::string &line, Addr &pc, bool &taken)
+{
+    const char *cursor = line.c_str();
+    while (*cursor == ' ' || *cursor == '\t')
+        ++cursor;
+    if (!std::isxdigit(static_cast<unsigned char>(*cursor)))
+        return "expected a hexadecimal pc";
+    char *end = nullptr;
+    errno = 0;
+    pc = std::strtoull(cursor, &end, 16);
+    if (errno == ERANGE || (*end != ' ' && *end != '\t'))
+        return "expected 'pc direction'";
+    cursor = end;
+    while (*cursor == ' ' || *cursor == '\t')
+        ++cursor;
+    if (*cursor != 'T' && *cursor != 'N')
+        return "the direction must be T or N";
+    taken = *cursor++ == 'T';
+    while (*cursor == ' ' || *cursor == '\t' || *cursor == '\r')
+        ++cursor;
+    if (*cursor != '\0')
+        return "trailing characters after the direction";
+    return nullptr;
+}
+
+} // namespace
+
+Result<HintDb>
 HintDb::load(const std::string &path)
 {
-    std::FILE *in = std::fopen(path.c_str(), "r");
-    if (in == nullptr)
-        bpsim_fatal("cannot open hint db '", path, "'");
+    std::ifstream in(path);
+    if (!in)
+        return Error(ErrorCode::IoFailure, "cannot open hint db")
+            .withContext("path " + path);
     HintDb db;
-    std::uint64_t pc;
-    char dir;
-    while (std::fscanf(in, "%" SCNx64 " %c", &pc, &dir) == 2) {
-        if (dir != 'T' && dir != 'N') {
-            std::fclose(in);
-            bpsim_fatal("bad direction in hint db '", path, "'");
+    std::string line;
+    for (Count number = 1; std::getline(in, line); ++number) {
+        Addr pc = 0;
+        bool taken = false;
+        const char *problem = parseHint(line, pc, taken);
+        if (problem == nullptr && !db.hints.emplace(pc, taken).second)
+            problem = "the pc appears on an earlier line";
+        if (problem != nullptr) {
+            return Error(ErrorCode::IoFailure,
+                         std::string("malformed hint line: ") + problem)
+                .withContext(path + ":" + std::to_string(number));
         }
-        db.insert(pc, dir == 'T');
     }
-    std::fclose(in);
+    if (in.bad())
+        return Error(ErrorCode::IoFailure, "cannot read hint db")
+            .withContext("path " + path);
     return db;
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "support/error.hh"
 #include "support/types.hh"
 
 namespace bpsim
@@ -66,8 +67,12 @@ class HintDb
     /** Save as text ("pc direction" lines). */
     void save(const std::string &path) const;
 
-    /** Load a database saved by save(). */
-    static HintDb load(const std::string &path);
+    /**
+     * Load a database saved by save(). io_failure, naming file:line,
+     * when the file cannot be read or a line is not "pc T|N" or
+     * repeats an earlier line's pc.
+     */
+    static Result<HintDb> load(const std::string &path);
 
   private:
     Map hints;

@@ -13,6 +13,7 @@
 #include "core/combined_predictor.hh"
 #include "core/engine.hh"
 #include "core/experiment.hh"
+#include "core/runner.hh"
 #include "predictor/bimodal.hh"
 #include "predictor/gshare.hh"
 #include "support/random.hh"
@@ -224,13 +225,16 @@ TEST(ExperimentTest, SelfTrainedStatic95HelpsGshareOnGcc)
     config.profileBranches = 300000;
     config.evalBranches = 600000;
 
+    // One live program serves both phases: each resets it first.
     config.scheme = StaticScheme::None;
-    ExperimentResult base = runExperiment(program, config);
+    ExperimentResult base =
+        runExperimentStreams(program, program, config);
     EXPECT_EQ(base.hintCount, 0u);
     EXPECT_EQ(base.stats.staticPredicted, 0u);
 
     config.scheme = StaticScheme::Static95;
-    ExperimentResult with = runExperiment(program, config);
+    ExperimentResult with =
+        runExperimentStreams(program, program, config);
     EXPECT_GT(with.hintCount, 50u);
     EXPECT_GT(with.stats.staticPredicted, 0u);
     EXPECT_LT(with.stats.mispKi(), base.stats.mispKi());
@@ -238,26 +242,39 @@ TEST(ExperimentTest, SelfTrainedStatic95HelpsGshareOnGcc)
 
 TEST(ExperimentTest, RunBaselineMatchesNoneScheme)
 {
-    SyntheticProgram program =
-        makeSpecProgram(SpecProgram::Compress, InputSet::Ref);
+    // A pure dynamic baseline is a none cell: the runner's equals the
+    // oracle over the live program.
     ExperimentConfig config;
     config.kind = PredictorKind::Bimodal;
     config.sizeBytes = 2048;
     config.evalBranches = 200000;
     config.scheme = StaticScheme::None;
-    const SimStats via_experiment =
-        runExperiment(program, config).stats;
-    const SimStats via_baseline = runBaseline(
-        program, PredictorKind::Bimodal, 2048, 200000);
-    EXPECT_EQ(via_experiment.mispredictions,
-              via_baseline.mispredictions);
-    EXPECT_EQ(via_experiment.branches, via_baseline.branches);
+
+    RunnerOptions options;
+    options.threads = 1;
+    ExperimentRunner runner(options);
+    runner.addCell(runner.addProgram(makeSpecProgram(
+                       SpecProgram::Compress, InputSet::Ref)),
+                   config);
+    const MatrixResult matrix = runner.run();
+    ASSERT_TRUE(matrix.cells[0].ok());
+
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Compress, InputSet::Ref);
+    const SimStats via_oracle =
+        runExperimentStreams(program, program, config).stats;
+    const SimStats &via_runner = matrix.cells[0].result.stats;
+    EXPECT_EQ(via_runner.mispredictions, via_oracle.mispredictions);
+    EXPECT_EQ(via_runner.branches, via_oracle.branches);
+    EXPECT_EQ(via_runner.branches, 200000u);
 }
 
 TEST(ExperimentTest, CrossTrainedUsesTrainInput)
 {
     SyntheticProgram program =
         makeSpecProgram(SpecProgram::Perl, InputSet::Ref);
+    SyntheticProgram train =
+        makeSpecProgram(SpecProgram::Perl, InputSet::Train);
     ExperimentConfig config;
     config.kind = PredictorKind::Gshare;
     config.sizeBytes = 4096;
@@ -266,14 +283,16 @@ TEST(ExperimentTest, CrossTrainedUsesTrainInput)
     config.evalBranches = 300000;
 
     config.profileInput = InputSet::Ref;
-    const double self = runExperiment(program, config).stats.mispKi();
+    const double self =
+        runExperimentStreams(program, program, config).stats.mispKi();
 
     config.profileInput = InputSet::Train;
-    const double naive = runExperiment(program, config).stats.mispKi();
+    const double naive =
+        runExperimentStreams(train, program, config).stats.mispKi();
 
     config.filterUnstable = true;
     const double filtered =
-        runExperiment(program, config).stats.mispKi();
+        runExperimentStreams(train, program, config).stats.mispKi();
 
     // Perl's hot flipping branches: naive cross-training must be
     // clearly worse than self-training, and filtering must recover

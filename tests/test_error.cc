@@ -255,6 +255,38 @@ TEST(ValidationTest, ExperimentConfigRejectsOutOfRangeTunables)
     EXPECT_TRUE(config.validate().ok());
 }
 
+TEST(ValidationTest, HistoryLengthsOnlyWhereThePredictorTakesThem)
+{
+    ExperimentConfig config;
+    config.kind = PredictorKind::TwoBcGskew;
+    config.historyLengths = {3, 8, 6};
+    EXPECT_TRUE(config.validate().ok());
+
+    const auto expectInvalid = [](const ExperimentConfig &bad,
+                                  const std::string &why) {
+        const Result<void> valid = bad.validate();
+        ASSERT_FALSE(valid.ok()) << why;
+        EXPECT_EQ(valid.error().code(), ErrorCode::ConfigInvalid);
+        EXPECT_NE(valid.error().message().find(why), std::string::npos)
+            << valid.error().message();
+    };
+    ExperimentConfig bad = config;
+    bad.kind = PredictorKind::Gshare;
+    expectInvalid(bad, "takes no history lengths");
+    bad = config;
+    bad.predictor = "tage";
+    expectInvalid(bad, "takes no history lengths");
+    bad = config;
+    bad.historyLengths = {3, 8};
+    expectInvalid(bad, "takes 3 history lengths, got 2");
+    bad = config;
+    bad.historyLengths = {3, 65, 6};
+    expectInvalid(bad, "[1, 64], got 65");
+    bad = config;
+    bad.historyLengths = {0, 8, 6};
+    expectInvalid(bad, "[1, 64], got 0");
+}
+
 TEST(ValidationTest, InvalidConfigFailsFastBeforeSimulating)
 {
     ExperimentConfig config;
@@ -262,7 +294,8 @@ TEST(ValidationTest, InvalidConfigFailsFastBeforeSimulating)
     config.evalBranches = 1000;
     SyntheticProgram program =
         makeSpecProgram(SpecProgram::Compress, InputSet::Ref);
-    EXPECT_THROW(runExperiment(program, config), ErrorException);
+    EXPECT_THROW(runExperimentStreams(program, program, config),
+                 ErrorException);
 }
 
 TEST(ValidationTest, ProgramConfigRejectsBadFractions)
@@ -351,17 +384,34 @@ TEST(CheckpointTest, FingerprintIsDeterministicAndDiscriminating)
     EXPECT_NE(cellFingerprint(other, config), base);
 }
 
-TEST(CheckpointTest, UnkeyedDynamicFactoryIsUnfingerprintable)
+TEST(CheckpointTest, PlainFingerprintIsPinned)
+{
+    // A checkpoint resumes only while its cells' fingerprints are
+    // unchanged, so the format of a plain cell's is pinned byte for
+    // byte.
+    EXPECT_EQ(cellFingerprint(fingerprintProgram(), fingerprintConfig()),
+              "v1|fp|24301|gshare:2048|static_95|noshift|10000|20000|0|1|"
+              "1|0:0.050000000000000003|0.94999999999999996,2,16,"
+              "0.94999999999999996,0.10000000000000001");
+}
+
+TEST(CheckpointTest, HistoryLengthsJoinTheFingerprint)
 {
     const SyntheticProgram program = fingerprintProgram();
     ExperimentConfig config = fingerprintConfig();
-    config.makeDynamic = [] {
-        return std::unique_ptr<BranchPredictor>();
-    };
-    EXPECT_EQ(cellFingerprint(program, config), "");
+    config.kind = PredictorKind::TwoBcGskew;
+    config.sizeBytes = 8192;
+    const std::string defaults = cellFingerprint(program, config);
+    EXPECT_NE(defaults.find("|2bcgskew:8192|"), std::string::npos);
 
-    config.dynamicKey = "custom-v1";
-    EXPECT_NE(cellFingerprint(program, config), "");
+    config.historyLengths = {3, 8, 6};
+    const std::string lengths = cellFingerprint(program, config);
+    EXPECT_NE(lengths, defaults);
+    EXPECT_NE(lengths.find("|2bcgskew:8192:h3,8,6|"), std::string::npos);
+    EXPECT_EQ(predictorIdentityOf(config), "2bcgskew:8192:h3,8,6");
+
+    config.historyLengths = {3, 8, 7};
+    EXPECT_NE(cellFingerprint(program, config), lengths);
 }
 
 CheckpointRecord

@@ -174,9 +174,11 @@ TEST(StaticAliasTest, EndToEndReducesMispredictions)
     config.evalBranches = 600000;
 
     config.scheme = StaticScheme::None;
-    const double base = runExperiment(program, config).stats.mispKi();
+    const double base =
+        runExperimentStreams(program, program, config).stats.mispKi();
     config.scheme = StaticScheme::StaticAlias;
-    const ExperimentResult with = runExperiment(program, config);
+    const ExperimentResult with =
+        runExperimentStreams(program, program, config);
 
     EXPECT_GT(with.hintCount, 10u);
     EXPECT_LT(with.stats.mispKi(), base);

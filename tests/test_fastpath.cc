@@ -462,10 +462,10 @@ TEST(FastPathTest, UnknownPredictorFallsBackToVirtual)
 
 TEST(FastPathTest, CustomFactoryExperimentFallsBack)
 {
-    // A makeDynamic factory constructing a non-visitable type runs
-    // the whole experiment on the virtual path, bit-identically.
-    ExperimentConfig config = fastConfig("gshare", StaticScheme::Static95);
-    config.makeDynamic = [] { return makePredictor("yags:2048"); };
+    // A registered predictor outside BPSIM_KERNEL_PREDICTORS runs the
+    // whole experiment on the virtual path, bit-identically.
+    const ExperimentConfig config =
+        fastConfig("yags", StaticScheme::Static95);
     const ReplayBuffer &buffer = testBuffer();
 
     ReplayBuffer::Cursor profile_stream = buffer.cursor();

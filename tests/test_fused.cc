@@ -201,45 +201,6 @@ TEST(FusedTest, JournalDoesNotPerturbResultsAndRecordsGroups)
     EXPECT_TRUE(summary.phasesBalanced);
 }
 
-TEST(FusedTest, ProfileCacheOffStillBitIdentical)
-{
-    // Cells whose makeDynamic factory has no dynamicKey cannot share
-    // a profiling phase: each profiles privately inside its fused
-    // cell chunk. Such cells stay bit-identical to the oracle.
-    const auto add_keyless = [](ExperimentRunner &runner) {
-        for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
-            const std::size_t program =
-                runner.addProgram(makeSpecProgram(id, InputSet::Ref));
-            for (const auto kind :
-                 {PredictorKind::Gshare, PredictorKind::Bimodal}) {
-                for (const auto scheme :
-                     {StaticScheme::None, StaticScheme::Static95,
-                      StaticScheme::StaticAcc}) {
-                    ExperimentConfig config = testConfig(kind, scheme);
-                    config.makeDynamic = [kind] {
-                        return makePredictor(kind, 2048);
-                    };
-                    runner.addCell(program, config);
-                }
-            }
-        }
-    };
-    const Reference ref = referenceOf(add_keyless);
-    oracle::expectMatrixMatches(ref.run, ref.oracle);
-    EXPECT_EQ(ref.run.profileCacheHits, 0u);
-    EXPECT_EQ(ref.run.profileCacheMisses, 0u);
-    EXPECT_EQ(ref.run.kernelCells, ref.run.cells.size());
-    EXPECT_EQ(ref.run.simdCells, ref.run.cells.size());
-
-    ExperimentRunner runner(matrixOptions(2));
-    add_keyless(runner);
-    const MatrixResult fused = runner.run();
-    expectSameMatrix(fused, ref);
-    EXPECT_EQ(fused.actualBranches, fused.totalBranches);
-    for (const CellResult &cell : fused.cells)
-        EXPECT_FALSE(cell.profileCached);
-}
-
 /*
  * The benches' own matrices, shortened: fig7_12 (6 programs x the
  * paper's five predictors x none/Static_95/Static_Acc) and

@@ -89,9 +89,10 @@ TEST(Integration, PipelineThroughDiskArtifacts)
         hints.save(hints_path);
     }
 
-    HintDb hints = HintDb::load(hints_path);
+    const Result<HintDb> hints = HintDb::load(hints_path);
+    ASSERT_TRUE(hints.ok()) << hints.error().describe();
     CombinedPredictor combined(
-        makePredictor(PredictorKind::Gshare, 4096), hints);
+        makePredictor(PredictorKind::Gshare, 4096), hints.value());
     SimOptions options;
     options.maxBranches = 300000;
     const SimStats stats = simulate(combined, program, options);
@@ -118,9 +119,11 @@ TEST(Integration, StaticPredictionRemovesHintedBranchesFromTables)
     config.evalBranches = 400000;
 
     config.scheme = StaticScheme::None;
-    const ExperimentResult base = runExperiment(program, config);
+    const ExperimentResult base =
+        runExperimentStreams(program, program, config);
     config.scheme = StaticScheme::StaticAcc;
-    const ExperimentResult with = runExperiment(program, config);
+    const ExperimentResult with =
+        runExperimentStreams(program, program, config);
 
     EXPECT_LT(with.stats.collisions.lookups,
               base.stats.collisions.lookups);
@@ -141,9 +144,11 @@ TEST(Integration, BimodalGainsNothingFromStatic95)
     config.evalBranches = 400000;
 
     config.scheme = StaticScheme::None;
-    const double base = runExperiment(program, config).stats.mispKi();
+    const double base =
+        runExperimentStreams(program, program, config).stats.mispKi();
     config.scheme = StaticScheme::Static95;
-    const double with = runExperiment(program, config).stats.mispKi();
+    const double with =
+        runExperimentStreams(program, program, config).stats.mispKi();
 
     EXPECT_NEAR(with, base, base * 0.05);
 }
@@ -159,9 +164,11 @@ TEST(Integration, GhistGainsClearlyFromStatic95)
     config.evalBranches = 400000;
 
     config.scheme = StaticScheme::None;
-    const double base = runExperiment(program, config).stats.mispKi();
+    const double base =
+        runExperimentStreams(program, program, config).stats.mispKi();
     config.scheme = StaticScheme::Static95;
-    const double with = runExperiment(program, config).stats.mispKi();
+    const double with =
+        runExperimentStreams(program, program, config).stats.mispKi();
 
     EXPECT_LT(with, base * 0.95);
 }

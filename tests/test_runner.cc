@@ -14,11 +14,14 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hh"
 #include "core/runner.hh"
 #include "obs/run_journal.hh"
 #include "oracle.hh"
+#include "predictor/two_bc_gskew.hh"
 #include "trace/memory_trace.hh"
 #include "trace/replay_buffer.hh"
 #include "workload/specint.hh"
@@ -119,49 +122,44 @@ TEST(ReplayBufferTest, MatchesRegeneratedProgramStream)
 
 TEST(RunnerTest, ReplayedExperimentIdenticalToRegenerated)
 {
-    // The replay path must produce byte-identical SimStats for every
-    // SPEC program, including a profiling phase (Static95 exercises
-    // selection) and the dynamic baseline.
+    // The runner over replay buffers must produce byte-identical
+    // SimStats to the oracle over the live, regenerating program, for
+    // every SPEC program, with a profiling phase (Static95 exercises
+    // selection) and for the dynamic baseline.
+    ExperimentRunner runner(threadOptions(2));
+    std::vector<ExperimentResult> regenerated;
     for (const auto id : allSpecPrograms()) {
+        const std::size_t program =
+            runner.addProgram(makeSpecProgram(id, InputSet::Ref));
         for (const auto scheme :
              {StaticScheme::None, StaticScheme::Static95}) {
             const ExperimentConfig config =
                 testConfig(PredictorKind::Gshare, scheme);
-
-            SyntheticProgram serial =
-                makeSpecProgram(id, InputSet::Ref);
-            const ExperimentResult regenerated =
-                runExperiment(serial, config);
-
-            SyntheticProgram source =
-                makeSpecProgram(id, InputSet::Ref);
-            const ReplayBuffer buffer = ReplayBuffer::materialize(
-                source, std::max(config.profileBranches,
-                                 config.evalBranches));
-            ReplayBuffer::Cursor profile_stream = buffer.cursor();
-            ReplayBuffer::Cursor eval_stream = buffer.cursor();
-            const ExperimentResult replayed = runExperimentStreams(
-                profile_stream, eval_stream, config);
-
-            expectSameStats(regenerated.stats, replayed.stats);
-            EXPECT_EQ(regenerated.hintCount, replayed.hintCount);
+            runner.addCell(program, config);
+            SyntheticProgram serial = makeSpecProgram(id, InputSet::Ref);
+            regenerated.push_back(
+                runExperimentStreams(serial, serial, config));
         }
     }
+    const MatrixResult replayed = runner.run();
+    oracle::expectMatrixMatches(replayed, regenerated);
 }
 
 TEST(RunnerTest, CrossInputFilterIdenticalToRegenerated)
 {
     // The stability-filter path reads the eval-input buffer twice
-    // (bias profile + evaluation); it must match the serial path too.
+    // (bias profile + evaluation); it must match the oracle over the
+    // live train and ref programs too.
     ExperimentConfig config =
         testConfig(PredictorKind::Gshare, StaticScheme::Static95);
     config.profileInput = InputSet::Train;
     config.filterUnstable = true;
 
-    SyntheticProgram serial =
-        makeSpecProgram(SpecProgram::Perl, InputSet::Ref);
+    SyntheticProgram train =
+        makeSpecProgram(SpecProgram::Perl, InputSet::Train);
+    SyntheticProgram ref = makeSpecProgram(SpecProgram::Perl, InputSet::Ref);
     const ExperimentResult regenerated =
-        runExperiment(serial, config);
+        runExperimentStreams(train, ref, config);
 
     ExperimentRunner runner(threadOptions(1));
     const std::size_t program = runner.addProgram(
@@ -176,11 +174,9 @@ TEST(RunnerTest, CrossInputFilterIdenticalToRegenerated)
 
 /** The thread-count/cache test matrix: 2 programs x 2 kinds x
  * {none, static_95, static_acc} = 12 cells, 8 with a profiling
- * phase sharing 4 unique profile runs. With @p keyless the cells
- * build their predictor through a makeDynamic factory without a
- * dynamicKey, so no profiling phase can be shared. */
+ * phase sharing 4 unique profile runs. */
 void
-addTestMatrix(ExperimentRunner &runner, bool keyless)
+addTestMatrix(ExperimentRunner &runner)
 {
     for (const auto id : {SpecProgram::Go, SpecProgram::Compress}) {
         const std::size_t program =
@@ -190,13 +186,7 @@ addTestMatrix(ExperimentRunner &runner, bool keyless)
             for (const auto scheme :
                  {StaticScheme::None, StaticScheme::Static95,
                   StaticScheme::StaticAcc}) {
-                ExperimentConfig config = testConfig(kind, scheme);
-                if (keyless) {
-                    config.makeDynamic = [kind] {
-                        return makePredictor(kind, 2048);
-                    };
-                }
-                runner.addCell(program, config);
+                runner.addCell(program, testConfig(kind, scheme));
             }
         }
     }
@@ -206,7 +196,7 @@ MatrixResult
 runTestMatrix(unsigned threads)
 {
     ExperimentRunner runner(threadOptions(threads));
-    addTestMatrix(runner, false);
+    addTestMatrix(runner);
     return runner.run();
 }
 
@@ -248,34 +238,6 @@ TEST(RunnerTest, ResultsIdenticalAtAnyThreadCount)
     }
 }
 
-TEST(RunnerTest, ProfileCacheOffIsBitIdentical)
-{
-    // Keyless makeDynamic cells stay out of the profile cache: each
-    // scheme cell re-runs its own profiling phase, and every cell
-    // still equals the oracle and the cached matrix.
-    const MatrixResult cached = runTestMatrix(2);
-    ExperimentRunner runner(threadOptions(2));
-    addTestMatrix(runner, true);
-    const MatrixResult uncached = runner.run();
-    ASSERT_EQ(cached.cells.size(), uncached.cells.size());
-
-    EXPECT_EQ(uncached.profileCacheHits, 0u);
-    EXPECT_EQ(uncached.profileCacheMisses, 0u);
-    EXPECT_EQ(uncached.totalBranches, cached.totalBranches);
-    // Without sharing, every scheme cell re-runs its own profile.
-    EXPECT_EQ(uncached.actualBranches, uncached.totalBranches);
-
-    const std::vector<ExperimentResult> expected =
-        oracle::resultsOf(runner);
-    for (std::size_t i = 0; i < cached.cells.size(); ++i) {
-        ASSERT_TRUE(uncached.cells[i].ok()) << "cell " << i;
-        oracle::expectCellMatches(uncached.cells[i], expected[i]);
-        oracle::expectCellMatches(cached.cells[i], expected[i]);
-        EXPECT_FALSE(uncached.cells[i].profileCached);
-        EXPECT_TRUE(uncached.cells[i].usedKernel);
-    }
-}
-
 TEST(RunnerTest, CellMetadataAndTiming)
 {
     ExperimentRunner runner(threadOptions(2));
@@ -293,6 +255,99 @@ TEST(RunnerTest, CellMetadataAndTiming)
     EXPECT_GT(result.totalBranches, 0u);
     EXPECT_GT(result.replayBytes, 0u);
     EXPECT_GE(result.wallSeconds, result.runSeconds);
+}
+
+/** 2bcgskew at 8 KB with explicit history lengths (empty = the
+ * predictor's defaults). */
+ExperimentConfig
+historyConfig(StaticScheme scheme, std::vector<BitCount> lengths)
+{
+    ExperimentConfig config =
+        testConfig(PredictorKind::TwoBcGskew, scheme);
+    config.sizeBytes = 8192;
+    config.historyLengths = std::move(lengths);
+    return config;
+}
+
+/** gcc with 2bcgskew none and static_95 cells, with lengths {3, 8, 6}
+ * and with the defaults, ordered so that a carrier chosen without the
+ * lengths would ride the wrong phase. */
+void
+addHistoryMatrix(ExperimentRunner &runner)
+{
+    const std::size_t program =
+        runner.addProgram(makeSpecProgram(SpecProgram::Gcc, InputSet::Ref));
+    runner.addCell(program, historyConfig(StaticScheme::None, {}));
+    runner.addCell(program, historyConfig(StaticScheme::None, {3, 8, 6}));
+    runner.addCell(program,
+                   historyConfig(StaticScheme::Static95, {3, 8, 6}));
+    runner.addCell(program, historyConfig(StaticScheme::Static95, {}));
+}
+
+TEST(RunnerTest, HistoryLengthCellMatchesDirectConstruction)
+{
+    obs::RunJournal journal("history lengths");
+    RunnerOptions options = threadOptions(2);
+    options.journal = &journal;
+    ExperimentRunner runner(options);
+    addHistoryMatrix(runner);
+    const MatrixResult result = runner.run();
+    oracle::expectMatrixMatches(result, oracle::resultsOf(runner));
+    EXPECT_EQ(runner.cell(0).label, "gcc/2bcgskew:8192/none");
+    EXPECT_EQ(runner.cell(1).label, "gcc/2bcgskew:8192:h3,8,6/none");
+
+    // The cell's predictor is the one built by hand.
+    TwoBcGskew direct(8192, 3, 8, 6);
+    SimOptions sim_options;
+    sim_options.maxBranches = testEvalBranches;
+    ReplayBuffer::Cursor stream =
+        runner.buffer(0, InputSet::Ref).cursor();
+    expectSameStats(result.cells[1].result.stats,
+                    simulate(direct, stream, sim_options));
+    EXPECT_NE(result.cells[0].result.stats.mispredictions,
+              result.cells[1].result.stats.mispredictions);
+
+    // The lengths join the profile-cache key (two phases, no sharing)
+    // and the carrier identity: phase 0 (the lengths, from cell 2)
+    // rides in cell 1, phase 1 (the defaults) in cell 0.
+    EXPECT_EQ(result.profileCacheMisses, 2u);
+    EXPECT_EQ(result.profileCacheHits, 0u);
+    std::vector<std::pair<Count, Count>> carriers;
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind == obs::EventKind::ProfilePhase)
+            carriers.emplace_back(event.u64("phase"),
+                                  event.u64("carrier"));
+    }
+    std::sort(carriers.begin(), carriers.end());
+    EXPECT_EQ(carriers,
+              (std::vector<std::pair<Count, Count>>{{0, 1}, {1, 0}}));
+}
+
+TEST(RunnerTest, HistoryLengthCellsSurviveCheckpointAndResume)
+{
+    const std::string path = ::testing::TempDir() + "history_resume.jsonl";
+    std::remove(path.c_str());
+    RunnerOptions first = threadOptions(2);
+    first.checkpointPath = path;
+    ExperimentRunner writer(first);
+    addHistoryMatrix(writer);
+    const MatrixResult written = writer.run();
+    ASSERT_EQ(written.failedCells, 0u);
+
+    RunnerOptions resume = threadOptions(2);
+    resume.checkpointPath = path;
+    resume.resume = true;
+    ExperimentRunner reader(resume);
+    addHistoryMatrix(reader);
+    const MatrixResult resumed = reader.run();
+    EXPECT_EQ(resumed.restoredCells, resumed.cells.size());
+    for (std::size_t i = 0; i < resumed.cells.size(); ++i) {
+        SCOPED_TRACE("cell " + std::to_string(i));
+        EXPECT_TRUE(resumed.cells[i].restored);
+        oracle::expectCellMatches(resumed.cells[i],
+                                  written.cells[i].result);
+    }
+    std::remove(path.c_str());
 }
 
 /** A run of the carrier matrix, its journal's carriers and the
@@ -371,12 +426,7 @@ TEST(CarrierTest, EachBrokenConditionLeavesThePhaseUncarried)
              }},
             {"cross-input",
              [](ExperimentConfig &c) { c.evalInput = InputSet::Train; }},
-            {"other size", [](ExperimentConfig &c) { c.sizeBytes = 4096; }},
-            {"keyless factory", [](ExperimentConfig &c) {
-                 c.makeDynamic = [] {
-                     return makePredictor(PredictorKind::Gshare, 2048);
-                 };
-             }}};
+            {"other size", [](ExperimentConfig &c) { c.sizeBytes = 4096; }}};
     for (const auto &[name, tweak] : breaks) {
         SCOPED_TRACE(name);
         const CarrierRun run = runCarrierMatrix(threadOptions(2), tweak);

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "staticsel/selection.hh"
 #include "staticsel/static_hint.hh"
@@ -57,7 +62,9 @@ TEST(HintDbTest, SaveLoadRoundTrip)
     const std::string path = testing::TempDir() + "bpsim_hints_" +
                              std::to_string(::getpid()) + ".db";
     db.save(path);
-    HintDb loaded = HintDb::load(path);
+    const Result<HintDb> result = HintDb::load(path);
+    ASSERT_TRUE(result.ok()) << result.error().describe();
+    const HintDb &loaded = result.value();
     ASSERT_EQ(loaded.size(), db.size());
     for (const auto &[pc, taken] : db.entries()) {
         bool loaded_taken = !taken;
@@ -65,6 +72,66 @@ TEST(HintDbTest, SaveLoadRoundTrip)
         EXPECT_EQ(loaded_taken, taken);
     }
     std::remove(path.c_str());
+}
+
+/** Write @p text to a fresh hint file; returns its path. */
+std::string
+writeHintFile(const std::string &text)
+{
+    const std::string path = testing::TempDir() + "bpsim_bad_hints_" +
+                             std::to_string(::getpid()) + ".db";
+    std::ofstream(path) << text;
+    return path;
+}
+
+/** @p result failed as io_failure, naming @p where. */
+void
+expectHintLoadFailure(const Result<HintDb> &result,
+                      const std::string &where)
+{
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code(), ErrorCode::IoFailure);
+    EXPECT_NE(result.error().describe().find(where), std::string::npos)
+        << result.error().describe();
+}
+
+TEST(HintDbTest, MalformedLinesFailAtTheirLine)
+{
+    // Each bad second line fails the whole load as io_failure naming
+    // file:line, where the old reader stopped at it (keeping the
+    // lines before) or ended the process.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"0xzz T", "expected"},
+        {"# note", "hexadecimal"},
+        {"0x104 X", "T or N"},
+        {"0x104", "expected"},
+        {"0x104 T N", "trailing"},
+        {"-0x104 T", "hexadecimal"},
+        {"0x1ffffffffffffffff T", "expected"},
+        {"", "hexadecimal"},
+        {"0x100 N", "earlier line"}};
+    for (const auto &[line, problem] : cases) {
+        SCOPED_TRACE("line '" + line + "'");
+        const std::string path = writeHintFile(
+            "0x100 T\n" + line + "\n0x108 N\n0x10c T\n");
+        expectHintLoadFailure(HintDb::load(path), path + ":2");
+        expectHintLoadFailure(HintDb::load(path), problem);
+        std::remove(path.c_str());
+    }
+    // What save() writes loads back, PC 0 and a CRLF ending included.
+    const std::string path = writeHintFile("0 T\n0x104 N\r\n");
+    const Result<HintDb> loaded = HintDb::load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().describe();
+    EXPECT_EQ(loaded.value().size(), 2u);
+    EXPECT_TRUE(loaded.value().contains(0));
+    std::remove(path.c_str());
+}
+
+TEST(HintDbTest, MissingFileIsAnErrorNotAnExit)
+{
+    expectHintLoadFailure(
+        HintDb::load(testing::TempDir() + "bpsim_absent_hints.db"),
+        "cannot open hint db");
 }
 
 TEST(SchemeNamesTest, RoundTrip)
