@@ -8,11 +8,14 @@
  *
  * The base and single-shot cells run through the experiment matrix;
  * the iterative loops (inherently sequential per program) run one per
- * program across the pool, replaying the same shared buffers.
+ * program across the pool, replaying the same shared buffers. A
+ * program's loop runs in the shard that runs its single-shot cell;
+ * it is not a cell, so --resume runs it again.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -63,12 +66,14 @@ main(int argc, char **argv)
     const MatrixResult result = runner.run();
 
     // The iterative pass runs after run() (so after run_end); it
-    // feeds the journal's timers and counters, which carry no event
-    // ordering, rather than emitting phase events of its own.
+    // feeds the journal's timers, which carry no event ordering,
+    // rather than emitting phase events of its own.
     TimerRegistry *timers = obs::timersOf(journal.get());
     std::vector<IterativeRow> rows(runner.programCount());
     runner.pool().parallelFor(
         runner.programCount(), [&](std::size_t p) {
+            if (result.cells[2 * p + 1].shardSkipped)
+                return;
             ScopedTimer timer(timers, "bench.iterative");
             IterativeConfig iterative;
             iterative.kind = PredictorKind::Gshare;
@@ -87,7 +92,6 @@ main(int argc, char **argv)
                 runner.buffer(p, InputSet::Ref).cursor();
             SimOptions sim_options;
             sim_options.maxBranches = evalBranches;
-            sim_options.counters = obs::countersOf(journal.get());
             rows[p].stats =
                 simulate(combined, eval_stream, sim_options);
             rows[p].hints = selection.hints.size();
@@ -103,13 +107,22 @@ main(int argc, char **argv)
     for (std::size_t p = 0; p < runner.programCount(); ++p) {
         const CellResult &base = result.cells[2 * p];
         const CellResult &single = result.cells[2 * p + 1];
-        std::printf("%-10s %8s | %10s %7s | %10.2f %7zu %6u\n",
+        // "-" where another shard ran the program's iterative pass.
+        const auto iterative = [&](const char *format, auto value) {
+            char buf[32] = "-";
+            if (!single.shardSkipped)
+                std::snprintf(buf, sizeof(buf), format, value);
+            return std::string(buf);
+        };
+        std::printf("%-10s %8s | %10s %7s | %10s %7s %6s\n",
                     runner.program(p).name().c_str(),
                     formatMispKi(base).c_str(),
                     formatMispKi(single).c_str(),
                     formatEntry({single}, "%zu", single.result.hintCount)
                         .c_str(),
-                    rows[p].stats.mispKi(), rows[p].hints, rows[p].rounds);
+                    iterative("%.2f", rows[p].stats.mispKi()).c_str(),
+                    iterative("%zu", rows[p].hints).c_str(),
+                    iterative("%u", rows[p].rounds).c_str());
     }
 
     std::printf("\nExpected shape: iterating adds a modest second "

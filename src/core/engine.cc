@@ -194,7 +194,7 @@ class FusedExec
         stepped += std::chrono::steady_clock::now() - begin;
     }
 
-    /** Finalize stats and run-level counters after the pass. */
+    /** Finalize stats after the pass. */
     virtual void finish() = 0;
 
     /**
@@ -228,10 +228,7 @@ class FusedExec
 
     /** Complete the lead sim's prefix profile; the walk has stepped
      * exactly its prefix. */
-    virtual void
-    flushPrefix()
-    {
-    }
+    virtual void flushPrefix() = 0;
 
     /** Per-member stats slots of a measured or warmup segment. */
     SimStats *const *
@@ -343,14 +340,6 @@ class KernelExec final : public FusedExec
             sim->stats.collisions = sim->predictor->collisionStats();
             sim->usedFastPath = true;
             sim->usedSimd = true;
-            if (sim->options.counters == nullptr)
-                continue;
-            sim->options.counters->add("engine.kernel_runs");
-            sim->options.counters->add("engine.branches",
-                                       sim->stats.branches);
-            if (warmupEnd > 0)
-                sim->options.counters->add("engine.warmup_branches",
-                                           warmupEnd);
         }
     }
 
@@ -490,131 +479,25 @@ class KernelExec final : public FusedExec
     std::vector<batch::SiteTables *> tablePtrs;
 };
 
-/**
- * Fused exec for predictors outside the devirtualized set: the
- * virtual-dispatch loop of simulate()/runMeasured(), segmented over
- * the shared block walk.
- */
-class VirtualStepper final : public FusedExec
-{
-  public:
-    VirtualStepper(FusedSim &sim, const ReplayBuffer &buffer)
-        : FusedExec({&sim}, buffer), sim(sim),
-          combined(dynamic_cast<CombinedPredictor *>(sim.predictor))
-    {
-    }
-
-    void
-    finish() override
-    {
-        sim.stats.collisions = sim.predictor->collisionStats();
-        sim.usedFastPath = false;
-        if (sim.options.counters != nullptr) {
-            sim.options.counters->add("engine.virtual_runs");
-            sim.options.counters->add("engine.branches",
-                                      sim.stats.branches);
-            if (warmupEnd > 0)
-                sim.options.counters->add("engine.warmup_branches",
-                                          warmupEnd);
-        }
-    }
-
-  protected:
-    void
-    runSegment(Count from, Count to, Segment segment) override
-    {
-        BranchPredictor &predictor = *sim.predictor;
-        BranchRecord record;
-        if (segment == Segment::Warmup) {
-            for (Count i = from; i < to; ++i) {
-                buffer.get(i, record);
-                predictor.predict(record.pc);
-                predictor.update(record.pc, record.taken);
-                predictor.updateHistory(record.taken);
-            }
-            return;
-        }
-
-        ProfileDb *const profiles[] = {
-            sim.options.profile,
-            segment == Segment::Prefix ? sim.prefixProfile : nullptr};
-        const bool with_profile =
-            profiles[0] != nullptr || profiles[1] != nullptr;
-        SimStats &stats = sim.stats;
-        for (Count i = from; i < to; ++i) {
-            buffer.get(i, record);
-            const bool prediction = predictor.predict(record.pc);
-            const bool correct = prediction == record.taken;
-            // Must be sampled between predict() and update():
-            // update() classifies and clears the pending state.
-            Count lookup_collisions = 0;
-            if (with_profile)
-                lookup_collisions = predictor.lastPredictCollisions();
-
-            predictor.update(record.pc, record.taken);
-            predictor.updateHistory(record.taken);
-
-            ++stats.branches;
-            stats.instructions += record.instGap;
-            if (!correct)
-                ++stats.mispredictions;
-
-            bool was_static = false;
-            if (combined != nullptr) {
-                was_static = combined->lastWasStatic();
-                if (was_static) {
-                    ++stats.staticPredicted;
-                    if (!correct)
-                        ++stats.staticMispredictions;
-                }
-            }
-
-            if (!with_profile)
-                continue;
-            for (ProfileDb *profile : profiles) {
-                if (profile == nullptr)
-                    continue;
-                profile->recordOutcome(record.pc, record.taken);
-                // Accuracy counts describe the *dynamic* predictor,
-                // so statically resolved branches do not contribute.
-                if (!was_static) {
-                    profile->recordPrediction(record.pc, correct);
-                    if (lookup_collisions > 0)
-                        profile->recordCollisions(record.pc,
-                                                  lookup_collisions);
-                }
-            }
-        }
-    }
-
-  private:
-    FusedSim &sim;
-    CombinedPredictor *combined;
-};
-
 } // namespace
 
 SimStats
 simulate(BranchPredictor &predictor, BranchStream &stream,
          const SimOptions &options)
 {
-    if (options.resetStream)
-        stream.reset();
-    if (options.resetPredictor)
-        predictor.reset();
+    stream.reset();
+    predictor.reset();
     predictor.clearCollisionStats();
 
     auto *combined = dynamic_cast<CombinedPredictor *>(&predictor);
 
     // Warmup: train the predictor without recording anything.
     BranchRecord record;
-    Count warmup_run = 0;
     for (Count i = 0;
          i < options.warmupBranches && stream.next(record); ++i) {
         predictor.predict(record.pc);
         predictor.update(record.pc, record.taken);
         predictor.updateHistory(record.taken);
-        ++warmup_run;
     }
     predictor.clearCollisionStats();
 
@@ -632,14 +515,6 @@ simulate(BranchPredictor &predictor, BranchStream &stream,
                                                stream, options)
                     : runMeasured<false, false>(predictor, nullptr,
                                                 stream, options);
-    }
-
-    if (options.counters != nullptr) {
-        options.counters->add("engine.virtual_runs");
-        options.counters->add("engine.branches", stats.branches);
-        if (warmup_run > 0)
-            options.counters->add("engine.warmup_branches",
-                                  warmup_run);
     }
     return stats;
 }
@@ -668,16 +543,17 @@ simulateReplayFused(std::vector<FusedSim> &sims,
         bpsim_assert(sites->size() == buffer.size(),
                      "site index does not match the replay buffer");
 
-    // Resolve each sim once and reset its predictor. An empty hint
-    // database makes the combined wrapper a pure pass-through, so such
-    // sims run as their bare dynamic component; the results are
-    // identical.
+    // Resolve each sim once and reset a kernel sim's predictor (the
+    // oracle resets its own). An empty hint database makes the
+    // combined wrapper a pure pass-through, so such sims run as their
+    // bare dynamic component; the results are identical.
     struct Resolved
     {
         const HintDb *hints = nullptr;
         ShiftPolicy policy = ShiftPolicy::NoShift;
         BranchPredictor *dyn = nullptr;
         bool solo = false; // a (prefix) profile or a sink: runs alone
+        bool kernel = false;
     };
     std::vector<Resolved> resolved(sims.size());
     bool needs_sites = false;
@@ -687,6 +563,7 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                      "fused sim needs a predictor");
         sim.stats = SimStats{};
         sim.seconds = 0.0;
+        sim.prefixSeconds = 0.0;
         sim.usedFastPath = false;
         sim.usedSimd = false;
 
@@ -704,16 +581,19 @@ simulateReplayFused(std::vector<FusedSim> &sims,
                            sim.prefixProfile != nullptr ||
                            resolved[s].dyn->aliasSink() != nullptr;
         bool sited = false;
-        const bool kernel =
+        resolved[s].kernel =
             visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
                 sited = batch::needsSiteIndex<
                     std::decay_t<decltype(concrete)>>;
             });
-        needs_sites = needs_sites ||
-                      (kernel && (hinted || resolved[s].solo || sited));
-
-        if (sim.options.resetPredictor)
-            sim.predictor->reset();
+        if (!resolved[s].kernel) {
+            bpsim_assert(sim.prefixProfile == nullptr,
+                         "a sim with a prefix profile must be a kernel "
+                         "type: simulate() keeps no prefix profile");
+            continue;
+        }
+        needs_sites = needs_sites || hinted || resolved[s].solo || sited;
+        sim.predictor->reset();
         sim.predictor->clearCollisionStats();
     }
 
@@ -729,7 +609,8 @@ simulateReplayFused(std::vector<FusedSim> &sims,
     // sims (no profile of either kind, no alias sink) sharing a
     // concrete type, replay window and effective shift policy form one
     // gang; a profiling or attributed sim, or any sim of a pass without
-    // a site index, runs alone. Everything else runs the virtual loop.
+    // a site index, runs alone. Every other sim runs simulate() after
+    // the walk.
     const SimdLevel level = resolveSimdLevel();
     struct Group
     {
@@ -747,34 +628,30 @@ simulateReplayFused(std::vector<FusedSim> &sims,
 
     for (std::size_t s = 0; s < sims.size(); ++s) {
         const SimOptions &options = sims[s].options;
-        const bool kernel =
-            visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
-                const Group key{typeid(concrete),
-                                resolved[s].policy,
-                                options.warmupBranches,
-                                options.maxBranches,
-                                sites != nullptr && !resolved[s].solo,
-                                {}};
-                Group *group = nullptr;
-                for (Group &candidate : groups) {
-                    if (key.open && candidate.open &&
-                        candidate.type == key.type &&
-                        candidate.policy == key.policy &&
-                        candidate.warmup == key.warmup &&
-                        candidate.max == key.max) {
-                        group = &candidate;
-                        break;
-                    }
+        visitPredictor(*resolved[s].dyn, [&](auto &concrete) {
+            const Group key{typeid(concrete),
+                            resolved[s].policy,
+                            options.warmupBranches,
+                            options.maxBranches,
+                            sites != nullptr && !resolved[s].solo,
+                            {}};
+            Group *group = nullptr;
+            for (Group &candidate : groups) {
+                if (key.open && candidate.open &&
+                    candidate.type == key.type &&
+                    candidate.policy == key.policy &&
+                    candidate.warmup == key.warmup &&
+                    candidate.max == key.max) {
+                    group = &candidate;
+                    break;
                 }
-                if (group == nullptr) {
-                    groups.push_back(key);
-                    group = &groups.back();
-                }
-                group->members.push_back(s);
-            });
-        if (!kernel)
-            execs.push_back(
-                std::make_unique<VirtualStepper>(sims[s], buffer));
+            }
+            if (group == nullptr) {
+                groups.push_back(key);
+                group = &groups.back();
+            }
+            group->members.push_back(s);
+        });
     }
 
     for (const Group &group : groups) {
@@ -816,6 +693,19 @@ simulateReplayFused(std::vector<FusedSim> &sims,
     for (auto &stepper : execs) {
         stepper->finish();
         stepper->shareSeconds();
+    }
+
+    // A predictor the kernels do not visit replays on the oracle.
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+        if (resolved[s].kernel)
+            continue;
+        FusedSim &sim = sims[s];
+        const auto begin = std::chrono::steady_clock::now();
+        ReplayBuffer::Cursor cursor = buffer.cursor();
+        sim.stats = simulate(*sim.predictor, cursor, sim.options);
+        sim.seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - begin)
+                          .count();
     }
 }
 

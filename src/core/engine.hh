@@ -17,7 +17,6 @@
 #include "core/sim_stats.hh"
 #include "predictor/predictor.hh"
 #include "profile/profile_db.hh"
-#include "support/observe.hh"
 #include "trace/branch_stream.hh"
 
 namespace bpsim
@@ -46,25 +45,10 @@ struct SimOptions
      * result.
      */
     ProfileDb *profile = nullptr;
-
-    /** Reset the predictor (tables + stats) before starting. */
-    bool resetPredictor = true;
-
-    /** Reset the stream before starting. */
-    bool resetStream = true;
-
-    /**
-     * Optional run-level counter registry (observability). The
-     * engine bumps engine.kernel_runs / engine.virtual_runs,
-     * engine.branches and engine.warmup_branches once per simulation
-     * run — never inside the per-branch loop — so attaching a
-     * registry costs nothing on the hot path.
-     */
-    CounterRegistry *counters = nullptr;
 };
 
 /**
- * Run @p predictor over @p stream.
+ * Run @p predictor over @p stream, both reset first.
  *
  * Works for plain dynamic predictors and for CombinedPredictor; in
  * the latter case static/dynamic attribution in the stats is taken
@@ -79,11 +63,9 @@ SimStats simulate(BranchPredictor &predictor, BranchStream &stream,
  *
  * Semantically identical to simulate() over @p buffer.cursor() —
  * same stats, same profile contents, same final predictor state.
- * options.resetStream is meaningless here (the buffer is immutable)
- * and ignored.
  *
  * @param used_fast_path optionally receives whether the batch
- *                       kernels ran (false = the virtual loop)
+ *                       kernels ran (false = simulate() itself)
  * @param used_simd      optionally receives the same flag; kept for
  *                       the callers and records that report it
  *                       separately
@@ -107,8 +89,7 @@ struct FusedSim
     /** The predictor to drive (not owned). */
     BranchPredictor *predictor = nullptr;
 
-    /** Per-sim options; resetStream is ignored (the buffer is
-     * immutable). */
+    /** Per-sim options. */
     SimOptions options;
 
     /**
@@ -117,8 +98,8 @@ struct FusedSim
      * options.profile, which covers the whole measured window. An
      * input like options.profile: the contents equal a profiling run
      * of the same predictor over that prefix alone, which is how a
-     * cold evaluation sim can stand in for its profiling phase. A sim
-     * carrying one runs alone.
+     * cold evaluation sim can stand in for its profiling phase. Only a
+     * sim of a kernel type may carry one, and it runs alone.
      */
     ProfileDb *prefixProfile = nullptr;
 
@@ -129,10 +110,10 @@ struct FusedSim
     SimStats stats;
 
     /** Output: wall seconds spent stepping this sim through the pass,
-     * timed per exec and block; a gang's time is apportioned by the
-     * records each member applied, since each steps only the records
-     * its predictor sees. The pass's setup and finish are not
-     * included. */
+     * timed per exec and block (or around its simulate() call); a
+     * gang's time is apportioned by the records each member applied,
+     * since each steps only the records its predictor sees. The pass's
+     * setup and finish are not included. */
     double seconds = 0.0;
 
     /** Output: the part of seconds stepped up to the prefix boundary
@@ -163,7 +144,9 @@ struct FusedSim
  *
  *  - a predictor (or a CombinedPredictor's dynamic component) whose
  *    concrete type the kernels visit (visitPredictor) runs the batch
- *    kernels; anything else runs the virtual loop;
+ *    kernels; any other sim runs simulate() over @p buffer.cursor()
+ *    after the walk, timed into its seconds, and must have no prefix
+ *    profile;
  *  - a visited sim with a profile, a prefix profile or a
  *    ContextAliasSink runs alone (the solo shape, with its hints if it
  *    has any); other visited sims sharing a type, replay window and

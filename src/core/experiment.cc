@@ -14,15 +14,6 @@ namespace bpsim
 namespace
 {
 
-/** The registered name of a config's predictor: config.predictor
- * when set, the paper kind's name otherwise. */
-std::string
-predictorNameOf(const ExperimentConfig &config)
-{
-    return config.predictor.empty() ? predictorKindName(config.kind)
-                                    : config.predictor;
-}
-
 /** Build the dynamic component a config describes, with its history
  * lengths when it sets them. */
 std::unique_ptr<BranchPredictor>
@@ -46,7 +37,6 @@ profileOptions(const ExperimentConfig &config, ProfileDb &profile)
     SimOptions options;
     options.maxBranches = config.profileBranches;
     options.profile = &profile;
-    options.counters = config.counters;
     return options;
 }
 
@@ -92,7 +82,6 @@ evalSimOptions(const ExperimentConfig &config)
     SimOptions options;
     options.maxBranches = config.evalBranches;
     options.warmupBranches = config.evalWarmupBranches;
-    options.counters = config.counters;
     return options;
 }
 
@@ -104,6 +93,13 @@ evalSimOptions(const ExperimentConfig &config,
     if (prepared.evalProfile != nullptr)
         options.profile = prepared.evalProfile.get();
     return options;
+}
+
+std::string
+predictorNameOf(const ExperimentConfig &config)
+{
+    return config.predictor.empty() ? predictorKindName(config.kind)
+                                    : config.predictor;
 }
 
 std::string

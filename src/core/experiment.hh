@@ -23,7 +23,6 @@
 #include "profile/profile_db.hh"
 #include "staticsel/selection.hh"
 #include "support/error.hh"
-#include "support/observe.hh"
 #include "workload/behavior.hh"
 
 namespace bpsim
@@ -103,14 +102,6 @@ struct ExperimentConfig
     double stabilityThreshold = 0.05;
 
     /**
-     * Optional counter registry the engine reports run-level counters
-     * into (see SimOptions::counters). Pure observability: not part
-     * of the experiment's identity, ignored by the runner's
-     * profile-cache key, and never read on the per-branch path.
-     */
-    CounterRegistry *counters = nullptr;
-
-    /**
      * Number of contexts in the cell's workload when it is a
      * multi-context scenario (scenario/scenario.hh), 0 for ordinary
      * single-program cells. When positive, the evaluation attaches a
@@ -132,6 +123,10 @@ struct ExperimentConfig
      */
     Result<void> validate() const;
 };
+
+/** The registered name of a config's predictor: config.predictor
+ * when set, the paper kind's name otherwise. */
+std::string predictorNameOf(const ExperimentConfig &config);
 
 /**
  * The predictor-identity component shared by the runner's

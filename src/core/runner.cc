@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -18,6 +17,7 @@
 #include "cache/artifact_cache.hh"
 #include "core/checkpoint.hh"
 #include "core/simd.hh"
+#include "predictor/registry.hh"
 #include "support/atomic_file.hh"
 #include "support/fault.hh"
 #include "support/json.hh"
@@ -274,54 +274,13 @@ TaskPool::runCollect(std::vector<std::function<void()>> tasks)
         return errors;
     }
 
-    // Round-robin deal onto per-worker deques. Each worker drains its
-    // own deque from the front and, when empty, steals from the back
-    // of the others, so long-running tails redistribute themselves.
-    struct WorkerDeque
-    {
-        std::deque<std::size_t> items;
-        std::mutex lock;
-    };
-    std::vector<WorkerDeque> deques(n);
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-        deques[i % n].items.push_back(i);
-
-    std::atomic<std::size_t> remaining{tasks.size()};
-
+    // Each worker claims the next unclaimed task until none is left.
+    std::atomic<std::size_t> next{0};
     const auto worker = [&](unsigned self) {
         obs::setWorkerIndex(self);
-        for (;;) {
-            std::size_t task_index = 0;
-            bool found = false;
-            {
-                std::lock_guard<std::mutex> guard(deques[self].lock);
-                if (!deques[self].items.empty()) {
-                    task_index = deques[self].items.front();
-                    deques[self].items.pop_front();
-                    found = true;
-                }
-            }
-            for (unsigned v = 1; v < n && !found; ++v) {
-                WorkerDeque &victim = deques[(self + v) % n];
-                std::lock_guard<std::mutex> guard(victim.lock);
-                if (!victim.items.empty()) {
-                    task_index = victim.items.back();
-                    victim.items.pop_back();
-                    found = true;
-                }
-            }
-            if (!found) {
-                // Every queue is empty; wait for in-flight tasks (a
-                // thief could still re-populate nothing — tasks never
-                // spawn tasks) and exit.
-                if (remaining.load(std::memory_order_acquire) == 0)
-                    return;
-                std::this_thread::yield();
-                continue;
-            }
+        for (std::size_t task_index = next.fetch_add(1);
+             task_index < tasks.size(); task_index = next.fetch_add(1))
             guarded(task_index);
-            remaining.fetch_sub(1, std::memory_order_acq_rel);
-        }
     };
 
     std::vector<std::thread> threads;
@@ -510,12 +469,6 @@ ExperimentRunner::addCell(std::size_t program_index,
     MatrixCell cell;
     cell.programIndex = program_index;
     cell.config = config;
-    // Attach the journal's counter registry so the engine's per-run
-    // counters (kernel vs virtual path, branch totals) land in the
-    // metrics summary. Not part of the cell's identity: the profile
-    // cache key ignores it and results are unaffected.
-    if (CounterRegistry *counters = obs::countersOf(options.journal))
-        cell.config.counters = counters;
     if (label.empty()) {
         label = programs[program_index]->name() + "/" +
                 predictorIdentityOf(config) + "/" +
@@ -1148,10 +1101,11 @@ class ExperimentRunner::Sweep
      * profileBranches records, so one sim steps them for both. That is
      * an unhinted cell of the phase's program, input and predictor
      * identity, measured from a cold start (no warmup) over at least
-     * the phase's window, that this process runs. The first such cell
-     * in plan order not carrying another phase yet is chosen, so the
-     * choice is independent of the thread count. A phase served from
-     * the artifact cache runs nothing and gets none.
+     * the phase's window, that this process runs, of a predictor the
+     * kernels run (simulate() keeps no prefix profile). The first such
+     * cell in plan order not carrying another phase yet is chosen, so
+     * the choice is independent of the thread count. A phase served
+     * from the artifact cache runs nothing and gets none.
      */
     void
     pickCarriers()
@@ -1163,7 +1117,10 @@ class ExperimentRunner::Sweep
             if (!plan.inShard || plan.invalid.has_value() ||
                 plan.restored.has_value() ||
                 config.scheme != StaticScheme::None ||
-                config.evalWarmupBranches != 0)
+                config.evalWarmupBranches != 0 ||
+                !PredictorRegistry::instance()
+                     .find(predictorNameOf(config))
+                     ->kernelCapable)
                 continue;
             candidates.emplace_back(i, predictorIdentityOf(config));
         }

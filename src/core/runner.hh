@@ -86,10 +86,9 @@ void addThreadsOption(ArgParser &args);
 unsigned threadsFromArgs(const ArgParser &args);
 
 /**
- * A work-stealing pool for coarse independent tasks. Tasks are dealt
- * round-robin onto per-worker deques; a worker drains its own deque
- * from the front and steals from the back of others when idle, so a
- * straggler's queue is relieved by whichever workers finish early.
+ * A pool for coarse independent tasks. Each worker claims the next
+ * unclaimed task in index order until none is left, so a straggler
+ * holds up only its own worker.
  */
 class TaskPool
 {

@@ -419,16 +419,6 @@ RunJournal::writeMetrics(const std::string &path) const
     count("destructive", sum.destructive);
     count("neutral", sum.neutral);
 
-    std::fprintf(file, "  \"counters\": {");
-    first = true;
-    for (const auto &[name, value] : counterRegistry.snapshot()) {
-        std::fprintf(file, "%s\n    %s: %llu", first ? "" : ",",
-                     jsonQuote(name).c_str(),
-                     static_cast<unsigned long long>(value));
-        first = false;
-    }
-    std::fprintf(file, "\n  },\n");
-
     std::fprintf(file, "  \"timers\": {");
     first = true;
     for (const auto &[name, stat] : timerRegistry.snapshot()) {
@@ -481,12 +471,6 @@ note(RunJournal *journal, EventKind kind, std::string label,
     if (journal != nullptr)
         journal->record(kind, currentWorker, std::move(label),
                         std::move(fields));
-}
-
-CounterRegistry *
-countersOf(RunJournal *journal)
-{
-    return journal != nullptr ? &journal->counters() : nullptr;
 }
 
 TimerRegistry *

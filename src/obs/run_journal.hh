@@ -231,9 +231,8 @@ struct JournalSummary
 
 /**
  * Thread-safe structured event log for one run, with an embedded
- * counter registry (fed by the engine) and timer registry (fed by
- * spans and the runner's scoped timers), both serialized into the
- * metrics summary.
+ * timer registry (fed by spans and the runner's scoped timers)
+ * serialized into the metrics summary.
  */
 class RunJournal
 {
@@ -241,10 +240,6 @@ class RunJournal
     explicit RunJournal(std::string run_label = "run");
 
     const std::string &runLabel() const { return label; }
-
-    /** Engine/bench counters attached to this run. */
-    CounterRegistry &counters() { return counterRegistry; }
-    const CounterRegistry &counters() const { return counterRegistry; }
 
     /** Scoped-timer accumulator attached to this run. */
     TimerRegistry &timers() { return timerRegistry; }
@@ -282,7 +277,7 @@ class RunJournal
 
     /**
      * Write the event log as JSONL to @p path and the aggregated
-     * metrics summary (plus counter and timer snapshots) next to it
+     * metrics summary (plus the timer snapshot) next to it
      * ("x.jsonl" -> "x.metrics.json"), each by atomic temp + rename;
      * fatal() if either is unwritable. Returns the metrics path.
      */
@@ -300,7 +295,6 @@ class RunJournal
 
     std::string label;
     std::chrono::steady_clock::time_point epoch;
-    CounterRegistry counterRegistry;
     TimerRegistry timerRegistry;
 
     mutable std::mutex lock;
@@ -322,9 +316,6 @@ void setWorkerIndex(unsigned index);
  * journal. */
 void note(RunJournal *journal, EventKind kind, std::string label,
           std::vector<Field> fields = {});
-
-/** The journal's counter registry; null for a null journal. */
-CounterRegistry *countersOf(RunJournal *journal);
 
 /** The journal's timer registry; null for a null journal. */
 TimerRegistry *timersOf(RunJournal *journal);

@@ -99,8 +99,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Agree>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

@@ -73,8 +73,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Bimodal>(bytes);
             },
-        .paperKind = true,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

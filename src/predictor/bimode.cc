@@ -110,8 +110,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<BiMode>(bytes);
             },
-        .paperKind = true,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

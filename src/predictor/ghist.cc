@@ -75,8 +75,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Ghist>(bytes);
             },
-        .paperKind = true,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

@@ -90,8 +90,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Gselect>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = false,
     })
 
 } // namespace bpsim

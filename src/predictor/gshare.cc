@@ -78,8 +78,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Gshare>(bytes);
             },
-        .paperKind = true,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

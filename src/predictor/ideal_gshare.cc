@@ -63,8 +63,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t) {
                 return std::make_unique<IdealGshare>();
             },
-        .paperKind = false,
-        .kernelCapable = false,
         .goldenFile = "ideal_gshare",
     })
 

@@ -132,8 +132,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<HashedPerceptron>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

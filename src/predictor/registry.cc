@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "predictor/factory.hh"
 #include "support/logging.hh"
 
 namespace bpsim
@@ -25,6 +26,15 @@ PredictorRegistry::add(PredictorInfo info)
                  "predictor '", info.name, "' registered twice");
     if (info.goldenFile.empty())
         info.goldenFile = info.name;
+    // Safe at static-init time: no predictor constructor consults the
+    // registry.
+    info.kernelCapable =
+        visitPredictor(*info.make(info.defaultBytes), [](auto &) {});
+    const std::vector<PredictorKind> &kinds = allPredictorKinds();
+    info.paperKind =
+        std::any_of(kinds.begin(), kinds.end(), [&](PredictorKind kind) {
+            return predictorKindName(kind) == info.name;
+        });
     entries.push_back(std::move(info));
 }
 

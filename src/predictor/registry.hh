@@ -55,14 +55,17 @@ struct PredictorInfo
     /** Number of history lengths makeWithHistory takes. */
     std::size_t historyLengthCount = 0;
 
-    /** One of the paper's five simulated schemes (PredictorKind). */
+    /** One of the paper's five simulated schemes: the name is a
+     * PredictorKind's. Derived by PredictorRegistry::add(). */
     bool paperKind = false;
 
     /**
-     * The devirtualized replay kernels dispatch on this concrete
-     * type (it is listed in BPSIM_KERNEL_PREDICTORS, so it has batch
-     * kernels); false means simulation takes the virtual fallback
-     * path.
+     * The devirtualized replay kernels dispatch on this concrete type
+     * (visitPredictor accepts an instance, so it is listed in
+     * BPSIM_KERNEL_PREDICTORS and has batch kernels); false means
+     * replay runs simulate() itself and no cell carries the
+     * predictor's profiling phase. Derived by PredictorRegistry::add()
+     * from one instance built with make(defaultBytes).
      */
     bool kernelCapable = false;
 
@@ -87,7 +90,8 @@ class PredictorRegistry
   public:
     static PredictorRegistry &instance();
 
-    /** Register @p info; duplicate names are a simulator bug. */
+    /** Register @p info, deriving its paperKind and kernelCapable;
+     * duplicate names are a simulator bug. */
     void add(PredictorInfo info);
 
     /** Recipe for @p name; null when unregistered. */

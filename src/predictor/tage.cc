@@ -300,8 +300,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Tage>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

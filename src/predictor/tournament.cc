@@ -151,8 +151,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Tournament>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = false,
     })
 
 } // namespace bpsim

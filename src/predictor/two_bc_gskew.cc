@@ -162,8 +162,6 @@ BPSIM_REGISTER_PREDICTOR(
                                                     lengths[1], lengths[2]);
             },
         .historyLengthCount = 3,
-        .paperKind = true,
-        .kernelCapable = true,
     })
 
 } // namespace bpsim

@@ -163,8 +163,6 @@ BPSIM_REGISTER_PREDICTOR(
             [](std::size_t bytes) {
                 return std::make_unique<Yags>(bytes);
             },
-        .paperKind = false,
-        .kernelCapable = false,
     })
 
 } // namespace bpsim

@@ -4,28 +4,6 @@ namespace bpsim
 {
 
 void
-CounterRegistry::add(const std::string &name, Count delta)
-{
-    std::lock_guard<std::mutex> guard(lock);
-    counters[name] += delta;
-}
-
-Count
-CounterRegistry::value(const std::string &name) const
-{
-    std::lock_guard<std::mutex> guard(lock);
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-}
-
-std::map<std::string, Count>
-CounterRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> guard(lock);
-    return counters;
-}
-
-void
 TimerRegistry::add(const std::string &name, double seconds)
 {
     std::lock_guard<std::mutex> guard(lock);

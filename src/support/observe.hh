@@ -1,13 +1,12 @@
 /**
  * @file
- * Lightweight observability primitives: named counter registries and
- * scoped wall-clock timers.
+ * Lightweight observability primitive: scoped wall-clock timers.
  *
- * Both are designed for coarse-grained instrumentation — once per
- * simulation run, phase, or matrix cell, never per branch — so a
- * mutex-protected map is plenty and the hot simulation loops stay
- * untouched. The run journal (src/obs/) embeds one of each and
- * serializes their snapshots into its metrics summary.
+ * Designed for coarse-grained instrumentation — once per phase or
+ * matrix cell, never per branch — so a mutex-protected map is plenty
+ * and the hot simulation loops stay untouched. The run journal
+ * (src/obs/) embeds a TimerRegistry and serializes its snapshot into
+ * its metrics summary.
  */
 
 #ifndef BPSIM_SUPPORT_OBSERVE_HH
@@ -23,24 +22,6 @@
 
 namespace bpsim
 {
-
-/** Named monotonic counters, thread-safe for coarse events. */
-class CounterRegistry
-{
-  public:
-    /** Add @p delta to counter @p name (created at zero). */
-    void add(const std::string &name, Count delta = 1);
-
-    /** Current value of @p name (0 when never touched). */
-    Count value(const std::string &name) const;
-
-    /** Copy of all counters, sorted by name. */
-    std::map<std::string, Count> snapshot() const;
-
-  private:
-    mutable std::mutex lock;
-    std::map<std::string, Count> counters;
-};
 
 /** Accumulated invocations and wall time of one named scope. */
 struct TimerStat

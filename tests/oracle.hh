@@ -75,8 +75,7 @@ inline ExperimentResult
 resultOf(const ExperimentRunner &runner, std::size_t index)
 {
     const MatrixCell &cell = runner.cell(index);
-    ExperimentConfig config = cell.config;
-    config.counters = nullptr; // keep the oracle out of any journal
+    const ExperimentConfig &config = cell.config;
     const ReplayBuffer &eval =
         runner.buffer(cell.programIndex, config.evalInput);
     const ReplayBuffer &profile =

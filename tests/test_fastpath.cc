@@ -196,13 +196,27 @@ void
 expectSameContinuation(BranchPredictor &expected, BranchPredictor &got,
                        const ReplayBuffer &buffer)
 {
-    SimOptions options;
-    options.resetPredictor = false;
-    options.maxBranches = 20'000;
-    ReplayBuffer::Cursor want_cursor = buffer.cursor();
-    ReplayBuffer::Cursor got_cursor = buffer.cursor();
-    expectSameStats(simulate(expected, want_cursor, options),
-                    simulate(got, got_cursor, options));
+    expected.clearCollisionStats();
+    got.clearCollisionStats();
+    const Count records = std::min<Count>(20'000, buffer.size());
+    Count differing = 0;
+    BranchRecord record;
+    for (Count i = 0; i < records; ++i) {
+        buffer.get(i, record);
+        if (expected.predict(record.pc) != got.predict(record.pc))
+            ++differing;
+        for (BranchPredictor *predictor : {&expected, &got}) {
+            predictor->update(record.pc, record.taken);
+            predictor->updateHistory(record.taken);
+        }
+    }
+    EXPECT_EQ(differing, 0u);
+    const CollisionStats want = expected.collisionStats();
+    const CollisionStats have = got.collisionStats();
+    EXPECT_EQ(want.lookups, have.lookups);
+    EXPECT_EQ(want.collisions, have.collisions);
+    EXPECT_EQ(want.constructive, have.constructive);
+    EXPECT_EQ(want.destructive, have.destructive);
 }
 
 /**
@@ -216,7 +230,7 @@ expectSameContinuation(BranchPredictor &expected, BranchPredictor &got,
 void
 expectCarriedMatches(const std::string &spec,
                      const ExperimentConfig &config,
-                     const ReplayBuffer &buffer, Count eval, bool kernel)
+                     const ReplayBuffer &buffer, Count eval)
 {
     ExperimentConfig stepped = config;
     stepped.profileBranches = std::min(config.profileBranches, eval);
@@ -236,15 +250,14 @@ expectCarriedMatches(const std::string &spec,
         runProfilePhasesFusedReplay(buffer, {&config}, nullptr, {&sim})
             .front();
 
-    EXPECT_EQ(outcome.usedFastPath, kernel);
-    EXPECT_EQ(sim.usedFastPath, kernel);
+    EXPECT_TRUE(outcome.usedFastPath);
+    EXPECT_TRUE(sim.usedFastPath);
     EXPECT_EQ(expected_phase.simulatedBranches,
               outcome.phase.simulatedBranches);
     expectSameProfile(expected_phase.profile, outcome.phase.profile);
     expectSameStats(expected_stats, sim.stats);
     EXPECT_EQ(sim.prefixProfile, nullptr);
-    if (kernel)
-        expectSameTables(expected, carrier);
+    expectSameTables(expected, carrier);
     expectSameContinuation(expected, carrier, buffer);
 }
 
@@ -275,18 +288,17 @@ TEST_P(FastPathProfile, ProfilePhaseIdenticalToVirtualPath)
     // place, and its first profileBranches records make the profile.
     SCOPED_TRACE("carried");
     expectCarriedMatches(GetParam().name() + ":2048", config, buffer,
-                         testEvalBranches, true);
+                         testEvalBranches);
 }
 
 TEST(FastPathTest, CarriedPrefixEndsAnywhere)
 {
     // The prefix boundary splits a 16-record batch and a 64Ki-record
     // block, falls on a block edge, or lies at or past the end of the
-    // carrier's window (the prefix is then the whole window); the
-    // virtual-loop predictors honour it too.
+    // carrier's window (the prefix is then the whole window).
     const ReplayBuffer &buffer = testBuffer();
     const Count block = 65'536;
-    const std::vector<std::pair<Count, Count>> kernel_cases = {
+    const std::vector<std::pair<Count, Count>> cases = {
         {1, testEvalBranches},
         {block + 1, testEvalBranches},
         {70'001, testEvalBranches},
@@ -294,23 +306,14 @@ TEST(FastPathTest, CarriedPrefixEndsAnywhere)
         {testEvalBranches, testEvalBranches},
         {testEvalBranches + 5'000, testEvalBranches},
         {testEvalBranches, 100'003}};
-    const std::vector<std::pair<Count, Count>> virtual_cases = {
-        {70'001, testEvalBranches}, {testEvalBranches, 100'003}};
-    std::vector<std::pair<std::string, bool>> predictors;
-    for (const std::string &name : kernelPredictorNames())
-        predictors.emplace_back(name, true);
-    for (const char *name : {"yags", "gselect", "tournament", "ideal"})
-        predictors.emplace_back(name, false);
-    for (const auto &[name, kernel] : predictors) {
-        for (const auto &[prefix, eval] :
-             kernel ? kernel_cases : virtual_cases) {
+    for (const std::string &name : kernelPredictorNames()) {
+        for (const auto &[prefix, eval] : cases) {
             SCOPED_TRACE(name + " prefix " + std::to_string(prefix) +
                          " of " + std::to_string(eval));
             ExperimentConfig config =
                 fastConfig(name, StaticScheme::StaticAcc);
             config.profileBranches = prefix;
-            expectCarriedMatches(name + ":2048", config, buffer, eval,
-                                 kernel);
+            expectCarriedMatches(name + ":2048", config, buffer, eval);
         }
     }
 }

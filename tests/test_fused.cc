@@ -392,6 +392,37 @@ TEST(FusedTest, CarriedPassSplitsItsTimeAtThePrefixBoundary)
     EXPECT_LE(outcome.seconds + carrier_seconds, wall + 1e-3);
 }
 
+TEST(FusedTest, PredictorWithoutKernelsRunsTheOracleInThePass)
+{
+    // A pass hands a predictor the kernels do not visit to simulate()
+    // itself, timed, beside the kernel sims of its walk.
+    SyntheticProgram program =
+        makeSpecProgram(SpecProgram::Gcc, InputSet::Ref);
+    const ReplayBuffer buffer =
+        ReplayBuffer::materialize(program, testEvalBranches);
+    auto yags = makePredictor("yags:2048");
+    auto gshare = makePredictor("gshare:2048");
+    ProfileDb yags_profile;
+    std::vector<FusedSim> sims(2);
+    sims[0].predictor = yags.get();
+    sims[0].options.profile = &yags_profile;
+    sims[1].predictor = gshare.get();
+    simulateReplayFused(sims, buffer);
+
+    auto expected = makePredictor("yags:2048");
+    ProfileDb expected_profile;
+    SimOptions options;
+    options.profile = &expected_profile;
+    ReplayBuffer::Cursor cursor = buffer.cursor();
+    oracle::expectSameStats(simulate(*expected, cursor, options),
+                            sims[0].stats);
+    oracle::expectSameProfile(expected_profile, yags_profile);
+    EXPECT_FALSE(sims[0].usedFastPath);
+    EXPECT_GT(sims[0].seconds, 0.0);
+    EXPECT_TRUE(sims[1].usedFastPath);
+    EXPECT_EQ(sims[1].stats.branches, testEvalBranches);
+}
+
 class FusedFaultTest : public ::testing::Test
 {
   protected:

@@ -468,6 +468,44 @@ TEST(CarrierTest, OneTwinCarriesOnePhase)
     EXPECT_EQ(carriers, std::vector<Count>{0});
 }
 
+TEST(CarrierTest, OnlyAKernelPredictorCarriesItsPhase)
+{
+    // simulate() keeps no prefix profile, so yags' phase runs alone
+    // while gshare's none cell carries gshare's.
+    obs::RunJournal journal("kernel carriers");
+    RunnerOptions options = threadOptions(2);
+    options.journal = &journal;
+    ExperimentRunner runner(options);
+    const std::size_t program =
+        runner.addProgram(makeSpecProgram(SpecProgram::Gcc, InputSet::Ref));
+    for (const char *predictor : {"yags", "gshare"}) {
+        for (const auto scheme :
+             {StaticScheme::None, StaticScheme::StaticAcc}) {
+            ExperimentConfig config =
+                testConfig(PredictorKind::Gshare, scheme);
+            config.predictor = predictor;
+            runner.addCell(program, config);
+        }
+    }
+    const MatrixResult result = runner.run();
+    oracle::expectMatrixMatches(result, oracle::resultsOf(runner));
+    EXPECT_FALSE(result.cells[0].usedKernel);
+    EXPECT_TRUE(result.cells[2].usedKernel);
+
+    std::vector<Count> carriers;
+    std::vector<bool> uncarried_kernel;
+    for (const obs::Event &event : journal.events()) {
+        if (event.kind != obs::EventKind::ProfilePhase)
+            continue;
+        if (event.find("carrier") != nullptr)
+            carriers.push_back(event.u64("carrier"));
+        else
+            uncarried_kernel.push_back(event.boolean("kernel"));
+    }
+    EXPECT_EQ(carriers, std::vector<Count>{2});
+    EXPECT_EQ(uncarried_kernel, std::vector<bool>{false});
+}
+
 TEST(CarrierTest, WarmCacheRunsNoCarrierAndMatchesTheColdRun)
 {
     const std::string dir = ::testing::TempDir() + "carrier_cache";

@@ -340,7 +340,6 @@ runTrace(const ArgParser &args)
     SimOptions options;
     options.maxBranches = args.getUint("branches");
     options.warmupBranches = args.getUint("warmup");
-    options.counters = obs::countersOf(journal.get());
 
     const std::string label = args.get("trace") + "/" + predictor->name();
     obs::note(journal.get(), obs::EventKind::CellBegin, label,

@@ -268,7 +268,6 @@ METRICS_REQUIRED = {
     "constructive": int,
     "destructive": int,
     "neutral": int,
-    "counters": dict,
     "timers": dict,
 }
 
@@ -736,7 +735,8 @@ def check_journal_file(path):
     # A profile_phase's 'carrier' is the cell that rode the phase's
     # pass (its unhinted twin): exactly one cell_end or cell_error
     # closes it, no other phase names it, and a carried cell_end
-    # consumed no shared profile.
+    # consumed no shared profile. Only the kernels keep a prefix
+    # profile, so the phase and a carried cell_end both ran them.
     closers = {}
     for event in cell_ends + cell_errors:
         closers.setdefault(event.get("cell"), []).append(event)
@@ -752,6 +752,8 @@ def check_journal_file(path):
             fail(path, f"{where}: cell {carrier} carries two phases "
                        f"(also line {carried[carrier]})")
         carried[carrier] = index + 1
+        if event.get("kernel") is not True:
+            fail(path, f"{where}: a carried phase must say kernel true")
         closing = closers.get(carrier, [])
         if len(closing) != 1:
             fail(path, f"{where}: carrier cell {carrier} is closed by "
@@ -761,6 +763,10 @@ def check_journal_file(path):
                 closing[0].get("profile_cached") is not False:
             fail(path, f"{where}: carrier cell {carrier}'s cell_end "
                        f"must have profile_cached false")
+        if closing[0]["event"] == "cell_end" and \
+                closing[0].get("kernel") is not True:
+            fail(path, f"{where}: carrier cell {carrier}'s cell_end "
+                       f"must have kernel true")
 
     # Aggregate cross-checks against run_end, for the fields the
     # emitter chose to include (the matrix runner includes them all;
@@ -913,7 +919,6 @@ def check_metrics_file(path):
 
     print(f"{path}: ok ({data['total_events']} events, "
           f"{data['cells_ended']} cells, "
-          f"{len(data['counters'])} counters, "
           f"{len(data['timers'])} timers)")
 
 
